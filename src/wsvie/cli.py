@@ -255,7 +255,7 @@ def _problem_and_params(config: dict):
         params = _class_from_config(config, int(defn["l"]))
         return _inline_problem(defn, params), params, "inline"
     problem = get_problem(str(defn))
-    return problem, _class_from_config(config, problem.l), str(spec)
+    return problem, _class_from_config(config, problem.l), str(defn)
 
 
 def run_convergence(config: dict) -> ConvergenceReport:

@@ -8,6 +8,13 @@ a NodeSet. Two singular-endpoint rules are available:
   dyadically toward the singular endpoint;
 * ``jacobi`` -- a Gauss-Jacobi rule with the weight (x - tau)^p folded in,
   exact for polynomial factors of degree <= 2n - 1.
+
+Rows are sorted into three branches -- Gauss-Jacobi singular rows, far rows
+and near rows -- by one private helper. ``axis_kernel_quadrature`` pads the
+branches into one rectangular (point, weight) table; ``kernel_moments``
+contracts each branch on its own and evaluates the Lagrange basis only where
+weights are nonzero: once at the n points that all far rows share, at n
+points per Gauss-Jacobi row and at the composite panel points of near rows.
 """
 
 from __future__ import annotations
@@ -133,6 +140,61 @@ def power_moment(a: float, b: float, t: float) -> float:
     return math.exp(_log_beta(a + 1.0, b + 1.0)) * t ** (a + b + 1.0)
 
 
+def _branches(x, p: float, a: float, b: float, n: int, rule: str, depth: int):
+    """Classify the rows of a clipped moment integral and yield their rules.
+
+    Yields ``(rows, T, W)`` once per non-empty branch, where ``rows`` is a
+    boolean mask over ``x`` and W carries the folded factor (x_i - tau)^p:
+
+    * Gauss-Jacobi singular rows: T and W have shape (k, n);
+    * far rows (x_i - b >= b - a): one Gauss-Legendre panel on [a, b] shared
+      by every row, so T has shape (n,) and W shape (k, n);
+    * near rows: ``depth + 1`` Gauss-Legendre panels graded dyadically toward
+      the clipped endpoint u = min(b, x_i); T and W have shape
+      (k, (depth + 1) n).
+
+    Rows with x_i <= a belong to no branch.
+    """
+    if rule not in ("legendre", "jacobi"):
+        raise ValueError(f"unknown singular rule {rule!r}")
+    u = np.minimum(x, b)
+    active = u > a
+    if not active.any():
+        return
+    singular = active & (x <= b)
+    far = active & (x > b) & (x - b >= (b - a))
+    near = active & ~far
+
+    gl = gauss_legendre(n)
+    if rule == "jacobi" or p < 0:
+        jac = gauss_jacobi(n, p)
+        if singular.any():
+            L = (x[singular] - a)[:, None]
+            tau = a + 0.5 * L * (jac.nodes[None, :] + 1.0)
+            yield singular, tau, (0.5 * L) ** (p + 1.0) * jac.weights[None, :]
+            near = near & ~singular
+
+    if far.any():
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        tau = mid + half * gl.nodes
+        yield far, tau, half * gl.weights[None, :] * (x[far, None] - tau[None, :]) ** p
+
+    if near.any():
+        xv = x[near][:, None, None]
+        uv = u[near][:, None]
+        L = uv - a
+        # panel j spans [u - L 2^-j, u - L 2^-(j+1)]; the last panel reaches u
+        offs = L * 0.5 ** np.arange(depth + 1)[None, :]
+        los = uv - offs
+        his = np.concatenate([los[:, 1:], uv], axis=1)
+        mid = 0.5 * (los + his)[:, :, None]
+        half = 0.5 * (his - los)[:, :, None]
+        tau = mid + half * gl.nodes[None, None, :]
+        r, width = tau.shape[0], (depth + 1) * n
+        yield (near, tau.reshape(r, width),
+               (half * gl.weights[None, None, :] * (xv - tau) ** p).reshape(r, width))
+
+
 def axis_kernel_quadrature(x, p: float, a: float, b: float, n: int,
                            rule: str = "legendre",
                            depth: int = DEFAULT_COMPOSITE_DEPTH):
@@ -150,57 +212,18 @@ def axis_kernel_quadrature(x, p: float, a: float, b: float, n: int,
     single panel. With ``rule="jacobi"`` rows whose singular point coincides
     with the upper endpoint use a Gauss-Jacobi rule instead (exact for
     polynomial F up to degree 2n - 1); p < 0 always takes the Jacobi path.
+    Every row is padded to ``(depth + 1) * n`` points.
     """
-    if rule not in ("legendre", "jacobi"):
-        raise ValueError(f"unknown singular rule {rule!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    R = x.size
     width = (depth + 1) * n
     # unused slots keep weight 0; the pad point is an arbitrary interior value
     # chosen to never coincide with interpolation nodes
-    T = np.full((R, width), a + 0.43716524 * (b - a), dtype=float)
-    W = np.zeros((R, width), dtype=float)
-
-    u = np.minimum(x, b)
-    active = u > a
-    if not active.any():
-        return T, W
-    singular = active & (x <= b)
-    gap = x - b
-    far = active & (x > b) & (gap >= (b - a))
-    near = active & ~far
-
-    gl = gauss_legendre(n)
-    if rule == "jacobi" or p < 0:
-        jac = gauss_jacobi(n, p)
-        take = singular if rule == "jacobi" else (singular & (p < 0))
-        if take.any():
-            L = (x[take] - a)[:, None]
-            y = jac.nodes[None, :]
-            T[take, :n] = a + 0.5 * L * (y + 1.0)
-            W[take, :n] = (0.5 * L) ** (p + 1.0) * jac.weights[None, :]
-            near = near & ~take
-
-    if far.any():
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        tau = mid + half * gl.nodes
-        T[far, :n] = tau[None, :]
-        W[far, :n] = half * gl.weights[None, :] * (x[far, None] - tau[None, :]) ** p
-
-    if near.any():
-        xv = x[near][:, None, None]
-        uv = u[near][:, None]
-        L = uv - a
-        # panel j spans [u - L 2^-j, u - L 2^-(j+1)]; the last panel reaches u
-        offs = L * 0.5 ** np.arange(depth + 1)[None, :]
-        los = uv - offs
-        his = np.concatenate([los[:, 1:], uv], axis=1)
-        mid = 0.5 * (los + his)[:, :, None]
-        half = 0.5 * (his - los)[:, :, None]
-        tau = mid + half * gl.nodes[None, None, :]
-        r = tau.shape[0]
-        T[near] = tau.reshape(r, width)
-        W[near] = (half * gl.weights[None, None, :] * (xv - tau) ** p).reshape(r, width)
+    T = np.full((x.size, width), a + 0.43716524 * (b - a), dtype=float)
+    W = np.zeros((x.size, width), dtype=float)
+    for rows, tau, w in _branches(x, p, a, b, n, rule, depth):
+        q = w.shape[1]
+        T[rows, :q] = tau
+        W[rows, :q] = w
     return T, W
 
 
@@ -210,9 +233,21 @@ def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet, n: int,
     """Moments M[i, j] = int_a^{min(b, x_i)} (x_i - tau)^p l_j(tau) dtau.
 
     ``l_j`` are the fundamental polynomials of ``nodeset`` (extended as global
-    polynomials; the integration range is always inside [a, b]).
+    polynomials; the integration range is always inside [a, b]). The rules are
+    those of ``axis_kernel_quadrature``, but each branch is contracted on its
+    own, without padding: the basis is evaluated once at the n points shared
+    by all far rows, at n points per Gauss-Jacobi row and at the
+    ``(depth + 1) * n`` panel points of each near row.
     """
-    T, W = axis_kernel_quadrature(x, p, a, b, n, rule=rule, depth=depth)
-    R, Q = T.shape
-    basis = lagrange_basis_matrix(nodeset, T.ravel()).reshape(R, Q, nodeset.m)
-    return np.einsum("rq,rqm->rm", W, basis)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    M = np.zeros((x.size, nodeset.m))
+    # einsum, not a BLAS matmul, for the far rows too: it sums over q in the
+    # same order as a padded contraction, so the moments do not change by a bit
+    for rows, tau, w in _branches(x, p, a, b, n, rule, depth):
+        if tau.ndim == 1:
+            M[rows] = np.einsum("rq,qm->rm", w, lagrange_basis_matrix(nodeset, tau))
+        else:
+            k, q = tau.shape
+            basis = lagrange_basis_matrix(nodeset, tau.ravel()).reshape(k, q, nodeset.m)
+            M[rows] = np.einsum("rq,rqm->rm", w, basis)
+    return M
