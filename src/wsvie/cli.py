@@ -19,7 +19,6 @@ Config schema (JSON), convergence/solve commands::
       "class_params": {"r": 2, "gamma": 0.5, "kind": "b_star", "bound": 1.0},
       "N": [1, 2, 3],
       "quad_n": null,            # optional; per-panel Gauss points
-      "singular_rule": "legendre",  # or "jacobi"
       "samples_per_axis": 201    # dense grid for eps2
     }
 
@@ -248,6 +247,9 @@ def _class_from_config(config: dict, l: int):
 
 def _problem_and_params(config: dict):
     """Resolve the problem field (catalogue name or inline dict) plus class params."""
+    if config.get("singular_rule", "legendre") != "legendre":
+        raise ConfigError("config: 'singular_rule' is no longer an option; "
+                          "only the default 'legendre' rule remains")
     defn = _require(config, "problem")
     if isinstance(defn, dict):
         if defn.get("l") not in (1, 2):
@@ -270,7 +272,6 @@ def run_convergence(config: dict) -> ConvergenceReport:
     if not isinstance(n_list, (list, tuple)) or not n_list:
         raise ConfigError("config: field 'N' must be a non-empty list")
     quad_n = config.get("quad_n")
-    rule = str(config.get("singular_rule", "legendre"))
     samples = int(config.get("samples_per_axis", 201))
     metric = "error" if problem.exact is not None else "residual"
     report = ConvergenceReport(metadata={
@@ -280,7 +281,6 @@ def run_convergence(config: dict) -> ConvergenceReport:
                          "s": params.s, "grading_exponent": params.grading_exponent,
                          "bound": params.bound_constant},
         "quad_n": quad_n,
-        "singular_rule": rule,
         "samples_per_axis": samples,
         "metric": metric,
         "eps1_grid": "solver collocation nodes",
@@ -293,12 +293,10 @@ def run_convergence(config: dict) -> ConvergenceReport:
         try:
             if problem.l == 1:
                 mesh, schedule, family = preset_1d(params, int(N))
-                sol = solve_1d(problem, mesh, schedule, family,
-                               quad_n=quad_n, singular_rule=rule)
+                sol = solve_1d(problem, mesh, schedule, family, quad_n=quad_n)
             else:
                 cov, degree, family = preset_2d(params, int(N))
-                sol = solve_2d(problem, cov, degree, family,
-                               quad_n=quad_n, singular_rule=rule)
+                sol = solve_2d(problem, cov, degree, family, quad_n=quad_n)
             row.n = n_functionals(sol)
             if problem.exact is not None:
                 row.eps1 = max_node_error(sol, problem.exact, owned_only=problem.l == 2)

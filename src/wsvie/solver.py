@@ -14,6 +14,8 @@ With no smooth factor (h absent) both pieces factorize per axis, because the
 kernel is a product and the spline is a tensor polynomial: the history
 contribution of a processed cell D reduces to W1 @ X_D @ W2.T with one moment
 matrix per axis. A general h(t, tau) falls back to tensor Gauss cubature.
+Both forms come from one operator for a source cell at a target grid, which
+the solvers, the residual checks and the oracle share.
 
 Cells whose predecessors are complete could be solved concurrently (wavefront
 contract); this implementation is the single-threaded reference.
@@ -21,17 +23,18 @@ contract); this implementation is the single-threaded reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interp import NodeSet, build_nodes, lagrange_basis_matrix
+from .interp import build_nodes, lagrange_basis_matrix
 from .interp import geometric_degree_schedule, geometric_global_degree, power_degree_schedule
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
-                   power_graded_mesh)
-from .quad import DEFAULT_COMPOSITE_DEPTH, axis_kernel_quadrature, kernel_moments
-from .spline import LocalSpline, TensorSpline, _cell_nodesets
+                   power_graded_mesh, shadow_matrix)
+from .quad import axis_kernel_quadrature, kernel_moments
+from .spline import LocalSpline, TensorSpline, _cell_nodesets, _inherited_values
 
 
 @dataclass
@@ -120,17 +123,101 @@ def preset_2d(params, N: int):
 
 
 # ---------------------------------------------------------------------------
+# the integral over one source cell
+# ---------------------------------------------------------------------------
+
+def _cell_weights(kern: KernelSpec, targets, nodesets, quad_n: int, cache=None):
+    """Weights of the kernel integral over one source cell at a target grid.
+
+    ``nodesets`` holds the source cell's NodeSet per axis and ``targets`` one
+    coordinate array per axis; the integral along axis a is clipped at each
+    targets[a][i]. For h == 1 the result is the list of per-axis
+    ``kernel_moments`` matrices, shape (targets[a].size, m_a). They are kept
+    in ``cache`` under (axis, source range, node count), so one cache may only
+    serve calls with the same targets. For a general h the result is one
+    dense tensor-cubature array of shape (targets sizes..., m_1, ..., m_l).
+    """
+    if kern.smooth_factor is None:
+        cache = {} if cache is None else cache
+        factors = []
+        for axis, (x, p, ns) in enumerate(zip(targets, kern.exponents, nodesets)):
+            key = (axis, ns.a, ns.b, ns.m)
+            if key not in cache:
+                cache[key] = kernel_moments(x, p, ns.a, ns.b, ns, quad_n)
+            factors.append(cache[key])
+        return factors
+    rules = [axis_kernel_quadrature(x, p, ns.a, ns.b, quad_n)
+             for x, p, ns in zip(targets, kern.exponents, nodesets)]
+    C = [W[:, :, None] * lagrange_basis_matrix(ns, T.ravel()).reshape(*T.shape, ns.m)
+         for (T, W), ns in zip(rules, nodesets)]
+    if len(targets) == 1:
+        return np.einsum("rqa,rq->ra", C[0], kern.smooth_factor(targets[0][:, None], rules[0][0]))
+    (x1, x2), ((T1, _), (T2, _)) = targets, rules
+    h = kern.smooth_factor(x1[:, None, None, None], x2[None, :, None, None],
+                           T1[:, None, :, None], T2[None, :, None, :])
+    return np.einsum("iqa,ijqp,jpb->ijab", C[0], h, C[1], optimize=True)
+
+
+def _dense(weights) -> np.ndarray:
+    """Cell weights as one array of shape (targets sizes..., m_1, ..., m_l)."""
+    if not isinstance(weights, list):
+        return weights
+    if len(weights) == 1:
+        return weights[0]
+    return np.einsum("ia,jb->ijab", *weights)
+
+
+def _apply(weights, values: np.ndarray) -> np.ndarray:
+    """Integral of the source cell's spline with nodal ``values`` at the targets."""
+    if not isinstance(weights, list):
+        return np.tensordot(weights, values, axes=values.ndim)
+    if len(weights) == 1:
+        return weights[0] @ values
+    return weights[0] @ values @ weights[1].T
+
+
+def _self_matrix(kern: KernelSpec | None, nodesets, quad_n: int) -> np.ndarray:
+    """Matrix I - S of a cell's collocation equations at its own tensor nodes."""
+    n = math.prod(ns.m for ns in nodesets)
+    if kern is None:
+        return np.eye(n)
+    S = _dense(_cell_weights(kern, [ns.nodes for ns in nodesets], nodesets, quad_n))
+    return np.eye(n) - S.reshape(n, n)
+
+
+def _integral(kern: KernelSpec | None, targets, sources, quad_n: int) -> np.ndarray:
+    """Sum of the clipped integrals over ``sources`` at the target grid.
+
+    ``sources`` yields (per-axis NodeSets, nodal values) per source cell.
+    Many source cells share per-axis ranges, so moment matrices are cached
+    across them.
+    """
+    out = np.zeros(tuple(x.size for x in targets))
+    if kern is not None:
+        cache: dict = {}
+        for nodesets, values in sources:
+            out += _apply(_cell_weights(kern, targets, nodesets, quad_n, cache), values)
+    return out
+
+
+def _cells(spline) -> list:
+    """(per-axis NodeSets, nodal values) of every segment or cell of a spline."""
+    if isinstance(spline, LocalSpline):
+        return [((ns,), v) for ns, v in zip(spline.nodesets, spline.values)]
+    return list(zip(spline.nodesets, spline.values))
+
+
+def _default_quad_n(nodesets) -> int:
+    """Gauss points per panel: the largest per-axis node count plus 4, at most 64."""
+    return min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
+
+
+# ---------------------------------------------------------------------------
 # 1D solver
 # ---------------------------------------------------------------------------
 
-def _smooth_1d(kernel, t, tau):
-    return kernel.smooth_factor(t, tau)
-
-
 def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
-             family: str = "legendre_closed", quad_n: int | None = None,
-             singular_rule: str = "legendre",
-             composite_depth: int = DEFAULT_COMPOSITE_DEPTH) -> LocalSpline:
+             family: str = "legendre_closed", quad_n: int | None = None) -> LocalSpline:
     """March the collocation solution segment by segment over a 1D mesh.
 
     On segment k the unknowns are the nodal values at its collocation nodes;
@@ -143,44 +230,15 @@ def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
     schedule = list(schedule)
     if len(schedule) != mesh.nsegments:
         raise ValueError(f"schedule length {len(schedule)} != segment count {mesh.nsegments}")
+    nodesets = [build_nodes(seg, family, m) for seg, m in zip(mesh.segments(), schedule)]
     if quad_n is None:
-        quad_n = min(max(schedule) + 4, 64)
-    kern = problem.kernel
-    p = kern.exponents[0] if kern is not None else None
-    segs = mesh.segments()
-    nodesets = [build_nodes(seg, family, m) for seg, m in zip(segs, schedule)]
+        quad_n = _default_quad_n([(ns,) for ns in nodesets])
     values: list[np.ndarray] = []
     for k, ns in enumerate(nodesets):
-        xi, m = ns.nodes, ns.m
-        hist = np.zeros(m)
-        if kern is not None:
-            for kp in range(k):
-                a, b = segs[kp]
-                src = nodesets[kp]
-                if kern.smooth_factor is None:
-                    M = kernel_moments(xi, p, a, b, src, quad_n,
-                                       rule=singular_rule, depth=composite_depth)
-                    hist += M @ values[kp]
-                else:
-                    T, W = axis_kernel_quadrature(xi, p, a, b, quad_n,
-                                                  rule=singular_rule, depth=composite_depth)
-                    spl_at = (lagrange_basis_matrix(src, T.ravel())
-                              .reshape(m, -1, src.m) @ values[kp])
-                    hist += np.sum(W * _smooth_1d(kern, xi[:, None], T) * spl_at, axis=1)
-        if kern is None:
-            A = np.eye(m)
-        else:
-            a, b = segs[k]
-            if kern.smooth_factor is None:
-                S = kernel_moments(xi, p, a, b, ns, quad_n,
-                                   rule=singular_rule, depth=composite_depth)
-            else:
-                T, W = axis_kernel_quadrature(xi, p, a, b, quad_n,
-                                              rule=singular_rule, depth=composite_depth)
-                B = lagrange_basis_matrix(ns, T.ravel()).reshape(m, -1, m)
-                S = np.einsum("rq,rq,rqm->rm", W, _smooth_1d(kern, xi[:, None], T), B)
-            A = np.eye(m) - S
-        rhs = np.asarray(problem.rhs(xi), dtype=float) + hist
+        hist = _integral(problem.kernel, (ns.nodes,),
+                         [((src,), v) for src, v in zip(nodesets[:k], values)], quad_n)
+        A = _self_matrix(problem.kernel, (ns,), quad_n)
+        rhs = np.asarray(problem.rhs(ns.nodes), dtype=float) + hist
         if k > 0:
             A[0, :] = 0.0
             A[0, 0] = 1.0
@@ -200,22 +258,15 @@ def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
 # 2D solver
 # ---------------------------------------------------------------------------
 
-def _smooth_2d_tensor(kernel, x1, x2, T1, T2):
-    """h evaluated on the tensor grid (i, j, q1, q2) of nodes x cubature points."""
-    return kernel.smooth_factor(x1[:, None, None, None], x2[None, :, None, None],
-                                T1[:, None, :, None], T2[None, :, None, :])
-
-
 def solve_2d(problem: VieProblem, covering: Covering, degree,
              family: str = "legendre_closed", quad_n: int | None = None,
-             order=None, singular_rule: str = "legendre",
-             composite_depth: int = DEFAULT_COMPOSITE_DEPTH) -> TensorSpline:
+             order=None) -> TensorSpline:
     """Solve a 2D equation cell by cell over a covering.
 
     In each cell, nodes lying on the closure of a shadow-predecessor cell are
-    knowns inherited from that cell's spline (earliest such cell in the list);
+    knowns inherited from that cell's spline (the one of lowest causal rank);
     all other nodal values are unknowns of the local dense system. History
-    integrals are accumulated over predecessor cells in list order, which
+    integrals are accumulated over predecessor cells in index order, which
     makes the assembled systems independent of the particular causal order.
     """
     if problem.l != 2:
@@ -229,95 +280,24 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
         raise ValueError("order is not a permutation of the covering's cells")
     nodesets = _cell_nodesets(covering, degree, family)
     if quad_n is None:
-        quad_n = min(max(max(ns.m for ns in pair) for pair in nodesets) + 4, 64)
-    kern = problem.kernel
+        quad_n = _default_quad_n(nodesets)
     values = [None] * covering.ncells
     owned = [None] * covering.ncells
     spl = TensorSpline(covering=covering, nodesets=nodesets, values=values, owned=owned)
-    lo, hi = covering.lo_array, covering.hi_array
-    tol = 1e-12 * covering.T
+    shadow = shadow_matrix(covering)
+    rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
     for ci in order:
-        cell = covering.cells[ci]
-        ns1, ns2 = nodesets[ci]
-        xi1, xi2 = ns1.nodes, ns2.nodes
-        m1, m2 = ns1.m, ns2.m
-        pred = np.all(lo < np.asarray(cell.hi)[None, :], axis=1)
-        pred[ci] = False
-        pred_idx = np.nonzero(pred)[0]
+        pred_idx = np.nonzero(shadow[:, ci])[0]
         if not done[pred_idx].all():
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
-
-        H = np.zeros((m1, m2))
-        if kern is not None:
-            p1, p2 = kern.exponents
-            # many cells share identical per-axis ranges, so moment matrices
-            # against the current collocation coordinates are cached per axis
-            cache: dict = {}
-
-            def moments_for(axis, xi, p, a, b, src):
-                key = (axis, a, b, src.m)
-                M = cache.get(key)
-                if M is None:
-                    M = kernel_moments(xi, p, a, b, src, quad_n,
-                                       rule=singular_rule, depth=composite_depth)
-                    cache[key] = M
-                return M
-
-            for di in pred_idx:
-                d = covering.cells[di]
-                src1, src2 = nodesets[di]
-                if kern.smooth_factor is None:
-                    W1 = moments_for(0, xi1, p1, d.lo[0], d.hi[0], src1)
-                    W2 = moments_for(1, xi2, p2, d.lo[1], d.hi[1], src2)
-                    H += W1 @ values[di] @ W2.T
-                else:
-                    T1, W1 = axis_kernel_quadrature(xi1, p1, d.lo[0], d.hi[0], quad_n,
-                                                    rule=singular_rule, depth=composite_depth)
-                    T2, W2 = axis_kernel_quadrature(xi2, p2, d.lo[1], d.hi[1], quad_n,
-                                                    rule=singular_rule, depth=composite_depth)
-                    B1 = lagrange_basis_matrix(src1, T1.ravel()).reshape(m1, -1, src1.m)
-                    B2 = lagrange_basis_matrix(src2, T2.ravel()).reshape(m2, -1, src2.m)
-                    hten = _smooth_2d_tensor(kern, xi1, xi2, T1, T2)
-                    G1 = np.einsum("iqa,ab->iqb", B1, values[di])
-                    H += np.einsum("iq,jp,ijqp,iqb,jpb->ij", W1, W2, hten, G1, B2,
-                                   optimize=True)
-
+        nsets = nodesets[ci]
+        shape = tuple(ns.m for ns in nsets)
+        H = _integral(problem.kernel, [ns.nodes for ns in nsets],
+                      [(nodesets[di], values[di]) for di in pred_idx], quad_n)
+        A = _self_matrix(problem.kernel, nsets, quad_n)
         pts = spl.node_grid(ci)
-        npts = pts.shape[0]
-        known_mask = np.zeros(npts, dtype=bool)
-        known_vals = np.zeros(npts)
-        if pred_idx.size:
-            rank = covering.causal_rank()
-            contains = (np.all(pts[:, None, :] >= lo[pred_idx][None, :, :] - tol, axis=2)
-                        & np.all(pts[:, None, :] <= hi[pred_idx][None, :, :] + tol, axis=2))
-            for pi in np.nonzero(contains.any(axis=1))[0]:
-                cands = pred_idx[contains[pi]]
-                donor = int(cands[np.argmin(rank[cands])])
-                known_vals[pi] = spl.eval_cell(donor, pts[pi:pi + 1])[0]
-                known_mask[pi] = True
-
-        if kern is None:
-            A = np.eye(npts)
-        elif kern.smooth_factor is None:
-            S1 = kernel_moments(xi1, p1, cell.lo[0], cell.hi[0], ns1, quad_n,
-                                rule=singular_rule, depth=composite_depth)
-            S2 = kernel_moments(xi2, p2, cell.lo[1], cell.hi[1], ns2, quad_n,
-                                rule=singular_rule, depth=composite_depth)
-            A = np.eye(npts) - np.einsum("ia,jb->ijab", S1, S2).reshape(npts, npts)
-        else:
-            T1, W1 = axis_kernel_quadrature(xi1, p1, cell.lo[0], cell.hi[0], quad_n,
-                                            rule=singular_rule, depth=composite_depth)
-            T2, W2 = axis_kernel_quadrature(xi2, p2, cell.lo[1], cell.hi[1], quad_n,
-                                            rule=singular_rule, depth=composite_depth)
-            B1 = lagrange_basis_matrix(ns1, T1.ravel()).reshape(m1, -1, m1)
-            B2 = lagrange_basis_matrix(ns2, T2.ravel()).reshape(m2, -1, m2)
-            hten = _smooth_2d_tensor(kern, xi1, xi2, T1, T2)
-            C1 = np.einsum("iq,iqa->iqa", W1, B1)
-            C2 = np.einsum("jp,jpb->jpb", W2, B2)
-            S = np.einsum("iqa,ijqp,jpb->ijab", C1, hten, C2, optimize=True)
-            A = np.eye(npts) - S.reshape(npts, npts)
-
+        known_mask, known_vals = _inherited_values(spl, pts, pred_idx[np.argsort(rank[pred_idx])])
         rhs = np.asarray(problem.rhs(pts[:, 0], pts[:, 1]), dtype=float) + H.ravel()
         if known_mask.any():
             rows = np.nonzero(known_mask)[0]
@@ -327,122 +307,48 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
         try:
             sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular local system on cell {ci} (layer {cell.k})") from exc
+            raise RuntimeError(f"singular local system on cell {ci} "
+                               f"(layer {covering.cells[ci].k})") from exc
         res = float(np.max(np.abs(A @ sol - rhs)))
         if res > 1e-9:
             raise RuntimeError(f"local solve residual {res:.2e} > 1e-9 on cell {ci}")
-        values[ci] = sol.reshape(m1, m2)
-        owned[ci] = (~known_mask).reshape(m1, m2)
+        values[ci] = sol.reshape(shape)
+        owned[ci] = (~known_mask).reshape(shape)
         done[ci] = True
     return spl
 
 
 # ---------------------------------------------------------------------------
-# integral operator application, residuals
+# residuals
 # ---------------------------------------------------------------------------
 
-def apply_integral_operator(problem: VieProblem, solution, axes,
-                            quad_n: int = 12, singular_rule: str = "legendre",
-                            composite_depth: int = DEFAULT_COMPOSITE_DEPTH):
-    """Evaluate (K x)(t) on a grid given by per-axis sample arrays.
-
-    ``solution`` is the LocalSpline / TensorSpline to integrate against; the
-    integral is taken over the solution's own cells clipped to [0, t].
-    """
-    kern = problem.kernel
-    if problem.l == 1:
-        ts = np.atleast_1d(np.asarray(axes[0] if isinstance(axes, (tuple, list)) else axes,
-                                      dtype=float))
-        out = np.zeros_like(ts)
-        if kern is None:
-            return out
-        p = kern.exponents[0]
-        for k, (a, b) in enumerate(solution.mesh.segments()):
-            src = solution.nodesets[k]
-            if kern.smooth_factor is None:
-                M = kernel_moments(ts, p, a, b, src, quad_n,
-                                   rule=singular_rule, depth=composite_depth)
-                out += M @ solution.values[k]
-            else:
-                T, W = axis_kernel_quadrature(ts, p, a, b, quad_n,
-                                              rule=singular_rule, depth=composite_depth)
-                spl_at = (lagrange_basis_matrix(src, T.ravel())
-                          .reshape(ts.size, -1, src.m) @ solution.values[k])
-                out += np.sum(W * kern.smooth_factor(ts[:, None], T) * spl_at, axis=1)
-        return out
-    ax1 = np.atleast_1d(np.asarray(axes[0], dtype=float))
-    ax2 = np.atleast_1d(np.asarray(axes[1], dtype=float))
-    out = np.zeros((ax1.size, ax2.size))
-    if kern is None:
-        return out
-    p1, p2 = kern.exponents
-    cache: dict = {}
-    for di, d in enumerate(solution.covering.cells):
-        src1, src2 = solution.nodesets[di]
-        if kern.smooth_factor is None:
-            key1 = (0, d.lo[0], d.hi[0], src1.m)
-            W1 = cache.get(key1)
-            if W1 is None:
-                W1 = kernel_moments(ax1, p1, d.lo[0], d.hi[0], src1, quad_n,
-                                    rule=singular_rule, depth=composite_depth)
-                cache[key1] = W1
-            key2 = (1, d.lo[1], d.hi[1], src2.m)
-            W2 = cache.get(key2)
-            if W2 is None:
-                W2 = kernel_moments(ax2, p2, d.lo[1], d.hi[1], src2, quad_n,
-                                    rule=singular_rule, depth=composite_depth)
-                cache[key2] = W2
-            out += W1 @ solution.values[di] @ W2.T
-        else:
-            T1, W1 = axis_kernel_quadrature(ax1, p1, d.lo[0], d.hi[0], quad_n,
-                                            rule=singular_rule, depth=composite_depth)
-            T2, W2 = axis_kernel_quadrature(ax2, p2, d.lo[1], d.hi[1], quad_n,
-                                            rule=singular_rule, depth=composite_depth)
-            B1 = lagrange_basis_matrix(src1, T1.ravel()).reshape(ax1.size, -1, src1.m)
-            B2 = lagrange_basis_matrix(src2, T2.ravel()).reshape(ax2.size, -1, src2.m)
-            hten = kern.smooth_factor(ax1[:, None, None, None], ax2[None, :, None, None],
-                                      T1[:, None, :, None], T2[None, :, None, :])
-            G1 = np.einsum("iqa,ab->iqb", B1, solution.values[di])
-            out += np.einsum("iq,jp,ijqp,iqb,jpb->ij", W1, W2, hten, G1, B2,
-                             optimize=True)
-    return out
-
-
-def residual(problem: VieProblem, solution, samples, quad_n: int = 12,
-             singular_rule: str = "legendre",
-             composite_depth: int = DEFAULT_COMPOSITE_DEPTH) -> float:
+def residual(problem: VieProblem, solution, samples, quad_n: int = 12) -> float:
     """Max |x(t) - (K x)(t) - f(t)| over sample points.
 
     ``samples`` is an array of points for l = 1; for l = 2 either a pair of
     axis arrays spanning a sample grid, or an (n, 2) array of points (each
-    evaluated through its own degenerate grid).
+    evaluated through its own degenerate grid). (K x)(t) integrates over the
+    solution's own cells clipped to [0, t].
     """
     if problem.l == 1:
         ts = np.atleast_1d(np.asarray(samples, dtype=float))
-        r = (solution.eval(ts)
-             - apply_integral_operator(problem, solution, ts, quad_n,
-                                       singular_rule, composite_depth)
+        r = (solution.eval(ts) - _integral(problem.kernel, (ts,), _cells(solution), quad_n)
              - np.asarray(problem.rhs(ts), dtype=float))
         return float(np.max(np.abs(r)))
     if isinstance(samples, np.ndarray) and samples.ndim == 2:
-        return max(residual(problem, solution, (samples[i, :1], samples[i, 1:]),
-                            quad_n, singular_rule, composite_depth)
+        return max(residual(problem, solution, (samples[i, :1], samples[i, 1:]), quad_n)
                    for i in range(samples.shape[0]))
     ax1 = np.atleast_1d(np.asarray(samples[0], dtype=float))
     ax2 = np.atleast_1d(np.asarray(samples[1], dtype=float))
     g1, g2 = np.meshgrid(ax1, ax2, indexing="ij")
     pts = np.column_stack([g1.ravel(), g2.ravel()])
-    kx = apply_integral_operator(problem, solution, (ax1, ax2), quad_n,
-                                 singular_rule, composite_depth)
+    kx = _integral(problem.kernel, (ax1, ax2), _cells(solution), quad_n)
     r = (solution.eval(pts).reshape(ax1.size, ax2.size) - kx
          - np.asarray(problem.rhs(g1, g2), dtype=float))
     return float(np.max(np.abs(r)))
 
 
-def collocation_residual(problem: VieProblem, solution,
-                         quad_n: int | None = None,
-                         singular_rule: str = "legendre",
-                         composite_depth: int = DEFAULT_COMPOSITE_DEPTH) -> float:
+def collocation_residual(problem: VieProblem, solution, quad_n: int | None = None) -> float:
     """Max discrete-equation residual over the nodes each cell owns.
 
     Re-evaluates the collocation equations from the stored nodal values with
@@ -450,55 +356,33 @@ def collocation_residual(problem: VieProblem, solution,
     the cell that first computed them and are checked there.
     """
     kern = problem.kernel
-    if problem.l == 1:
-        worst = 0.0
-        segs = solution.mesh.segments()
-        if quad_n is None:
-            quad_n = min(max(ns.m for ns in solution.nodesets) + 4, 64)
-        for k, ns in enumerate(solution.nodesets):
-            xi = ns.nodes
-            lhs = solution.values[k].copy()
-            if kern is not None:
-                p = kern.exponents[0]
-                for kp in range(k + 1):
-                    a, b = segs[kp]
-                    src = solution.nodesets[kp]
-                    M = kernel_moments(xi, p, a, b, src, quad_n,
-                                       rule=singular_rule, depth=composite_depth)
-                    lhs -= M @ solution.values[kp]
-            r = lhs - np.asarray(problem.rhs(xi), dtype=float)
-            if k > 0:
-                r = r[1:]  # first node owned by the previous segment
-            worst = max(worst, float(np.max(np.abs(r))))
-        return worst
-    worst = 0.0
-    cov = solution.covering
-    p1, p2 = (kern.exponents if kern is not None else (None, None))
+    cells = _cells(solution)
     if quad_n is None:
-        quad_n = min(max(max(ns.m for ns in pair) for pair in solution.nodesets) + 4, 64)
-    lo = cov.lo_array
-    for ci, cell in enumerate(cov.cells):
-        ns1, ns2 = solution.nodesets[ci]
-        xi1, xi2 = ns1.nodes, ns2.nodes
-        own = solution.owned[ci]
+        quad_n = _default_quad_n([nsets for nsets, _ in cells])
+    if isinstance(solution, LocalSpline):
+        # segment k integrates over segments 0..k; its first node is owned by k - 1
+        sources = [range(k + 1) for k in range(len(cells))]
+        owned = [np.arange(ns.m) > 0 if k else np.ones(ns.m, dtype=bool)
+                 for k, ((ns,), _) in enumerate(cells)]
+    else:
+        # a cell integrates over its shadow predecessors and its own clipped range
+        shadow = shadow_matrix(solution.covering) | np.eye(len(cells), dtype=bool)
+        sources = [np.nonzero(col)[0] for col in shadow.T]
+        owned = solution.owned
+    worst = 0.0
+    for (nsets, values), src, own in zip(cells, sources, owned):
         if not own.any():
             continue
-        lhs = solution.values[ci].copy()
+        targets = [ns.nodes for ns in nsets]
+        lhs = values.copy()
         if kern is not None:
-            pred = np.all(lo < np.asarray(cell.hi)[None, :], axis=1)
-            pred[ci] = True  # include the cell's own clipped integral
-            for di in np.nonzero(pred)[0]:
-                d = cov.cells[di]
-                src1, src2 = solution.nodesets[di]
-                W1 = kernel_moments(xi1, p1, d.lo[0], d.hi[0], src1, quad_n,
-                                    rule=singular_rule, depth=composite_depth)
-                W2 = kernel_moments(xi2, p2, d.lo[1], d.hi[1], src2, quad_n,
-                                    rule=singular_rule, depth=composite_depth)
-                lhs -= W1 @ solution.values[di] @ W2.T
-        pts = solution.node_grid(ci)
-        r = lhs - np.asarray(problem.rhs(pts[:, 0], pts[:, 1]),
-                             dtype=float).reshape(lhs.shape)
-        worst = max(worst, float(np.max(np.abs(r[own]))))
+            cache: dict = {}
+            for di in src:
+                src_nsets, src_values = cells[di]
+                lhs -= _apply(_cell_weights(kern, targets, src_nsets, quad_n, cache), src_values)
+        grids = np.meshgrid(*targets, indexing="ij")
+        rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)
+        worst = max(worst, float(np.max(np.abs((lhs - rhs.reshape(lhs.shape))[own]))))
     return worst
 
 
@@ -514,30 +398,22 @@ class OracleSolution:
     values: np.ndarray
 
 
-def _linear_weight_matrix(t: np.ndarray, p: float, kern: KernelSpec,
-                          quad_n: int, singular_rule: str, depth: int) -> np.ndarray:
-    """Nodal weights V with (V x)[i] ~= int_0^{t_i} kernel * (linear interp of x)."""
+def _linear_weight_matrix(t: np.ndarray, kern: KernelSpec, quad_n: int) -> np.ndarray:
+    """Nodal weights V with (V x)[i] ~= int_0^{t_i} kernel * (linear interp of x).
+
+    ``kern`` is a one-axis kernel; each grid step is a two-node source cell.
+    """
     n = t.size - 1
     V = np.zeros((n + 1, n + 1))
     for j in range(n):
         lin = build_nodes((t[j], t[j + 1]), "legendre_closed", 2)
-        xs = t[j + 1:]
-        if kern.smooth_factor is None:
-            M = kernel_moments(xs, p, t[j], t[j + 1], lin, quad_n,
-                               rule=singular_rule, depth=depth)
-        else:
-            TT, WW = axis_kernel_quadrature(xs, p, t[j], t[j + 1], quad_n,
-                                            rule=singular_rule, depth=depth)
-            B = lagrange_basis_matrix(lin, TT.ravel()).reshape(xs.size, -1, 2)
-            M = np.einsum("rq,rq,rqm->rm", WW, kern.smooth_factor(xs[:, None], TT), B)
+        M = _dense(_cell_weights(kern, (t[j + 1:],), (lin,), quad_n))
         V[j + 1:, j] += M[:, 0]
         V[j + 1:, j + 1] += M[:, 1]
     return V
 
 
-def oracle_solve(problem: VieProblem, uniform_n: int, quad_n: int = 10,
-                 singular_rule: str = "legendre",
-                 composite_depth: int = DEFAULT_COMPOSITE_DEPTH) -> OracleSolution:
+def oracle_solve(problem: VieProblem, uniform_n: int, quad_n: int = 10) -> OracleSolution:
     """Product-integration solution on a uniform grid, advanced causally.
 
     The solution is represented piecewise linearly; kernel moments against the
@@ -553,8 +429,7 @@ def oracle_solve(problem: VieProblem, uniform_n: int, quad_n: int = 10,
         f = np.asarray(problem.rhs(t), dtype=float)
         if kern is None:
             return OracleSolution(axes=(t,), values=f.copy())
-        V = _linear_weight_matrix(t, kern.exponents[0], kern, quad_n,
-                                  singular_rule, composite_depth)
+        V = _linear_weight_matrix(t, kern, quad_n)
         x = np.zeros(uniform_n + 1)
         for i in range(uniform_n + 1):
             acc = V[i, :i] @ x[:i] if i else 0.0
@@ -570,10 +445,8 @@ def oracle_solve(problem: VieProblem, uniform_n: int, quad_n: int = 10,
     F = np.asarray(problem.rhs(t1[:, None], t2[None, :]), dtype=float)
     if kern is None:
         return OracleSolution(axes=(t1, t2), values=F.copy())
-    V1 = _linear_weight_matrix(t1, kern.exponents[0], kern, quad_n,
-                               singular_rule, composite_depth)
-    V2 = _linear_weight_matrix(t2, kern.exponents[1], kern, quad_n,
-                               singular_rule, composite_depth)
+    V1, V2 = (_linear_weight_matrix(t, KernelSpec(exponents=(p,)), quad_n)
+              for t, p in zip((t1, t2), kern.exponents))
     n = uniform_n
     X = np.zeros((n + 1, n + 1))
     for i in range(n + 1):

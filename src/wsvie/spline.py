@@ -170,6 +170,28 @@ def _cell_nodesets(covering: Covering, degrees, family: str):
     return out
 
 
+def _inherited_values(spline: TensorSpline, pts: np.ndarray, donors):
+    """Values that the nodes ``pts`` of a cell inherit from built cells.
+
+    ``donors`` lists the candidate cells in priority order. A node lying on
+    the closure of a donor takes the spline value of the first such donor.
+    Returns the inherited mask and the values (0 where nothing is inherited).
+    """
+    mask = np.zeros(pts.shape[0], dtype=bool)
+    vals = np.zeros(pts.shape[0])
+    donors = np.asarray(donors, dtype=int)
+    if donors.size:
+        cov = spline.covering
+        tol = 1e-12 * cov.T
+        contains = (np.all(pts[:, None, :] >= cov.lo_array[donors][None, :, :] - tol, axis=2)
+                    & np.all(pts[:, None, :] <= cov.hi_array[donors][None, :, :] + tol, axis=2))
+        mask = contains.any(axis=1)
+        for p in np.nonzero(mask)[0]:
+            donor = donors[np.argmax(contains[p])]
+            vals[p] = spline.eval_cell(int(donor), pts[p : p + 1])[0]
+    return mask, vals
+
+
 def build_tensor_spline(f, covering: Covering, degrees, order=None,
                         family: str = "legendre_closed") -> TensorSpline:
     """Tensor-product spline of f over a covering, built cell by cell.
@@ -189,24 +211,14 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
     values = [None] * covering.ncells
     owned = [None] * covering.ncells
     spl = TensorSpline(covering=covering, nodesets=nodesets, values=values, owned=owned)
-    lo, hi = covering.lo_array, covering.hi_array
-    tol = 1e-12 * covering.T
     for pos, ci in enumerate(order):
         pts = spl.node_grid(ci)
         shape = tuple(ns.m for ns in nodesets[ci])
         vals = np.asarray(f(*[pts[:, a] for a in range(covering.l)]), dtype=float)
-        own = np.ones(pts.shape[0], dtype=bool)
-        built = order[:pos]
-        if built:
-            bidx = np.asarray(built, dtype=int)
-            contains = (np.all(pts[:, None, :] >= lo[bidx][None, :, :] - tol, axis=2)
-                        & np.all(pts[:, None, :] <= hi[bidx][None, :, :] + tol, axis=2))
-            for p in np.nonzero(contains.any(axis=1))[0]:
-                donor = bidx[np.argmax(contains[p])]  # earliest in the build order
-                vals[p] = spl.eval_cell(int(donor), pts[p : p + 1])[0]
-                own[p] = False
+        inherited, donated = _inherited_values(spl, pts, order[:pos])
+        vals[inherited] = donated[inherited]
         values[ci] = vals.reshape(shape)
-        owned[ci] = own.reshape(shape)
+        owned[ci] = (~inherited).reshape(shape)
     return spl
 
 

@@ -191,6 +191,17 @@ class TestMainEntry:
         assert main(["convergence", "--config", str(cfg)]) == 2
         assert "failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule,code", [("jacobi", 1), ("legendre", 0)])
+    def test_removed_singular_rule_rejected(self, tmp_path, capsys, rule, code):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "problem": "corner-power-1d",
+            "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"},
+            "N": [2], "singular_rule": rule}))
+        assert main(["convergence", "--config", str(cfg)]) == code
+        if code:
+            assert "singular_rule" in capsys.readouterr().err
+
     def test_lebesgue_command(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"family": "chebyshev1_closed", "m": [3]}))

@@ -18,6 +18,13 @@ def q_params():
 
 
 @pytest.fixture(scope="module")
+def q25_params():
+    from wsvie.funclass import derive_class_params
+
+    return derive_class_params(2, 2.5, "q_star")
+
+
+@pytest.fixture(scope="module")
 def q25_params_2d():
     from wsvie.funclass import derive_class_params
 
@@ -37,15 +44,6 @@ class TestSolve1D:
         mesh, sched, fam = preset_1d(q_params, 16)
         sol = solve_1d(prob, mesh, sched, fam)
         assert max_node_error(sol, prob.exact) <= 1e-6
-
-    def test_singular_rules_agree(self, q_params):
-        prob = get_problem("corner-power-1d")
-        mesh, sched, fam = preset_1d(q_params, 8)
-        a = solve_1d(prob, mesh, sched, fam, singular_rule="legendre")
-        b = solve_1d(prob, mesh, sched, fam, singular_rule="jacobi")
-        dev = max(float(np.max(np.abs(x - y))) for x, y in zip(a.values, b.values))
-        assert dev <= 1e-10
-        assert max_node_error(a, prob.exact) <= 1e-5
 
     def test_zero_kernel_interpolates_rhs(self, q_params):
         prob = get_problem("poly-k0-1d")
@@ -199,6 +197,46 @@ class TestSolve2D:
         mesh, sched, fam = preset_1d(q_params, 8)
         sol = solve_1d(prob, mesh, sched, fam)
         assert collocation_residual(prob, sol) <= 1e-10
+
+    def test_collocation_residual_smooth_factor_1d(self, q25_params):
+        # h == 2 with x = t^2.5: the residual must see the smooth factor
+        from wsvie.quad import power_moment
+
+        c = power_moment(2.5, 2.5, 1.0)
+        kern = KernelSpec(exponents=(2.5,), smooth_factor=lambda t, tau: 2.0 + 0.0 * t * tau)
+        prob = VieProblem(l=1, T=1.0, kernel=kern, rhs=lambda t: t ** 2.5 - 2.0 * c * t ** 6,
+                          exact=lambda t: t ** 2.5)
+        mesh, sched, fam = preset_1d(q25_params, 12)
+        sol = solve_1d(prob, mesh, sched, fam)
+        assert collocation_residual(prob, sol) <= 1e-10
+
+    def test_collocation_residual_smooth_factor_2d(self, q25_params_2d):
+        from wsvie.quad import power_moment
+
+        c = power_moment(2.5, 2.5, 1.0)
+        kern = KernelSpec(exponents=(2.5, 2.5), smooth_factor=lambda t1, t2, u1, u2: np.full(
+            np.broadcast(t1, t2, u1, u2).shape, 2.0))
+        prob = VieProblem(l=2, T=1.0, kernel=kern,
+                          rhs=lambda t1, t2: (t1 * t2) ** 2.5 - 2.0 * c * c * (t1 * t2) ** 6,
+                          exact=lambda t1, t2: (t1 * t2) ** 2.5)
+        cov, degree, fam = preset_2d(q25_params_2d, 1)
+        sol = solve_2d(prob, cov, degree, fam)
+        assert collocation_residual(prob, sol) <= 1e-9
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind,gamma", [("q_star", 2.5), ("q_double_star", 2.5),
+                                            ("b_star", 0.5)])
+    def test_zero_kernel_matches_tensor_spline(self, kind, gamma, N):
+        # without a kernel the solver only inherits and samples, like the interpolant
+        from wsvie.funclass import derive_class_params
+
+        prob = get_problem("poly-k0-2d")
+        cov, degree, fam = preset_2d(derive_class_params(2, gamma, kind, l=2), N)
+        sol = solve_2d(prob, cov, degree, fam)
+        spl = build_tensor_spline(prob.rhs, cov, degree, family=fam)
+        for ci in range(cov.ncells):
+            assert np.array_equal(sol.values[ci], spl.values[ci])
+            assert np.array_equal(sol.owned[ci], spl.owned[ci])
 
     def test_order_invariance(self, q25_params_2d):
         import heapq
