@@ -260,6 +260,12 @@ def _problem_and_params(config: dict):
     return problem, _class_from_config(config, problem.l), str(defn)
 
 
+def _preset_solve(problem: VieProblem, params, N: int, quad_n=None):
+    """Solve ``problem`` on the preset mesh or covering of its dimension at level N."""
+    preset, solve = (preset_1d, solve_1d) if problem.l == 1 else (preset_2d, solve_2d)
+    return solve(problem, *preset(params, N), quad_n=quad_n)
+
+
 def run_convergence(config: dict) -> ConvergenceReport:
     """One report row per N; failures are recorded per row, not raised.
 
@@ -291,12 +297,7 @@ def run_convergence(config: dict) -> ConvergenceReport:
         t0 = time.perf_counter()
         row = ReportRow(N=int(N))
         try:
-            if problem.l == 1:
-                mesh, schedule, family = preset_1d(params, int(N))
-                sol = solve_1d(problem, mesh, schedule, family, quad_n=quad_n)
-            else:
-                cov, degree, family = preset_2d(params, int(N))
-                sol = solve_2d(problem, cov, degree, family, quad_n=quad_n)
+            sol = _preset_solve(problem, params, int(N), quad_n)
             row.n = n_functionals(sol)
             if problem.exact is not None:
                 row.eps1 = max_node_error(sol, problem.exact, owned_only=problem.l == 2)
@@ -377,17 +378,10 @@ def run_oracle_check(config: dict) -> ConvergenceReport:
                                          "deterministic": True})
     t0 = time.perf_counter()
     oracle = oracle_solve(problem, uniform_n)
-    if problem.l == 1:
-        mesh, schedule, family = preset_1d(params, N)
-        sol = solve_1d(problem, mesh, schedule, family)
-        dev = float(np.max(np.abs(sol.eval(oracle.axes[0]) - oracle.values)))
-    else:
-        cov, degree, family = preset_2d(params, N)
-        sol = solve_2d(problem, cov, degree, family)
-        g1, g2 = np.meshgrid(oracle.axes[0], oracle.axes[1], indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel()])
-        dev = float(np.max(np.abs(sol.eval(pts).reshape(oracle.values.shape)
-                                  - oracle.values)))
+    sol = _preset_solve(problem, params, N)
+    grids = np.meshgrid(*oracle.axes, indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    dev = float(np.max(np.abs(sol.eval(pts).reshape(oracle.values.shape) - oracle.values)))
     report.rows.append(ReportRow(N=N, n=n_functionals(sol), eps1=dev, eps2=dev,
                                  wall_time_ms=int(round((time.perf_counter() - t0) * 1000))))
     return report

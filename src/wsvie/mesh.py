@@ -4,9 +4,10 @@ Coverings tile the cube with axis-aligned boxes organized in layers graded
 toward the singular part of the boundary. Layer shells are decomposed into l
 slabs (one per axis, keyed by the first axis that falls inside the layer band)
 and each slab is tiled by sweeping rows of boxes of the maximal allowed edge,
-shrinking or merging the last box of a row to fit. Construction is
-single-threaded; the resulting objects are immutable in practice and safe to
-share across threads.
+shrinking or merging the last box of a row to fit. A 1D graded mesh is the
+one-axis covering with one cell per segment, so splines and solvers treat
+l = 1 and l = 2 alike. Construction is single-threaded; the resulting objects
+are immutable in practice and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -38,6 +39,15 @@ class GradedMesh:
     def segments(self):
         v = self.breakpoints
         return [(float(v[k]), float(v[k + 1])) for k in range(self.nsegments)]
+
+    def covering(self) -> Covering:
+        """The one-axis covering: cell k (and layer k) is segment k, left to right."""
+        segs = self.segments()
+        layers = [Layer(k=k, inner=a, outer=b, h=b - a, style=self.kind)
+                  for k, (a, b) in enumerate(segs)]
+        cells = [Cell(k=k, index=(), lo=(a,), hi=(b,)) for k, (a, b) in enumerate(segs)]
+        return Covering(l=1, T=self.T, N=self.N, style=self.kind, v=self.q,
+                        layers=layers, cells=cells)
 
 
 def power_graded_mesh(N: int, T: float, q: float) -> GradedMesh:
@@ -102,7 +112,7 @@ class Covering:
     l: int
     T: float
     N: int
-    style: str  # "boundary" | "corner" | "geometric"
+    style: str  # "boundary" | "corner" | "geometric"; 1D: the mesh kind
     v: float | None
     layers: list
     cells: list
@@ -144,11 +154,33 @@ class Covering:
             self._causal_rank = rank
         return self._causal_rank
 
+    def contains(self, bounds, cells) -> np.ndarray:
+        """Whether points lie on the closure of cells, up to rounding.
+
+        ``bounds`` is ``closure_bounds(pts)``. For one cell index the result
+        has shape (n,); for an index array, (n, len(cells)).
+        """
+        lower, upper = bounds
+        if np.ndim(cells):
+            lower, upper = lower[:, None, :], upper[:, None, :]
+        return np.all((upper >= self.lo_array[cells]) & (lower <= self.hi_array[cells]), axis=-1)
+
     def to_dict(self) -> dict:
         return {
             "l": self.l, "T": self.T, "N": self.N, "style": self.style, "v": self.v,
             "cells": [{"k": c.k, "lo": list(c.lo), "hi": list(c.hi)} for c in self.cells],
         }
+
+
+def closure_bounds(pts: np.ndarray):
+    """Points (n, l) widened to (x - 1e-12|x|, x + 1e-12|x|) per coordinate.
+
+    This slack is the one containment rule of point lookup and node
+    inheritance. It is relative: on a geometric mesh the cells near 0 are
+    narrower than any fixed absolute slack (2^-48 at N = 48).
+    """
+    slack = 1e-12 * np.abs(pts)
+    return pts - slack, pts + slack
 
 
 def covering_from_dict(data: dict) -> Covering:

@@ -4,11 +4,13 @@ Equations have the second-kind form
 
     x(t) - int_0^{t_l} ... int_0^{t_1} h(t, tau) g(t - tau) x(tau) dtau = f(t)
 
-on [0, T]^l with the product kernel g(u) = prod_i u_i^{p_i}. The approximate
-solution is a local spline whose nodal values are determined cell by cell in a
-causal order: inside the current cell the integral is expressed in the cell's
-tensor Lagrange basis, while the part over already-processed cells is
-evaluated with the known spline and moved to the right-hand side.
+on [0, T]^l, l in {1, 2}, with the product kernel g(u) = prod_i u_i^{p_i}.
+The approximate solution is a local spline whose nodal values are determined
+cell by cell in a causal order: inside the current cell the integral is
+expressed in the cell's tensor Lagrange basis, while the part over
+already-processed cells is evaluated with the known spline and moved to the
+right-hand side. A 1D graded mesh is solved as its one-axis covering, so both
+dimensions share one marching loop.
 
 With no smooth factor (h absent) both pieces factorize per axis, because the
 kernel is a product and the spline is a tensor polynomial: the history
@@ -34,7 +36,7 @@ from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, shadow_matrix)
 from .quad import axis_kernel_quadrature, kernel_moments
-from .spline import LocalSpline, TensorSpline, _cell_nodesets, _inherited_values
+from .spline import LocalSpline, TensorSpline, _inherited_values, _unfilled
 
 
 @dataclass
@@ -200,90 +202,29 @@ def _integral(kern: KernelSpec | None, targets, sources, quad_n: int) -> np.ndar
     return out
 
 
-def _cells(spline) -> list:
-    """(per-axis NodeSets, nodal values) of every segment or cell of a spline."""
-    if isinstance(spline, LocalSpline):
-        return [((ns,), v) for ns, v in zip(spline.nodesets, spline.values)]
-    return list(zip(spline.nodesets, spline.values))
-
-
 def _default_quad_n(nodesets) -> int:
     """Gauss points per panel: the largest per-axis node count plus 4, at most 64."""
     return min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
 
 
 # ---------------------------------------------------------------------------
-# 1D solver
+# the causal march
 # ---------------------------------------------------------------------------
 
-def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
-             family: str = "legendre_closed", quad_n: int | None = None) -> LocalSpline:
-    """March the collocation solution segment by segment over a 1D mesh.
-
-    On segment k the unknowns are the nodal values at its collocation nodes;
-    the value shared with segment k-1 (the breakpoint) is pinned to the
-    already-computed one. Each local dense system is solved by LU with partial
-    pivoting and its residual is required to stay below 1e-10.
-    """
-    if problem.l != 1:
-        raise ValueError("solve_1d requires a 1-dimensional problem")
-    schedule = list(schedule)
-    if len(schedule) != mesh.nsegments:
-        raise ValueError(f"schedule length {len(schedule)} != segment count {mesh.nsegments}")
-    nodesets = [build_nodes(seg, family, m) for seg, m in zip(mesh.segments(), schedule)]
-    if quad_n is None:
-        quad_n = _default_quad_n([(ns,) for ns in nodesets])
-    values: list[np.ndarray] = []
-    for k, ns in enumerate(nodesets):
-        hist = _integral(problem.kernel, (ns.nodes,),
-                         [((src,), v) for src, v in zip(nodesets[:k], values)], quad_n)
-        A = _self_matrix(problem.kernel, (ns,), quad_n)
-        rhs = np.asarray(problem.rhs(ns.nodes), dtype=float) + hist
-        if k > 0:
-            A[0, :] = 0.0
-            A[0, 0] = 1.0
-            rhs[0] = values[k - 1][-1]
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular local system on segment {k}") from exc
-        res = float(np.max(np.abs(A @ sol - rhs)))
-        if res > 1e-10:
-            raise RuntimeError(f"local solve residual {res:.2e} > 1e-10 on segment {k}")
-        values.append(sol)
-    return LocalSpline(mesh=mesh, nodesets=nodesets, values=values)
-
-
-# ---------------------------------------------------------------------------
-# 2D solver
-# ---------------------------------------------------------------------------
-
-def solve_2d(problem: VieProblem, covering: Covering, degree,
-             family: str = "legendre_closed", quad_n: int | None = None,
-             order=None) -> TensorSpline:
-    """Solve a 2D equation cell by cell over a covering.
+def _march(problem: VieProblem, spl: TensorSpline, order, quad_n: int | None,
+           tol: float) -> TensorSpline:
+    """Fill the unfilled spline ``spl`` with the collocation solution, cell by cell.
 
     In each cell, nodes lying on the closure of a shadow-predecessor cell are
     knowns inherited from that cell's spline (the one of lowest causal rank);
-    all other nodal values are unknowns of the local dense system. History
+    all other nodal values are unknowns of the local dense system, solved by
+    LU with partial pivoting, whose residual must stay below ``tol``. History
     integrals are accumulated over predecessor cells in index order, which
     makes the assembled systems independent of the particular causal order.
     """
-    if problem.l != 2:
-        raise ValueError("solve_2d requires a 2-dimensional problem")
-    if covering.l != 2:
-        raise ValueError("covering dimension != 2")
-    if order is None:
-        order = causal_order(covering)
-    order = list(order)
-    if sorted(order) != list(range(covering.ncells)):
-        raise ValueError("order is not a permutation of the covering's cells")
-    nodesets = _cell_nodesets(covering, degree, family)
+    covering, nodesets, values, owned = spl.covering, spl.nodesets, spl.values, spl.owned
     if quad_n is None:
         quad_n = _default_quad_n(nodesets)
-    values = [None] * covering.ncells
-    owned = [None] * covering.ncells
-    spl = TensorSpline(covering=covering, nodesets=nodesets, values=values, owned=owned)
     shadow = shadow_matrix(covering)
     rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
@@ -298,7 +239,7 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
         A = _self_matrix(problem.kernel, nsets, quad_n)
         pts = spl.node_grid(ci)
         known_mask, known_vals = _inherited_values(spl, pts, pred_idx[np.argsort(rank[pred_idx])])
-        rhs = np.asarray(problem.rhs(pts[:, 0], pts[:, 1]), dtype=float) + H.ravel()
+        rhs = np.asarray(problem.rhs(*pts.T), dtype=float) + H.ravel()
         if known_mask.any():
             rows = np.nonzero(known_mask)[0]
             A[rows, :] = 0.0
@@ -310,12 +251,49 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
             raise RuntimeError(f"singular local system on cell {ci} "
                                f"(layer {covering.cells[ci].k})") from exc
         res = float(np.max(np.abs(A @ sol - rhs)))
-        if res > 1e-9:
-            raise RuntimeError(f"local solve residual {res:.2e} > 1e-9 on cell {ci}")
+        if res > tol:
+            raise RuntimeError(f"local solve residual {res:.2e} > {tol:.0e} on cell {ci}")
         values[ci] = sol.reshape(shape)
         owned[ci] = (~known_mask).reshape(shape)
         done[ci] = True
     return spl
+
+
+def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
+             family: str = "legendre_closed", quad_n: int | None = None) -> LocalSpline:
+    """March the collocation solution segment by segment over a 1D mesh.
+
+    The mesh is solved as its one-axis covering (cell k is segment k, see
+    ``solve_2d``): segment k inherits its first node, the breakpoint shared
+    with segment k - 1, and each local residual must stay below 1e-10.
+    """
+    if problem.l != 1:
+        raise ValueError("solve_1d requires a 1-dimensional problem")
+    cov = mesh.covering()
+    spl = _march(problem, _unfilled(cov, schedule, family), causal_order(cov), quad_n, 1e-10)
+    return LocalSpline(**vars(spl))
+
+
+def solve_2d(problem: VieProblem, covering: Covering, degree,
+             family: str = "legendre_closed", quad_n: int | None = None,
+             order=None) -> TensorSpline:
+    """Solve a 2D equation cell by cell over a covering.
+
+    Nodes on the closure of an already-solved shadow predecessor inherit its
+    value; the others are the unknowns of the cell's local dense system,
+    whose residual must stay below 1e-9. ``order`` may be any causal order
+    (default: the canonical one); the result does not depend on it.
+    """
+    if problem.l != 2:
+        raise ValueError("solve_2d requires a 2-dimensional problem")
+    if covering.l != 2:
+        raise ValueError("covering dimension != 2")
+    if order is None:
+        order = causal_order(covering)
+    order = list(order)
+    if sorted(order) != list(range(covering.ncells)):
+        raise ValueError("order is not a permutation of the covering's cells")
+    return _march(problem, _unfilled(covering, degree, family), order, quad_n, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +303,22 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
 def residual(problem: VieProblem, solution, samples, quad_n: int = 12) -> float:
     """Max |x(t) - (K x)(t) - f(t)| over sample points.
 
-    ``samples`` is an array of points for l = 1; for l = 2 either a pair of
-    axis arrays spanning a sample grid, or an (n, 2) array of points (each
-    evaluated through its own degenerate grid). (K x)(t) integrates over the
-    solution's own cells clipped to [0, t].
+    ``samples`` holds one axis array per dimension, spanning a sample grid;
+    for l = 1 it is the one axis array itself. For l = 2 it may also be an
+    (n, 2) array of points, each evaluated through its own degenerate grid.
+    (K x)(t) integrates over the solution's own cells clipped to [0, t].
     """
     if problem.l == 1:
-        ts = np.atleast_1d(np.asarray(samples, dtype=float))
-        r = (solution.eval(ts) - _integral(problem.kernel, (ts,), _cells(solution), quad_n)
-             - np.asarray(problem.rhs(ts), dtype=float))
-        return float(np.max(np.abs(r)))
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
+        samples = (samples,)
+    elif isinstance(samples, np.ndarray) and samples.ndim == 2:
         return max(residual(problem, solution, (samples[i, :1], samples[i, 1:]), quad_n)
                    for i in range(samples.shape[0]))
-    ax1 = np.atleast_1d(np.asarray(samples[0], dtype=float))
-    ax2 = np.atleast_1d(np.asarray(samples[1], dtype=float))
-    g1, g2 = np.meshgrid(ax1, ax2, indexing="ij")
-    pts = np.column_stack([g1.ravel(), g2.ravel()])
-    kx = _integral(problem.kernel, (ax1, ax2), _cells(solution), quad_n)
-    r = (solution.eval(pts).reshape(ax1.size, ax2.size) - kx
-         - np.asarray(problem.rhs(g1, g2), dtype=float))
+    axes = [np.atleast_1d(np.asarray(ax, dtype=float)) for ax in samples]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    kx = _integral(problem.kernel, axes, zip(solution.nodesets, solution.values), quad_n)
+    r = (solution.eval(pts).reshape(kx.shape) - kx
+         - np.asarray(problem.rhs(*grids), dtype=float))
     return float(np.max(np.abs(r)))
 
 
@@ -356,23 +330,16 @@ def collocation_residual(problem: VieProblem, solution, quad_n: int | None = Non
     the cell that first computed them and are checked there.
     """
     kern = problem.kernel
-    cells = _cells(solution)
+    cells = list(zip(solution.nodesets, solution.values))
     if quad_n is None:
-        quad_n = _default_quad_n([nsets for nsets, _ in cells])
-    if isinstance(solution, LocalSpline):
-        # segment k integrates over segments 0..k; its first node is owned by k - 1
-        sources = [range(k + 1) for k in range(len(cells))]
-        owned = [np.arange(ns.m) > 0 if k else np.ones(ns.m, dtype=bool)
-                 for k, ((ns,), _) in enumerate(cells)]
-    else:
-        # a cell integrates over its shadow predecessors and its own clipped range
-        shadow = shadow_matrix(solution.covering) | np.eye(len(cells), dtype=bool)
-        sources = [np.nonzero(col)[0] for col in shadow.T]
-        owned = solution.owned
+        quad_n = _default_quad_n(solution.nodesets)
+    # a cell integrates over its shadow predecessors and its own clipped range
+    shadow = shadow_matrix(solution.covering) | np.eye(len(cells), dtype=bool)
     worst = 0.0
-    for (nsets, values), src, own in zip(cells, sources, owned):
+    for (nsets, values), col, own in zip(cells, shadow.T, solution.owned):
         if not own.any():
             continue
+        src = np.nonzero(col)[0]
         targets = [ns.nodes for ns in nsets]
         lhs = values.copy()
         if kern is not None:

@@ -1,12 +1,12 @@
-"""Local polynomial splines over graded meshes and box coverings.
+"""Local polynomial splines over box coverings of [0, T]^l.
 
-A 1D local spline interpolates independently on each mesh segment with a
-closed node family, so continuity at breakpoints holds by construction. The
-tensor spline over a covering interpolates per cell; continuity across cell
-faces is enforced by node inheritance: whenever a node of a cell lies on the
-closure of an already-built cell, the value stored there is the neighbour
-spline's evaluation instead of a fresh sample. Built splines are immutable in
-practice and thread-safe to evaluate.
+One type, ``TensorSpline``, interpolates per cell with a tensor product of
+per-axis node sets. A 1D graded mesh enters as its one-axis covering, one cell
+per segment, so a 1D spline is the case l = 1. Continuity across cell faces
+(breakpoints in 1D) is enforced by node inheritance: whenever a node of a cell
+lies on the closure of an already-built cell, the value stored there is the
+neighbour spline's evaluation instead of a fresh sample. Built splines are
+immutable in practice and thread-safe to evaluate.
 """
 
 from __future__ import annotations
@@ -15,63 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interp import NodeSet, _CLOSED_FAMILIES, build_nodes, lagrange_basis_matrix
-from .mesh import Covering, GradedMesh, causal_order
-
-
-@dataclass
-class LocalSpline:
-    """Piecewise interpolant over a 1D graded mesh, one NodeSet per segment."""
-
-    mesh: GradedMesh
-    nodesets: list
-    values: list
-
-    def segment_of(self, t: np.ndarray) -> np.ndarray:
-        """Containing segment index; breakpoints resolve to the lower segment."""
-        v = self.mesh.breakpoints
-        idx = np.searchsorted(v, t, side="left") - 1
-        return np.clip(idx, 0, self.mesh.nsegments - 1)
-
-    def eval(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        v = self.mesh.breakpoints
-        if np.any(t_arr < v[0]) or np.any(t_arr > v[-1]):
-            raise ValueError("evaluation point outside [0, T]")
-        seg = self.segment_of(t_arr)
-        out = np.empty_like(t_arr)
-        for k in np.unique(seg):
-            mask = seg == k
-            out[mask] = lagrange_basis_matrix(self.nodesets[k], t_arr[mask]) @ self.values[k]
-        return float(out[0]) if np.asarray(t).ndim == 0 else out
-
-    __call__ = eval
-
-    def node_points(self) -> np.ndarray:
-        return np.concatenate([ns.nodes for ns in self.nodesets])
-
-    def node_values(self) -> np.ndarray:
-        return np.concatenate(self.values)
-
-
-def build_spline_1d(f, mesh: GradedMesh, schedule, family: str = "legendre_closed") -> LocalSpline:
-    """Interpolate f segment by segment over a graded mesh.
-
-    ``schedule`` lists the node count per segment. Only closed families are
-    accepted: they contain the breakpoints, which makes adjacent segments
-    agree there by construction.
-    """
-    if family not in _CLOSED_FAMILIES:
-        raise ValueError(f"continuity requires a closed node family, got {family!r}")
-    schedule = list(schedule)
-    if len(schedule) != mesh.nsegments:
-        raise ValueError(f"schedule length {len(schedule)} != segment count {mesh.nsegments}")
-    nodesets, values = [], []
-    for (a, b), m in zip(mesh.segments(), schedule):
-        ns = build_nodes((a, b), family, m)
-        nodesets.append(ns)
-        values.append(np.asarray(f(ns.nodes), dtype=float))
-    return LocalSpline(mesh=mesh, nodesets=nodesets, values=values)
+from .interp import _CLOSED_FAMILIES, build_nodes, lagrange_basis_matrix
+from .mesh import Covering, GradedMesh, causal_order, closure_bounds
 
 
 @dataclass
@@ -87,18 +32,17 @@ class TensorSpline:
         """Containing cell per point; -1 when outside.
 
         Boundary points resolve to the containing cell of lowest canonical
-        priority (the cell that owns the shared-face values).
+        priority (the cell that owns the shared-face values). Containment
+        allows the relative slack of ``closure_bounds``.
         """
-        lo, hi = self.covering.lo_array, self.covering.hi_array
         n = pts.shape[0]
         out = np.full(n, -1, dtype=int)
         unassigned = np.ones(n, dtype=bool)
-        rank = self.covering.causal_rank()
-        for ci in np.argsort(rank):
+        bounds = closure_bounds(pts)
+        for ci in np.argsort(self.covering.causal_rank()):
             if not unassigned.any():
                 break
-            inside = np.all(pts >= lo[ci] - 1e-12, axis=1) & np.all(pts <= hi[ci] + 1e-12, axis=1)
-            take = inside & unassigned
+            take = self.covering.contains(bounds, ci) & unassigned
             out[take] = ci
             unassigned &= ~take
         return out
@@ -108,6 +52,8 @@ class TensorSpline:
         nsets = self.nodesets[ci]
         vals = self.values[ci]
         basis = [lagrange_basis_matrix(ns, pts[:, a]) for a, ns in enumerate(nsets)]
+        if len(nsets) == 1:
+            return basis[0] @ vals
         if len(nsets) == 2:
             return np.einsum("pi,ij,pj->p", basis[0], vals, basis[1])
         acc = np.broadcast_to(vals, (pts.shape[0],) + vals.shape)
@@ -116,7 +62,10 @@ class TensorSpline:
         return acc
 
     def eval(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        """Spline values at points (n, l); for l = 1 also at a 1-D array or a scalar."""
+        pts = np.asarray(pts, dtype=float)
+        scalar = pts.ndim == 0
+        pts = pts.reshape(-1, 1) if self.covering.l == 1 else np.atleast_2d(pts)
         cells = self.cell_of(pts)
         if np.any(cells < 0):
             raise ValueError("evaluation point outside [0, T]^l")
@@ -124,7 +73,7 @@ class TensorSpline:
         for ci in np.unique(cells):
             mask = cells == ci
             out[mask] = self.eval_cell(int(ci), pts[mask])
-        return out
+        return float(out[0]) if scalar else out
 
     __call__ = eval
 
@@ -133,6 +82,15 @@ class TensorSpline:
         nsets = self.nodesets[ci]
         grids = np.meshgrid(*[ns.nodes for ns in nsets], indexing="ij")
         return np.column_stack([g.ravel() for g in grids])
+
+    def node_points(self) -> np.ndarray:
+        """Every cell's node grid, cell after cell: shape (n, l), or (n,) for l = 1."""
+        pts = np.vstack([self.node_grid(ci) for ci in range(self.covering.ncells)])
+        return pts[:, 0] if self.covering.l == 1 else pts
+
+    def node_values(self) -> np.ndarray:
+        """Stored nodal values in the order of ``node_points``."""
+        return np.concatenate([v.ravel() for v in self.values])
 
     def to_dict(self) -> dict:
         return {
@@ -158,16 +116,28 @@ def tensor_spline_from_dict(data: dict) -> TensorSpline:
     return TensorSpline(covering=cov, nodesets=nodesets, values=values, owned=owned)
 
 
-def _cell_nodesets(covering: Covering, degrees, family: str):
-    if isinstance(degrees, int):
-        degrees = [degrees] * covering.ncells
+class LocalSpline(TensorSpline):
+    """A TensorSpline over the one-axis covering of a 1D graded mesh.
+
+    It adds nothing to TensorSpline. The 1D entry points return it, and it
+    stays a public name because code outside the package looks it up (the
+    benchmark's tracer patches methods through it).
+    """
+
+
+def _unfilled(covering: Covering, degrees, family: str) -> TensorSpline:
+    """A spline with every cell's nodes and no values yet.
+
+    ``degrees`` is one node count per axis for every cell, or a list with
+    one count per cell.
+    """
+    degrees = [degrees] * covering.ncells if isinstance(degrees, int) else list(degrees)
     if len(degrees) != covering.ncells:
-        raise ValueError("per-cell degree list does not match the covering")
-    out = []
-    for cell, m in zip(covering.cells, degrees):
-        out.append(tuple(build_nodes((cell.lo[a], cell.hi[a]), family, m)
-                         for a in range(covering.l)))
-    return out
+        raise ValueError(f"{len(degrees)} node counts for {covering.ncells} cells")
+    nodesets = [tuple(build_nodes((cell.lo[a], cell.hi[a]), family, m) for a in range(covering.l))
+                for cell, m in zip(covering.cells, degrees)]
+    return TensorSpline(covering=covering, nodesets=nodesets, values=[None] * covering.ncells,
+                        owned=[None] * covering.ncells)
 
 
 def _inherited_values(spline: TensorSpline, pts: np.ndarray, donors):
@@ -181,10 +151,7 @@ def _inherited_values(spline: TensorSpline, pts: np.ndarray, donors):
     vals = np.zeros(pts.shape[0])
     donors = np.asarray(donors, dtype=int)
     if donors.size:
-        cov = spline.covering
-        tol = 1e-12 * cov.T
-        contains = (np.all(pts[:, None, :] >= cov.lo_array[donors][None, :, :] - tol, axis=2)
-                    & np.all(pts[:, None, :] <= cov.hi_array[donors][None, :, :] + tol, axis=2))
+        contains = spline.covering.contains(closure_bounds(pts), donors)
         mask = contains.any(axis=1)
         for p in np.nonzero(mask)[0]:
             donor = donors[np.argmax(contains[p])]
@@ -207,28 +174,33 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
     order = list(order)
     if sorted(order) != list(range(covering.ncells)):
         raise ValueError("order is not a permutation of the covering's cells")
-    nodesets = _cell_nodesets(covering, degrees, family)
-    values = [None] * covering.ncells
-    owned = [None] * covering.ncells
-    spl = TensorSpline(covering=covering, nodesets=nodesets, values=values, owned=owned)
+    spl = _unfilled(covering, degrees, family)
     for pos, ci in enumerate(order):
         pts = spl.node_grid(ci)
-        shape = tuple(ns.m for ns in nodesets[ci])
-        vals = np.asarray(f(*[pts[:, a] for a in range(covering.l)]), dtype=float)
+        shape = tuple(ns.m for ns in spl.nodesets[ci])
+        vals = np.asarray(f(*pts.T), dtype=float)
         inherited, donated = _inherited_values(spl, pts, order[:pos])
         vals[inherited] = donated[inherited]
-        values[ci] = vals.reshape(shape)
-        owned[ci] = (~inherited).reshape(shape)
+        spl.values[ci] = vals.reshape(shape)
+        spl.owned[ci] = (~inherited).reshape(shape)
     return spl
+
+
+def build_spline_1d(f, mesh: GradedMesh, schedule, family: str = "legendre_closed") -> LocalSpline:
+    """Interpolate f segment by segment over a graded mesh.
+
+    ``schedule`` lists the node count per segment. This is
+    ``build_tensor_spline`` on the mesh's one-axis covering: the closed node
+    family puts a node on every breakpoint, where segment k inherits the
+    value of segment k - 1.
+    """
+    return LocalSpline(**vars(build_tensor_spline(f, mesh.covering(), schedule, family=family)))
 
 
 def sup_error(spline, f, samples_per_axis: int = 201) -> float:
     """Max |f - spline| over a uniform dense grid of the domain."""
     if samples_per_axis < 50:
         raise ValueError(f"samples_per_axis must be >= 50, got {samples_per_axis}")
-    if isinstance(spline, LocalSpline):
-        t = np.linspace(0.0, spline.mesh.T, samples_per_axis)
-        return float(np.max(np.abs(np.asarray(f(t)) - spline.eval(t))))
     cov = spline.covering
     axes = [np.linspace(0.0, cov.T, samples_per_axis)] * cov.l
     grids = np.meshgrid(*axes, indexing="ij")
@@ -244,9 +216,6 @@ def max_node_error(spline, f, owned_only: bool = False) -> float:
     itself (for solver output: its collocation nodes), skipping values that
     were inherited from a neighbour's trace.
     """
-    if isinstance(spline, LocalSpline):
-        pts = spline.node_points()
-        return float(np.max(np.abs(np.asarray(f(pts)) - spline.node_values())))
     worst = 0.0
     for ci in range(spline.covering.ncells):
         pts = spline.node_grid(ci)
@@ -264,9 +233,6 @@ def max_node_error(spline, f, owned_only: bool = False) -> float:
 
 def n_functionals(spline) -> int:
     """Number of distinct node points carrying the spline's data."""
-    if isinstance(spline, LocalSpline):
-        pts = spline.node_points()[:, None]
-    else:
-        pts = np.vstack([spline.node_grid(ci) for ci in range(spline.covering.ncells)])
+    pts = spline.node_points().reshape(-1, spline.covering.l)
     scale = max(abs(pts).max(), 1.0)
     return int(np.unique(np.round(pts / scale, 12), axis=0).shape[0])

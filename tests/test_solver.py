@@ -80,6 +80,28 @@ class TestSolve1D:
         sol = solve_1d(prob, mesh, sched, fam)
         assert max_node_error(sol, prob.exact) <= 1e-6
 
+    @pytest.mark.parametrize("N", [40, 48])
+    def test_abel_deep_geometric_mesh(self, N):
+        # the first segments are 2^-N wide: a containment slack that is not
+        # relative to |t| would make their nodes inherit from a neighbour
+        from wsvie.funclass import derive_class_params
+        from wsvie.quad import power_moment
+
+        h0 = power_moment(-0.5, 0.5, 1.0)
+        prob = VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(-0.5,)),
+                          rhs=lambda t: t ** 0.5 - h0 * t, exact=lambda t: t ** 0.5)
+        mesh, sched, fam = preset_1d(derive_class_params(2, 0.5, "b_star"), N)
+        sol = solve_1d(prob, mesh, sched, fam)
+        assert max_node_error(sol, prob.exact) <= 1e-12
+
+    def test_open_family_solves_every_node(self, q_params):
+        # open nodes miss the breakpoints, so no node is inherited
+        prob = get_problem("corner-power-1d")
+        mesh, sched, _ = preset_1d(q_params, 8)
+        sol = solve_1d(prob, mesh, sched, "chebyshev1_open")
+        assert all(own.all() for own in sol.owned)
+        assert max_node_error(sol, prob.exact) <= 1e-6
+
     def test_schedule_mismatch_rejected(self, q_params):
         prob = get_problem("corner-power-1d")
         mesh, _, fam = preset_1d(q_params, 8)
@@ -224,17 +246,24 @@ class TestSolve2D:
         assert collocation_residual(prob, sol) <= 1e-9
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
-    @pytest.mark.parametrize("kind,gamma", [("q_star", 2.5), ("q_double_star", 2.5),
-                                            ("b_star", 0.5)])
-    def test_zero_kernel_matches_tensor_spline(self, kind, gamma, N):
+    @pytest.mark.parametrize("l,kind,gamma", [(2, "q_star", 2.5), (2, "q_double_star", 2.5),
+                                              (2, "b_star", 0.5), (1, "q_star", 2.5),
+                                              (1, "b_star", 0.5)],
+                             ids=["q_star-2.5", "q_double_star-2.5", "b_star-0.5",
+                                  "1d-q_star-2.5", "1d-b_star-0.5"])
+    def test_zero_kernel_matches_tensor_spline(self, l, kind, gamma, N):
         # without a kernel the solver only inherits and samples, like the interpolant
         from wsvie.funclass import derive_class_params
+        from wsvie.spline import build_spline_1d
 
-        prob = get_problem("poly-k0-2d")
-        cov, degree, fam = preset_2d(derive_class_params(2, gamma, kind, l=2), N)
-        sol = solve_2d(prob, cov, degree, fam)
-        spl = build_tensor_spline(prob.rhs, cov, degree, family=fam)
-        for ci in range(cov.ncells):
+        preset, solve, build = ((preset_1d, solve_1d, build_spline_1d) if l == 1
+                                else (preset_2d, solve_2d, build_tensor_spline))
+        prob = get_problem(f"poly-k0-{l}d")
+        disc, degrees, fam = preset(derive_class_params(2, gamma, kind, l=l), N)
+        sol = solve(prob, disc, degrees, fam)
+        spl = build(prob.rhs, disc, degrees, family=fam)
+        assert len(sol.values) == len(spl.values)
+        for ci in range(len(sol.values)):
             assert np.array_equal(sol.values[ci], spl.values[ci])
             assert np.array_equal(sol.owned[ci], spl.owned[ci])
 

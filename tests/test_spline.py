@@ -199,12 +199,15 @@ class TestTensorSpline:
         assert n_functionals(spl) == 9
 
     def test_serialization_round_trip(self):
-        f = lambda t1, t2: (t1 * t2) ** 2.5
+        # a 2D covering, and the one-axis covering of a 1D mesh
+        rng = np.random.default_rng(1)
         cov = boundary_layer_covering(2, 1.0, 2, 1.5)
-        spl = build_tensor_spline(f, cov, 3)
-        back = tensor_spline_from_dict(spl.to_dict())
-        pts = np.random.default_rng(1).random((40, 2))
-        assert back.eval(pts) == pytest.approx(spl.eval(pts), abs=1e-14)
+        spl_2d = build_tensor_spline(lambda t1, t2: (t1 * t2) ** 2.5, cov, 3)
+        spl_1d = build_spline_1d(lambda t: t ** 2.5, geometric_mesh(4, 1.0), [3, 4, 5, 6, 7],
+                                 "chebyshev1_closed")
+        for spl, pts in ((spl_2d, rng.random((40, 2))), (spl_1d, rng.random(40))):
+            back = tensor_spline_from_dict(spl.to_dict())
+            assert back.eval(pts) == pytest.approx(spl.eval(pts), abs=1e-14)
 
     def test_sup_error_validates_samples(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.5)
