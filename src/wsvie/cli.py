@@ -248,8 +248,8 @@ def _class_from_config(config: dict, l: int):
 def _problem_and_params(config: dict):
     """Resolve the problem field (catalogue name or inline dict) plus class params."""
     if config.get("singular_rule", "legendre") != "legendre":
-        raise ConfigError("config: 'singular_rule' is no longer an option; "
-                          "only the default 'legendre' rule remains")
+        raise ConfigError("config: 'singular_rule' is no longer an option (the moment "
+                          "rules are fixed); old configs may keep it as 'legendre'")
     defn = _require(config, "problem")
     if isinstance(defn, dict):
         if defn.get("l") not in (1, 2):

@@ -224,13 +224,13 @@ def _chop(a: float, b: float, h: float, style: str) -> np.ndarray:
 
 
 def _tile_slabs(cells: list, k: int, l: int, band: tuple, below: tuple, above: tuple,
-                h: float, chop_style: str, thin_single: bool):
+                h: float, chop_style: str):
     """Tile one layer shell, slab by slab.
 
     Slab j (the first axis inside the band) spans ``band`` on axis j,
     ``below`` on axes i < j and ``above`` on axes i > j. Non-thin axes are
-    chopped to the edge budget h; the thin axis is kept whole when
-    ``thin_single`` (its width is within budget by construction).
+    chopped to the edge budget h; the thin axis is kept whole (its width is
+    within budget by construction).
     """
     for j in range(l):
         ranges = []
@@ -248,7 +248,7 @@ def _tile_slabs(cells: list, k: int, l: int, band: tuple, below: tuple, above: t
             continue
         per_axis_edges = []
         for i, (ra, rb) in enumerate(ranges):
-            if i == j and thin_single:
+            if i == j:
                 per_axis_edges.append(np.array([ra, rb]))
             else:
                 per_axis_edges.append(_chop(ra, rb, h, chop_style))
@@ -257,15 +257,6 @@ def _tile_slabs(cells: list, k: int, l: int, band: tuple, below: tuple, above: t
             lo = tuple(float(per_axis_edges[i][flat[i]]) for i in range(l))
             hi = tuple(float(per_axis_edges[i][flat[i] + 1]) for i in range(l))
             cells.append(Cell(k=k, index=(), lo=lo, hi=hi))
-
-
-def _power_boundaries(N: int, T: float, v: float) -> np.ndarray:
-    b = np.empty(N + 1)
-    b[0] = 0.0
-    k = np.arange(1, N + 1, dtype=float)
-    b[1:] = T * np.exp(v * np.log(k / N))
-    b[-1] = T
-    return b
 
 
 def boundary_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
@@ -283,7 +274,7 @@ def boundary_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
         raise ValueError(f"v must be >= 1, got {v}")
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
-    b = _power_boundaries(N, T, v)
+    b = power_graded_mesh(N, T, v).breakpoints
     layers = [Layer(k=k, inner=float(b[k]), outer=float(b[k + 1]),
                     h=float(b[k + 1] - b[k]), style="boundary") for k in range(N)]
     cells: list[Cell] = []
@@ -293,7 +284,7 @@ def boundary_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
         h = b[k + 1] - b[k]
         _tile_slabs(cells, k, l, band=(float(b[k]), float(b[k + 1])),
                     below=(float(b[k + 1]), float(T)), above=(float(b[k]), float(T)),
-                    h=float(h), chop_style="ceil", thin_single=True)
+                    h=float(h), chop_style="ceil")
     return Covering(l=l, T=float(T), N=N, style="boundary", v=float(v),
                     layers=layers, cells=cells)
 
@@ -313,7 +304,7 @@ def corner_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
         raise ValueError(f"v must be >= 1, got {v}")
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
-    c = _power_boundaries(N, T, v)
+    c = power_graded_mesh(N, T, v).breakpoints
     layers = [Layer(k=k, inner=float(c[k - 1]), outer=float(c[k]),
                     h=float(c[k] - c[k - 1]), style="corner") for k in range(1, N + 1)]
     cells: list[Cell] = [Cell(k=1, index=(), lo=(0.0,) * l, hi=(float(c[1]),) * l)]
@@ -321,7 +312,7 @@ def corner_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
         h = c[k] - c[k - 1]
         _tile_slabs(cells, k, l, band=(float(c[k - 1]), float(c[k])),
                     below=(0.0, float(c[k - 1])), above=(0.0, float(c[k])),
-                    h=float(h), chop_style="ceil", thin_single=True)
+                    h=float(h), chop_style="ceil")
     return Covering(l=l, T=float(T), N=N, style="corner", v=float(v),
                     layers=layers, cells=cells)
 
@@ -351,7 +342,7 @@ def geometric_covering(N: int, T: float, l: int) -> Covering:
         inner = 0.0 if k == 0 else outer[k - 1]
         _tile_slabs(cells, k, l, band=(float(inner), float(outer[k])),
                     below=(float(outer[k]), float(T)), above=(float(inner), float(T)),
-                    h=float(h), chop_style="floor", thin_single=True)
+                    h=float(h), chop_style="floor")
     return Covering(l=l, T=float(T), N=N, style="geometric", v=None,
                     layers=layers, cells=cells)
 

@@ -2,19 +2,21 @@
 
 The moment helpers integrate products (x - tau)^p * l_j(tau) over a clipped
 interval [a, min(b, x)], where l_j are the Lagrange fundamental polynomials of
-a NodeSet. Two singular-endpoint rules are available:
+a NodeSet. Each row x takes one of three fixed rules, chosen by one private
+helper from where x lies:
 
-* ``legendre`` (default) -- composite Gauss-Legendre with panels graded
-  dyadically toward the singular endpoint;
-* ``jacobi`` -- a Gauss-Jacobi rule with the weight (x - tau)^p folded in,
-  exact for polynomial factors of degree <= 2n - 1.
+* singular rows (a < x <= b) -- a Gauss-Jacobi rule with the weight
+  (x - tau)^p folded in, exact for polynomial factors of degree <= 2n - 1;
+* far rows (x - b >= b - a) -- one Gauss-Legendre panel on [a, b], shared by
+  every far row;
+* near rows (the rest) -- composite Gauss-Legendre with panels graded
+  dyadically toward b.
 
-Rows are sorted into three branches -- Gauss-Jacobi singular rows, far rows
-and near rows -- by one private helper. ``axis_kernel_quadrature`` pads the
-branches into one rectangular (point, weight) table; ``kernel_moments``
-contracts each branch on its own and evaluates the Lagrange basis only where
-weights are nonzero: once at the n points that all far rows share, at n
-points per Gauss-Jacobi row and at the composite panel points of near rows.
+``axis_kernel_quadrature`` pads the branches into one rectangular (point,
+weight) table; ``kernel_moments`` contracts each branch on its own and
+evaluates the Lagrange basis only where weights are nonzero: once at the
+points that all far rows share, once at those that all near rows share and
+at n points per singular row.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from .interp import NodeSet, lagrange_basis_matrix, legendre_roots, _legendre_and_derivative
 
-DEFAULT_COMPOSITE_DEPTH = 12
+# composite Gauss-Legendre panels of a near row
+_NEAR_PANELS = 13
 
 
 @dataclass(frozen=True)
@@ -140,64 +143,52 @@ def power_moment(a: float, b: float, t: float) -> float:
     return math.exp(_log_beta(a + 1.0, b + 1.0)) * t ** (a + b + 1.0)
 
 
-def _branches(x, p: float, a: float, b: float, n: int, rule: str, depth: int):
+def _branches(x, p: float, a: float, b: float, n: int):
     """Classify the rows of a clipped moment integral and yield their rules.
 
     Yields ``(rows, T, W)`` once per non-empty branch, where ``rows`` is a
     boolean mask over ``x`` and W carries the folded factor (x_i - tau)^p:
 
-    * Gauss-Jacobi singular rows: T and W have shape (k, n);
-    * far rows (x_i - b >= b - a): one Gauss-Legendre panel on [a, b] shared
-      by every row, so T has shape (n,) and W shape (k, n);
-    * near rows: ``depth + 1`` Gauss-Legendre panels graded dyadically toward
-      the clipped endpoint u = min(b, x_i); T and W have shape
-      (k, (depth + 1) n).
+    * singular rows (x_i <= b): n Gauss-Jacobi points on [a, x_i], so T and
+      W have shape (k, n);
+    * far rows (x_i - b >= b - a): one Gauss-Legendre panel on [a, b];
+    * near rows: ``_NEAR_PANELS`` Gauss-Legendre panels on [a, b], graded
+      dyadically toward b.
 
-    Rows with x_i <= a belong to no branch.
+    Far and near rows share their points, so T has shape (q,) and W shape
+    (k, q) there. Rows with x_i <= a belong to no branch.
     """
-    if rule not in ("legendre", "jacobi"):
-        raise ValueError(f"unknown singular rule {rule!r}")
-    u = np.minimum(x, b)
-    active = u > a
+    active = np.minimum(x, b) > a
     if not active.any():
         return
     singular = active & (x <= b)
-    far = active & (x > b) & (x - b >= (b - a))
-    near = active & ~far
+    far = active & (x - b >= (b - a))
+    near = active & ~singular & ~far
+
+    if singular.any():
+        jac = gauss_jacobi(n, p)
+        L = (x[singular] - a)[:, None]
+        tau = a + 0.5 * L * (jac.nodes[None, :] + 1.0)
+        yield singular, tau, (0.5 * L) ** (p + 1.0) * jac.weights[None, :]
 
     gl = gauss_legendre(n)
-    if rule == "jacobi" or p < 0:
-        jac = gauss_jacobi(n, p)
-        if singular.any():
-            L = (x[singular] - a)[:, None]
-            tau = a + 0.5 * L * (jac.nodes[None, :] + 1.0)
-            yield singular, tau, (0.5 * L) ** (p + 1.0) * jac.weights[None, :]
-            near = near & ~singular
-
     if far.any():
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         tau = mid + half * gl.nodes
         yield far, tau, half * gl.weights[None, :] * (x[far, None] - tau[None, :]) ** p
 
     if near.any():
-        xv = x[near][:, None, None]
-        uv = u[near][:, None]
-        L = uv - a
-        # panel j spans [u - L 2^-j, u - L 2^-(j+1)]; the last panel reaches u
-        offs = L * 0.5 ** np.arange(depth + 1)[None, :]
-        los = uv - offs
-        his = np.concatenate([los[:, 1:], uv], axis=1)
-        mid = 0.5 * (los + his)[:, :, None]
-        half = 0.5 * (his - los)[:, :, None]
-        tau = mid + half * gl.nodes[None, None, :]
-        r, width = tau.shape[0], (depth + 1) * n
-        yield (near, tau.reshape(r, width),
-               (half * gl.weights[None, None, :] * (xv - tau) ** p).reshape(r, width))
+        # with L = b - a, panel j spans [b - L 2^-j, b - L 2^-(j+1)]; the last
+        # panel reaches b
+        los = b - (b - a) * 0.5 ** np.arange(_NEAR_PANELS)
+        his = np.append(los[1:], b)
+        mid, half = 0.5 * (los + his)[:, None], 0.5 * (his - los)[:, None]
+        tau = (mid + half * gl.nodes[None, :]).ravel()
+        w = (half * gl.weights[None, :]).ravel()
+        yield near, tau, w[None, :] * (x[near, None] - tau[None, :]) ** p
 
 
-def axis_kernel_quadrature(x, p: float, a: float, b: float, n: int,
-                           rule: str = "legendre",
-                           depth: int = DEFAULT_COMPOSITE_DEPTH):
+def axis_kernel_quadrature(x, p: float, a: float, b: float, n: int):
     """Quadrature points and kernel-folded weights for clipped moment integrals.
 
     For each entry x_i of ``x`` produces points T[i, :] and weights W[i, :]
@@ -206,44 +197,41 @@ def axis_kernel_quadrature(x, p: float, a: float, b: float, n: int,
         int_a^{min(b, x_i)} (x_i - tau)^p F(tau) dtau  ~=  sum_q W[i, q] F(T[i, q]).
 
     Rows with x_i <= a are identically zero. The factor (x_i - tau)^p is folded
-    into W. With ``rule="legendre"`` each active row uses composite
-    Gauss-Legendre panels graded dyadically toward the clipped upper endpoint;
-    rows whose singular point lies further than one interval length away use a
-    single panel. With ``rule="jacobi"`` rows whose singular point coincides
-    with the upper endpoint use a Gauss-Jacobi rule instead (exact for
-    polynomial F up to degree 2n - 1); p < 0 always takes the Jacobi path.
-    Every row is padded to ``(depth + 1) * n`` points.
+    into W. Rows with x_i <= b use an n-point Gauss-Jacobi rule, exact for
+    polynomial F up to degree 2n - 1; rows further than one interval length
+    past b use one Gauss-Legendre panel; the rows in between use composite
+    Gauss-Legendre panels graded dyadically toward b. Every row is padded to
+    ``_NEAR_PANELS * n`` points.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    width = (depth + 1) * n
+    width = _NEAR_PANELS * n
     # unused slots keep weight 0; the pad point is an arbitrary interior value
     # chosen to never coincide with interpolation nodes
     T = np.full((x.size, width), a + 0.43716524 * (b - a), dtype=float)
     W = np.zeros((x.size, width), dtype=float)
-    for rows, tau, w in _branches(x, p, a, b, n, rule, depth):
+    for rows, tau, w in _branches(x, p, a, b, n):
         q = w.shape[1]
         T[rows, :q] = tau
         W[rows, :q] = w
     return T, W
 
 
-def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet, n: int,
-                   rule: str = "legendre",
-                   depth: int = DEFAULT_COMPOSITE_DEPTH) -> np.ndarray:
+def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet, n: int) -> np.ndarray:
     """Moments M[i, j] = int_a^{min(b, x_i)} (x_i - tau)^p l_j(tau) dtau.
 
     ``l_j`` are the fundamental polynomials of ``nodeset`` (extended as global
     polynomials; the integration range is always inside [a, b]). The rules are
-    those of ``axis_kernel_quadrature``, but each branch is contracted on its
-    own, without padding: the basis is evaluated once at the n points shared
-    by all far rows, at n points per Gauss-Jacobi row and at the
-    ``(depth + 1) * n`` panel points of each near row.
+    those of ``axis_kernel_quadrature``, so singular rows are exact for the
+    polynomial factor when n >= m / 2. Each branch is contracted on its own,
+    without padding: the basis is evaluated at n points per singular row and
+    once at the points that all far (or all near) rows share.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     M = np.zeros((x.size, nodeset.m))
-    # einsum, not a BLAS matmul, for the far rows too: it sums over q in the
-    # same order as a padded contraction, so the moments do not change by a bit
-    for rows, tau, w in _branches(x, p, a, b, n, rule, depth):
+    # einsum, not a BLAS matmul, for the shared-point rows too: it sums over q
+    # in the same order as a padded contraction, so the moments do not change
+    # by a bit
+    for rows, tau, w in _branches(x, p, a, b, n):
         if tau.ndim == 1:
             M[rows] = np.einsum("rq,qm->rm", w, lagrange_basis_matrix(nodeset, tau))
         else:

@@ -329,7 +329,6 @@ def collocation_residual(problem: VieProblem, solution, quad_n: int | None = Non
     the same quadrature the solver used; inherited (non-owned) nodes belong to
     the cell that first computed them and are checked there.
     """
-    kern = problem.kernel
     cells = list(zip(solution.nodesets, solution.values))
     if quad_n is None:
         quad_n = _default_quad_n(solution.nodesets)
@@ -339,14 +338,9 @@ def collocation_residual(problem: VieProblem, solution, quad_n: int | None = Non
     for (nsets, values), col, own in zip(cells, shadow.T, solution.owned):
         if not own.any():
             continue
-        src = np.nonzero(col)[0]
         targets = [ns.nodes for ns in nsets]
-        lhs = values.copy()
-        if kern is not None:
-            cache: dict = {}
-            for di in src:
-                src_nsets, src_values = cells[di]
-                lhs -= _apply(_cell_weights(kern, targets, src_nsets, quad_n, cache), src_values)
+        lhs = values - _integral(problem.kernel, targets,
+                                 [cells[di] for di in np.nonzero(col)[0]], quad_n)
         grids = np.meshgrid(*targets, indexing="ij")
         rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)
         worst = max(worst, float(np.max(np.abs((lhs - rhs.reshape(lhs.shape))[own]))))

@@ -69,11 +69,16 @@ class TensorSpline:
         cells = self.cell_of(pts)
         if np.any(cells < 0):
             raise ValueError("evaluation point outside [0, T]^l")
+        out = self._eval_in(cells, pts)
+        return float(out[0]) if scalar else out
+
+    def _eval_in(self, cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Value at each point (n, l) of the interpolant of its cell ``cells[i]``."""
         out = np.empty(pts.shape[0])
         for ci in np.unique(cells):
             mask = cells == ci
             out[mask] = self.eval_cell(int(ci), pts[mask])
-        return float(out[0]) if scalar else out
+        return out
 
     __call__ = eval
 
@@ -153,9 +158,7 @@ def _inherited_values(spline: TensorSpline, pts: np.ndarray, donors):
     if donors.size:
         contains = spline.covering.contains(closure_bounds(pts), donors)
         mask = contains.any(axis=1)
-        for p in np.nonzero(mask)[0]:
-            donor = donors[np.argmax(contains[p])]
-            vals[p] = spline.eval_cell(int(donor), pts[p : p + 1])[0]
+        vals[mask] = spline._eval_in(donors[np.argmax(contains[mask], axis=1)], pts[mask])
     return mask, vals
 
 

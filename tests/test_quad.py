@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wsvie.interp import build_nodes, lagrange_basis_matrix
-from wsvie.quad import (DEFAULT_COMPOSITE_DEPTH, axis_kernel_quadrature, gauss_jacobi,
-                        gauss_legendre, integrate_box, kernel_moments, power_moment)
+from wsvie.quad import (axis_kernel_quadrature, gauss_jacobi, gauss_legendre, integrate_box,
+                        kernel_moments, power_moment)
 
 
 def test_one_point_rule_is_midpoint():
@@ -124,35 +124,35 @@ def _brute_moment(x, p, a, u, nodeset, j, panels=4096):
     return float(h / 3 * (g[0] + g[-1] + 4 * g[1:-1:2].sum() + 2 * g[2:-2:2].sum()))
 
 
-@pytest.mark.parametrize("rule", ["legendre", "jacobi"])
-def test_kernel_moments_against_brute_force(rule):
+def _jacobi_rule_ids(p):
+    # Case labels of the former quad ``rule=`` keyword whose singular rows took the
+    # Gauss-Jacobi rule, as every singular row does now: "jacobi", and "legendre"
+    # too when p < 0. Near rows keep the 13 panels of the former ``depth=12``.
+    return ("legendre", "jacobi") if p < 0 else ("jacobi",)
+
+
+@pytest.mark.parametrize("p", [pytest.param(2.5, id="jacobi")])
+def test_kernel_moments_against_brute_force(p):
     ns = build_nodes((0.2, 0.7), "legendre_closed", 5)
     xs = np.array([0.1, 0.2, 0.45, 0.7, 0.9, 2.0])
-    M = kernel_moments(xs, 2.5, 0.2, 0.7, ns, 9, rule=rule)
+    M = kernel_moments(xs, p, 0.2, 0.7, ns, 9)
     for i, x in enumerate(xs):
         u = min(x, 0.7)
         for j in range(5):
-            assert M[i, j] == pytest.approx(_brute_moment(x, 2.5, 0.2, u, ns, j),
+            assert M[i, j] == pytest.approx(_brute_moment(x, p, 0.2, u, ns, j),
                                             abs=5e-9)
 
 
-def test_kernel_moments_rules_agree():
-    ns = build_nodes((0.0, 0.3), "chebyshev1_closed", 7)
-    xs = np.linspace(0.0, 1.0, 17)
-    Ml = kernel_moments(xs, 2.5, 0.0, 0.3, ns, 11, rule="legendre")
-    Mj = kernel_moments(xs, 2.5, 0.0, 0.3, ns, 11, rule="jacobi")
-    assert np.max(np.abs(Ml - Mj)) <= 1e-10
-
-
 def test_kernel_moments_abel_exponent():
-    # p in (-1, 0) takes the Jacobi path for the singular rows
+    # a singular row takes the Gauss-Jacobi rule for every p > -1
     ns = build_nodes((0.0, 1.0), "legendre_closed", 4)
-    M = kernel_moments(np.array([1.0]), -0.5, 0.0, 1.0, ns, 8)
-    # int_0^1 (1-tau)^(-1/2) tau^k dtau = B(1/2, k+1)
     vander = np.vander(ns.nodes, 4, increasing=True)
-    poly_moments = M[0] @ vander  # moments of monomials via basis expansion
-    for k in range(4):
-        assert poly_moments[k] == pytest.approx(power_moment(-0.5, k, 1.0), rel=1e-11)
+    for p in (-0.5, 0.3, 2.5):
+        M = kernel_moments(np.array([1.0]), p, 0.0, 1.0, ns, 8)
+        # int_0^1 (1-tau)^p tau^k dtau = B(p+1, k+1)
+        poly_moments = M[0] @ vander  # moments of monomials via basis expansion
+        for k in range(4):
+            assert poly_moments[k] == pytest.approx(power_moment(p, k, 1.0), rel=1e-11)
 
 
 def test_axis_quadrature_rows_below_interval_are_zero():
@@ -161,10 +161,9 @@ def test_axis_quadrature_rows_below_interval_are_zero():
     assert np.all(W[1] == 0.0)  # x == a: clipped range is empty
 
 
-def _padded_moments(x, p, a, b, nodeset, n, rule="legendre",
-                    depth=DEFAULT_COMPOSITE_DEPTH):
+def _padded_moments(x, p, a, b, nodeset, n):
     # reference: contract the padded rows of axis_kernel_quadrature, every slot
-    T, W = axis_kernel_quadrature(x, p, a, b, n, rule=rule, depth=depth)
+    T, W = axis_kernel_quadrature(x, p, a, b, n)
     R, Q = T.shape
     basis = lagrange_basis_matrix(nodeset, T.ravel()).reshape(R, Q, nodeset.m)
     return np.einsum("rq,rqm->rm", W, basis)
@@ -179,17 +178,16 @@ def _rows_in_every_branch(a, b):
     return np.array(below + singular + near + far)
 
 
-@pytest.mark.parametrize("depth", [4, 12])
-@pytest.mark.parametrize("m", [2, 5, 14, 40])
-@pytest.mark.parametrize("rule", ["legendre", "jacobi"])
-@pytest.mark.parametrize("p", [2.5, 0.3, -0.5])
-def test_kernel_moments_match_padded_contraction(p, rule, m, depth):
+@pytest.mark.parametrize("p, m", [pytest.param(p, m, id=f"{p}-{rule}-{m}-12")
+                                  for p in (2.5, 0.3, -0.5) for rule in _jacobi_rule_ids(p)
+                                  for m in (2, 5, 14, 40)])
+def test_kernel_moments_match_padded_contraction(p, m):
     a, b = 0.25, 0.65
     ns = build_nodes((a, b), "legendre_closed", m)
     xs = _rows_in_every_branch(a, b)
     n = min(m + 4, 64)
-    M = kernel_moments(xs, p, a, b, ns, n, rule=rule, depth=depth)
-    ref = _padded_moments(xs, p, a, b, ns, n, rule=rule, depth=depth)
+    M = kernel_moments(xs, p, a, b, ns, n)
+    ref = _padded_moments(xs, p, a, b, ns, n)
     assert M.shape == ref.shape == (xs.size, m)
     assert np.all(M[:2] == 0.0)
     assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -226,26 +224,26 @@ def test_solver_values_match_padded_contraction(case, monkeypatch):
         assert np.max(np.abs(np.asarray(v) - np.asarray(w))) <= 1e-14
 
 
-def _row_sum_error(p, x, rule):
+def _row_sum_error(p, x):
     # sum_j l_j = 1, so each row must integrate the bare kernel (x - tau)^p
     a, b = 0.3, 0.8
     ns = build_nodes((a, b), "legendre_closed", 5)
     xs = np.asarray(x, dtype=float)
-    M = kernel_moments(xs, p, a, b, ns, 9, rule=rule)
+    M = kernel_moments(xs, p, a, b, ns, 9)
     u = np.minimum(xs, b)
     exact = ((xs - a) ** (p + 1) - (xs - u) ** (p + 1)) / (p + 1)
     return np.abs(M.sum(axis=1) - exact) / np.abs(exact)
 
 
-@pytest.mark.parametrize("rule", ["legendre", "jacobi"])
-@pytest.mark.parametrize("p", [2.5, -0.5])
-def test_kernel_moment_rows_sum_to_closed_form(p, rule):
+@pytest.mark.parametrize("p", [pytest.param(p, id=f"{p}-{rule}")
+                               for p in (2.5, -0.5) for rule in _jacobi_rule_ids(p)])
+def test_kernel_moment_rows_sum_to_closed_form(p):
     a, b = 0.3, 0.8
     L = b - a
     xs = [a + 0.1 * L, a + 0.5 * L, b,            # singular
           b + 1e-2 * L, b + 0.3 * L, b + 0.99 * L,  # near
           b + L, b + 3.0 * L]                       # far
-    assert np.max(_row_sum_error(p, xs, rule)) <= 1e-13
+    assert np.max(_row_sum_error(p, xs)) <= 1e-13
 
 
 @pytest.mark.xfail(strict=True, reason="near rows grade toward b, not x: the "
@@ -254,4 +252,4 @@ def test_kernel_moment_rows_sum_to_closed_form(p, rule):
 def test_kernel_moment_rows_sum_just_past_interval(gap):
     # relative row-sum errors were 7.2e-4 and 1.3e-4 when this case was added
     a, b = 0.3, 0.8
-    assert _row_sum_error(-0.5, [b + gap * (b - a)], "legendre")[0] <= 1e-13
+    assert _row_sum_error(-0.5, [b + gap * (b - a)])[0] <= 1e-13

@@ -94,6 +94,22 @@ class TestSolve1D:
         sol = solve_1d(prob, mesh, sched, fam)
         assert max_node_error(sol, prob.exact) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["q_star", "b_star"])
+    @pytest.mark.parametrize("p", [0.3, 0.7, 2.5])
+    def test_spline_space_solution_reproduced(self, p, kind):
+        # x = 1 + t lies in the spline space, so only the moments limit the
+        # node error; the singular rows must be exact for every p > -1
+        from wsvie.funclass import derive_class_params
+        from wsvie.quad import power_moment
+
+        c0, c1 = power_moment(p, 0.0, 1.0), power_moment(p, 1.0, 1.0)
+        prob = VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(p,)),
+                          rhs=lambda t: 1.0 + t - c0 * t ** (p + 1) - c1 * t ** (p + 2),
+                          exact=lambda t: 1.0 + t)
+        mesh, sched, fam = preset_1d(derive_class_params(2, 0.5, kind), 4)
+        sol = solve_1d(prob, mesh, sched, fam)
+        assert max_node_error(sol, prob.exact) <= 1e-13
+
     def test_open_family_solves_every_node(self, q_params):
         # open nodes miss the breakpoints, so no node is inherited
         prob = get_problem("corner-power-1d")
