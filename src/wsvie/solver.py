@@ -15,9 +15,20 @@ dimensions share one marching loop.
 With no smooth factor (h absent) both pieces factorize per axis, because the
 kernel is a product and the spline is a tensor polynomial: the history
 contribution of a processed cell D reduces to W1 @ X_D @ W2.T with one moment
-matrix per axis. A general h(t, tau) falls back to tensor Gauss cubature.
-Both forms come from one operator for a source cell at a target grid, which
-the solvers, the residual checks and the oracle share.
+matrix per axis. Those matrices depend only on D's range and node count on
+each axis, so the march (and the collocation residual check) walks the causal
+order in chunks of consecutive cells and builds per-axis moment tables per
+chunk: one ``kernel_moments`` call per axis and distinct source interval,
+evaluated at the sorted union of the chunk cells' node coordinates. A cell's
+moment matrices, for its history and for its own system, are row gathers
+from these tables, and its 2D history is a batched contraction over its
+stacked predecessors, summed in predecessor-index order. Each chunk's tables,
+and each block of stacked predecessors, hold about ``_TABLE_BUDGET`` doubles
+(1 MB), which bounds the extra memory of the march.
+
+A general h(t, tau) falls back to tensor Gauss cubature, one source cell at a
+time. Both forms come from one operator for a source cell at a target grid,
+which the solvers, the residual checks and the oracle share.
 
 Cells whose predecessors are complete could be solved concurrently (wavefront
 contract); this implementation is the single-threaded reference.
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -207,6 +219,103 @@ def _default_quad_n(nodesets) -> int:
     return min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
 
 
+# doubles that the moment tables of one chunk may hold (1 MB); a cell count
+# would not do, since the table width grows with the node count per axis
+_TABLE_BUDGET = 1 << 17
+
+
+def _cell_moments(kern: KernelSpec | None, nodesets, order, sources, quad_n: int):
+    """Per-axis moment matrices of each cell of ``order`` against its sources.
+
+    ``sources(ci)`` gives the index array of the source cells that cell ci
+    integrates over. Yields (ci, srcs, moments) per cell, in order. For
+    h == 1, ``moments(lo, hi)`` returns per axis a the ``kernel_moments`` of
+    the sources srcs[lo:hi] at ci's nodes: one array of shape
+    (hi - lo, m_a of ci, m) when the sources share the node count m on that
+    axis, else a list of 2D arrays. They are row gathers from tables built
+    per chunk of consecutive cells: per axis, one call per distinct source
+    interval (a, b, m) of the chunk, evaluated at the sorted union of the
+    chunk cells' node coordinates. A chunk grows while its tables hold at
+    most ``_TABLE_BUDGET`` doubles, and takes at least one cell. Without a
+    kernel, or with a smooth factor, ``moments`` is None.
+    """
+    order = list(order)
+    if kern is None or kern.smooth_factor is not None:
+        for ci in order:
+            yield ci, sources(ci), None
+        return
+    kid, reps = [], []   # per axis: each cell's interval id, one NodeSet per id
+    for a in range(len(kern.exponents)):
+        index: dict = {}
+        kid.append(np.array([index.setdefault((n[a].a, n[a].b, n[a].m), len(index))
+                             for n in nodesets]))
+        reps.append([nodesets[ci][a] for ci in np.unique(kid[a], return_index=True)[1]])
+    widths = [np.array([ns.m for ns in r]) for r in reps]
+    pos = 0
+    while pos < len(order):
+        used = [np.zeros(len(r), dtype=bool) for r in reps]
+        coords = [set() for _ in reps]
+        chunk = []
+        for ci in order[pos:]:
+            srcs = sources(ci)
+            grown = [u.copy() for u in used]
+            for u, k in zip(grown, kid):
+                u[k[srcs]] = True
+            wider = [c.union(ns.nodes.tolist()) for c, ns in zip(coords, nodesets[ci])]
+            size = sum(len(c) * int(w[u].sum()) for c, w, u in zip(wider, widths, grown))
+            if chunk and size > _TABLE_BUDGET:
+                break
+            used, coords = grown, wider
+            chunk.append((ci, srcs))
+        pos += len(chunk)
+        tables = []
+        for p, r, u, c, w in zip(kern.exponents, reps, used, coords, widths):
+            x = np.array(sorted(c))
+            ids = np.nonzero(u)[0]
+            local = np.zeros(len(r), dtype=int)
+            local[ids] = np.arange(ids.size)
+            # one stacked array when the intervals share their node count
+            tab = (np.empty((ids.size, x.size, w[ids[0]])) if np.all(w[ids] == w[ids[0]])
+                   else [None] * ids.size)
+            for j, i in enumerate(ids):
+                tab[j] = kernel_moments(x, p, r[i].a, r[i].b, r[i], quad_n)
+            tables.append((x, local, tab))
+        for ci, srcs in chunk:
+            rows = [np.searchsorted(x, ns.nodes) for (x, _, _), ns in zip(tables, nodesets[ci])]
+            sel = [local[k[srcs]] for (_, local, _), k in zip(tables, kid)]
+            yield ci, srcs, partial(_gather, [tab for _, _, tab in tables], rows, sel)
+
+
+def _gather(tabs, rows, sel, lo: int, hi: int) -> list:
+    """Per-axis moments of sources sel[a][lo:hi] at the target ``rows``."""
+    return [tab[s[lo:hi, None], r] if isinstance(tab, np.ndarray)
+            else [tab[i][r] for i in s[lo:hi]] for tab, r, s in zip(tabs, rows, sel)]
+
+
+def _history(moments, values, shape) -> np.ndarray:
+    """Sum over sources, in their order, of the integrals of their splines.
+
+    ``moments`` is one cell's gather from ``_cell_moments``, ``values`` the
+    nodal values of its first sources and ``shape`` the cell's node grid.
+    Sources are taken in blocks whose moments hold about ``_TABLE_BUDGET``
+    doubles. When both axes of a 2D cell carry stacked moments, a block is
+    one batched contraction, still summed in source order.
+    """
+    out = np.zeros(shape)
+    step = max(1, _TABLE_BUDGET // math.prod(shape))
+    for lo in range(0, len(values), step):
+        block = values[lo:lo + step]
+        W = moments(lo, lo + len(block))
+        if len(shape) == 2 and all(isinstance(w, np.ndarray) for w in W):
+            part = np.matmul(np.matmul(W[0], np.stack(block)), W[1].transpose(0, 2, 1))
+            part[0] += out
+            out = part.sum(axis=0)
+        else:
+            for d, v in enumerate(block):
+                out += _apply([w[d] for w in W], v)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the causal march
 # ---------------------------------------------------------------------------
@@ -225,18 +334,28 @@ def _march(problem: VieProblem, spl: TensorSpline, order, quad_n: int | None,
     covering, nodesets, values, owned = spl.covering, spl.nodesets, spl.values, spl.owned
     if quad_n is None:
         quad_n = _default_quad_n(nodesets)
+    kern = problem.kernel
     shadow = shadow_matrix(covering)
     rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
-    for ci in order:
-        pred_idx = np.nonzero(shadow[:, ci])[0]
+    # a cell's sources are its predecessors, then the cell itself
+    cells = _cell_moments(kern, nodesets, order,
+                          lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci), quad_n)
+    for ci, srcs, moments in cells:
+        pred_idx = srcs[:-1]
         if not done[pred_idx].all():
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
         nsets = nodesets[ci]
         shape = tuple(ns.m for ns in nsets)
-        H = _integral(problem.kernel, [ns.nodes for ns in nsets],
-                      [(nodesets[di], values[di]) for di in pred_idx], quad_n)
-        A = _self_matrix(problem.kernel, nsets, quad_n)
+        preds = [values[di] for di in pred_idx]
+        if moments is None:
+            H = _integral(kern, [ns.nodes for ns in nsets],
+                          zip([nodesets[di] for di in pred_idx], preds), quad_n)
+            A = _self_matrix(kern, nsets, quad_n)
+        else:
+            H = _history(moments, preds, shape)
+            own = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
+            A = np.eye(H.size) - own.reshape(H.size, H.size)
         pts = spl.node_grid(ci)
         known_mask, known_vals = _inherited_values(spl, pts, pred_idx[np.argsort(rank[pred_idx])])
         rhs = np.asarray(problem.rhs(*pts.T), dtype=float) + H.ravel()
@@ -289,7 +408,7 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
     if covering.l != 2:
         raise ValueError("covering dimension != 2")
     if order is None:
-        order = causal_order(covering)
+        order = np.argsort(covering.causal_rank()).tolist()  # the canonical order, cached
     order = list(order)
     if sorted(order) != list(range(covering.ncells)):
         raise ValueError("order is not a permutation of the covering's cells")
@@ -329,18 +448,24 @@ def collocation_residual(problem: VieProblem, solution, quad_n: int | None = Non
     the same quadrature the solver used; inherited (non-owned) nodes belong to
     the cell that first computed them and are checked there.
     """
-    cells = list(zip(solution.nodesets, solution.values))
+    nodesets, values, owned = solution.nodesets, solution.values, solution.owned
     if quad_n is None:
-        quad_n = _default_quad_n(solution.nodesets)
+        quad_n = _default_quad_n(nodesets)
     # a cell integrates over its shadow predecessors and its own clipped range
-    shadow = shadow_matrix(solution.covering) | np.eye(len(cells), dtype=bool)
+    shadow = shadow_matrix(solution.covering) | np.eye(len(values), dtype=bool)
+    checked = [ci for ci, own in enumerate(owned) if own.any()]
     worst = 0.0
-    for (nsets, values), col, own in zip(cells, shadow.T, solution.owned):
-        if not own.any():
-            continue
-        targets = [ns.nodes for ns in nsets]
-        lhs = values - _integral(problem.kernel, targets,
-                                 [cells[di] for di in np.nonzero(col)[0]], quad_n)
+    for ci, srcs, moments in _cell_moments(problem.kernel, nodesets, checked,
+                                           lambda ci: np.nonzero(shadow[:, ci])[0], quad_n):
+        targets = [ns.nodes for ns in nodesets[ci]]
+        srcvals = [values[di] for di in srcs]
+        if moments is None:
+            K = _integral(problem.kernel, targets,
+                          zip([nodesets[di] for di in srcs], srcvals), quad_n)
+        else:
+            K = _history(moments, srcvals, values[ci].shape)
+        lhs = values[ci] - K
+        own = owned[ci]
         grids = np.meshgrid(*targets, indexing="ij")
         rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)
         worst = max(worst, float(np.max(np.abs((lhs - rhs.reshape(lhs.shape))[own]))))

@@ -18,6 +18,9 @@ import numpy as np
 from .interp import _CLOSED_FAMILIES, build_nodes, lagrange_basis_matrix
 from .mesh import Covering, GradedMesh, causal_order, closure_bounds
 
+# points per block of ``TensorSpline.eval``
+_EVAL_BLOCK = 4096
+
 
 @dataclass
 class TensorSpline:
@@ -34,17 +37,34 @@ class TensorSpline:
         Boundary points resolve to the containing cell of lowest canonical
         priority (the cell that owns the shared-face values). Containment
         allows the relative slack of ``closure_bounds``.
+
+        The sorted distinct cell edges of each axis span an elementary grid
+        whose boxes each lie in one cell. A point's slack box meets a cell's
+        closure exactly when it meets the closure of one of the cell's
+        elementary boxes, so every box within the slack is a candidate.
         """
-        n = pts.shape[0]
-        out = np.full(n, -1, dtype=int)
-        unassigned = np.ones(n, dtype=bool)
-        bounds = closure_bounds(pts)
-        for ci in np.argsort(self.covering.causal_rank()):
-            if not unassigned.any():
-                break
-            take = self.covering.contains(bounds, ci) & unassigned
-            out[take] = ci
-            unassigned &= ~take
+        cov = self.covering
+        edges = [np.unique(np.concatenate([cov.lo_array[:, a], cov.hi_array[:, a]]))
+                 for a in range(cov.l)]
+        label = np.full([e.size - 1 for e in edges], -1)
+        for ci in range(cov.ncells):
+            label[tuple(slice(np.searchsorted(e, lo), np.searchsorted(e, hi))
+                        for e, lo, hi in zip(edges, cov.lo_array[ci], cov.hi_array[ci]))] = ci
+        lower, upper = closure_bounds(pts)
+        # per axis: the first and last elementary interval that the slack box meets
+        first = [np.maximum(np.searchsorted(e, lower[:, a]) - 1, 0) for a, e in enumerate(edges)]
+        last = [np.minimum(np.searchsorted(e, upper[:, a], side="right") - 1, e.size - 2)
+                for a, e in enumerate(edges)]
+        # rank[-1] ranks label -1 (no cell) after every cell
+        rank = np.append(cov.causal_rank(), cov.ncells)
+        out = np.full(pts.shape[0], -1)
+        spans = [int(np.max(hi - lo, initial=0)) + 1 for lo, hi in zip(first, last)]
+        for offset in np.ndindex(*spans):
+            box = [lo + o for lo, o in zip(first, offset)]
+            inside = np.all([b <= hi for b, hi in zip(box, last)], axis=0)
+            cand = np.where(inside, label[tuple(np.clip(b, 0, s - 1)
+                                                for b, s in zip(box, label.shape))], -1)
+            out = np.where(rank[cand] < rank[out], cand, out)
         return out
 
     def eval_cell(self, ci: int, pts: np.ndarray) -> np.ndarray:
@@ -62,14 +82,21 @@ class TensorSpline:
         return acc
 
     def eval(self, pts):
-        """Spline values at points (n, l); for l = 1 also at a 1-D array or a scalar."""
+        """Spline values at points (n, l); for l = 1 also at a 1-D array or a scalar.
+
+        Points are looked up and evaluated ``_EVAL_BLOCK`` at a time, which
+        bounds the temporary memory of a large sample grid.
+        """
         pts = np.asarray(pts, dtype=float)
         scalar = pts.ndim == 0
         pts = pts.reshape(-1, 1) if self.covering.l == 1 else np.atleast_2d(pts)
-        cells = self.cell_of(pts)
-        if np.any(cells < 0):
-            raise ValueError("evaluation point outside [0, T]^l")
-        out = self._eval_in(cells, pts)
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], _EVAL_BLOCK):
+            block = pts[start:start + _EVAL_BLOCK]
+            cells = self.cell_of(block)
+            if np.any(cells < 0):
+                raise ValueError("evaluation point outside [0, T]^l")
+            out[start:start + _EVAL_BLOCK] = self._eval_in(cells, block)
         return float(out[0]) if scalar else out
 
     def _eval_in(self, cells: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -319,6 +319,118 @@ class TestSolve2D:
             solve_2d(prob, cov, degree, fam, order=list(range(cov.ncells))[::-1])
 
 
+def _per_pair_moments(kern, nodesets, order, sources, quad_n):
+    """Reference for ``solver._cell_moments``: one call per (cell, source, axis).
+
+    Each source's moments are computed at the cell's own nodes and handed
+    over as lists, so ``_history`` sums the sources one by one.
+    """
+    import wsvie.solver as solver
+
+    def moments(ci, srcs, lo, hi):
+        return [[solver.kernel_moments(nodesets[ci][a].nodes, p, nodesets[di][a].a,
+                                       nodesets[di][a].b, nodesets[di][a], quad_n)
+                 for di in srcs[lo:hi]] for a, p in enumerate(kern.exponents)]
+
+    for ci in order:
+        srcs = sources(ci)
+        if kern is None or kern.smooth_factor is not None:
+            yield ci, srcs, None
+        else:
+            yield ci, srcs, lambda lo, hi, ci=ci, srcs=srcs: moments(ci, srcs, lo, hi)
+
+
+def _table_case(case):
+    """(problem, solve, discretisation) of one equivalence case."""
+    from wsvie.funclass import derive_class_params
+    from wsvie.quad import power_moment
+
+    c = power_moment(2.5, 2.5, 1.0)
+    if case == "abel-1d-bstar-8":
+        h0 = power_moment(-0.5, 0.5, 1.0)
+        prob = VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(-0.5,)),
+                          rhs=lambda t: t ** 0.5 - h0 * t, exact=lambda t: t ** 0.5)
+        return prob, solve_1d, preset_1d(derive_class_params(2, 0.5, "b_star"), 8)
+    if case == "h2-1d-qstar-6":
+        kern = KernelSpec(exponents=(2.5,), smooth_factor=lambda t, tau: 2.0 + 0.0 * t * tau)
+        prob = VieProblem(l=1, T=1.0, kernel=kern, rhs=lambda t: t ** 2.5 - 2.0 * c * t ** 6)
+        return prob, solve_1d, preset_1d(derive_class_params(2, 2.5, "q_star"), 6)
+    if case == "h2-2d-qstar-2":
+        kern = KernelSpec(exponents=(2.5, 2.5), smooth_factor=lambda t1, t2, u1, u2: np.full(
+            np.broadcast(t1, t2, u1, u2).shape, 2.0))
+        prob = VieProblem(l=2, T=1.0, kernel=kern,
+                          rhs=lambda t1, t2: (t1 * t2) ** 2.5 - 2.0 * c * c * (t1 * t2) ** 6)
+        return prob, solve_2d, preset_2d(derive_class_params(2, 2.5, "q_star", l=2), 2)
+    kind, gamma, N = {"power-2d-qstar-4": ("q_star", 2.5, 4),
+                      "power-2d-bstar-3": ("b_star", 0.5, 3)}[case]
+    return (get_problem("corner-power-2d"), solve_2d,
+            preset_2d(derive_class_params(2, gamma, kind, l=2), N))
+
+
+def _counting(monkeypatch):
+    """Count the solver's ``kernel_moments`` calls; returns the one-item counter."""
+    import wsvie.solver as solver
+
+    calls, moments = [0], solver.kernel_moments
+
+    def counted(*args):
+        calls[0] += 1
+        return moments(*args)
+
+    monkeypatch.setattr(solver, "kernel_moments", counted)
+    return calls
+
+
+class TestMomentTables:
+    # h == 1 cases under the default table budget, one that splits the march
+    # into many chunks, and one that gives every cell a chunk of its own and
+    # sums its history in blocks of a few sources
+    @pytest.mark.parametrize("case, budget", [
+        *[pytest.param(case, budget, id=f"{case}-{budget or 'default'}")
+          for case in ("power-2d-qstar-4", "power-2d-bstar-3", "abel-1d-bstar-8")
+          for budget in (None, 1 << 12, 100)],
+        pytest.param("h2-1d-qstar-6", None, id="h2-1d-qstar-6"),
+        pytest.param("h2-2d-qstar-2", None, id="h2-2d-qstar-2")])
+    def test_values_match_per_pair_sums(self, case, budget, monkeypatch):
+        # bit-identical: every moment row and the order of every history sum
+        # are those of the per-pair reference, whatever the chunking
+        import wsvie.solver as solver
+
+        if budget is not None:
+            monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
+        prob, solve, disc = _table_case(case)
+        calls = _counting(monkeypatch)
+        fast = solve(prob, *disc)
+        fast_res = collocation_residual(prob, fast)
+        if prob.kernel.smooth_factor is not None:
+            assert calls[0] == 0  # a smooth factor keeps the dense cubature
+        tables = solver._cell_moments
+        monkeypatch.setattr(solver, "_cell_moments", _per_pair_moments)
+        ref = solve(prob, *disc)
+        assert len(fast.values) == len(ref.values)
+        for ci in range(len(ref.values)):
+            assert np.array_equal(fast.values[ci], ref.values[ci])
+            assert np.array_equal(fast.owned[ci], ref.owned[ci])
+        assert fast_res == collocation_residual(prob, fast)
+        # the history is small next to the right side, so rounding in it can
+        # leave the nodal values unchanged: compare each cell's sums directly
+        if prob.kernel.smooth_factor is None:
+            shadow = shadow_matrix(fast.covering) | np.eye(len(fast.values), dtype=bool)
+            args = (prob.kernel, fast.nodesets, np.argsort(fast.covering.causal_rank()),
+                    lambda ci: np.nonzero(shadow[:, ci])[0],
+                    solver._default_quad_n(fast.nodesets))
+            for (ci, srcs, M), (_, _, R) in zip(tables(*args), _per_pair_moments(*args)):
+                vals, shape = [fast.values[di] for di in srcs], fast.values[ci].shape
+                assert np.array_equal(solver._history(M, vals, shape),
+                                      solver._history(R, vals, shape))
+
+    def test_one_moment_call_per_source_interval(self, q25_params_2d, monkeypatch):
+        # the per-pair path made 1,980 calls here; the tables make 87
+        calls = _counting(monkeypatch)
+        solve_2d(get_problem("corner-power-2d"), *preset_2d(q25_params_2d, 4))
+        assert 0 < calls[0] <= 200
+
+
 class TestResidual:
     def test_exact_solution_spline_residual(self, b_params_2d):
         prob = get_problem("corner-power-2d")

@@ -179,6 +179,39 @@ class TestTensorSpline:
         v = spl.eval([[0.5, 0.25]])[0]
         assert v == pytest.approx(0.125, abs=1e-13)
 
+    @pytest.mark.parametrize("which", ["qstar-2d-8", "bstar-2d-5", "qqstar-2d-4", "bstar-1d-16"])
+    def test_cell_of_matches_rank_ordered_scan(self, which):
+        # reference: scan the cells by causal rank, first containing cell wins
+        from wsvie.funclass import derive_class_params
+        from wsvie.mesh import closure_bounds
+        from wsvie.solver import preset_1d, preset_2d
+        from wsvie.spline import _unfilled
+
+        kind, l, N = {"qstar-2d-8": ("q_star", 2, 8), "bstar-2d-5": ("b_star", 2, 5),
+                      "qqstar-2d-4": ("q_double_star", 2, 4), "bstar-1d-16": ("b_star", 1, 16)}[which]
+        params = derive_class_params(2, 2.5 if kind.startswith("q") else 0.5, kind, l=l)
+        if l == 1:
+            mesh, degrees, fam = preset_1d(params, N)
+            cov = mesh.covering()
+        else:
+            cov, degrees, fam = preset_2d(params, N)
+        spl = _unfilled(cov, degrees, fam)
+        rng = np.random.default_rng(3)
+        axis = np.linspace(0.0, 1.0, 101)
+        grid = np.stack(np.meshgrid(*[axis] * l, indexing="ij"), -1).reshape(-1, l)
+        corners = np.vstack([cov.lo_array, cov.hi_array, cov.lo_array * (1 + 1e-13),
+                             cov.hi_array * (1 - 1e-13)])
+        outside = np.array([[-0.1] * l, [1.0 + 1e-9] * l, [1.0 + 1e-13] * l, [0.5] * (l - 1) + [2.0]])
+        pts = np.vstack([grid, corners, spl.node_points().reshape(-1, l), rng.random((2000, l)),
+                         outside])
+        ref = np.full(pts.shape[0], -1)
+        bounds = closure_bounds(pts)
+        for ci in np.argsort(cov.causal_rank())[::-1]:
+            ref[cov.contains(bounds, ci)] = ci
+        out = spl.cell_of(pts)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(out[-4:] >= 0, [False, False, True, False])
+
     def test_constant_spline(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.5)
         spl = build_tensor_spline(lambda a, b: np.ones_like(a), cov, 3)
