@@ -9,8 +9,7 @@ asymptotics and bump-function scaling.
 """
 
 from .funclass import ClassParams, catalogue, derive_class_params, sample_member
-from .interp import (NodeSet, build_nodes, chebyshev1_roots, interpolate,
-                     lebesgue_constant, legendre_roots)
+from .interp import NodeSet, build_nodes, chebyshev1_roots, lebesgue_constant, legendre_roots
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, verify_causal_order)
@@ -27,8 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassParams", "derive_class_params", "sample_member", "catalogue",
-    "NodeSet", "legendre_roots", "chebyshev1_roots", "build_nodes", "interpolate",
-    "lebesgue_constant",
+    "NodeSet", "legendre_roots", "chebyshev1_roots", "build_nodes", "lebesgue_constant",
     "GradedMesh", "Covering", "power_graded_mesh", "geometric_mesh",
     "boundary_layer_covering", "corner_layer_covering", "geometric_covering",
     "causal_order", "verify_causal_order",

@@ -193,27 +193,6 @@ def lagrange_basis_matrix(nodeset: NodeSet, points) -> np.ndarray:
     return basis
 
 
-class BarycentricPolynomial:
-    """Degree m-1 interpolant in barycentric form; evaluation is exact at nodes."""
-
-    def __init__(self, nodeset: NodeSet, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (nodeset.m,):
-            raise ValueError(f"expected {nodeset.m} values, got shape {values.shape}")
-        self.nodeset = nodeset
-        self.values = values
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = lagrange_basis_matrix(self.nodeset, t_arr) @ self.values
-        return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-
-def interpolate(nodeset: NodeSet, values) -> BarycentricPolynomial:
-    """Interpolating polynomial through (nodes, values), in barycentric form."""
-    return BarycentricPolynomial(nodeset, values)
-
-
 def lebesgue_constant(nodeset: NodeSet, resolution: int | None = None) -> float:
     """Lower estimate of the Lebesgue constant of ``nodeset``.
 

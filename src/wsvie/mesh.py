@@ -139,9 +139,6 @@ class Covering:
     def ncells(self) -> int:
         return len(self.cells)
 
-    def volumes(self) -> np.ndarray:
-        return np.prod(self.hi_array - self.lo_array, axis=1)
-
     def causal_rank(self) -> np.ndarray:
         """Position of each cell in the canonical causal order (cached).
 

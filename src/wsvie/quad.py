@@ -12,11 +12,10 @@ helper from where x lies:
 * near rows (the rest) -- composite Gauss-Legendre with panels graded
   dyadically toward b.
 
-``axis_kernel_quadrature`` pads the branches into one rectangular (point,
-weight) table; ``kernel_moments`` contracts each branch on its own and
-evaluates the Lagrange basis only where weights are nonzero: once at the
-points that all far rows share, once at those that all near rows share and
-at n points per singular row.
+``kernel_moments`` contracts each branch on its own and evaluates the
+Lagrange basis only where weights are nonzero: once at the points that all
+far rows share, once at those that all near rows share and at n points per
+singular row.
 """
 
 from __future__ import annotations
@@ -188,49 +187,22 @@ def _branches(x, p: float, a: float, b: float, n: int):
         yield near, tau, w[None, :] * (x[near, None] - tau[None, :]) ** p
 
 
-def axis_kernel_quadrature(x, p: float, a: float, b: float, n: int):
-    """Quadrature points and kernel-folded weights for clipped moment integrals.
-
-    For each entry x_i of ``x`` produces points T[i, :] and weights W[i, :]
-    such that
-
-        int_a^{min(b, x_i)} (x_i - tau)^p F(tau) dtau  ~=  sum_q W[i, q] F(T[i, q]).
-
-    Rows with x_i <= a are identically zero. The factor (x_i - tau)^p is folded
-    into W. Rows with x_i <= b use an n-point Gauss-Jacobi rule, exact for
-    polynomial F up to degree 2n - 1; rows further than one interval length
-    past b use one Gauss-Legendre panel; the rows in between use composite
-    Gauss-Legendre panels graded dyadically toward b. Every row is padded to
-    ``_NEAR_PANELS * n`` points.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    width = _NEAR_PANELS * n
-    # unused slots keep weight 0; the pad point is an arbitrary interior value
-    # chosen to never coincide with interpolation nodes
-    T = np.full((x.size, width), a + 0.43716524 * (b - a), dtype=float)
-    W = np.zeros((x.size, width), dtype=float)
-    for rows, tau, w in _branches(x, p, a, b, n):
-        q = w.shape[1]
-        T[rows, :q] = tau
-        W[rows, :q] = w
-    return T, W
-
-
 def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet, n: int) -> np.ndarray:
     """Moments M[i, j] = int_a^{min(b, x_i)} (x_i - tau)^p l_j(tau) dtau.
 
     ``l_j`` are the fundamental polynomials of ``nodeset`` (extended as global
     polynomials; the integration range is always inside [a, b]). The rules are
-    those of ``axis_kernel_quadrature``, so singular rows are exact for the
-    polynomial factor when n >= m / 2. Each branch is contracted on its own,
-    without padding: the basis is evaluated at n points per singular row and
-    once at the points that all far (or all near) rows share.
+    those of ``_branches``, so singular rows are exact for the polynomial
+    factor when n >= m / 2, and rows with x_i <= a are zero. Each branch is
+    contracted on its own, without padding: the basis is evaluated at n
+    points per singular row and once at the points that all far (or all
+    near) rows share.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     M = np.zeros((x.size, nodeset.m))
     # einsum, not a BLAS matmul, for the shared-point rows too: it sums over q
-    # in the same order as a padded contraction, so the moments do not change
-    # by a bit
+    # in the same order as a contraction of the rows padded with zero weights,
+    # so the moments do not change by a bit
     for rows, tau, w in _branches(x, p, a, b, n):
         if tau.ndim == 1:
             M[rows] = np.einsum("rq,qm->rm", w, lagrange_basis_matrix(nodeset, tau))

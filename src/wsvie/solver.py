@@ -16,19 +16,20 @@ With no smooth factor (h absent) both pieces factorize per axis, because the
 kernel is a product and the spline is a tensor polynomial: the history
 contribution of a processed cell D reduces to W1 @ X_D @ W2.T with one moment
 matrix per axis. Those matrices depend only on D's range and node count on
-each axis, so the march (and the collocation residual check) walks the causal
-order in chunks of consecutive cells and builds per-axis moment tables per
-chunk: one ``kernel_moments`` call per axis and distinct source interval,
-evaluated at the sorted union of the chunk cells' node coordinates. A cell's
-moment matrices, for its history and for its own system, are row gathers
-from these tables, and its 2D history is a batched contraction over its
-stacked predecessors, summed in predecessor-index order. Each chunk's tables,
-and each block of stacked predecessors, hold about ``_TABLE_BUDGET`` doubles
-(1 MB), which bounds the extra memory of the march.
+each axis, so one generator, ``_cell_moments``, walks a sequence of target
+grids in chunks and builds per-axis moment tables per chunk: one
+``kernel_moments`` call per axis and distinct source interval, evaluated at
+the sorted union of the chunk's grid coordinates. The targets are the cells'
+node grids in causal order for the march and the collocation residual check,
+sample grids for ``residual`` and the uniform grid for the oracle. A target's
+moment matrices are row gathers from these tables, and its 2D history is a
+batched contraction over its stacked sources, summed in source-index order.
+Each chunk's tables, and each block of stacked sources, hold about
+``_TABLE_BUDGET`` doubles (1 MB), which bounds the extra memory of the march.
 
-A general h(t, tau) falls back to tensor Gauss cubature, one source cell at a
-time. Both forms come from one operator for a source cell at a target grid,
-which the solvers, the residual checks and the oracle share.
+A general h(t, tau) couples the axes. The generator then yields one
+flattened weight matrix per source cell, from tensor Gauss cubature over the
+same per-axis rules, and the consumers treat it as the one-axis case.
 
 Cells whose predecessors are complete could be solved concurrently (wavefront
 contract); this implementation is the single-threaded reference.
@@ -36,6 +37,7 @@ contract); this implementation is the single-threaded reference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -47,7 +49,7 @@ from .interp import geometric_degree_schedule, geometric_global_degree, power_de
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, shadow_matrix)
-from .quad import axis_kernel_quadrature, kernel_moments
+from .quad import _branches, kernel_moments
 from .spline import LocalSpline, TensorSpline, _inherited_values, _unfilled
 
 
@@ -137,82 +139,8 @@ def preset_2d(params, N: int):
 
 
 # ---------------------------------------------------------------------------
-# the integral over one source cell
+# the integral over source cells
 # ---------------------------------------------------------------------------
-
-def _cell_weights(kern: KernelSpec, targets, nodesets, quad_n: int, cache=None):
-    """Weights of the kernel integral over one source cell at a target grid.
-
-    ``nodesets`` holds the source cell's NodeSet per axis and ``targets`` one
-    coordinate array per axis; the integral along axis a is clipped at each
-    targets[a][i]. For h == 1 the result is the list of per-axis
-    ``kernel_moments`` matrices, shape (targets[a].size, m_a). They are kept
-    in ``cache`` under (axis, source range, node count), so one cache may only
-    serve calls with the same targets. For a general h the result is one
-    dense tensor-cubature array of shape (targets sizes..., m_1, ..., m_l).
-    """
-    if kern.smooth_factor is None:
-        cache = {} if cache is None else cache
-        factors = []
-        for axis, (x, p, ns) in enumerate(zip(targets, kern.exponents, nodesets)):
-            key = (axis, ns.a, ns.b, ns.m)
-            if key not in cache:
-                cache[key] = kernel_moments(x, p, ns.a, ns.b, ns, quad_n)
-            factors.append(cache[key])
-        return factors
-    rules = [axis_kernel_quadrature(x, p, ns.a, ns.b, quad_n)
-             for x, p, ns in zip(targets, kern.exponents, nodesets)]
-    C = [W[:, :, None] * lagrange_basis_matrix(ns, T.ravel()).reshape(*T.shape, ns.m)
-         for (T, W), ns in zip(rules, nodesets)]
-    if len(targets) == 1:
-        return np.einsum("rqa,rq->ra", C[0], kern.smooth_factor(targets[0][:, None], rules[0][0]))
-    (x1, x2), ((T1, _), (T2, _)) = targets, rules
-    h = kern.smooth_factor(x1[:, None, None, None], x2[None, :, None, None],
-                           T1[:, None, :, None], T2[None, :, None, :])
-    return np.einsum("iqa,ijqp,jpb->ijab", C[0], h, C[1], optimize=True)
-
-
-def _dense(weights) -> np.ndarray:
-    """Cell weights as one array of shape (targets sizes..., m_1, ..., m_l)."""
-    if not isinstance(weights, list):
-        return weights
-    if len(weights) == 1:
-        return weights[0]
-    return np.einsum("ia,jb->ijab", *weights)
-
-
-def _apply(weights, values: np.ndarray) -> np.ndarray:
-    """Integral of the source cell's spline with nodal ``values`` at the targets."""
-    if not isinstance(weights, list):
-        return np.tensordot(weights, values, axes=values.ndim)
-    if len(weights) == 1:
-        return weights[0] @ values
-    return weights[0] @ values @ weights[1].T
-
-
-def _self_matrix(kern: KernelSpec | None, nodesets, quad_n: int) -> np.ndarray:
-    """Matrix I - S of a cell's collocation equations at its own tensor nodes."""
-    n = math.prod(ns.m for ns in nodesets)
-    if kern is None:
-        return np.eye(n)
-    S = _dense(_cell_weights(kern, [ns.nodes for ns in nodesets], nodesets, quad_n))
-    return np.eye(n) - S.reshape(n, n)
-
-
-def _integral(kern: KernelSpec | None, targets, sources, quad_n: int) -> np.ndarray:
-    """Sum of the clipped integrals over ``sources`` at the target grid.
-
-    ``sources`` yields (per-axis NodeSets, nodal values) per source cell.
-    Many source cells share per-axis ranges, so moment matrices are cached
-    across them.
-    """
-    out = np.zeros(tuple(x.size for x in targets))
-    if kern is not None:
-        cache: dict = {}
-        for nodesets, values in sources:
-            out += _apply(_cell_weights(kern, targets, nodesets, quad_n, cache), values)
-    return out
-
 
 def _default_quad_n(nodesets) -> int:
     """Gauss points per panel: the largest per-axis node count plus 4, at most 64."""
@@ -224,25 +152,32 @@ def _default_quad_n(nodesets) -> int:
 _TABLE_BUDGET = 1 << 17
 
 
-def _cell_moments(kern: KernelSpec | None, nodesets, order, sources, quad_n: int):
-    """Per-axis moment matrices of each cell of ``order`` against its sources.
+def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources, quad_n: int):
+    """Weights of the kernel integrals over source cells at target grids.
 
-    ``sources(ci)`` gives the index array of the source cells that cell ci
-    integrates over. Yields (ci, srcs, moments) per cell, in order. For
-    h == 1, ``moments(lo, hi)`` returns per axis a the ``kernel_moments`` of
-    the sources srcs[lo:hi] at ci's nodes: one array of shape
-    (hi - lo, m_a of ci, m) when the sources share the node count m on that
-    axis, else a list of 2D arrays. They are row gathers from tables built
-    per chunk of consecutive cells: per axis, one call per distinct source
-    interval (a, b, m) of the chunk, evaluated at the sorted union of the
-    chunk cells' node coordinates. A chunk grows while its tables hold at
-    most ``_TABLE_BUDGET`` doubles, and takes at least one cell. Without a
-    kernel, or with a smooth factor, ``moments`` is None.
+    ``targets`` yields (key, grid) pairs, where grid holds one coordinate
+    array per axis, and ``sources(key)`` gives the index array of the source
+    cells whose integrals, clipped at each grid point, the target needs.
+    Yields (key, srcs, moments) per target, in order; ``moments(lo, hi)``
+    returns the weights of the sources srcs[lo:hi] at the grid, per axis:
+
+    * for h == 1, the ``kernel_moments`` of axis a: one array of shape
+      (hi - lo, grid[a].size, m) when the sources share the node count m on
+      that axis, else a list of 2D arrays. They are row gathers from tables
+      built per chunk of consecutive targets: per axis, one call per
+      distinct source interval (a, b, m) of the chunk, evaluated at the
+      sorted union of the chunk's grid coordinates. A chunk grows while its
+      tables hold at most ``_TABLE_BUDGET`` doubles, and takes at least one
+      target.
+    * with a smooth factor, or without a kernel, a single axis: a list of
+      one flattened matrix per source, of shape (grid size, m_1 * ... * m_l)
+      (see ``_cubature``).
     """
-    order = list(order)
+    targets = list(targets)
     if kern is None or kern.smooth_factor is not None:
-        for ci in order:
-            yield ci, sources(ci), None
+        for key, grid in targets:
+            srcs = sources(key)
+            yield key, srcs, partial(_cubature, kern, grid, [nodesets[d] for d in srcs], quad_n)
         return
     kid, reps = [], []   # per axis: each cell's interval id, one NodeSet per id
     for a in range(len(kern.exponents)):
@@ -252,21 +187,21 @@ def _cell_moments(kern: KernelSpec | None, nodesets, order, sources, quad_n: int
         reps.append([nodesets[ci][a] for ci in np.unique(kid[a], return_index=True)[1]])
     widths = [np.array([ns.m for ns in r]) for r in reps]
     pos = 0
-    while pos < len(order):
+    while pos < len(targets):
         used = [np.zeros(len(r), dtype=bool) for r in reps]
         coords = [set() for _ in reps]
         chunk = []
-        for ci in order[pos:]:
-            srcs = sources(ci)
+        for key, grid in targets[pos:]:
+            srcs = sources(key)
             grown = [u.copy() for u in used]
             for u, k in zip(grown, kid):
                 u[k[srcs]] = True
-            wider = [c.union(ns.nodes.tolist()) for c, ns in zip(coords, nodesets[ci])]
+            wider = [c.union(x.tolist()) for c, x in zip(coords, grid)]
             size = sum(len(c) * int(w[u].sum()) for c, w, u in zip(wider, widths, grown))
             if chunk and size > _TABLE_BUDGET:
                 break
             used, coords = grown, wider
-            chunk.append((ci, srcs))
+            chunk.append((key, grid, srcs))
         pos += len(chunk)
         tables = []
         for p, r, u, c, w in zip(kern.exponents, reps, used, coords, widths):
@@ -280,10 +215,10 @@ def _cell_moments(kern: KernelSpec | None, nodesets, order, sources, quad_n: int
             for j, i in enumerate(ids):
                 tab[j] = kernel_moments(x, p, r[i].a, r[i].b, r[i], quad_n)
             tables.append((x, local, tab))
-        for ci, srcs in chunk:
-            rows = [np.searchsorted(x, ns.nodes) for (x, _, _), ns in zip(tables, nodesets[ci])]
+        for key, grid, srcs in chunk:
+            rows = [np.searchsorted(x, g) for (x, _, _), g in zip(tables, grid)]
             sel = [local[k[srcs]] for (_, local, _), k in zip(tables, kid)]
-            yield ci, srcs, partial(_gather, [tab for _, _, tab in tables], rows, sel)
+            yield key, srcs, partial(_gather, [tab for _, _, tab in tables], rows, sel)
 
 
 def _gather(tabs, rows, sel, lo: int, hi: int) -> list:
@@ -292,28 +227,81 @@ def _gather(tabs, rows, sel, lo: int, hi: int) -> list:
             else [tab[i][r] for i in s[lo:hi]] for tab, r, s in zip(tabs, rows, sel)]
 
 
+def _cubature(kern: KernelSpec | None, grid, sources, quad_n: int, lo: int, hi: int) -> list:
+    """Flattened weights of the source cells sources[lo:hi] at ``grid``, as one axis.
+
+    ``sources`` holds per-axis NodeSets per cell. Each weight matrix has
+    shape (grid size, m_1 * ... * m_l): zero without a kernel, else tensor
+    Gauss cubature of h * g times the cell's tensor Lagrange basis. The
+    smooth factor couples the axes, so the cubature is summed for every
+    tuple of per-axis ``_branches`` rules, over the rows of those branches.
+    """
+    size = math.prod(x.size for x in grid)
+    out = []
+    for nodesets in sources[lo:hi]:
+        if kern is None:
+            out.append(np.zeros((size, math.prod(ns.m for ns in nodesets))))
+            continue
+        rules = []   # per axis: (rows, points, weights times basis) per branch
+        for x, p, ns in zip(grid, kern.exponents, nodesets):
+            rules.append([])
+            for rows, tau, w in _branches(x, p, ns.a, ns.b, quad_n):
+                tau = np.broadcast_to(tau, w.shape)
+                basis = lagrange_basis_matrix(ns, tau.ravel()).reshape(*w.shape, ns.m)
+                rules[-1].append((rows, tau, w[:, :, None] * basis))
+        W = np.zeros(tuple(x.size for x in grid) + tuple(ns.m for ns in nodesets))
+        if len(grid) == 1:
+            for rows, T, C in rules[0]:
+                h = kern.smooth_factor(grid[0][rows, None], T)
+                W[rows] = np.einsum("rqa,rq->ra", C, h)
+        else:
+            (x1, x2) = grid
+            for (r1, T1, C1), (r2, T2, C2) in itertools.product(*rules):
+                h = kern.smooth_factor(x1[r1, None, None, None], x2[None, r2, None, None],
+                                       T1[:, None, :, None], T2[None, :, None, :])
+                W[np.ix_(r1, r2)] = np.einsum("iqa,ijqp,jpb->ijab", C1, h, C2, optimize=True)
+        out.append(W.reshape(size, -1))
+    return [out]
+
+
+def _dense(weights) -> np.ndarray:
+    """Per-axis weights as one array of shape (grid sizes..., m_1, ..., m_l)."""
+    if len(weights) == 1:
+        return weights[0]
+    return np.einsum("ia,jb->ijab", *weights)
+
+
 def _history(moments, values, shape) -> np.ndarray:
     """Sum over sources, in their order, of the integrals of their splines.
 
-    ``moments`` is one cell's gather from ``_cell_moments``, ``values`` the
-    nodal values of its first sources and ``shape`` the cell's node grid.
-    Sources are taken in blocks whose moments hold about ``_TABLE_BUDGET``
-    doubles. When both axes of a 2D cell carry stacked moments, a block is
-    one batched contraction, still summed in source order.
+    ``moments`` is one target's weights from ``_cell_moments``, ``values``
+    the nodal values of its first sources and ``shape`` the target grid's.
+    Sources are taken in blocks whose weights hold about ``_TABLE_BUDGET``
+    doubles. When both axes of a 2D grid carry stacked moments, a block is
+    one batched contraction, still summed in source order: an accumulation,
+    since ``sum`` adds pairwise along a contiguous axis.
     """
     out = np.zeros(shape)
     step = max(1, _TABLE_BUDGET // math.prod(shape))
     for lo in range(0, len(values), step):
         block = values[lo:lo + step]
         W = moments(lo, lo + len(block))
-        if len(shape) == 2 and all(isinstance(w, np.ndarray) for w in W):
+        if len(W) == 1:
+            for w, v in zip(W[0], block):
+                out += (w @ v.ravel()).reshape(shape)
+        elif all(isinstance(w, np.ndarray) for w in W):
             part = np.matmul(np.matmul(W[0], np.stack(block)), W[1].transpose(0, 2, 1))
             part[0] += out
-            out = part.sum(axis=0)
+            out = np.add.accumulate(part)[-1]   # in order, even for a 1 x 1 grid
         else:
-            for d, v in enumerate(block):
-                out += _apply([w[d] for w in W], v)
+            for w1, w2, v in zip(*W, block):
+                out += w1 @ v @ w2.T
     return out
+
+
+def _node_grids(nodesets, cells):
+    """(cell, node coordinates per axis) for each of ``cells``: march targets."""
+    return ((ci, [ns.nodes for ns in nodesets[ci]]) for ci in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +327,16 @@ def _march(problem: VieProblem, spl: TensorSpline, order, quad_n: int | None,
     rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
     # a cell's sources are its predecessors, then the cell itself
-    cells = _cell_moments(kern, nodesets, order,
+    cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
                           lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci), quad_n)
     for ci, srcs, moments in cells:
         pred_idx = srcs[:-1]
         if not done[pred_idx].all():
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
-        nsets = nodesets[ci]
-        shape = tuple(ns.m for ns in nsets)
-        preds = [values[di] for di in pred_idx]
-        if moments is None:
-            H = _integral(kern, [ns.nodes for ns in nsets],
-                          zip([nodesets[di] for di in pred_idx], preds), quad_n)
-            A = _self_matrix(kern, nsets, quad_n)
-        else:
-            H = _history(moments, preds, shape)
-            own = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
-            A = np.eye(H.size) - own.reshape(H.size, H.size)
+        shape = tuple(ns.m for ns in nodesets[ci])
+        H = _history(moments, [values[di] for di in pred_idx], shape)
+        own = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
+        A = np.eye(H.size) - own.reshape(H.size, H.size)
         pts = spl.node_grid(ci)
         known_mask, known_vals = _inherited_values(spl, pts, pred_idx[np.argsort(rank[pred_idx])])
         rhs = np.asarray(problem.rhs(*pts.T), dtype=float) + H.ravel()
@@ -429,16 +410,21 @@ def residual(problem: VieProblem, solution, samples, quad_n: int = 12) -> float:
     """
     if problem.l == 1:
         samples = (samples,)
-    elif isinstance(samples, np.ndarray) and samples.ndim == 2:
-        return max(residual(problem, solution, (samples[i, :1], samples[i, 1:]), quad_n)
-                   for i in range(samples.shape[0]))
-    axes = [np.atleast_1d(np.asarray(ax, dtype=float)) for ax in samples]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    kx = _integral(problem.kernel, axes, zip(solution.nodesets, solution.values), quad_n)
-    r = (solution.eval(pts).reshape(kx.shape) - kx
-         - np.asarray(problem.rhs(*grids), dtype=float))
-    return float(np.max(np.abs(r)))
+    if isinstance(samples, np.ndarray) and samples.ndim == 2:
+        grids = [(pt[:1], pt[1:]) for pt in samples]
+    else:
+        grids = [[np.atleast_1d(np.asarray(ax, dtype=float)) for ax in samples]]
+    cells = np.arange(len(solution.values))
+    worst = []
+    for i, _, moments in _cell_moments(problem.kernel, solution.nodesets, enumerate(grids),
+                                       lambda _: cells, quad_n):
+        mesh = np.meshgrid(*grids[i], indexing="ij")
+        pts = np.column_stack([g.ravel() for g in mesh])
+        kx = _history(moments, solution.values, mesh[0].shape)
+        r = (solution.eval(pts).reshape(kx.shape) - kx
+             - np.asarray(problem.rhs(*mesh), dtype=float))
+        worst.append(float(np.max(np.abs(r))))
+    return max(worst)
 
 
 def collocation_residual(problem: VieProblem, solution, quad_n: int | None = None) -> float:
@@ -453,22 +439,14 @@ def collocation_residual(problem: VieProblem, solution, quad_n: int | None = Non
         quad_n = _default_quad_n(nodesets)
     # a cell integrates over its shadow predecessors and its own clipped range
     shadow = shadow_matrix(solution.covering) | np.eye(len(values), dtype=bool)
-    checked = [ci for ci, own in enumerate(owned) if own.any()]
+    checked = _node_grids(nodesets, [ci for ci, own in enumerate(owned) if own.any()])
     worst = 0.0
     for ci, srcs, moments in _cell_moments(problem.kernel, nodesets, checked,
                                            lambda ci: np.nonzero(shadow[:, ci])[0], quad_n):
-        targets = [ns.nodes for ns in nodesets[ci]]
-        srcvals = [values[di] for di in srcs]
-        if moments is None:
-            K = _integral(problem.kernel, targets,
-                          zip([nodesets[di] for di in srcs], srcvals), quad_n)
-        else:
-            K = _history(moments, srcvals, values[ci].shape)
-        lhs = values[ci] - K
-        own = owned[ci]
-        grids = np.meshgrid(*targets, indexing="ij")
+        lhs = values[ci] - _history(moments, [values[di] for di in srcs], values[ci].shape)
+        grids = np.meshgrid(*[ns.nodes for ns in nodesets[ci]], indexing="ij")
         rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)
-        worst = max(worst, float(np.max(np.abs((lhs - rhs.reshape(lhs.shape))[own]))))
+        worst = max(worst, float(np.max(np.abs((lhs - rhs.reshape(lhs.shape))[owned[ci]]))))
     return worst
 
 
@@ -487,15 +465,16 @@ class OracleSolution:
 def _linear_weight_matrix(t: np.ndarray, kern: KernelSpec, quad_n: int) -> np.ndarray:
     """Nodal weights V with (V x)[i] ~= int_0^{t_i} kernel * (linear interp of x).
 
-    ``kern`` is a one-axis kernel; each grid step is a two-node source cell.
+    ``kern`` is a one-axis kernel; each grid step is a two-node source cell
+    whose weights at the grid ``t`` go to the columns of its two nodes.
     """
-    n = t.size - 1
-    V = np.zeros((n + 1, n + 1))
-    for j in range(n):
-        lin = build_nodes((t[j], t[j + 1]), "legendre_closed", 2)
-        M = _dense(_cell_weights(kern, (t[j + 1:],), (lin,), quad_n))
-        V[j + 1:, j] += M[:, 0]
-        V[j + 1:, j + 1] += M[:, 1]
+    steps = [(build_nodes((t[j], t[j + 1]), "legendre_closed", 2),) for j in range(t.size - 1)]
+    [(_, _, moments)] = _cell_moments(kern, steps, [(0, (t,))],
+                                      lambda _: np.arange(len(steps)), quad_n)
+    M = np.asarray(moments(0, len(steps))[0])
+    V = np.zeros((t.size, t.size))
+    V[:, :-1] += M[:, :, 0].T
+    V[:, 1:] += M[:, :, 1].T
     return V
 
 

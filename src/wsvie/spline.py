@@ -262,7 +262,18 @@ def max_node_error(spline, f, owned_only: bool = False) -> float:
 
 
 def n_functionals(spline) -> int:
-    """Number of distinct node points carrying the spline's data."""
+    """Number of distinct node points carrying the spline's data.
+
+    Coordinates closer than the relative slack of ``closure_bounds`` count as
+    one, so a face node computed in two cells is counted once even when the
+    two copies differ in the last bit. Along each axis the sorted coordinates
+    form clusters wherever neighbours x < y satisfy y - x <= 1e-12 (|x| + |y|);
+    points are counted by their per-axis cluster ids.
+    """
     pts = spline.node_points().reshape(-1, spline.covering.l)
-    scale = max(abs(pts).max(), 1.0)
-    return int(np.unique(np.round(pts / scale, 12), axis=0).shape[0])
+    ids = np.empty(pts.shape, dtype=int)
+    for a in range(pts.shape[1]):
+        x, inverse = np.unique(pts[:, a], return_inverse=True)
+        apart = np.diff(x) > 1e-12 * (np.abs(x[1:]) + np.abs(x[:-1]))
+        ids[:, a] = np.concatenate([[0], np.cumsum(apart)])[inverse]
+    return int(np.unique(ids, axis=0).shape[0])

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from wsvie import quad
 from wsvie.interp import build_nodes, lagrange_basis_matrix
-from wsvie.quad import (axis_kernel_quadrature, gauss_jacobi, gauss_legendre, integrate_box,
-                        kernel_moments, power_moment)
+from wsvie.quad import gauss_jacobi, gauss_legendre, integrate_box, kernel_moments, power_moment
 
 
 def test_one_point_rule_is_midpoint():
@@ -156,14 +156,27 @@ def test_kernel_moments_abel_exponent():
 
 
 def test_axis_quadrature_rows_below_interval_are_zero():
-    T, W = axis_kernel_quadrature(np.array([0.05, 0.2]), 2.5, 0.2, 0.7, 6)
-    assert np.all(W[0] == 0.0)
-    assert np.all(W[1] == 0.0)  # x == a: clipped range is empty
+    ns = build_nodes((0.2, 0.7), "legendre_closed", 5)
+    M = kernel_moments(np.array([0.05, 0.2]), 2.5, 0.2, 0.7, ns, 6)
+    assert np.all(M[0] == 0.0)
+    assert np.all(M[1] == 0.0)  # x == a: clipped range is empty
+
+
+def _padded_rule(x, p, a, b, n):
+    # every row's branch rule padded to 13 n points with zero weights; the pad
+    # point is an interior value that never coincides with an interpolation node
+    width = quad._NEAR_PANELS * n
+    T = np.full((x.size, width), a + 0.43716524 * (b - a))
+    W = np.zeros((x.size, width))
+    for rows, tau, w in quad._branches(x, p, a, b, n):
+        T[rows, :w.shape[1]] = tau
+        W[rows, :w.shape[1]] = w
+    return T, W
 
 
 def _padded_moments(x, p, a, b, nodeset, n):
-    # reference: contract the padded rows of axis_kernel_quadrature, every slot
-    T, W = axis_kernel_quadrature(x, p, a, b, n)
+    # reference: contract the padded rows of every branch, every slot
+    T, W = _padded_rule(np.atleast_1d(np.asarray(x, dtype=float)), p, a, b, n)
     R, Q = T.shape
     basis = lagrange_basis_matrix(nodeset, T.ravel()).reshape(R, Q, nodeset.m)
     return np.einsum("rq,rqm->rm", W, basis)
@@ -191,6 +204,45 @@ def test_kernel_moments_match_padded_contraction(p, m):
     assert M.shape == ref.shape == (xs.size, m)
     assert np.all(M[:2] == 0.0)
     assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_smooth_factor_cubature_matches_padded_contraction(l):
+    # a smooth factor h couples the axes: the solver's cubature over each tuple
+    # of per-axis branches must match one dense contraction of padded rows. In
+    # 2D einsum groups the sums over unpadded and padded rows differently, so
+    # a near row on one axis with a singular or far row on the other may round
+    # differently (3.8e-19 of the largest weight when this test was added)
+    from wsvie.solver import KernelSpec, _cubature
+
+    boxes, ps, ms = [(0.25, 0.65), (0.1, 0.3)][:l], (2.5, -0.5)[:l], (5, 4)[:l]
+    nodesets = tuple(build_nodes(box, "legendre_closed", m) for box, m in zip(boxes, ms))
+    grid = [_rows_in_every_branch(a, b) for a, b in boxes]
+    n = 9
+    if l == 1:
+        def h(t, u):
+            return 2.0 + t * u
+    else:
+        def h(t1, t2, u1, u2):
+            return np.exp(t1 * u2) - 0.5 * t2 * u1
+    kern = KernelSpec(exponents=ps, smooth_factor=h)
+    [[W]] = _cubature(kern, grid, [nodesets], n, 0, 1)
+    rules = [_padded_rule(x, p, a, b, n) for x, p, (a, b) in zip(grid, ps, boxes)]
+    C = [w[:, :, None] * lagrange_basis_matrix(ns, T.ravel()).reshape(*T.shape, ns.m)
+         for (T, w), ns in zip(rules, nodesets)]
+    if l == 1:
+        ref = np.einsum("rqa,rq->ra", C[0], h(grid[0][:, None], rules[0][0]))
+    else:
+        (x1, x2), ((T1, _), (T2, _)) = grid, rules
+        hh = h(x1[:, None, None, None], x2[None, :, None, None],
+               T1[:, None, :, None], T2[None, :, None, :])
+        ref = np.einsum("iqa,ijqp,jpb->ijab", C[0], hh, C[1], optimize=True)
+    assert W.shape == (math.prod(x.size for x in grid), math.prod(ms))
+    ref = ref.reshape(W.shape)
+    assert np.max(np.abs(ref)) > 0
+    assert np.max(np.abs(W - ref)) <= 1e-15 * np.max(np.abs(ref))
+    if l == 1:
+        assert np.array_equal(W, ref)
 
 
 def _abel_problem():

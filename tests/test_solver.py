@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -319,25 +321,26 @@ class TestSolve2D:
             solve_2d(prob, cov, degree, fam, order=list(range(cov.ncells))[::-1])
 
 
-def _per_pair_moments(kern, nodesets, order, sources, quad_n):
-    """Reference for ``solver._cell_moments``: one call per (cell, source, axis).
+def _per_pair_moments(kern, nodesets, targets, sources, quad_n):
+    """Reference for ``solver._cell_moments``: one call per (target, source, axis).
 
-    Each source's moments are computed at the cell's own nodes and handed
+    Each source's moments are computed at the target grid itself and handed
     over as lists, so ``_history`` sums the sources one by one.
     """
     import wsvie.solver as solver
 
-    def moments(ci, srcs, lo, hi):
-        return [[solver.kernel_moments(nodesets[ci][a].nodes, p, nodesets[di][a].a,
-                                       nodesets[di][a].b, nodesets[di][a], quad_n)
-                 for di in srcs[lo:hi]] for a, p in enumerate(kern.exponents)]
+    def moments(grid, srcs, lo, hi):
+        return [[solver.kernel_moments(x, p, nodesets[di][a].a, nodesets[di][a].b,
+                                       nodesets[di][a], quad_n)
+                 for di in srcs[lo:hi]] for a, (x, p) in enumerate(zip(grid, kern.exponents))]
 
-    for ci in order:
-        srcs = sources(ci)
+    for key, grid in targets:
+        srcs = sources(key)
         if kern is None or kern.smooth_factor is not None:
-            yield ci, srcs, None
+            yield key, srcs, partial(solver._cubature, kern, grid,
+                                     [nodesets[di] for di in srcs], quad_n)
         else:
-            yield ci, srcs, lambda lo, hi, ci=ci, srcs=srcs: moments(ci, srcs, lo, hi)
+            yield key, srcs, partial(moments, grid, srcs)
 
 
 def _table_case(case):
@@ -367,6 +370,40 @@ def _table_case(case):
             preset_2d(derive_class_params(2, gamma, kind, l=2), N))
 
 
+def _check_case(case):
+    """A function returning the outputs of one residual or oracle case.
+
+    A residual case also returns the history sum at each of its grids.
+    """
+    import wsvie.solver as solver
+    from wsvie.funclass import derive_class_params
+
+    if case.startswith("oracle"):
+        prob = get_problem(f"corner-power-{case[-2:]}")
+        return lambda: [oracle_solve(prob, 60 if prob.l == 1 else 20).values]
+    prob = get_problem("corner-power-2d")
+    sol = solve_2d(prob, *preset_2d(derive_class_params(2, 0.5, "b_star", l=2), 2))
+    if case == "residual-2d-grid":
+        ax = np.linspace(0.0, 1.0, 13)
+        samples = (ax, ax[::-1] ** 2)
+        grids = [samples]
+    else:
+        # points on faces, at corners and inside cells; each is its own grid
+        samples = np.vstack([np.random.default_rng(5).random((30, 2)),
+                             [[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [0.0, 0.7]]])
+        grids = [(pt[:1], pt[1:]) for pt in samples]
+    cells = np.arange(len(sol.values))
+
+    def run():
+        targets = solver._cell_moments(prob.kernel, sol.nodesets, enumerate(grids),
+                                       lambda _: cells, 12)
+        return [residual(prob, sol, samples)] + [
+            solver._history(M, sol.values, tuple(x.size for x in grids[i]))
+            for i, _, M in targets]
+
+    return run
+
+
 def _counting(monkeypatch):
     """Count the solver's ``kernel_moments`` calls; returns the one-item counter."""
     import wsvie.solver as solver
@@ -384,13 +421,17 @@ def _counting(monkeypatch):
 class TestMomentTables:
     # h == 1 cases under the default table budget, one that splits the march
     # into many chunks, and one that gives every cell a chunk of its own and
-    # sums its history in blocks of a few sources
+    # sums its history in blocks of a few sources; then the residual checks
+    # and the oracle, which take their weights from the same generator
     @pytest.mark.parametrize("case, budget", [
         *[pytest.param(case, budget, id=f"{case}-{budget or 'default'}")
           for case in ("power-2d-qstar-4", "power-2d-bstar-3", "abel-1d-bstar-8")
           for budget in (None, 1 << 12, 100)],
         pytest.param("h2-1d-qstar-6", None, id="h2-1d-qstar-6"),
-        pytest.param("h2-2d-qstar-2", None, id="h2-2d-qstar-2")])
+        pytest.param("h2-2d-qstar-2", None, id="h2-2d-qstar-2"),
+        *[pytest.param(case, budget, id=f"{case}-{budget or 'default'}")
+          for case in ("residual-2d-grid", "residual-2d-points", "oracle-1d", "oracle-2d")
+          for budget in (None, 100)]])
     def test_values_match_per_pair_sums(self, case, budget, monkeypatch):
         # bit-identical: every moment row and the order of every history sum
         # are those of the per-pair reference, whatever the chunking
@@ -398,12 +439,19 @@ class TestMomentTables:
 
         if budget is not None:
             monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
+        if case.startswith(("residual", "oracle")):
+            run = _check_case(case)
+            fast = run()
+            monkeypatch.setattr(solver, "_cell_moments", _per_pair_moments)
+            ref = run()
+            assert all(np.array_equal(f, r) for f, r in zip(fast, ref, strict=True))
+            return
         prob, solve, disc = _table_case(case)
         calls = _counting(monkeypatch)
         fast = solve(prob, *disc)
         fast_res = collocation_residual(prob, fast)
         if prob.kernel.smooth_factor is not None:
-            assert calls[0] == 0  # a smooth factor keeps the dense cubature
+            assert calls[0] == 0  # a smooth factor takes the tensor cubature
         tables = solver._cell_moments
         monkeypatch.setattr(solver, "_cell_moments", _per_pair_moments)
         ref = solve(prob, *disc)
@@ -416,7 +464,8 @@ class TestMomentTables:
         # leave the nodal values unchanged: compare each cell's sums directly
         if prob.kernel.smooth_factor is None:
             shadow = shadow_matrix(fast.covering) | np.eye(len(fast.values), dtype=bool)
-            args = (prob.kernel, fast.nodesets, np.argsort(fast.covering.causal_rank()),
+            order = np.argsort(fast.covering.causal_rank())
+            args = (prob.kernel, fast.nodesets, list(solver._node_grids(fast.nodesets, order)),
                     lambda ci: np.nonzero(shadow[:, ci])[0],
                     solver._default_quad_n(fast.nodesets))
             for (ci, srcs, M), (_, _, R) in zip(tables(*args), _per_pair_moments(*args)):

@@ -231,6 +231,24 @@ class TestTensorSpline:
         # 4 segments x 3 nodes with 3 shared breakpoints
         assert n_functionals(spl) == 9
 
+    def test_n_functionals_slack_is_relative(self):
+        # distinct nodes in the cells near 0 of a deep geometric mesh stay
+        # distinct: an absolute slack of 1e-12 T counted 1,276 and 1,369
+        from wsvie.funclass import derive_class_params
+        from wsvie.solver import preset_1d, preset_2d
+
+        b_star = derive_class_params(2, 0.5, "b_star")
+        for N, count in ((40, 1301), (48, 1613)):
+            spl = build_spline_1d(np.sqrt, *preset_1d(b_star, N))
+            assert np.unique(spl.node_points()).size == count
+            assert n_functionals(spl) == count
+        # a face node computed in two cells may differ in the last bit, and
+        # counts once: Q* N = 4 has 1,655 exactly distinct node points
+        cov, degree, fam = preset_2d(derive_class_params(2, 2.5, "q_star", l=2), 4)
+        spl = build_tensor_spline(lambda t1, t2: t1 * t2, cov, degree, family=fam)
+        assert np.unique(spl.node_points(), axis=0).shape[0] == 1655
+        assert n_functionals(spl) == 1651
+
     def test_serialization_round_trip(self):
         # a 2D covering, and the one-axis covering of a 1D mesh
         rng = np.random.default_rng(1)
