@@ -181,13 +181,19 @@ def lagrange_basis_matrix(nodeset: NodeSet, points) -> np.ndarray:
     l_0(t_p), ..., l_{m-1}(t_p). Rows at points coinciding with a node are
     exact unit vectors.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    diff = pts[:, None] - nodeset.nodes[None, :]
-    hit = diff == 0.0
-    hit_row = hit.any(axis=1)
+    return _barycentric(nodeset.nodes, nodeset.weights, np.atleast_1d(np.asarray(points, float)))
+
+
+def _barycentric(nodes, weights, pts) -> np.ndarray:
+    """Fundamental polynomials of stacked node systems, shape (..., P, m).
+
+    ``nodes``, ``weights`` (..., m) and ``pts`` (..., P) broadcast on their leading axes."""
+    basis = pts[..., :, None] - nodes[..., None, :]
+    hit = basis == 0.0
+    hit_row = hit.any(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = nodeset.weights[None, :] / diff
-        basis = ratio / ratio.sum(axis=1, keepdims=True)
+        np.divide(weights[..., None, :], basis, out=basis)
+        basis /= basis.sum(axis=-1, keepdims=True)
     if hit_row.any():
         basis[hit_row] = hit[hit_row].astype(float)
     return basis

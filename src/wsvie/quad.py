@@ -12,10 +12,12 @@ helper from where x lies:
 * near rows (the rest) -- composite Gauss-Legendre with panels graded
   dyadically toward b.
 
-``kernel_moments`` contracts each branch on its own and evaluates the
-Lagrange basis only where weights are nonzero: once at the points that all
-far rows share, once at those that all near rows share and at n points per
-singular row.
+``stacked_kernel_moments`` takes the moments of many intervals with one
+node count at one coordinate array; ``kernel_moments`` is its one-interval
+case. The Lagrange basis is evaluated only where weights are nonzero: once
+per interval at the points that its far rows share, once at those that its
+near rows share and at n points per singular row. One einsum contracts the
+rules of many intervals, each summed as if alone, so stacking changes no bit.
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interp import NodeSet, lagrange_basis_matrix, legendre_roots, _legendre_and_derivative
+from .interp import NodeSet, _barycentric, _legendre_and_derivative, legendre_roots
 
 # composite Gauss-Legendre panels of a near row
 _NEAR_PANELS = 13
+
+# doubles (1 MB) for a chunk's moment tables or a block of history sums; a
+# block of moment rules keeps its weights and basis to an eighth of it
+_TABLE_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -142,49 +148,78 @@ def power_moment(a: float, b: float, t: float) -> float:
     return math.exp(_log_beta(a + 1.0, b + 1.0)) * t ** (a + b + 1.0)
 
 
-def _branches(x, p: float, a: float, b: float, n: int):
-    """Classify the rows of a clipped moment integral and yield their rules.
+def _branches(x, p: float, a, b, n: int, m: int):
+    """Classify rows against S intervals [a[s], b[s]]; yield their rules in blocks.
 
-    Yields ``(rows, T, W)`` once per non-empty branch, where ``rows`` is a
-    boolean mask over ``x`` and W carries the folded factor (x_i - tau)^p:
-
-    * singular rows (x_i <= b): n Gauss-Jacobi points on [a, x_i], so T and
-      W have shape (k, n);
+    * singular rows (a < x_i <= b): n Gauss-Jacobi points on [a, x_i], a rule
+      per row;
     * far rows (x_i - b >= b - a): one Gauss-Legendre panel on [a, b];
-    * near rows: ``_NEAR_PANELS`` Gauss-Legendre panels on [a, b], graded
-      dyadically toward b.
+    * near rows (the rest): ``_NEAR_PANELS`` Gauss-Legendre panels on [a, b],
+      graded dyadically toward b.
 
-    Far and near rows share their points, so T has shape (q,) and W shape
-    (k, q) there. Rows with x_i <= a belong to no branch.
+    Far (and near) rows of an interval share one rule; rows with x_i <= a
+    belong to no branch. Yields ``(s, rows, T, W)`` per block: rule u of
+    interval s[u] has the points T[u], and W[u, c] are its weights, with
+    (x - tau)^p folded in, for row rows[u, c]. A rule with fewer rows than the
+    block width repeats its last row, so duplicate weights equal real ones.
+    Rules go by row count, so blocks pad little; a block's weights and basis
+    of m functions hold at most ``_TABLE_BUDGET / 8`` doubles, or one rule.
     """
+    a, b = np.reshape(a, (-1, 1)).astype(float), np.reshape(b, (-1, 1)).astype(float)
     active = np.minimum(x, b) > a
-    if not active.any():
-        return
     singular = active & (x <= b)
     far = active & (x - b >= (b - a))
-    near = active & ~singular & ~far
-
-    if singular.any():
-        jac = gauss_jacobi(n, p)
-        L = (x[singular] - a)[:, None]
-        tau = a + 0.5 * L * (jac.nodes[None, :] + 1.0)
-        yield singular, tau, (0.5 * L) ** (p + 1.0) * jac.weights[None, :]
-
     gl = gauss_legendre(n)
-    if far.any():
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        tau = mid + half * gl.nodes
-        yield far, tau, half * gl.weights[None, :] * (x[far, None] - tau[None, :]) ** p
+    for rows, panels in ((singular, 0), (far, 1), (active & ~singular & ~far, _NEAR_PANELS)):
+        s, r = np.nonzero(rows)   # by interval, then row
+        if not s.size:
+            continue
+        count = np.bincount(s, minlength=len(a)) if panels else np.ones(s.size, int)
+        first = np.cumsum(count) - count
+        order = np.argsort(count, kind="stable")[count.size - np.count_nonzero(count):]
+        q, sizes = n * max(panels, 1), count[order].tolist()
+        lo = 0
+        while lo < order.size:
+            hi = lo + 1
+            while hi < order.size and (hi + 1 - lo) * (sizes[hi] + m) * 8 * q <= _TABLE_BUDGET:
+                hi += 1
+            u, lo = order[lo:hi], hi
+            su = s[first[u]]
+            ru = r[first[u, None] + np.minimum(np.arange(count[u[-1]]), count[u, None] - 1)]
+            if not panels:
+                jac = gauss_jacobi(n, p)
+                L = x[ru] - a[su]
+                tau = a[su] + 0.5 * L * (jac.nodes[None, :] + 1.0)
+                yield su, ru, tau, ((0.5 * L) ** (p + 1.0) * jac.weights[None, :])[:, None, :]
+                continue
+            los, his = a[su], b[su]
+            if panels > 1:
+                # with L = b - a, panel j spans [b - L 2^-j, b - L 2^-(j+1)];
+                # the last panel reaches b
+                los = his - (his - los) * 0.5 ** np.arange(panels)
+                his = np.concatenate([los[:, 1:], his], axis=1)
+            mid, half = 0.5 * (los + his)[:, :, None], 0.5 * (his - los)[:, :, None]
+            tau = (mid + half * gl.nodes).reshape(u.size, q)
+            w = (half * gl.weights).reshape(u.size, 1, q)
+            yield su, ru, tau, w * (x[ru][:, :, None] - tau[:, None, :]) ** p
 
-    if near.any():
-        # with L = b - a, panel j spans [b - L 2^-j, b - L 2^-(j+1)]; the last
-        # panel reaches b
-        los = b - (b - a) * 0.5 ** np.arange(_NEAR_PANELS)
-        his = np.append(los[1:], b)
-        mid, half = 0.5 * (los + his)[:, None], 0.5 * (his - los)[:, None]
-        tau = (mid + half * gl.nodes[None, :]).ravel()
-        w = (half * gl.weights[None, :]).ravel()
-        yield near, tau, w[None, :] * (x[near, None] - tau[None, :]) ** p
+
+def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int) -> np.ndarray:
+    """``kernel_moments`` of S intervals at once: an array of shape (S, x.size, m).
+
+    Interval s runs from a[s] to b[s] and carries the fundamental polynomials
+    of nodesets[s], which share their node count m. Each row equals that of
+    ``kernel_moments`` on its interval alone, to the bit.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    nodes = np.array([ns.nodes for ns in nodesets])
+    weights = np.array([ns.weights for ns in nodesets])
+    M = np.zeros((len(nodesets), x.size, nodes.shape[1]))
+    for s, rows, tau, W in _branches(x, p, a, b, n, nodes.shape[1]):
+        # einsum, not a BLAS matmul: it sums over q in the order of one
+        # interval's contraction, so the moments do not change by a bit
+        M[s[:, None], rows] = np.einsum("scq,sqm->scm", W, _barycentric(nodes[s], weights[s], tau))
+    return M
 
 
 def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet, n: int) -> np.ndarray:
@@ -193,21 +228,9 @@ def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet, n: int) ->
     ``l_j`` are the fundamental polynomials of ``nodeset`` (extended as global
     polynomials; the integration range is always inside [a, b]). The rules are
     those of ``_branches``, so singular rows are exact for the polynomial
-    factor when n >= m / 2, and rows with x_i <= a are zero. Each branch is
-    contracted on its own, without padding: the basis is evaluated at n
-    points per singular row and once at the points that all far (or all
+    factor when n >= m / 2, and rows with x_i <= a are zero. This is the
+    one-interval case of ``stacked_kernel_moments``: the basis is evaluated at
+    n points per singular row and once at the points that all far (or all
     near) rows share.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    M = np.zeros((x.size, nodeset.m))
-    # einsum, not a BLAS matmul, for the shared-point rows too: it sums over q
-    # in the same order as a contraction of the rows padded with zero weights,
-    # so the moments do not change by a bit
-    for rows, tau, w in _branches(x, p, a, b, n):
-        if tau.ndim == 1:
-            M[rows] = np.einsum("rq,qm->rm", w, lagrange_basis_matrix(nodeset, tau))
-        else:
-            k, q = tau.shape
-            basis = lagrange_basis_matrix(nodeset, tau.ravel()).reshape(k, q, nodeset.m)
-            M[rows] = np.einsum("rq,rqm->rm", w, basis)
-    return M
+    return stacked_kernel_moments(x, p, [a], [b], [nodeset], n)[0]

@@ -17,9 +17,10 @@ kernel is a product and the spline is a tensor polynomial: the history
 contribution of a processed cell D reduces to W1 @ X_D @ W2.T with one moment
 matrix per axis. Those matrices depend only on D's range and node count on
 each axis, so one generator, ``_cell_moments``, walks a sequence of target
-grids in chunks and builds per-axis moment tables per chunk: one
-``kernel_moments`` call per axis and distinct source interval, evaluated at
-the sorted union of the chunk's grid coordinates. The targets are the cells'
+grids in chunks and builds per-axis moment tables per chunk, one per
+distinct source interval, evaluated at the sorted union of the chunk's grid
+coordinates: per axis, one ``stacked_kernel_moments`` call per node count
+fills the tables of all its intervals. The targets are the cells'
 node grids in causal order for the march and the collocation residual check,
 sample grids for ``residual`` and the uniform grid for the oracle. A target's
 moment matrices are row gathers from these tables, and its 2D history is a
@@ -49,7 +50,7 @@ from .interp import geometric_degree_schedule, geometric_global_degree, power_de
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, shadow_matrix)
-from .quad import _branches, kernel_moments
+from .quad import _TABLE_BUDGET, _branches, stacked_kernel_moments
 from .spline import LocalSpline, TensorSpline, _inherited_values, _unfilled
 
 
@@ -147,11 +148,6 @@ def _default_quad_n(nodesets) -> int:
     return min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
 
 
-# doubles that the moment tables of one chunk may hold (1 MB); a cell count
-# would not do, since the table width grows with the node count per axis
-_TABLE_BUDGET = 1 << 17
-
-
 def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources, quad_n: int):
     """Weights of the kernel integrals over source cells at target grids.
 
@@ -164,10 +160,12 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources, quad_n: i
     * for h == 1, the ``kernel_moments`` of axis a: one array of shape
       (hi - lo, grid[a].size, m) when the sources share the node count m on
       that axis, else a list of 2D arrays. They are row gathers from tables
-      built per chunk of consecutive targets: per axis, one call per
-      distinct source interval (a, b, m) of the chunk, evaluated at the
-      sorted union of the chunk's grid coordinates. A chunk grows while its
-      tables hold at most ``_TABLE_BUDGET`` doubles, and takes at least one
+      built per chunk of consecutive targets, one per distinct source
+      interval (a, b, m) of the chunk and axis, evaluated at the sorted
+      union of the chunk's grid coordinates: one ``stacked_kernel_moments``
+      call per axis and node count m fills them. A chunk grows while its
+      tables hold at most ``_TABLE_BUDGET`` doubles (a cell count would not
+      do, since the table width grows with m), and takes at least one
       target.
     * with a smooth factor, or without a kernel, a single axis: a list of
       one flattened matrix per source, of shape (grid size, m_1 * ... * m_l)
@@ -207,14 +205,15 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources, quad_n: i
         for p, r, u, c, w in zip(kern.exponents, reps, used, coords, widths):
             x = np.array(sorted(c))
             ids = np.nonzero(u)[0]
+            ids = ids[np.argsort(w[ids], kind="stable")]   # by node count
             local = np.zeros(len(r), dtype=int)
             local[ids] = np.arange(ids.size)
+            tab = []   # one stacked call per node count
+            for g in np.split(ids, np.flatnonzero(np.diff(w[ids])) + 1):
+                ns = [r[i] for i in g]
+                tab.append(stacked_kernel_moments(x, p, *zip(*[(n.a, n.b) for n in ns]), ns, quad_n))
             # one stacked array when the intervals share their node count
-            tab = (np.empty((ids.size, x.size, w[ids[0]])) if np.all(w[ids] == w[ids[0]])
-                   else [None] * ids.size)
-            for j, i in enumerate(ids):
-                tab[j] = kernel_moments(x, p, r[i].a, r[i].b, r[i], quad_n)
-            tables.append((x, local, tab))
+            tables.append((x, local, tab[0] if len(tab) == 1 else [t for st in tab for t in st]))
         for key, grid, srcs in chunk:
             rows = [np.searchsorted(x, g) for (x, _, _), g in zip(tables, grid)]
             sel = [local[k[srcs]] for (_, local, _), k in zip(tables, kid)]
@@ -234,7 +233,7 @@ def _cubature(kern: KernelSpec | None, grid, sources, quad_n: int, lo: int, hi: 
     shape (grid size, m_1 * ... * m_l): zero without a kernel, else tensor
     Gauss cubature of h * g times the cell's tensor Lagrange basis. The
     smooth factor couples the axes, so the cubature is summed for every
-    tuple of per-axis ``_branches`` rules, over the rows of those branches.
+    tuple of per-axis ``_branches`` blocks, over the rows of those blocks.
     """
     size = math.prod(x.size for x in grid)
     out = []
@@ -242,11 +241,12 @@ def _cubature(kern: KernelSpec | None, grid, sources, quad_n: int, lo: int, hi: 
         if kern is None:
             out.append(np.zeros((size, math.prod(ns.m for ns in nodesets))))
             continue
-        rules = []   # per axis: (rows, points, weights times basis) per branch
+        rules = []   # per axis: (rows, points, weights times basis) per block of rules
         for x, p, ns in zip(grid, kern.exponents, nodesets):
             rules.append([])
-            for rows, tau, w in _branches(x, p, ns.a, ns.b, quad_n):
-                tau = np.broadcast_to(tau, w.shape)
+            for _, rows, tau, w in _branches(x, p, ns.a, ns.b, quad_n, ns.m):
+                tau = np.broadcast_to(tau[:, None, :], w.shape).reshape(-1, w.shape[2])
+                rows, w = rows.ravel(), w.reshape(tau.shape)
                 basis = lagrange_basis_matrix(ns, tau.ravel()).reshape(*w.shape, ns.m)
                 rules[-1].append((rows, tau, w[:, :, None] * basis))
         W = np.zeros(tuple(x.size for x in grid) + tuple(ns.m for ns in nodesets))

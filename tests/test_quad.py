@@ -168,9 +168,9 @@ def _padded_rule(x, p, a, b, n):
     width = quad._NEAR_PANELS * n
     T = np.full((x.size, width), a + 0.43716524 * (b - a))
     W = np.zeros((x.size, width))
-    for rows, tau, w in quad._branches(x, p, a, b, n):
-        T[rows, :w.shape[1]] = tau
-        W[rows, :w.shape[1]] = w
+    for _, rows, tau, w in quad._branches(x, p, a, b, n, 1):
+        T[rows, :tau.shape[1]] = tau[:, None, :]
+        W[rows, :tau.shape[1]] = w
     return T, W
 
 
@@ -204,6 +204,39 @@ def test_kernel_moments_match_padded_contraction(p, m):
     assert M.shape == ref.shape == (xs.size, m)
     assert np.all(M[:2] == 0.0)
     assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _interval_stack(m):
+    # intervals of one node count, narrow and wide, overlapping and apart; one
+    # coordinate array holds rows in every branch of every interval, rows at
+    # or below a, rows on nodes and rows one ulp past b
+    boxes = [(0.25, 0.65), (0.1, 0.3), (0.6, 0.61), (0.0, 1.0), (0.3, 0.300001)]
+    nodesets = [build_nodes(box, "legendre_closed", m) for box in boxes]
+    xs = np.concatenate([_rows_in_every_branch(*box) for box in boxes]
+                        + [np.nextafter([b for _, b in boxes], np.inf)]
+                        + [ns.nodes for ns in nodesets])
+    return np.unique(xs), nodesets
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("m", [2, 5, 14, 40])
+@pytest.mark.parametrize("p", [2.5, 0.3, -0.5])
+def test_stacked_moments_equal_one_interval_calls(p, m, budget, monkeypatch):
+    # every row of a stacked call is that of kernel_moments on its interval
+    # alone, to the bit, also when each block holds a single rule (budget 1).
+    # Some rule points fall on nodes of the same interval (exact unit basis
+    # rows), for n = m - 2 every far-row point of a Legendre family
+    if budget is not None:
+        monkeypatch.setattr(quad, "_TABLE_BUDGET", budget)
+    xs, nodesets = _interval_stack(m)
+    for n in {min(m + 4, 64), max(m - 2, 1)}:
+        a, b = [ns.a for ns in nodesets], [ns.b for ns in nodesets]
+        M = quad.stacked_kernel_moments(xs, p, a, b, nodesets, n)
+        assert M.shape == (len(nodesets), xs.size, m)
+        for Ms, lo, hi, ns in zip(M, a, b, nodesets):
+            one = kernel_moments(xs, p, lo, hi, ns, n)
+            assert np.array_equal(Ms, one)
+            assert np.all(one[xs <= lo] == 0.0)
 
 
 @pytest.mark.parametrize("l", [1, 2])
@@ -269,8 +302,16 @@ def test_solver_values_match_padded_contraction(case, monkeypatch):
         disc = solver.preset_2d(derive_class_params(2, gamma, kind, l=2), 2)
         solve = solver.solve_2d
     fast = solve(problem, *disc)
-    monkeypatch.setattr(solver, "kernel_moments", _padded_moments)
+    calls = [0]
+
+    def padded_stack(x, p, a, b, nodesets, n):
+        calls[0] += 1
+        return np.array([_padded_moments(x, p, lo, hi, ns, n)
+                         for lo, hi, ns in zip(a, b, nodesets)])
+
+    monkeypatch.setattr(solver, "stacked_kernel_moments", padded_stack)
     ref = solve(problem, *disc)
+    assert calls[0] > 0  # the solver's tables came from the padded reference
     assert len(fast.values) == len(ref.values)
     for v, w in zip(fast.values, ref.values):
         assert np.max(np.abs(np.asarray(v) - np.asarray(w))) <= 1e-14

@@ -328,10 +328,10 @@ def _per_pair_moments(kern, nodesets, targets, sources, quad_n):
     over as lists, so ``_history`` sums the sources one by one.
     """
     import wsvie.solver as solver
+    from wsvie.quad import kernel_moments
 
     def moments(grid, srcs, lo, hi):
-        return [[solver.kernel_moments(x, p, nodesets[di][a].a, nodesets[di][a].b,
-                                       nodesets[di][a], quad_n)
+        return [[kernel_moments(x, p, nodesets[di][a].a, nodesets[di][a].b, nodesets[di][a], quad_n)
                  for di in srcs[lo:hi]] for a, (x, p) in enumerate(zip(grid, kern.exponents))]
 
     for key, grid in targets:
@@ -343,17 +343,32 @@ def _per_pair_moments(kern, nodesets, targets, sources, quad_n):
             yield key, srcs, partial(moments, grid, srcs)
 
 
+def _patch_per_pair(monkeypatch):
+    """Route ``solver._cell_moments`` to ``_per_pair_moments``; returns a call counter."""
+    import wsvie.solver as solver
+
+    calls = [0]
+
+    def per_pair(*args):
+        calls[0] += 1
+        return _per_pair_moments(*args)
+
+    monkeypatch.setattr(solver, "_cell_moments", per_pair)
+    return calls
+
+
 def _table_case(case):
     """(problem, solve, discretisation) of one equivalence case."""
     from wsvie.funclass import derive_class_params
     from wsvie.quad import power_moment
 
     c = power_moment(2.5, 2.5, 1.0)
-    if case == "abel-1d-bstar-8":
+    if case.startswith("abel-1d-bstar-"):
         h0 = power_moment(-0.5, 0.5, 1.0)
         prob = VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(-0.5,)),
                           rhs=lambda t: t ** 0.5 - h0 * t, exact=lambda t: t ** 0.5)
-        return prob, solve_1d, preset_1d(derive_class_params(2, 0.5, "b_star"), 8)
+        N = int(case.rsplit("-", 1)[1])
+        return prob, solve_1d, preset_1d(derive_class_params(2, 0.5, "b_star"), N)
     if case == "h2-1d-qstar-6":
         kern = KernelSpec(exponents=(2.5,), smooth_factor=lambda t, tau: 2.0 + 0.0 * t * tau)
         prob = VieProblem(l=1, T=1.0, kernel=kern, rhs=lambda t: t ** 2.5 - 2.0 * c * t ** 6)
@@ -365,7 +380,8 @@ def _table_case(case):
                           rhs=lambda t1, t2: (t1 * t2) ** 2.5 - 2.0 * c * c * (t1 * t2) ** 6)
         return prob, solve_2d, preset_2d(derive_class_params(2, 2.5, "q_star", l=2), 2)
     kind, gamma, N = {"power-2d-qstar-4": ("q_star", 2.5, 4),
-                      "power-2d-bstar-3": ("b_star", 0.5, 3)}[case]
+                      "power-2d-bstar-3": ("b_star", 0.5, 3),
+                      "power-2d-bstar-4": ("b_star", 0.5, 4)}[case]
     return (get_problem("corner-power-2d"), solve_2d,
             preset_2d(derive_class_params(2, gamma, kind, l=2), N))
 
@@ -405,16 +421,16 @@ def _check_case(case):
 
 
 def _counting(monkeypatch):
-    """Count the solver's ``kernel_moments`` calls; returns the one-item counter."""
+    """Count the solver's ``stacked_kernel_moments`` calls; returns the one-item counter."""
     import wsvie.solver as solver
 
-    calls, moments = [0], solver.kernel_moments
+    calls, moments = [0], solver.stacked_kernel_moments
 
     def counted(*args):
         calls[0] += 1
         return moments(*args)
 
-    monkeypatch.setattr(solver, "kernel_moments", counted)
+    monkeypatch.setattr(solver, "stacked_kernel_moments", counted)
     return calls
 
 
@@ -442,19 +458,21 @@ class TestMomentTables:
         if case.startswith(("residual", "oracle")):
             run = _check_case(case)
             fast = run()
-            monkeypatch.setattr(solver, "_cell_moments", _per_pair_moments)
+            used = _patch_per_pair(monkeypatch)
             ref = run()
+            assert used[0] > 0
             assert all(np.array_equal(f, r) for f, r in zip(fast, ref, strict=True))
             return
         prob, solve, disc = _table_case(case)
         calls = _counting(monkeypatch)
         fast = solve(prob, *disc)
         fast_res = collocation_residual(prob, fast)
-        if prob.kernel.smooth_factor is not None:
-            assert calls[0] == 0  # a smooth factor takes the tensor cubature
+        # a smooth factor takes the tensor cubature, h == 1 the stacked tables
+        assert (calls[0] == 0) == (prob.kernel.smooth_factor is not None)
         tables = solver._cell_moments
-        monkeypatch.setattr(solver, "_cell_moments", _per_pair_moments)
+        count, used = calls[0], _patch_per_pair(monkeypatch)
         ref = solve(prob, *disc)
+        assert used[0] > 0 and calls[0] == count  # the reference made no stacked call
         assert len(fast.values) == len(ref.values)
         for ci in range(len(ref.values)):
             assert np.array_equal(fast.values[ci], ref.values[ci])
@@ -473,11 +491,31 @@ class TestMomentTables:
                 assert np.array_equal(solver._history(M, vals, shape),
                                       solver._history(R, vals, shape))
 
+    @pytest.mark.parametrize("case, before_mb", [("abel-1d-bstar-32", 4.53),
+                                                 ("power-2d-bstar-4", 3.07)])
+    def test_peak_memory_of_a_solve(self, case, before_mb):
+        # peak traced allocation of one solve; the bounds are 1.25x the peaks
+        # from when the tables took one moment call per source interval.
+        # Stacked calls that contract whole branches at once, not blocks of
+        # rules, peaked at 6.4 and 13.6 MB here
+        import tracemalloc
+
+        prob, solve, disc = _table_case(case)
+        tracemalloc.start()
+        try:
+            solve(prob, *disc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * before_mb * 1e6
+
     def test_one_moment_call_per_source_interval(self, q25_params_2d, monkeypatch):
-        # the per-pair path made 1,980 calls here; the tables make 87
+        # the per-pair path made 1,980 moment calls here and the tables with one
+        # call per source interval 87; the march fits one chunk, so the stacked
+        # tables make one call per axis
         calls = _counting(monkeypatch)
         solve_2d(get_problem("corner-power-2d"), *preset_2d(q25_params_2d, 4))
-        assert 0 < calls[0] <= 200
+        assert 0 < calls[0] <= 2
 
 
 class TestResidual:
