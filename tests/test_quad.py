@@ -218,23 +218,54 @@ def _interval_stack(m):
     return np.unique(xs), nodesets
 
 
+def _per_branch_moments(x, p, a, b, ns, n):
+    # kernel_moments as it was before the stacked kernel: the branch rules of
+    # one interval written out here, each branch contracted on its own with
+    # the basis from lagrange_basis_matrix
+    M = np.zeros((x.size, ns.m))
+    active = np.minimum(x, b) > a
+    singular, far = active & (x <= b), active & (x - b >= (b - a))
+    near = active & ~singular & ~far
+    if singular.any():
+        jac = gauss_jacobi(n, p)
+        L = (x[singular] - a)[:, None]
+        tau = a + 0.5 * L * (jac.nodes[None, :] + 1.0)
+        basis = lagrange_basis_matrix(ns, tau.ravel()).reshape(*tau.shape, ns.m)
+        M[singular] = np.einsum("rq,rqm->rm", (0.5 * L) ** (p + 1.0) * jac.weights[None, :], basis)
+    gl = gauss_legendre(n)
+    los = b - (b - a) * 0.5 ** np.arange(quad._NEAR_PANELS)
+    panels = ((far, np.array([a]), np.array([b])), (near, los, np.append(los[1:], b)))
+    for rows, lo, hi in panels:
+        if rows.any():
+            mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+            tau = (mid + half * gl.nodes[None, :]).ravel()
+            w = (half * gl.weights[None, :]).ravel()
+            M[rows] = np.einsum("rq,qm->rm", w[None, :] * (x[rows, None] - tau[None, :]) ** p,
+                                lagrange_basis_matrix(ns, tau))
+    return M
+
+
 @pytest.mark.parametrize("budget", [None, 1])
 @pytest.mark.parametrize("m", [2, 5, 14, 40])
 @pytest.mark.parametrize("p", [2.5, 0.3, -0.5])
 def test_stacked_moments_equal_one_interval_calls(p, m, budget, monkeypatch):
     # every row of a stacked call is that of kernel_moments on its interval
-    # alone, to the bit, also when each block holds a single rule (budget 1).
+    # alone, and of the per-branch contraction, to the bit. The single-interval
+    # sides run at the default block budget, the stacked call also with one
+    # rule per block (budget 1), so the split into blocks changes no bit.
     # Some rule points fall on nodes of the same interval (exact unit basis
     # rows), for n = m - 2 every far-row point of a Legendre family
-    if budget is not None:
-        monkeypatch.setattr(quad, "_TABLE_BUDGET", budget)
     xs, nodesets = _interval_stack(m)
+    a, b = [ns.a for ns in nodesets], [ns.b for ns in nodesets]
     for n in {min(m + 4, 64), max(m - 2, 1)}:
-        a, b = [ns.a for ns in nodesets], [ns.b for ns in nodesets]
-        M = quad.stacked_kernel_moments(xs, p, a, b, nodesets, n)
+        with monkeypatch.context() as patch:
+            if budget is not None:
+                patch.setattr(quad, "_TABLE_BUDGET", budget)
+            M = quad.stacked_kernel_moments(xs, p, a, b, nodesets, n)
         assert M.shape == (len(nodesets), xs.size, m)
         for Ms, lo, hi, ns in zip(M, a, b, nodesets):
             one = kernel_moments(xs, p, lo, hi, ns, n)
+            assert np.array_equal(one, _per_branch_moments(xs, p, lo, hi, ns, n))
             assert np.array_equal(Ms, one)
             assert np.all(one[xs <= lo] == 0.0)
 
