@@ -18,9 +18,12 @@ Config schema (JSON), convergence/solve commands::
                  | "poly-k0-1d" | "poly-k0-2d",
       "class_params": {"r": 2, "gamma": 0.5, "kind": "b_star", "bound": 1.0},
       "N": [1, 2, 3],
-      "quad_n": null,            # optional; per-panel Gauss points
-      "samples_per_axis": 201    # dense grid for eps2
+      "samples_per_axis": 201    # dense grid for eps2, at least 50
     }
+
+Integer fields must hold integers in range, or the command exits 1. The
+moment rules are fixed, so the removed keys ``singular_rule`` and ``quad_n``
+are accepted only as "legendre" and null.
 
 widths:    {"mode": "counts", "style": "boundary", "l": 2, "v": 3.0, "N": [8, 16, 32]}
            {"mode": "bumps", "class_params": {...}, "l": 2, "N": [4, 8, 16]}
@@ -41,9 +44,9 @@ import numpy as np
 from .funclass import derive_class_params
 from .interp import build_nodes, lebesgue_constant
 from .quad import power_moment
-from .solver import (KernelSpec, VieProblem, oracle_solve, preset_1d, preset_2d,
-                     residual, solve_1d, solve_2d)
-from .spline import max_node_error, n_functionals, sup_error
+from .solver import (ORACLE_MAX_N, KernelSpec, VieProblem, oracle_solve, preset_1d,
+                     preset_2d, residual, solve_1d, solve_2d)
+from .spline import MIN_SAMPLES, max_node_error, n_functionals, sup_error
 from .widths import covering_count, fit_loglog_slope, layer_cube_bump, bump_sup
 
 
@@ -232,6 +235,26 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _integer(value, what: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int in [lo, hi]; a ConfigError names ``what`` otherwise."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config: {what} must be an integer, got {value!r}") from None
+    if n < lo or (hi is not None and n > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"config: {what} must be {bound}, got {n}")
+    return n
+
+
+def _integer_list(config: dict, key: str, lo: int) -> list:
+    """Field ``key``: a non-empty list of integers >= lo."""
+    values = _require(config, key)
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"config: field {key!r} must be a non-empty list")
+    return [_integer(v, f"field {key!r}", lo) for v in values]
+
+
 def _class_from_config(config: dict, l: int):
     cp = _require(config, "class_params")
     for key in ("r", "gamma", "kind"):
@@ -250,6 +273,10 @@ def _problem_and_params(config: dict):
     if config.get("singular_rule", "legendre") != "legendre":
         raise ConfigError("config: 'singular_rule' is no longer an option (the moment "
                           "rules are fixed); old configs may keep it as 'legendre'")
+    if config.get("quad_n") is not None:
+        raise ConfigError("config: 'quad_n' is no longer an option (every moment rule takes "
+                          "the largest per-axis node count plus 4 Gauss points, at most "
+                          "64); old configs may keep it as null")
     defn = _require(config, "problem")
     if isinstance(defn, dict):
         if defn.get("l") not in (1, 2):
@@ -260,10 +287,10 @@ def _problem_and_params(config: dict):
     return problem, _class_from_config(config, problem.l), str(defn)
 
 
-def _preset_solve(problem: VieProblem, params, N: int, quad_n=None):
+def _preset_solve(problem: VieProblem, params, N: int):
     """Solve ``problem`` on the preset mesh or covering of its dimension at level N."""
     preset, solve = (preset_1d, solve_1d) if problem.l == 1 else (preset_2d, solve_2d)
-    return solve(problem, *preset(params, N), quad_n=quad_n)
+    return solve(problem, *preset(params, N))
 
 
 def run_convergence(config: dict) -> ConvergenceReport:
@@ -274,11 +301,9 @@ def run_convergence(config: dict) -> ConvergenceReport:
     equation residual at those grids is reported instead (noted in metadata).
     """
     problem, params, problem_id = _problem_and_params(config)
-    n_list = _require(config, "N")
-    if not isinstance(n_list, (list, tuple)) or not n_list:
-        raise ConfigError("config: field 'N' must be a non-empty list")
-    quad_n = config.get("quad_n")
-    samples = int(config.get("samples_per_axis", 201))
+    n_list = _integer_list(config, "N", 1)
+    samples = _integer(config.get("samples_per_axis", 201), "field 'samples_per_axis'",
+                       MIN_SAMPLES)
     metric = "error" if problem.exact is not None else "residual"
     report = ConvergenceReport(metadata={
         "problem": problem_id,
@@ -286,7 +311,6 @@ def run_convergence(config: dict) -> ConvergenceReport:
         "class_params": {"r": params.r, "gamma": params.gamma, "kind": params.kind,
                          "s": params.s, "grading_exponent": params.grading_exponent,
                          "bound": params.bound_constant},
-        "quad_n": quad_n,
         "samples_per_axis": samples,
         "metric": metric,
         "eps1_grid": "solver collocation nodes",
@@ -295,9 +319,9 @@ def run_convergence(config: dict) -> ConvergenceReport:
     prev = None
     for N in n_list:
         t0 = time.perf_counter()
-        row = ReportRow(N=int(N))
+        row = ReportRow(N=N)
         try:
-            sol = _preset_solve(problem, params, int(N), quad_n)
+            sol = _preset_solve(problem, params, N)
             row.n = n_functionals(sol)
             if problem.exact is not None:
                 row.eps1 = max_node_error(sol, problem.exact, owned_only=problem.l == 2)
@@ -323,7 +347,7 @@ def run_convergence(config: dict) -> ConvergenceReport:
 
 def run_widths(config: dict) -> ConvergenceReport:
     mode = str(config.get("mode", "counts"))
-    n_list = _require(config, "N")
+    n_list = _integer_list(config, "N", 1)
     report = ConvergenceReport(metadata={"mode": mode, "deterministic": True})
     if mode == "counts":
         style = str(config.get("style", "boundary"))
@@ -332,9 +356,9 @@ def run_widths(config: dict) -> ConvergenceReport:
         counts = []
         for N in n_list:
             t0 = time.perf_counter()
-            c = covering_count(int(N), l, v, style)
+            c = covering_count(N, l, v, style)
             counts.append(c)
-            report.rows.append(ReportRow(N=int(N), n=c, eps1=float(c),
+            report.rows.append(ReportRow(N=N, n=c, eps1=float(c),
                                          wall_time_ms=int(round((time.perf_counter() - t0) * 1000))))
         report.metadata.update(style=style, l=l, v=v)
         if len(counts) >= 2:
@@ -347,9 +371,9 @@ def run_widths(config: dict) -> ConvergenceReport:
         params = _class_from_config(config, l)
         for N in n_list:
             t0 = time.perf_counter()
-            sups = [bump_sup(layer_cube_bump(params, int(N), k, l)) for k in range(int(N))]
-            scaled = [s * int(N) ** params.s for s in sups]
-            report.rows.append(ReportRow(N=int(N), n=len(sups), eps1=min(scaled),
+            sups = [bump_sup(layer_cube_bump(params, N, k, l)) for k in range(N)]
+            scaled = [s * N ** params.s for s in sups]
+            report.rows.append(ReportRow(N=N, n=len(sups), eps1=min(scaled),
                                          eps2=max(scaled),
                                          wall_time_ms=int(round((time.perf_counter() - t0) * 1000))))
         report.metadata.update(l=l, quantity="bump_sup * N^s (min/max over layers)")
@@ -359,20 +383,25 @@ def run_widths(config: dict) -> ConvergenceReport:
 
 def run_lebesgue(config: dict) -> ConvergenceReport:
     family = str(_require(config, "family"))
-    m_list = _require(config, "m")
+    m_list = _integer_list(config, "m", 1)
+    try:
+        nodesets = [build_nodes((-1.0, 1.0), family, m) for m in m_list]
+    except ValueError as exc:   # an unknown family, or too few nodes for it
+        raise ConfigError(f"config: {exc}") from exc
     report = ConvergenceReport(metadata={"family": family, "deterministic": True})
-    for m in m_list:
+    for ns in nodesets:
         t0 = time.perf_counter()
-        lam = lebesgue_constant(build_nodes((-1.0, 1.0), family, int(m)))
-        report.rows.append(ReportRow(N=int(m), n=int(m), eps1=lam,
+        lam = lebesgue_constant(ns)
+        report.rows.append(ReportRow(N=ns.m, n=ns.m, eps1=lam,
                                      wall_time_ms=int(round((time.perf_counter() - t0) * 1000))))
     return report
 
 
 def run_oracle_check(config: dict) -> ConvergenceReport:
     problem, params, problem_id = _problem_and_params(config)
-    N = int(_require(config, "N"))
-    uniform_n = int(_require(config, "uniform_n"))
+    N = _integer(_require(config, "N"), "field 'N'", 1)
+    uniform_n = _integer(_require(config, "uniform_n"), "field 'uniform_n'", 1,
+                         ORACLE_MAX_N[problem.l])
     report = ConvergenceReport(metadata={"problem": problem_id,
                                          "N": N, "uniform_n": uniform_n,
                                          "deterministic": True})

@@ -42,12 +42,8 @@ class GradedMesh:
 
     def covering(self) -> Covering:
         """The one-axis covering: cell k (and layer k) is segment k, left to right."""
-        segs = self.segments()
-        layers = [Layer(k=k, inner=a, outer=b, h=b - a, style=self.kind)
-                  for k, (a, b) in enumerate(segs)]
-        cells = [Cell(k=k, index=(), lo=(a,), hi=(b,)) for k, (a, b) in enumerate(segs)]
-        return Covering(l=1, T=self.T, N=self.N, style=self.kind, v=self.q,
-                        layers=layers, cells=cells)
+        cells = [Cell(k=k, lo=(a,), hi=(b,)) for k, (a, b) in enumerate(self.segments())]
+        return Covering(l=1, T=self.T, N=self.N, style=self.kind, v=self.q, cells=cells)
 
 
 def power_graded_mesh(N: int, T: float, q: float) -> GradedMesh:
@@ -84,23 +80,11 @@ def geometric_mesh(N: int, T: float) -> GradedMesh:
     return GradedMesh(T=float(T), N=N, kind="geometric", q=None, breakpoints=v)
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One layer band: inner/outer distance bounds and its edge budget h."""
-
-    k: int
-    inner: float
-    outer: float
-    h: float
-    style: str
-
-
 @dataclass
 class Cell:
-    """Axis-aligned box with its layer index and a canonical multi-index."""
+    """Axis-aligned box with its layer index."""
 
     k: int
-    index: tuple
     lo: tuple
     hi: tuple
 
@@ -114,7 +98,6 @@ class Covering:
     N: int
     style: str  # "boundary" | "corner" | "geometric"; 1D: the mesh kind
     v: float | None
-    layers: list
     cells: list
 
     lo_array: np.ndarray = field(init=False, repr=False)
@@ -123,17 +106,6 @@ class Covering:
     def __post_init__(self):
         self.lo_array = np.array([c.lo for c in self.cells], dtype=float)
         self.hi_array = np.array([c.hi for c in self.cells], dtype=float)
-        self._assign_indices()
-
-    def _assign_indices(self):
-        # canonical multi-index: per-axis rank of the lower corner among all
-        # lower-corner coordinates of the covering (unique per cell in a tiling)
-        ranks = []
-        for a in range(self.l):
-            uniq = np.unique(self.lo_array[:, a])
-            ranks.append(np.searchsorted(uniq, self.lo_array[:, a]))
-        for i, c in enumerate(self.cells):
-            c.index = tuple(int(ranks[a][i]) for a in range(self.l))
 
     @property
     def ncells(self) -> int:
@@ -181,14 +153,11 @@ def closure_bounds(pts: np.ndarray):
 
 
 def covering_from_dict(data: dict) -> Covering:
-    """Rebuild a Covering from its to_dict() form (layer descriptors are rederived as bands)."""
-    cells = [Cell(k=int(c["k"]), index=(), lo=tuple(map(float, c["lo"])),
-                  hi=tuple(map(float, c["hi"]))) for c in data["cells"]]
-    ks = sorted({c.k for c in cells})
-    layers = [Layer(k=k, inner=float("nan"), outer=float("nan"), h=float("nan"),
-                    style=data["style"]) for k in ks]
+    """Rebuild a Covering from its to_dict() form."""
+    cells = [Cell(k=int(c["k"]), lo=tuple(map(float, c["lo"])), hi=tuple(map(float, c["hi"])))
+             for c in data["cells"]]
     return Covering(l=int(data["l"]), T=float(data["T"]), N=int(data["N"]),
-                    style=str(data["style"]), v=data.get("v"), layers=layers, cells=cells)
+                    style=str(data["style"]), v=data.get("v"), cells=cells)
 
 
 def _chop(a: float, b: float, h: float, style: str) -> np.ndarray:
@@ -253,7 +222,7 @@ def _tile_slabs(cells: list, k: int, l: int, band: tuple, below: tuple, above: t
         for flat in np.ndindex(*counts):
             lo = tuple(float(per_axis_edges[i][flat[i]]) for i in range(l))
             hi = tuple(float(per_axis_edges[i][flat[i] + 1]) for i in range(l))
-            cells.append(Cell(k=k, index=(), lo=lo, hi=hi))
+            cells.append(Cell(k=k, lo=lo, hi=hi))
 
 
 def boundary_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
@@ -272,18 +241,13 @@ def boundary_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
     b = power_graded_mesh(N, T, v).breakpoints
-    layers = [Layer(k=k, inner=float(b[k]), outer=float(b[k + 1]),
-                    h=float(b[k + 1] - b[k]), style="boundary") for k in range(N)]
-    cells: list[Cell] = []
-    top_lo = b[N - 1]
-    cells.append(Cell(k=N - 1, index=(), lo=(float(top_lo),) * l, hi=(float(T),) * l))
+    cells = [Cell(k=N - 1, lo=(float(b[N - 1]),) * l, hi=(float(T),) * l)]
     for k in range(N - 2, -1, -1):
         h = b[k + 1] - b[k]
         _tile_slabs(cells, k, l, band=(float(b[k]), float(b[k + 1])),
                     below=(float(b[k + 1]), float(T)), above=(float(b[k]), float(T)),
                     h=float(h), chop_style="ceil")
-    return Covering(l=l, T=float(T), N=N, style="boundary", v=float(v),
-                    layers=layers, cells=cells)
+    return Covering(l=l, T=float(T), N=N, style="boundary", v=float(v), cells=cells)
 
 
 def corner_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
@@ -302,16 +266,13 @@ def corner_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
     c = power_graded_mesh(N, T, v).breakpoints
-    layers = [Layer(k=k, inner=float(c[k - 1]), outer=float(c[k]),
-                    h=float(c[k] - c[k - 1]), style="corner") for k in range(1, N + 1)]
-    cells: list[Cell] = [Cell(k=1, index=(), lo=(0.0,) * l, hi=(float(c[1]),) * l)]
+    cells = [Cell(k=1, lo=(0.0,) * l, hi=(float(c[1]),) * l)]
     for k in range(2, N + 1):
         h = c[k] - c[k - 1]
         _tile_slabs(cells, k, l, band=(float(c[k - 1]), float(c[k])),
                     below=(0.0, float(c[k - 1])), above=(0.0, float(c[k])),
                     h=float(h), chop_style="ceil")
-    return Covering(l=l, T=float(T), N=N, style="corner", v=float(v),
-                    layers=layers, cells=cells)
+    return Covering(l=l, T=float(T), N=N, style="corner", v=float(v), cells=cells)
 
 
 def geometric_covering(N: int, T: float, l: int) -> Covering:
@@ -329,19 +290,14 @@ def geometric_covering(N: int, T: float, l: int) -> Covering:
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
     outer = [T * 2.0 ** (k - N) for k in range(N + 1)]  # outer bound of layer k
-    layers = [Layer(k=0, inner=0.0, outer=outer[0], h=T * 2.0 ** (-1 - N), style="geometric")]
-    for k in range(1, N + 1):
-        layers.append(Layer(k=k, inner=outer[k - 1], outer=outer[k],
-                            h=T * 2.0 ** (k - 1 - N), style="geometric"))
-    cells: list[Cell] = [Cell(k=N, index=(), lo=(float(T / 2),) * l, hi=(float(T),) * l)]
+    cells = [Cell(k=N, lo=(float(T / 2),) * l, hi=(float(T),) * l)]
     for k in range(N - 1, -1, -1):
         h = T * 2.0 ** (k - 1 - N)
         inner = 0.0 if k == 0 else outer[k - 1]
         _tile_slabs(cells, k, l, band=(float(inner), float(outer[k])),
                     below=(float(outer[k]), float(T)), above=(float(inner), float(T)),
                     h=float(h), chop_style="floor")
-    return Covering(l=l, T=float(T), N=N, style="geometric", v=None,
-                    layers=layers, cells=cells)
+    return Covering(l=l, T=float(T), N=N, style="geometric", v=None, cells=cells)
 
 
 def shadow_matrix(covering: Covering) -> np.ndarray:

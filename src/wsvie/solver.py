@@ -72,19 +72,6 @@ class KernelSpec:
         if any(p <= -1 for p in self.exponents):
             raise ValueError(f"kernel exponents must be > -1, got {self.exponents}")
 
-    def g(self, *diffs):
-        """Product factor prod_i d_i^{p_i}; zero on the diagonal for p_i > 0."""
-        if len(diffs) != len(self.exponents):
-            raise ValueError("difference count does not match the exponent count")
-        out = np.ones(np.broadcast(*diffs).shape)
-        for d, p in zip(diffs, self.exponents):
-            d = np.asarray(d, dtype=float)
-            if p > 0:
-                out = out * np.where(d == 0.0, 0.0, d ** p)
-            elif p != 0:
-                out = out * d ** p
-        return out
-
 
 @dataclass
 class VieProblem:
@@ -143,12 +130,7 @@ def preset_2d(params, N: int):
 # the integral over source cells
 # ---------------------------------------------------------------------------
 
-def _default_quad_n(nodesets) -> int:
-    """Gauss points per panel: the largest per-axis node count plus 4, at most 64."""
-    return min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
-
-
-def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources, quad_n: int):
+def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
     """Weights of the kernel integrals over source cells at target grids.
 
     ``targets`` yields (key, grid) pairs, where grid holds one coordinate
@@ -170,7 +152,12 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources, quad_n: i
     * with a smooth factor, or without a kernel, a single axis: a list of
       one flattened matrix per source, of shape (grid size, m_1 * ... * m_l)
       (see ``_cubature``).
+
+    Every rule takes ``quad_n`` Gauss points per panel (Gauss-Jacobi points
+    on a singular row): the largest per-axis node count of ``nodesets`` plus
+    4, at most 64.
     """
+    quad_n = min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
     targets = list(targets)
     if kern is None or kern.smooth_factor is not None:
         for key, grid in targets:
@@ -226,14 +213,15 @@ def _gather(tabs, rows, sel, lo: int, hi: int) -> list:
             else [tab[i][r] for i in s[lo:hi]] for tab, r, s in zip(tabs, rows, sel)]
 
 
-def _cubature(kern: KernelSpec | None, grid, sources, quad_n: int, lo: int, hi: int) -> list:
+def _cubature(kern: KernelSpec | None, grid, sources, n: int, lo: int, hi: int) -> list:
     """Flattened weights of the source cells sources[lo:hi] at ``grid``, as one axis.
 
     ``sources`` holds per-axis NodeSets per cell. Each weight matrix has
     shape (grid size, m_1 * ... * m_l): zero without a kernel, else tensor
-    Gauss cubature of h * g times the cell's tensor Lagrange basis. The
-    smooth factor couples the axes, so the cubature is summed for every
-    tuple of per-axis ``_branches`` blocks, over the rows of those blocks.
+    Gauss cubature, n points per panel, of h * g times the cell's tensor
+    Lagrange basis. The smooth factor couples the axes, so the cubature is
+    summed for every tuple of per-axis ``_branches`` blocks, over the rows of
+    those blocks.
     """
     size = math.prod(x.size for x in grid)
     out = []
@@ -244,7 +232,7 @@ def _cubature(kern: KernelSpec | None, grid, sources, quad_n: int, lo: int, hi: 
         rules = []   # per axis: (rows, points, weights times basis) per block of rules
         for x, p, ns in zip(grid, kern.exponents, nodesets):
             rules.append([])
-            for _, rows, tau, w in _branches(x, p, ns.a, ns.b, quad_n, ns.m):
+            for _, rows, tau, w in _branches(x, p, ns.a, ns.b, n, ns.m):
                 tau = np.broadcast_to(tau[:, None, :], w.shape).reshape(-1, w.shape[2])
                 rows, w = rows.ravel(), w.reshape(tau.shape)
                 basis = lagrange_basis_matrix(ns, tau.ravel()).reshape(*w.shape, ns.m)
@@ -308,8 +296,7 @@ def _node_grids(nodesets, cells):
 # the causal march
 # ---------------------------------------------------------------------------
 
-def _march(problem: VieProblem, spl: TensorSpline, order, quad_n: int | None,
-           tol: float) -> TensorSpline:
+def _march(problem: VieProblem, spl: TensorSpline, order, tol: float) -> TensorSpline:
     """Fill the unfilled spline ``spl`` with the collocation solution, cell by cell.
 
     In each cell, nodes lying on the closure of a shadow-predecessor cell are
@@ -320,15 +307,13 @@ def _march(problem: VieProblem, spl: TensorSpline, order, quad_n: int | None,
     makes the assembled systems independent of the particular causal order.
     """
     covering, nodesets, values, owned = spl.covering, spl.nodesets, spl.values, spl.owned
-    if quad_n is None:
-        quad_n = _default_quad_n(nodesets)
     kern = problem.kernel
     shadow = shadow_matrix(covering)
     rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
     # a cell's sources are its predecessors, then the cell itself
     cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
-                          lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci), quad_n)
+                          lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci))
     for ci, srcs, moments in cells:
         pred_idx = srcs[:-1]
         if not done[pred_idx].all():
@@ -360,7 +345,7 @@ def _march(problem: VieProblem, spl: TensorSpline, order, quad_n: int | None,
 
 
 def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
-             family: str = "legendre_closed", quad_n: int | None = None) -> LocalSpline:
+             family: str = "legendre_closed") -> LocalSpline:
     """March the collocation solution segment by segment over a 1D mesh.
 
     The mesh is solved as its one-axis covering (cell k is segment k, see
@@ -370,13 +355,12 @@ def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
     if problem.l != 1:
         raise ValueError("solve_1d requires a 1-dimensional problem")
     cov = mesh.covering()
-    spl = _march(problem, _unfilled(cov, schedule, family), causal_order(cov), quad_n, 1e-10)
+    spl = _march(problem, _unfilled(cov, schedule, family), causal_order(cov), 1e-10)
     return LocalSpline(**vars(spl))
 
 
 def solve_2d(problem: VieProblem, covering: Covering, degree,
-             family: str = "legendre_closed", quad_n: int | None = None,
-             order=None) -> TensorSpline:
+             family: str = "legendre_closed", order=None) -> TensorSpline:
     """Solve a 2D equation cell by cell over a covering.
 
     Nodes on the closure of an already-solved shadow predecessor inherit its
@@ -393,14 +377,14 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
     order = list(order)
     if sorted(order) != list(range(covering.ncells)):
         raise ValueError("order is not a permutation of the covering's cells")
-    return _march(problem, _unfilled(covering, degree, family), order, quad_n, 1e-9)
+    return _march(problem, _unfilled(covering, degree, family), order, 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
 
-def residual(problem: VieProblem, solution, samples, quad_n: int = 12) -> float:
+def residual(problem: VieProblem, solution, samples) -> float:
     """Max |x(t) - (K x)(t) - f(t)| over sample points.
 
     ``samples`` holds one axis array per dimension, spanning a sample grid;
@@ -417,7 +401,7 @@ def residual(problem: VieProblem, solution, samples, quad_n: int = 12) -> float:
     cells = np.arange(len(solution.values))
     worst = []
     for i, _, moments in _cell_moments(problem.kernel, solution.nodesets, enumerate(grids),
-                                       lambda _: cells, quad_n):
+                                       lambda _: cells):
         mesh = np.meshgrid(*grids[i], indexing="ij")
         pts = np.column_stack([g.ravel() for g in mesh])
         kx = _history(moments, solution.values, mesh[0].shape)
@@ -427,7 +411,7 @@ def residual(problem: VieProblem, solution, samples, quad_n: int = 12) -> float:
     return max(worst)
 
 
-def collocation_residual(problem: VieProblem, solution, quad_n: int | None = None) -> float:
+def collocation_residual(problem: VieProblem, solution) -> float:
     """Max discrete-equation residual over the nodes each cell owns.
 
     Re-evaluates the collocation equations from the stored nodal values with
@@ -435,14 +419,12 @@ def collocation_residual(problem: VieProblem, solution, quad_n: int | None = Non
     the cell that first computed them and are checked there.
     """
     nodesets, values, owned = solution.nodesets, solution.values, solution.owned
-    if quad_n is None:
-        quad_n = _default_quad_n(nodesets)
     # a cell integrates over its shadow predecessors and its own clipped range
     shadow = shadow_matrix(solution.covering) | np.eye(len(values), dtype=bool)
     checked = _node_grids(nodesets, [ci for ci, own in enumerate(owned) if own.any()])
     worst = 0.0
     for ci, srcs, moments in _cell_moments(problem.kernel, nodesets, checked,
-                                           lambda ci: np.nonzero(shadow[:, ci])[0], quad_n):
+                                           lambda ci: np.nonzero(shadow[:, ci])[0]):
         lhs = values[ci] - _history(moments, [values[di] for di in srcs], values[ci].shape)
         grids = np.meshgrid(*[ns.nodes for ns in nodesets[ci]], indexing="ij")
         rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)
@@ -454,6 +436,10 @@ def collocation_residual(problem: VieProblem, solution, quad_n: int | None = Non
 # product-integration oracle on uniform grids
 # ---------------------------------------------------------------------------
 
+# largest uniform_n of the oracle, per dimension
+ORACLE_MAX_N = {1: 400, 2: 100}
+
+
 @dataclass
 class OracleSolution:
     """Uniform-grid solution values from the product-integration oracle."""
@@ -462,7 +448,7 @@ class OracleSolution:
     values: np.ndarray
 
 
-def _linear_weight_matrix(t: np.ndarray, kern: KernelSpec, quad_n: int) -> np.ndarray:
+def _linear_weight_matrix(t: np.ndarray, kern: KernelSpec) -> np.ndarray:
     """Nodal weights V with (V x)[i] ~= int_0^{t_i} kernel * (linear interp of x).
 
     ``kern`` is a one-axis kernel; each grid step is a two-node source cell
@@ -470,7 +456,7 @@ def _linear_weight_matrix(t: np.ndarray, kern: KernelSpec, quad_n: int) -> np.nd
     """
     steps = [(build_nodes((t[j], t[j + 1]), "legendre_closed", 2),) for j in range(t.size - 1)]
     [(_, _, moments)] = _cell_moments(kern, steps, [(0, (t,))],
-                                      lambda _: np.arange(len(steps)), quad_n)
+                                      lambda _: np.arange(len(steps)))
     M = np.asarray(moments(0, len(steps))[0])
     V = np.zeros((t.size, t.size))
     V[:, :-1] += M[:, :, 0].T
@@ -478,7 +464,7 @@ def _linear_weight_matrix(t: np.ndarray, kern: KernelSpec, quad_n: int) -> np.nd
     return V
 
 
-def oracle_solve(problem: VieProblem, uniform_n: int, quad_n: int = 10) -> OracleSolution:
+def oracle_solve(problem: VieProblem, uniform_n: int) -> OracleSolution:
     """Product-integration solution on a uniform grid, advanced causally.
 
     The solution is represented piecewise linearly; kernel moments against the
@@ -487,22 +473,21 @@ def oracle_solve(problem: VieProblem, uniform_n: int, quad_n: int = 10) -> Oracl
     only kernels without a smooth factor are supported.
     """
     kern = problem.kernel
+    if not 1 <= uniform_n <= ORACLE_MAX_N[problem.l]:
+        raise ValueError(f"uniform_n must be in [1, {ORACLE_MAX_N[problem.l]}] "
+                         f"for l = {problem.l}, got {uniform_n}")
     if problem.l == 1:
-        if uniform_n > 400:
-            raise ValueError("uniform_n must be <= 400 for l = 1")
         t = np.linspace(0.0, problem.T, uniform_n + 1)
         f = np.asarray(problem.rhs(t), dtype=float)
         if kern is None:
             return OracleSolution(axes=(t,), values=f.copy())
-        V = _linear_weight_matrix(t, kern, quad_n)
+        V = _linear_weight_matrix(t, kern)
         x = np.zeros(uniform_n + 1)
         for i in range(uniform_n + 1):
             acc = V[i, :i] @ x[:i] if i else 0.0
             x[i] = (f[i] + acc) / (1.0 - V[i, i])
         return OracleSolution(axes=(t,), values=x)
 
-    if uniform_n > 100:
-        raise ValueError("uniform_n must be <= 100 per axis for l = 2")
     if kern is not None and kern.smooth_factor is not None:
         raise NotImplementedError("2D oracle supports product kernels without a smooth factor")
     t1 = np.linspace(0.0, problem.T, uniform_n + 1)
@@ -510,7 +495,7 @@ def oracle_solve(problem: VieProblem, uniform_n: int, quad_n: int = 10) -> Oracl
     F = np.asarray(problem.rhs(t1[:, None], t2[None, :]), dtype=float)
     if kern is None:
         return OracleSolution(axes=(t1, t2), values=F.copy())
-    V1, V2 = (_linear_weight_matrix(t, KernelSpec(exponents=(p,)), quad_n)
+    V1, V2 = (_linear_weight_matrix(t, KernelSpec(exponents=(p,)))
               for t, p in zip((t1, t2), kern.exponents))
     n = uniform_n
     X = np.zeros((n + 1, n + 1))

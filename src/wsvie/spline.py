@@ -21,6 +21,9 @@ from .mesh import Covering, GradedMesh, causal_order, closure_bounds
 # points per block of ``TensorSpline.eval``
 _EVAL_BLOCK = 4096
 
+# fewest samples per axis of ``sup_error``'s dense grid
+MIN_SAMPLES = 50
+
 
 @dataclass
 class TensorSpline:
@@ -229,8 +232,8 @@ def build_spline_1d(f, mesh: GradedMesh, schedule, family: str = "legendre_close
 
 def sup_error(spline, f, samples_per_axis: int = 201) -> float:
     """Max |f - spline| over a uniform dense grid of the domain."""
-    if samples_per_axis < 50:
-        raise ValueError(f"samples_per_axis must be >= 50, got {samples_per_axis}")
+    if samples_per_axis < MIN_SAMPLES:
+        raise ValueError(f"samples_per_axis must be >= {MIN_SAMPLES}, got {samples_per_axis}")
     cov = spline.covering
     axes = [np.linspace(0.0, cov.T, samples_per_axis)] * cov.l
     grids = np.meshgrid(*axes, indexing="ij")

@@ -202,6 +202,36 @@ class TestMainEntry:
         if code:
             assert "singular_rule" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quad_n,code", [(12, 1), (None, 0)])
+    def test_removed_quad_n_rejected(self, tmp_path, capsys, quad_n, code):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "problem": "corner-power-1d",
+            "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"},
+            "N": [2], "quad_n": quad_n}))
+        assert main(["convergence", "--config", str(cfg)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "quad_n" in err and "largest per-axis node count plus 4" in err
+
+    @pytest.mark.parametrize("command,config,field", [
+        ("convergence", {"N": ["a"]}, "N"),
+        ("convergence", {"samples_per_axis": "x"}, "samples_per_axis"),
+        ("convergence", {"samples_per_axis": 10}, "samples_per_axis"),
+        ("widths", {"mode": "counts", "N": ["z"]}, "N"),
+        ("lebesgue", {"family": "chebyshev1_closed", "m": [1]}, "m >= 2"),
+        ("oracle-check", {"problem": "cos-rhs-1d", "N": 8, "uniform_n": 500}, "uniform_n"),
+    ], ids=["N-not-int", "samples-not-int", "samples-too-few", "widths-N-not-int",
+            "lebesgue-m-too-few", "uniform-n-too-large"])
+    def test_malformed_field_exit_1(self, tmp_path, capsys, command, config, field):
+        base = {"problem": "corner-power-1d", "N": [2],
+                "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"}}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**base, **config}))
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and field in err
+
     def test_lebesgue_command(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"family": "chebyshev1_closed", "m": [3]}))

@@ -156,7 +156,7 @@ class TestCausalOrder:
     def test_uniform_2x2_order(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.0)
         order = causal_order(cov)
-        assert [cov.cells[i].index for i in order] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [cov.cells[i].lo for i in order] == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
 
     def test_single_cell(self):
         cov = corner_layer_covering(1, 1.0, 2, 1.0)
@@ -186,6 +186,7 @@ class TestSerialization:
         assert set(data) == {"l", "T", "N", "style", "v", "cells"}
         back = covering_from_dict(data)
         assert back.ncells == cov.ncells
-        assert np.allclose(back.lo_array, cov.lo_array)
-        assert np.allclose(back.hi_array, cov.hi_array)
-        assert [c.index for c in back.cells] == [c.index for c in cov.cells]
+        assert np.array_equal(back.lo_array, cov.lo_array)
+        assert np.array_equal(back.hi_array, cov.hi_array)
+        assert np.array_equal([c.k for c in back.cells], [c.k for c in cov.cells])
+        assert np.array_equal(back.causal_rank(), cov.causal_rank())
