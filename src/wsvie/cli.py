@@ -351,8 +351,16 @@ def run_widths(config: dict) -> ConvergenceReport:
     report = ConvergenceReport(metadata={"mode": mode, "deterministic": True})
     if mode == "counts":
         style = str(config.get("style", "boundary"))
-        l = int(config.get("l", 2))
-        v = float(config.get("v", 2.0))
+        if style not in ("boundary", "corner", "geometric"):
+            raise ConfigError(f"config: unknown covering style {style!r}; "
+                              "known: boundary, corner, geometric")
+        l = _integer(config.get("l", 2), "field 'l'", 2)
+        try:
+            v = float(config.get("v", 2.0))
+        except (TypeError, ValueError):
+            raise ConfigError(f"config: field 'v' must be a number, got {config['v']!r}") from None
+        if not v >= 1:
+            raise ConfigError(f"config: field 'v' must be >= 1, got {v}")
         counts = []
         for N in n_list:
             t0 = time.perf_counter()
@@ -367,7 +375,7 @@ def run_widths(config: dict) -> ConvergenceReport:
                 drop_edges=len(counts) > 3)
         return report
     if mode == "bumps":
-        l = int(config.get("l", 2))
+        l = _integer(config.get("l", 2), "field 'l'", 1)
         params = _class_from_config(config, l)
         for N in n_list:
             t0 = time.perf_counter()

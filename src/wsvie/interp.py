@@ -48,12 +48,13 @@ def legendre_polynomial(m: int, x):
 
 
 @lru_cache(maxsize=None)
-def legendre_roots(m: int, tol: float = 1e-14, max_iter: int = 100) -> np.ndarray:
+def legendre_roots(m: int) -> np.ndarray:
     """Roots of the degree-m Legendre polynomial, sorted ascending.
 
-    Damped Newton iteration from Chebyshev initial guesses; the residual
-    |P_m(root)| is required to drop below 1e-13 for every root. Results are
-    cached and returned as read-only arrays.
+    Damped Newton iteration from Chebyshev initial guesses, stopped once
+    every step is below 1e-14 (at most 100 steps); the residual |P_m(root)|
+    is required to drop below 1e-13 for every root. Results are cached and
+    returned as read-only arrays.
 
     Parameters
     ----------
@@ -70,12 +71,12 @@ def legendre_roots(m: int, tol: float = 1e-14, max_iter: int = 100) -> np.ndarra
     j = np.arange(1, m + 1)
     x = -np.cos((2.0 * j - 1.0) * np.pi / (2.0 * m))  # ascending initial guesses
     max_step = np.pi / (2.0 * m)  # damping: never jump past a neighbouring root
-    for _ in range(max_iter):
+    for _ in range(100):
         p, dp = _legendre_and_derivative(m, x)
         step = p / dp
         step = np.clip(step, -max_step, max_step)
         x = x - step
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < 1e-14:
             break
     else:
         raise RuntimeError(f"Newton iteration for Legendre roots did not converge (m={m})")
@@ -142,10 +143,6 @@ class NodeSet:
             raise ValueError("nodes must be strictly increasing (duplicates present)")
         if self.weights is None:
             self.weights = barycentric_weights(self.nodes)
-
-    @property
-    def segment(self):
-        return (self.a, self.b)
 
 
 def build_nodes(segment, family: str, m: int) -> NodeSet:
@@ -237,11 +234,11 @@ def power_degree_schedule(nsegments: int, r: int, s: int) -> list[int]:
 
 
 def geometric_degree_schedule(nsegments: int, r: int, gamma: float, bound: float,
-                              T: float, m_max: int = 40) -> list[int]:
+                              T: float) -> list[int]:
     """Node counts for a geometric mesh.
 
     Segment 0 gets max(r, 2) nodes; segment k gets
-    floor((10/9) k (r + 1 - gamma) A T) + 1 nodes, clamped to [2, m_max].
+    floor((10/9) k (r + 1 - gamma) A T) + 1 nodes, clamped to [2, 40].
     The cap guards double-precision interpolation, which degrades beyond
     degree ~40.
     """
@@ -250,12 +247,11 @@ def geometric_degree_schedule(nsegments: int, r: int, gamma: float, bound: float
     out = [max(r, 2)]
     for k in range(1, nsegments):
         mk = int(np.floor((10.0 / 9.0) * k * (r + 1 - gamma) * bound * T)) + 1
-        out.append(min(max(mk, 2), m_max))
+        out.append(min(max(mk, 2), 40))
     return out
 
 
-def geometric_global_degree(N: int, r: int, gamma: float, bound: float,
-                            T: float, m_max: int = 40) -> int:
-    """Single per-axis node count for geometric coverings in dimension >= 2."""
+def geometric_global_degree(N: int, r: int, gamma: float, bound: float, T: float) -> int:
+    """Single per-axis node count for geometric coverings in dimension >= 2 (segment k = N)."""
     mk = int(np.floor((10.0 / 9.0) * N * (r + 1 - gamma) * bound * T)) + 1
-    return min(max(mk, 2), m_max)
+    return min(max(mk, 2), 40)

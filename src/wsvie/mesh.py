@@ -13,6 +13,7 @@ are immutable in practice and safe to share across threads.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,94 +161,67 @@ def covering_from_dict(data: dict) -> Covering:
                     style=str(data["style"]), v=data.get("v"), cells=cells)
 
 
-def _chop(a: float, b: float, h: float, style: str) -> np.ndarray:
-    """Edges splitting [a, b] into pieces <= h ("ceil") or within [h, 2h) ("floor")."""
+def _chop(a: float, b: float, h: float, merge: bool) -> np.ndarray:
+    """Edges splitting [a, b] into its full pieces of length h, at least one.
+
+    A remainder is a piece of its own, or with ``merge`` joins the last full
+    piece, so that edge lengths stay in [h, 2h).
+    """
     length = b - a
-    if length <= 0:
-        raise ValueError(f"degenerate range ({a}, {b})")
     nfull = int(np.floor(length / h + 1e-9))
-    rem = length - nfull * h
-    exact = rem <= 1e-9 * length
-    if style == "ceil":
-        if nfull == 0:
-            return np.array([a, b])
-        if exact:
-            edges = a + h * np.arange(nfull + 1.0)
-        else:
-            edges = np.concatenate([a + h * np.arange(nfull + 1.0), [b]])
-    elif style == "floor":
-        if nfull <= 1:
-            return np.array([a, b])
-        if exact:
-            edges = a + h * np.arange(nfull + 1.0)
-        else:
-            # merge the remainder into the final box: edge lengths stay in [h, 2h)
-            edges = np.concatenate([a + h * np.arange(float(nfull)), [b]])
-    else:
-        raise ValueError(f"unknown chop style {style!r}")
+    extra = not merge and length - nfull * h > 1e-9 * length
+    edges = a + h * np.arange(max(nfull + extra, 1) + 1.0)
     edges[0], edges[-1] = a, b
     return edges
 
 
-def _tile_slabs(cells: list, k: int, l: int, band: tuple, below: tuple, above: tuple,
-                h: float, chop_style: str):
-    """Tile one layer shell, slab by slab.
+def _check_layers(N: int, T: float, l: int, v: float | None = None) -> None:
+    """The argument checks of the covering builders; v is None for geometric ones."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if l < 2:
+        raise ValueError(f"l must be >= 2, got {l}")
+    if v is not None and v < 1:
+        raise ValueError(f"v must be >= 1, got {v}")
+    if T <= 0:
+        raise ValueError(f"T must be > 0, got {T}")
+
+
+def _layered(N: int, T: float, l: int, style: str, v: float | None, rows,
+             merge: bool = False) -> Covering:
+    """Tile each layer shell (k, band, below, above, h) of ``rows``, slab by slab.
 
     Slab j (the first axis inside the band) spans ``band`` on axis j,
-    ``below`` on axes i < j and ``above`` on axes i > j. Non-thin axes are
-    chopped to the edge budget h; the thin axis is kept whole (its width is
-    within budget by construction).
+    ``below`` on axes i < j and ``above`` on axes i > j; slabs with an empty
+    range are skipped. Non-thin axes are chopped to the edge budget h (see
+    ``_chop``); the thin axis is kept whole. A shell with an empty ``below``
+    range, such as the top cube of a boundary or geometric covering or the
+    first cube of a corner one, is its slab 0, which comes out as one cell.
     """
-    for j in range(l):
-        ranges = []
-        degenerate = False
-        for i in range(l):
-            if i == j:
-                ranges.append(band)
-            elif i < j:
-                ranges.append(below)
-            else:
-                ranges.append(above)
-            if ranges[-1][1] <= ranges[-1][0]:
-                degenerate = True
-        if degenerate:
-            continue
-        per_axis_edges = []
-        for i, (ra, rb) in enumerate(ranges):
-            if i == j:
-                per_axis_edges.append(np.array([ra, rb]))
-            else:
-                per_axis_edges.append(_chop(ra, rb, h, chop_style))
-        counts = [len(e) - 1 for e in per_axis_edges]
-        for flat in np.ndindex(*counts):
-            lo = tuple(float(per_axis_edges[i][flat[i]]) for i in range(l))
-            hi = tuple(float(per_axis_edges[i][flat[i] + 1]) for i in range(l))
-            cells.append(Cell(k=k, lo=lo, hi=hi))
+    cells = []
+    for k, band, below, above, h in rows:
+        for j in range(l):
+            ranges = [below] * j + [band] + [above] * (l - 1 - j)
+            if any(b <= a for a, b in ranges):
+                continue
+            edges = [np.array(r) if i == j else _chop(*r, h, merge) for i, r in enumerate(ranges)]
+            pieces = [list(zip(e[:-1].tolist(), e[1:].tolist())) for e in edges]
+            cells += [Cell(k, *zip(*box)) for box in itertools.product(*pieces)]
+    return Covering(l=l, T=float(T), N=N, style=style, v=v, cells=cells)
 
 
 def boundary_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
     """Covering of [0, T]^l layered by the distance min_i t_i to the boundary.
 
-    Layer k holds points with (k/N)^v T <= min_i t_i <= ((k+1)/N)^v T. The top
-    layer N-1 is the single corner cube; every lower shell is tiled with boxes
-    of edge at most h_k = ((k+1)/N)^v T - (k/N)^v T.
+    Layer k holds points with (k/N)^v T <= min_i t_i <= ((k+1)/N)^v T, tiled
+    with boxes of edge at most h_k = ((k+1)/N)^v T - (k/N)^v T; the top layer
+    N-1 is the single corner cube.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if l < 2:
-        raise ValueError(f"l must be >= 2, got {l}")
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T}")
-    b = power_graded_mesh(N, T, v).breakpoints
-    cells = [Cell(k=N - 1, lo=(float(b[N - 1]),) * l, hi=(float(T),) * l)]
-    for k in range(N - 2, -1, -1):
-        h = b[k + 1] - b[k]
-        _tile_slabs(cells, k, l, band=(float(b[k]), float(b[k + 1])),
-                    below=(float(b[k + 1]), float(T)), above=(float(b[k]), float(T)),
-                    h=float(h), chop_style="ceil")
-    return Covering(l=l, T=float(T), N=N, style="boundary", v=float(v), cells=cells)
+    _check_layers(N, T, l, v)
+    b = power_graded_mesh(N, T, v).breakpoints.tolist()
+    rows = [(k, (b[k], b[k + 1]), (b[k + 1], b[N]), (b[k], b[N]), b[k + 1] - b[k])
+            for k in range(N - 1, -1, -1)]
+    return _layered(N, T, l, "boundary", float(v), rows)
 
 
 def corner_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
@@ -257,22 +231,11 @@ def corner_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
     cubes of sizes ((k-1)/N)^v T and (k/N)^v T, tiled with boxes of edge at
     most h_{k-1} (the shell thickness).
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if l < 2:
-        raise ValueError(f"l must be >= 2, got {l}")
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T}")
-    c = power_graded_mesh(N, T, v).breakpoints
-    cells = [Cell(k=1, lo=(0.0,) * l, hi=(float(c[1]),) * l)]
-    for k in range(2, N + 1):
-        h = c[k] - c[k - 1]
-        _tile_slabs(cells, k, l, band=(float(c[k - 1]), float(c[k])),
-                    below=(0.0, float(c[k - 1])), above=(0.0, float(c[k])),
-                    h=float(h), chop_style="ceil")
-    return Covering(l=l, T=float(T), N=N, style="corner", v=float(v), cells=cells)
+    _check_layers(N, T, l, v)
+    c = power_graded_mesh(N, T, v).breakpoints.tolist()
+    rows = [(k, (c[k - 1], c[k]), (c[0], c[k - 1]), (c[0], c[k]), c[k] - c[k - 1])
+            for k in range(1, N + 1)]
+    return _layered(N, T, l, "corner", float(v), rows)
 
 
 def geometric_covering(N: int, T: float, l: int) -> Covering:
@@ -283,21 +246,11 @@ def geometric_covering(N: int, T: float, l: int) -> Covering:
     [h_k, 2 h_k] with h_k = 2^(k-1-N) T; the top layer is the single cube
     [T/2, T]^l of edge h_N.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if l < 2:
-        raise ValueError(f"l must be >= 2, got {l}")
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T}")
-    outer = [T * 2.0 ** (k - N) for k in range(N + 1)]  # outer bound of layer k
-    cells = [Cell(k=N, lo=(float(T / 2),) * l, hi=(float(T),) * l)]
-    for k in range(N - 1, -1, -1):
-        h = T * 2.0 ** (k - 1 - N)
-        inner = 0.0 if k == 0 else outer[k - 1]
-        _tile_slabs(cells, k, l, band=(float(inner), float(outer[k])),
-                    below=(float(outer[k]), float(T)), above=(float(inner), float(T)),
-                    h=float(h), chop_style="floor")
-    return Covering(l=l, T=float(T), N=N, style="geometric", v=None, cells=cells)
+    _check_layers(N, T, l)
+    g = geometric_mesh(N, T).breakpoints.tolist()
+    rows = [(k, (g[k], g[k + 1]), (g[k + 1], g[-1]), (g[k], g[-1]), g[k + 1] / 2)
+            for k in range(N, -1, -1)]
+    return _layered(N, T, l, "geometric", None, rows, merge=True)
 
 
 def shadow_matrix(covering: Covering) -> np.ndarray:

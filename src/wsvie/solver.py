@@ -467,42 +467,31 @@ def _linear_weight_matrix(t: np.ndarray, kern: KernelSpec) -> np.ndarray:
 def oracle_solve(problem: VieProblem, uniform_n: int) -> OracleSolution:
     """Product-integration solution on a uniform grid, advanced causally.
 
-    The solution is represented piecewise linearly; kernel moments against the
-    local linear basis are computed per cell by Gauss rules (graded toward the
-    singular endpoint). Accuracy is second order in the mesh width. For l = 2
-    only kernels without a smooth factor are supported.
+    The solution is represented piecewise linearly (bilinearly in 2D), and
+    ``_linear_weight_matrix`` gives the kernel moments of each axis against
+    the local linear basis. The discrete equation X - V1 X V2^T = F is lower
+    triangular, so it is solved row by row:
+    X[i] = solve(I - V1[i, i] V2, F[i] + V2 @ (V1[i, :i] @ X[:i])). In 1D,
+    V2 is the 1 x 1 identity. Accuracy is second order in the mesh width.
+    For l = 2 only kernels without a smooth factor are supported.
     """
     kern = problem.kernel
     if not 1 <= uniform_n <= ORACLE_MAX_N[problem.l]:
         raise ValueError(f"uniform_n must be in [1, {ORACLE_MAX_N[problem.l]}] "
                          f"for l = {problem.l}, got {uniform_n}")
-    if problem.l == 1:
-        t = np.linspace(0.0, problem.T, uniform_n + 1)
-        f = np.asarray(problem.rhs(t), dtype=float)
-        if kern is None:
-            return OracleSolution(axes=(t,), values=f.copy())
-        V = _linear_weight_matrix(t, kern)
-        x = np.zeros(uniform_n + 1)
-        for i in range(uniform_n + 1):
-            acc = V[i, :i] @ x[:i] if i else 0.0
-            x[i] = (f[i] + acc) / (1.0 - V[i, i])
-        return OracleSolution(axes=(t,), values=x)
-
-    if kern is not None and kern.smooth_factor is not None:
+    if problem.l == 2 and kern is not None and kern.smooth_factor is not None:
         raise NotImplementedError("2D oracle supports product kernels without a smooth factor")
-    t1 = np.linspace(0.0, problem.T, uniform_n + 1)
-    t2 = np.linspace(0.0, problem.T, uniform_n + 1)
-    F = np.asarray(problem.rhs(t1[:, None], t2[None, :]), dtype=float)
+    axes = (np.linspace(0.0, problem.T, uniform_n + 1),) * problem.l
+    F = np.asarray(problem.rhs(*np.meshgrid(*axes, indexing="ij", sparse=True)), dtype=float)
     if kern is None:
-        return OracleSolution(axes=(t1, t2), values=F.copy())
-    V1, V2 = (_linear_weight_matrix(t, KernelSpec(exponents=(p,)))
-              for t, p in zip((t1, t2), kern.exponents))
-    n = uniform_n
-    X = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        G = V2 @ (V1[i, :i] @ X[:i, :]) if i else np.zeros(n + 1)
-        vii = V1[i, i]
-        for j in range(n + 1):
-            cross = vii * (V2[j, :j] @ X[i, :j]) if j else 0.0
-            X[i, j] = (F[i, j] + G[j] + cross) / (1.0 - vii * V2[j, j])
-    return OracleSolution(axes=(t1, t2), values=X)
+        return OracleSolution(axes=axes, values=F.copy())
+    if problem.l == 1:
+        V1, V2 = _linear_weight_matrix(axes[0], kern), np.eye(1)
+    else:
+        V1, V2 = (_linear_weight_matrix(t, KernelSpec(exponents=(p,)))
+                  for t, p in zip(axes, kern.exponents))
+    F = F.reshape(uniform_n + 1, -1)
+    X = np.zeros_like(F)
+    for i in range(uniform_n + 1):
+        X[i] = np.linalg.solve(np.eye(len(V2)) - V1[i, i] * V2, F[i] + V2 @ (V1[i, :i] @ X[:i]))
+    return OracleSolution(axes=axes, values=X.reshape((uniform_n + 1,) * problem.l))

@@ -243,9 +243,7 @@ def test_criterion_10_determinism_and_order_invariance():
     assert alt != default and verify_causal_order(cov, alt)
     s1 = solve_2d(prob, cov, degree, fam, order=default)
     s2 = solve_2d(prob, cov, degree, fam, order=alt)
-    dev = max(float(np.max(np.abs(s1.values[ci] - s2.values[ci])))
-              for ci in range(cov.ncells))
-    assert dev <= 1e-9
+    assert all(np.array_equal(s1.values[ci], s2.values[ci]) for ci in range(cov.ncells))
     elapsed = time.perf_counter() - t0
     _report(10, f"byte-identical reports (wall time aside); two distinct causal "
-                f"orders agree at shared nodes to {dev:.2e} <= 1e-9 ({elapsed:.1f}s)")
+                f"orders give identical nodal values ({elapsed:.1f}s)")

@@ -221,8 +221,16 @@ class TestMainEntry:
         ("widths", {"mode": "counts", "N": ["z"]}, "N"),
         ("lebesgue", {"family": "chebyshev1_closed", "m": [1]}, "m >= 2"),
         ("oracle-check", {"problem": "cos-rhs-1d", "N": 8, "uniform_n": 500}, "uniform_n"),
+        ("widths", {"mode": "counts", "l": "x"}, "'l'"),
+        ("widths", {"mode": "counts", "l": 1}, "'l' must be >= 2"),
+        ("widths", {"mode": "counts", "v": "x"}, "'v' must be a number"),
+        ("widths", {"mode": "counts", "v": 0.5}, "'v' must be >= 1"),
+        ("widths", {"mode": "counts", "style": "zz"}, "style 'zz'"),
+        ("widths", {"mode": "bumps", "l": "x"}, "'l'"),
     ], ids=["N-not-int", "samples-not-int", "samples-too-few", "widths-N-not-int",
-            "lebesgue-m-too-few", "uniform-n-too-large"])
+            "lebesgue-m-too-few", "uniform-n-too-large", "widths-l-not-int",
+            "widths-l-too-small", "widths-v-not-number", "widths-v-too-small",
+            "widths-style-unknown", "bumps-l-not-int"])
     def test_malformed_field_exit_1(self, tmp_path, capsys, command, config, field):
         base = {"problem": "corner-power-1d", "N": [2],
                 "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"}}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import wsvie.mesh as mesh
 from wsvie.mesh import (boundary_layer_covering, causal_order, corner_layer_covering,
                         covering_from_dict, geometric_covering, geometric_mesh,
                         power_graded_mesh, shadow_matrix, verify_causal_order)
@@ -190,3 +191,97 @@ class TestSerialization:
         assert np.array_equal(back.hi_array, cov.hi_array)
         assert np.array_equal([c.k for c in back.cells], [c.k for c in cov.cells])
         assert np.array_equal(back.causal_rank(), cov.causal_rank())
+
+
+# Reference: the three covering builders as they were written before they
+# shared one shell loop, each with its own top (or first) cube and a chop
+# rule per style. Cell order matters, since the march sums history in
+# source-index order, so the shared loop must reproduce them bit for bit.
+
+def _ref_chop(a, b, h, style):
+    length = b - a
+    if length <= 0:
+        raise ValueError(f"degenerate range ({a}, {b})")
+    nfull = int(np.floor(length / h + 1e-9))
+    rem = length - nfull * h
+    exact = rem <= 1e-9 * length
+    if style == "ceil":
+        if nfull == 0:
+            return np.array([a, b])
+        if exact:
+            edges = a + h * np.arange(nfull + 1.0)
+        else:
+            edges = np.concatenate([a + h * np.arange(nfull + 1.0), [b]])
+    else:
+        if nfull <= 1:
+            return np.array([a, b])
+        if exact:
+            edges = a + h * np.arange(nfull + 1.0)
+        else:
+            edges = np.concatenate([a + h * np.arange(float(nfull)), [b]])
+    edges[0], edges[-1] = a, b
+    return edges
+
+
+def _ref_tile_slabs(cells, k, l, band, below, above, h, chop_style):
+    for j in range(l):
+        ranges = [band if i == j else below if i < j else above for i in range(l)]
+        if any(rb <= ra for ra, rb in ranges):
+            continue
+        per_axis_edges = [np.array([ra, rb]) if i == j else _ref_chop(ra, rb, h, chop_style)
+                          for i, (ra, rb) in enumerate(ranges)]
+        for flat in np.ndindex(*[len(e) - 1 for e in per_axis_edges]):
+            lo = tuple(float(per_axis_edges[i][flat[i]]) for i in range(l))
+            hi = tuple(float(per_axis_edges[i][flat[i] + 1]) for i in range(l))
+            cells.append(mesh.Cell(k=k, lo=lo, hi=hi))
+
+
+def _ref_boundary(N, T, l, v):
+    b = power_graded_mesh(N, T, v).breakpoints
+    cells = [mesh.Cell(k=N - 1, lo=(float(b[N - 1]),) * l, hi=(float(T),) * l)]
+    for k in range(N - 2, -1, -1):
+        _ref_tile_slabs(cells, k, l, band=(float(b[k]), float(b[k + 1])),
+                        below=(float(b[k + 1]), float(T)), above=(float(b[k]), float(T)),
+                        h=float(b[k + 1] - b[k]), chop_style="ceil")
+    return mesh.Covering(l=l, T=float(T), N=N, style="boundary", v=float(v), cells=cells)
+
+
+def _ref_corner(N, T, l, v):
+    c = power_graded_mesh(N, T, v).breakpoints
+    cells = [mesh.Cell(k=1, lo=(0.0,) * l, hi=(float(c[1]),) * l)]
+    for k in range(2, N + 1):
+        _ref_tile_slabs(cells, k, l, band=(float(c[k - 1]), float(c[k])),
+                        below=(0.0, float(c[k - 1])), above=(0.0, float(c[k])),
+                        h=float(c[k] - c[k - 1]), chop_style="ceil")
+    return mesh.Covering(l=l, T=float(T), N=N, style="corner", v=float(v), cells=cells)
+
+
+def _ref_geometric(N, T, l):
+    outer = [T * 2.0 ** (k - N) for k in range(N + 1)]
+    cells = [mesh.Cell(k=N, lo=(float(T / 2),) * l, hi=(float(T),) * l)]
+    for k in range(N - 1, -1, -1):
+        inner = 0.0 if k == 0 else outer[k - 1]
+        _ref_tile_slabs(cells, k, l, band=(float(inner), float(outer[k])),
+                        below=(float(outer[k]), float(T)), above=(float(inner), float(T)),
+                        h=float(T * 2.0 ** (k - 1 - N)), chop_style="floor")
+    return mesh.Covering(l=l, T=float(T), N=N, style="geometric", v=None, cells=cells)
+
+
+@pytest.mark.parametrize("T", [1.0, 2.5])
+@pytest.mark.parametrize("l, Nmax", [(2, 10), (3, 4)])
+@pytest.mark.parametrize("style", ["boundary", "corner", "geometric"])
+def test_shell_loop_matches_reference_builders(style, l, Nmax, T):
+    # every edge bit, every layer index and the cell order are unchanged
+    for N in range(1, Nmax + 1):
+        if style == "geometric":
+            pairs = [(geometric_covering(N, T, l), _ref_geometric(N, T, l))]
+        else:
+            build, ref = {"boundary": (boundary_layer_covering, _ref_boundary),
+                          "corner": (corner_layer_covering, _ref_corner)}[style]
+            pairs = [(build(N, T, l, v), ref(N, T, l, v)) for v in (1.0, 1.5, 2.5, 3.0)]
+        for cov, want in pairs:
+            assert (cov.l, cov.T, cov.N, cov.style, cov.v) == (want.l, want.T, want.N,
+                                                               want.style, want.v)
+            assert np.array_equal(cov.lo_array, want.lo_array)
+            assert np.array_equal(cov.hi_array, want.hi_array)
+            assert [c.k for c in cov.cells] == [c.k for c in want.cells]
