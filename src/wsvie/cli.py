@@ -142,8 +142,9 @@ def _resolve_function(selector, params, what: str):
     if isinstance(selector, dict) and "catalogue" in selector:
         from .funclass import sample_member
 
+        index = _integer(selector["catalogue"], f"{what} field 'catalogue'", 0)
         try:
-            return sample_member(params, int(selector["catalogue"]))
+            return sample_member(params, index)
         except ValueError as exc:
             raise ConfigError(f"config: {what}: {exc}") from exc
     raise ConfigError(f"config: {what} must be an expression id or {{'catalogue': k}}")
@@ -236,11 +237,14 @@ def _require(config: dict, key: str):
 
 
 def _integer(value, what: str, lo: int, hi: int | None = None) -> int:
-    """``value`` as an int in [lo, hi]; a ConfigError names ``what`` otherwise."""
+    """``value``, a whole number and no bool or string, as an int in [lo, hi];
+    a ConfigError names ``what`` otherwise."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config: {what} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or n != value or isinstance(value, bool):
+        raise ConfigError(f"config: {what} must be an integer, got {value!r}")
     if n < lo or (hi is not None and n > hi):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"config: {what} must be {bound}, got {n}")
@@ -260,8 +264,9 @@ def _class_from_config(config: dict, l: int):
     for key in ("r", "gamma", "kind"):
         if key not in cp:
             raise ConfigError(f"config: class_params missing field {key!r}")
+    r = _integer(cp["r"], "class_params field 'r'", 1)
     try:
-        return derive_class_params(int(cp["r"]), float(cp["gamma"]), str(cp["kind"]),
+        return derive_class_params(r, float(cp["gamma"]), str(cp["kind"]),
                                    l=l, T=float(cp.get("T", 1.0)),
                                    bound=float(cp.get("bound", 1.0)))
     except ValueError as exc:
@@ -279,9 +284,8 @@ def _problem_and_params(config: dict):
                           "64); old configs may keep it as null")
     defn = _require(config, "problem")
     if isinstance(defn, dict):
-        if defn.get("l") not in (1, 2):
-            raise ConfigError("config: inline problem field 'l' must be 1 or 2")
-        params = _class_from_config(config, int(defn["l"]))
+        l = _integer(defn.get("l"), "inline problem field 'l'", 1, 2)
+        params = _class_from_config(config, l)
         return _inline_problem(defn, params), params, "inline"
     problem = get_problem(str(defn))
     return problem, _class_from_config(config, problem.l), str(defn)

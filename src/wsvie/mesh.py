@@ -124,16 +124,39 @@ class Covering:
             self._causal_rank = rank
         return self._causal_rank
 
-    def contains(self, bounds, cells) -> np.ndarray:
-        """Whether points lie on the closure of cells, up to rounding.
+    def lookup(self, pts: np.ndarray, priority) -> np.ndarray:
+        """Per point (n, l): the cell of least ``priority`` whose closure holds it, or -1.
 
-        ``bounds`` is ``closure_bounds(pts)``. For one cell index the result
-        has shape (n,); for an index array, (n, len(cells)).
+        Closures allow the slack of ``closure_bounds``; a cell of priority
+        ``ncells`` or more is never chosen. The distinct cell edges span an
+        elementary grid, built on first use and cached, whose boxes each lie
+        in one cell; the boxes that a point's slack box meets are candidates.
         """
-        lower, upper = bounds
-        if np.ndim(cells):
-            lower, upper = lower[:, None, :], upper[:, None, :]
-        return np.all((upper >= self.lo_array[cells]) & (lower <= self.hi_array[cells]), axis=-1)
+        if not hasattr(self, "_grid"):
+            edges = [np.unique(np.concatenate([self.lo_array[:, a], self.hi_array[:, a]]))
+                     for a in range(self.l)]
+            label = np.full([e.size - 1 for e in edges], -1)
+            for ci, (lo, hi) in enumerate(zip(self.lo_array, self.hi_array)):
+                label[tuple(slice(np.searchsorted(e, a), np.searchsorted(e, b))
+                            for e, a, b in zip(edges, lo, hi))] = ci
+            self._grid = edges, label
+        edges, label = self._grid
+        lower, upper = closure_bounds(pts)
+        n = pts.shape[0]
+        boxes, inside = [], True
+        for a, e in enumerate(edges):
+            # the first and last elementary interval on axis a that the slack box meets
+            first = np.maximum(np.searchsorted(e, lower[:, a]) - 1, 0)
+            last = np.minimum(np.searchsorted(e, upper[:, a], side="right") - 1, e.size - 2)
+            idx = first[:, None] + np.arange(int(np.max(last - first, initial=0)) + 1)
+            shape = (n,) + (1,) * a + (-1,) + (1,) * (self.l - 1 - a)
+            inside = inside & (idx <= last[:, None]).reshape(shape)
+            boxes.append(np.minimum(idx, e.size - 2).reshape(shape))
+        cand = np.where(inside, label[tuple(boxes)], -1).reshape(n, -1)
+        # label -1 (no cell) ranks last, after every cell
+        rank = np.append(priority, self.ncells)
+        best = cand[np.arange(n), np.argmin(rank[cand], axis=1)]
+        return np.where(rank[best] < self.ncells, best, -1)
 
     def to_dict(self) -> dict:
         return {

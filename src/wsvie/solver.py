@@ -323,7 +323,8 @@ def _march(problem: VieProblem, spl: TensorSpline, order, tol: float) -> TensorS
         own = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
         A = np.eye(H.size) - own.reshape(H.size, H.size)
         pts = spl.node_grid(ci)
-        known_mask, known_vals = _inherited_values(spl, pts, pred_idx[np.argsort(rank[pred_idx])])
+        known_mask, known_vals = _inherited_values(spl, pts,
+                                                   np.where(shadow[:, ci], rank, covering.ncells))
         rhs = np.asarray(problem.rhs(*pts.T), dtype=float) + H.ravel()
         if known_mask.any():
             rows = np.nonzero(known_mask)[0]

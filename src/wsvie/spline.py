@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interp import _CLOSED_FAMILIES, build_nodes, lagrange_basis_matrix
-from .mesh import Covering, GradedMesh, causal_order, closure_bounds
+from .mesh import Covering, GradedMesh, causal_order
 
 # points per block of ``TensorSpline.eval``
 _EVAL_BLOCK = 4096
@@ -35,40 +35,8 @@ class TensorSpline:
     owned: list      # per cell: bool ndarray, False where the value was inherited
 
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
-        """Containing cell per point; -1 when outside.
-
-        Boundary points resolve to the containing cell of lowest canonical
-        priority (the cell that owns the shared-face values). Containment
-        allows the relative slack of ``closure_bounds``.
-
-        The sorted distinct cell edges of each axis span an elementary grid
-        whose boxes each lie in one cell. A point's slack box meets a cell's
-        closure exactly when it meets the closure of one of the cell's
-        elementary boxes, so every box within the slack is a candidate.
-        """
-        cov = self.covering
-        edges = [np.unique(np.concatenate([cov.lo_array[:, a], cov.hi_array[:, a]]))
-                 for a in range(cov.l)]
-        label = np.full([e.size - 1 for e in edges], -1)
-        for ci in range(cov.ncells):
-            label[tuple(slice(np.searchsorted(e, lo), np.searchsorted(e, hi))
-                        for e, lo, hi in zip(edges, cov.lo_array[ci], cov.hi_array[ci]))] = ci
-        lower, upper = closure_bounds(pts)
-        # per axis: the first and last elementary interval that the slack box meets
-        first = [np.maximum(np.searchsorted(e, lower[:, a]) - 1, 0) for a, e in enumerate(edges)]
-        last = [np.minimum(np.searchsorted(e, upper[:, a], side="right") - 1, e.size - 2)
-                for a, e in enumerate(edges)]
-        # rank[-1] ranks label -1 (no cell) after every cell
-        rank = np.append(cov.causal_rank(), cov.ncells)
-        out = np.full(pts.shape[0], -1)
-        spans = [int(np.max(hi - lo, initial=0)) + 1 for lo, hi in zip(first, last)]
-        for offset in np.ndindex(*spans):
-            box = [lo + o for lo, o in zip(first, offset)]
-            inside = np.all([b <= hi for b, hi in zip(box, last)], axis=0)
-            cand = np.where(inside, label[tuple(np.clip(b, 0, s - 1)
-                                                for b, s in zip(box, label.shape))], -1)
-            out = np.where(rank[cand] < rank[out], cand, out)
-        return out
+        """Containing cell per point, of lowest causal rank on a shared face; -1 outside."""
+        return self.covering.lookup(pts, self.covering.causal_rank())
 
     def eval_cell(self, ci: int, pts: np.ndarray) -> np.ndarray:
         """Evaluate cell ci's tensor interpolant at points (n, l)."""
@@ -175,20 +143,17 @@ def _unfilled(covering: Covering, degrees, family: str) -> TensorSpline:
                         owned=[None] * covering.ncells)
 
 
-def _inherited_values(spline: TensorSpline, pts: np.ndarray, donors):
+def _inherited_values(spline: TensorSpline, pts: np.ndarray, priority):
     """Values that the nodes ``pts`` of a cell inherit from built cells.
 
-    ``donors`` lists the candidate cells in priority order. A node lying on
-    the closure of a donor takes the spline value of the first such donor.
-    Returns the inherited mask and the values (0 where nothing is inherited).
+    ``priority`` ranks the donor cells, ``ncells`` for a cell that may not
+    donate. A node lying on the closure of a donor takes the spline value of
+    the donor of least priority. Returns the inherited mask and the values
+    (0 where nothing is inherited).
     """
-    mask = np.zeros(pts.shape[0], dtype=bool)
-    vals = np.zeros(pts.shape[0])
-    donors = np.asarray(donors, dtype=int)
-    if donors.size:
-        contains = spline.covering.contains(closure_bounds(pts), donors)
-        mask = contains.any(axis=1)
-        vals[mask] = spline._eval_in(donors[np.argmax(contains[mask], axis=1)], pts[mask])
+    donors = spline.covering.lookup(pts, priority)
+    mask, vals = donors >= 0, np.zeros(pts.shape[0])
+    vals[mask] = spline._eval_in(donors[mask], pts[mask])
     return mask, vals
 
 
@@ -208,14 +173,17 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
     if sorted(order) != list(range(covering.ncells)):
         raise ValueError("order is not a permutation of the covering's cells")
     spl = _unfilled(covering, degrees, family)
+    # a built cell's position in ``order``; ncells for the cells not yet built
+    priority = np.full(covering.ncells, covering.ncells)
     for pos, ci in enumerate(order):
         pts = spl.node_grid(ci)
         shape = tuple(ns.m for ns in spl.nodesets[ci])
         vals = np.asarray(f(*pts.T), dtype=float)
-        inherited, donated = _inherited_values(spl, pts, order[:pos])
+        inherited, donated = _inherited_values(spl, pts, priority)
         vals[inherited] = donated[inherited]
         spl.values[ci] = vals.reshape(shape)
         spl.owned[ci] = (~inherited).reshape(shape)
+        priority[ci] = pos
     return spl
 
 

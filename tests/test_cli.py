@@ -227,10 +227,26 @@ class TestMainEntry:
         ("widths", {"mode": "counts", "v": 0.5}, "'v' must be >= 1"),
         ("widths", {"mode": "counts", "style": "zz"}, "style 'zz'"),
         ("widths", {"mode": "bumps", "l": "x"}, "'l'"),
+        # a fractional number or a bool is not truncated to an integer
+        ("convergence", {"N": [2.5]}, "'N' must be an integer, got 2.5"),
+        ("convergence", {"samples_per_axis": 60.9}, "'samples_per_axis' must be an integer"),
+        ("widths", {"mode": "bumps", "l": True}, "'l' must be an integer, got True"),
+        ("lebesgue", {"family": "chebyshev1_closed", "m": [3.5]}, "'m' must be an integer"),
+        ("oracle-check", {"problem": "cos-rhs-1d", "N": 8, "uniform_n": 8.5},
+         "'uniform_n' must be an integer"),
+        ("convergence", {"class_params": {"r": 2.5, "gamma": 0.5, "kind": "q_star"}},
+         "'r' must be an integer, got 2.5"),
+        ("convergence", {"problem": {"l": 1, "T": 1.0, "kernel": None,
+                                     "rhs": {"catalogue": True}}},
+         "'catalogue' must be an integer, got True"),
+        ("convergence", {"problem": {"l": 1.5, "T": 1.0, "kernel": None, "rhs": "one"}},
+         "inline problem field 'l' must be an integer"),
     ], ids=["N-not-int", "samples-not-int", "samples-too-few", "widths-N-not-int",
             "lebesgue-m-too-few", "uniform-n-too-large", "widths-l-not-int",
             "widths-l-too-small", "widths-v-not-number", "widths-v-too-small",
-            "widths-style-unknown", "bumps-l-not-int"])
+            "widths-style-unknown", "bumps-l-not-int", "N-fractional",
+            "samples-fractional", "bumps-l-bool", "lebesgue-m-fractional",
+            "uniform-n-fractional", "r-fractional", "catalogue-bool", "inline-l-fractional"])
     def test_malformed_field_exit_1(self, tmp_path, capsys, command, config, field):
         base = {"problem": "corner-power-1d", "N": [2],
                 "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"}}

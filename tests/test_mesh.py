@@ -285,3 +285,21 @@ def test_shell_loop_matches_reference_builders(style, l, Nmax, T):
             assert np.array_equal(cov.lo_array, want.lo_array)
             assert np.array_equal(cov.hi_array, want.hi_array)
             assert [c.k for c in cov.cells] == [c.k for c in want.cells]
+
+
+@pytest.mark.parametrize("merge", [False, True])
+@pytest.mark.parametrize("full, rem, pieces", [
+    # a remainder of 1e-7 of the range is a piece of its own, or merges
+    (4, 1e-7, {False: 5, True: 4}),
+    # a range 1e-7 short of 5 pieces holds 4 full ones, not 5
+    (5, -1e-7, {False: 5, True: 4}),
+], ids=["remainder-over", "remainder-short"])
+def test_chop_slack_is_1e_9_of_the_range(merge, full, rem, pieces):
+    # remainders between 1e-9 and 1e-6 of the range pin both slacks of _chop
+    a, b = 0.5, 1.5
+    h = (b - a) * (1 - rem) / full
+    edges = mesh._chop(a, b, h, merge)
+    assert (edges[0], edges[-1]) == (a, b)
+    assert edges.size - 1 == pieces[merge]
+    assert np.all(np.diff(edges) > 0)
+    assert np.allclose(np.diff(edges)[:-1], h, rtol=0, atol=1e-15)

@@ -7,6 +7,20 @@ from wsvie.spline import (build_spline_1d, build_tensor_spline, max_node_error,
                           n_functionals, sup_error, tensor_spline_from_dict)
 
 
+def _box_scan(cov, pts, priority):
+    """Reference point location: test every cell's box, visiting cells from the
+    highest priority down, so that the least-priority containing cell wins."""
+    from wsvie.mesh import closure_bounds
+
+    lower, upper = closure_bounds(pts)
+    out = np.full(pts.shape[0], -1)
+    for ci in np.argsort(priority, kind="stable")[::-1]:
+        if priority[ci] < cov.ncells:
+            inside = np.all((upper >= cov.lo_array[ci]) & (lower <= cov.hi_array[ci]), axis=1)
+            out[inside] = ci
+    return out
+
+
 class TestSpline1D:
     def test_linear_reproduction(self):
         mesh = power_graded_mesh(5, 1.0, 1.5)
@@ -181,11 +195,13 @@ class TestTensorSpline:
 
     @pytest.mark.parametrize("which", ["qstar-2d-8", "bstar-2d-5", "qqstar-2d-4", "bstar-1d-16"])
     def test_cell_of_matches_rank_ordered_scan(self, which):
-        # reference: scan the cells by causal rank, first containing cell wins
+        # Covering.lookup under three priorities (causal rank, a random
+        # permutation, one cell's shadow predecessors) against a box scan of
+        # every cell; inheritance must take the scan's donors bit for bit
         from wsvie.funclass import derive_class_params
-        from wsvie.mesh import closure_bounds
+        from wsvie.mesh import shadow_matrix
         from wsvie.solver import preset_1d, preset_2d
-        from wsvie.spline import _unfilled
+        from wsvie.spline import _inherited_values
 
         kind, l, N = {"qstar-2d-8": ("q_star", 2, 8), "bstar-2d-5": ("b_star", 2, 5),
                       "qqstar-2d-4": ("q_double_star", 2, 4), "bstar-1d-16": ("b_star", 1, 16)}[which]
@@ -195,7 +211,7 @@ class TestTensorSpline:
             cov = mesh.covering()
         else:
             cov, degrees, fam = preset_2d(params, N)
-        spl = _unfilled(cov, degrees, fam)
+        spl = build_tensor_spline(lambda *t: np.cos(sum(t)), cov, degrees, family=fam)
         rng = np.random.default_rng(3)
         axis = np.linspace(0.0, 1.0, 101)
         grid = np.stack(np.meshgrid(*[axis] * l, indexing="ij"), -1).reshape(-1, l)
@@ -204,13 +220,25 @@ class TestTensorSpline:
         outside = np.array([[-0.1] * l, [1.0 + 1e-9] * l, [1.0 + 1e-13] * l, [0.5] * (l - 1) + [2.0]])
         pts = np.vstack([grid, corners, spl.node_points().reshape(-1, l), rng.random((2000, l)),
                          outside])
-        ref = np.full(pts.shape[0], -1)
-        bounds = closure_bounds(pts)
-        for ci in np.argsort(cov.causal_rank())[::-1]:
-            ref[cov.contains(bounds, ci)] = ci
+        rank = cov.causal_rank()
+        middle = np.argsort(rank)[cov.ncells // 2]
+        priorities = {"rank": rank, "permutation": rng.permutation(cov.ncells),
+                      "shadow": np.where(shadow_matrix(cov)[:, middle], rank, cov.ncells)}
+        refs = {name: _box_scan(cov, pts, priority) for name, priority in priorities.items()}
+        for name, priority in priorities.items():
+            ref = refs[name]
+            assert np.array_equal(cov.lookup(pts, priority), ref), name
+            mask, vals = _inherited_values(spl, pts, priority)
+            expected = np.zeros(pts.shape[0])
+            for ci in np.unique(ref[ref >= 0]):
+                expected[ref == ci] = spl.eval_cell(ci, pts[ref == ci])
+            assert np.array_equal(mask, ref >= 0) and np.array_equal(vals, expected), name
         out = spl.cell_of(pts)
-        assert np.array_equal(out, ref)
+        assert np.array_equal(out, refs["rank"])
         assert np.array_equal(out[-4:] >= 0, [False, False, True, False])
+        # a cell outside the predecessors never donates, even to its own nodes
+        shadow_only = cov.lookup(spl.node_grid(middle), priorities["shadow"])
+        assert middle not in shadow_only and np.any(shadow_only < 0)
 
     def test_constant_spline(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.5)
