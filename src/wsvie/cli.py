@@ -154,20 +154,20 @@ def _inline_problem(defn: dict, params) -> VieProblem:
     for key in ("l", "T"):
         if key not in defn:
             raise ConfigError(f"config: inline problem missing field {key!r}")
-    kernel = None
-    if defn.get("kernel") is not None:
-        kspec = defn["kernel"]
-        if "exponents" not in kspec:
-            raise ConfigError("config: inline kernel missing field 'exponents'")
-        kernel = KernelSpec(exponents=tuple(float(p) for p in kspec["exponents"]))
+    kspec = defn.get("kernel")
+    if kspec is not None and not (isinstance(kspec, dict) and "exponents" in kspec):
+        raise ConfigError(f"config: inline kernel must be an object with field 'exponents', "
+                          f"got {kspec!r}")
     rhs = _resolve_function(defn.get("rhs"), params, "rhs")
     if rhs is None:
         raise ConfigError("config: inline problem missing field 'rhs'")
     exact = _resolve_function(defn.get("exact"), params, "exact")
     try:
+        kernel = None if kspec is None else KernelSpec(
+            exponents=tuple(float(p) for p in kspec["exponents"]))
         return VieProblem(l=int(defn["l"]), T=float(defn["T"]), kernel=kernel,
                           rhs=rhs, exact=exact)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: inline problem invalid: {exc}") from exc
 
 

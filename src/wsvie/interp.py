@@ -172,27 +172,20 @@ def build_nodes(segment, family: str, m: int) -> NodeSet:
 
 
 def lagrange_basis_matrix(nodeset: NodeSet, points) -> np.ndarray:
-    """Evaluate all fundamental polynomials at ``points``.
+    """Evaluate all fundamental polynomials at ``points``, of any shape.
 
-    Returns an array of shape (len(points), m) whose row p contains
-    l_0(t_p), ..., l_{m-1}(t_p). Rows at points coinciding with a node are
-    exact unit vectors.
+    Returns an array of shape points.shape + (m,) (a scalar counts as one
+    point) whose entries [..., j] are l_j at the points. Rows at points
+    coinciding with a node are exact unit vectors.
     """
-    return _barycentric(nodeset.nodes, nodeset.weights, np.atleast_1d(np.asarray(points, float)))
-
-
-def _barycentric(nodes, weights, pts) -> np.ndarray:
-    """Fundamental polynomials of stacked node systems, shape (..., P, m).
-
-    ``nodes``, ``weights`` (..., m) and ``pts`` (..., P) broadcast on their leading axes."""
-    basis = pts[..., :, None] - nodes[..., None, :]
+    basis = np.atleast_1d(np.asarray(points, float))[..., None] - nodeset.nodes
     hit = basis == 0.0
     hit_row = hit.any(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(weights[..., None, :], basis, out=basis)
+        np.divide(nodeset.weights, basis, out=basis)
         basis /= basis.sum(axis=-1, keepdims=True)
     if hit_row.any():
-        basis[hit_row] = hit[hit_row].astype(float)
+        basis[hit_row] = hit[hit_row]
     return basis
 
 

@@ -3,21 +3,21 @@
 The moment helpers integrate products (x - tau)^p * l_j(tau) over a clipped
 interval [a, min(b, x)], where l_j are the Lagrange fundamental polynomials of
 a NodeSet. Each row x takes one of three fixed rules, chosen by one private
-helper from where x lies:
+generator, ``_rules``, from where x lies:
 
 * singular rows (a < x <= b) -- a Gauss-Jacobi rule with the weight
   (x - tau)^p folded in, exact for polynomial factors of degree <= 2n - 1;
-* far rows (x - b >= b - a) -- one Gauss-Legendre panel on [a, b], shared by
-  every far row;
+* far rows (x - b >= b - a) -- one Gauss-Legendre panel on [a, b];
 * near rows (the rest) -- composite Gauss-Legendre with panels graded
   dyadically toward b.
 
-``stacked_kernel_moments`` takes the moments of many intervals with one
-node count at one coordinate array; ``kernel_moments`` is its one-interval
-case. The Lagrange basis is evaluated only where weights are nonzero: once
-per interval at the points that its far rows share, once at those that its
-near rows share and at n points per singular row. One einsum contracts the
-rules of many intervals, each summed as if alone, so stacking changes no bit.
+The rules are written in the reference coordinate sigma on [-1, 1], where a
+NodeSet's l_j is the fundamental polynomial of one reference node set and
+the far (or near) rows of every interval share their points.
+``stacked_kernel_moments`` takes the moments of many intervals at one
+coordinate array, with one reference basis per shared rule; its rows sum in
+one fixed order, so stacking changes no bit. ``kernel_moments`` is its
+one-interval case.
 """
 
 from __future__ import annotations
@@ -28,19 +28,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interp import NodeSet, _barycentric, _legendre_and_derivative, legendre_roots
+from .interp import (NodeSet, _legendre_and_derivative, build_nodes, lagrange_basis_matrix,
+                     legendre_roots)
 
 # composite Gauss-Legendre panels of a near row
 _NEAR_PANELS = 13
 
 # doubles (1 MB) for a chunk's moment tables or a block of history sums; a
-# block of moment rules keeps its weights and basis to an eighth of it
+# block of moment rows keeps its weights (and per-row basis) to an eighth
 _TABLE_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Nodes and positive weights of an n-point rule on [-1, 1].
+    """Nodes and positive weights of an n-point rule, on [-1, 1] unless stated.
 
     Instances are cached and shared; the arrays are marked read-only.
     """
@@ -148,89 +149,93 @@ def power_moment(a: float, b: float, t: float) -> float:
     return math.exp(_log_beta(a + 1.0, b + 1.0)) * t ** (a + b + 1.0)
 
 
-def _branches(x, p: float, a, b, n: int, m: int):
+@lru_cache(maxsize=None)
+def _graded_panels(n: int, panels: int) -> QuadRule:
+    """n-point Gauss-Legendre panels on [0, 2], graded toward 0.
+
+    Panel j spans [2^-j, 2^(1-j)], and the last reaches 0. A near (or far)
+    row takes this rule in d = 1 - sigma, which keeps its digits near b.
+    """
+    gl = gauss_legendre(n)
+    hi = 2.0 * 0.5 ** np.arange(panels)
+    lo = np.append(hi[1:], 0.0)
+    return QuadRule(n=n * panels, weights=(0.5 * (hi - lo)[:, None] * gl.weights).ravel(),
+                    nodes=(0.5 * (hi + lo)[:, None] - 0.5 * (hi - lo)[:, None] * gl.nodes).ravel())
+
+
+# the reference NodeSet build_nodes((-1, 1), family, m), built once per family and m
+_reference_nodes = lru_cache(maxsize=None)(build_nodes)
+
+
+def _rules(x, p: float, a, b, n: int, m: int):
     """Classify rows against S intervals [a[s], b[s]]; yield their rules in blocks.
 
-    * singular rows (a < x_i <= b): n Gauss-Jacobi points on [a, x_i], a rule
+    A row x_i of interval s is
+
+    * singular when a < x_i <= b: n Gauss-Jacobi points on [a, x_i], a rule
       per row;
-    * far rows (x_i - b >= b - a): one Gauss-Legendre panel on [a, b];
-    * near rows (the rest): ``_NEAR_PANELS`` Gauss-Legendre panels on [a, b],
+    * far when x_i - b >= b - a: one Gauss-Legendre panel on [a, b];
+    * near otherwise: ``_NEAR_PANELS`` Gauss-Legendre panels on [a, b],
       graded dyadically toward b.
 
-    Far (and near) rows of an interval share one rule; rows with x_i <= a
-    belong to no branch. Yields ``(s, rows, T, W)`` per block: rule u of
-    interval s[u] has the points T[u], and W[u, c] are its weights, with
-    (x - tau)^p folded in, for row rows[u, c]. A rule with fewer rows than the
-    block width repeats its last row, so duplicate weights equal real ones.
-    Rules go by row count, so blocks pad little; a block's weights and basis
-    of m functions hold at most ``_TABLE_BUDGET / 8`` doubles, or one rule.
+    Rows with x_i <= a belong to no branch. Yields ``(s, rows, sigma, W)``
+    per block of (interval, row) pairs: pair c is row rows[c] of interval
+    s[c], with weights W[c], (x - tau)^p folded in, at the reference points
+    sigma = (2 tau - a - b) / (b - a). Far (and near) blocks share one sigma
+    array; a singular block has one row sigma[c] per pair. A block's weights,
+    and its basis of m functions at per-row points, hold at most
+    ``_TABLE_BUDGET / 8`` doubles, or one pair.
     """
     a, b = np.reshape(a, (-1, 1)).astype(float), np.reshape(b, (-1, 1)).astype(float)
     active = np.minimum(x, b) > a
     singular = active & (x <= b)
     far = active & (x - b >= (b - a))
-    gl = gauss_legendre(n)
+    jac = gauss_jacobi(n, p)
     for rows, panels in ((singular, 0), (far, 1), (active & ~singular & ~far, _NEAR_PANELS)):
-        s, r = np.nonzero(rows)   # by interval, then row
-        if not s.size:
-            continue
-        count = np.bincount(s, minlength=len(a)) if panels else np.ones(s.size, int)
-        first = np.cumsum(count) - count
-        order = np.argsort(count, kind="stable")[count.size - np.count_nonzero(count):]
-        q, sizes = n * max(panels, 1), count[order].tolist()
-        lo = 0
-        while lo < order.size:
-            hi = lo + 1
-            while hi < order.size and (hi + 1 - lo) * (sizes[hi] + m) * 8 * q <= _TABLE_BUDGET:
-                hi += 1
-            u, lo = order[lo:hi], hi
-            su = s[first[u]]
-            ru = r[first[u, None] + np.minimum(np.arange(count[u[-1]]), count[u, None] - 1)]
-            if not panels:
-                jac = gauss_jacobi(n, p)
-                L = x[ru] - a[su]
-                tau = a[su] + 0.5 * L * (jac.nodes[None, :] + 1.0)
-                yield su, ru, tau, ((0.5 * L) ** (p + 1.0) * jac.weights[None, :])[:, None, :]
-                continue
-            los, his = a[su], b[su]
-            if panels > 1:
-                # with L = b - a, panel j spans [b - L 2^-j, b - L 2^-(j+1)];
-                # the last panel reaches b
-                los = his - (his - los) * 0.5 ** np.arange(panels)
-                his = np.concatenate([los[:, 1:], his], axis=1)
-            mid, half = 0.5 * (los + his)[:, :, None], 0.5 * (his - los)[:, :, None]
-            tau = (mid + half * gl.nodes).reshape(u.size, q)
-            w = (half * gl.weights).reshape(u.size, 1, q)
-            yield su, ru, tau, w * (x[ru][:, :, None] - tau[:, None, :]) ** p
+        s, r = np.nonzero(rows)
+        step = max(1, _TABLE_BUDGET // (8 * n * (panels or m + 1)))
+        if panels:
+            rule = _graded_panels(n, panels)
+            d, w, sigma = rule.nodes, rule.weights, 1.0 - rule.nodes
+        for lo in range(0, s.size, step):
+            sb, rb = s[lo:lo + step], r[lo:lo + step]
+            half = 0.5 * (b[sb] - a[sb])
+            if panels:
+                # x - tau = (x - b) + half * d keeps its digits just past b
+                yield sb, rb, sigma, half * w * ((x[rb, None] - b[sb]) + half * d) ** p
+            else:
+                u = 0.5 * (x[rb, None] - a[sb])   # half the length of [a, x]
+                yield sb, rb, (jac.nodes + 1.0) * (u / half) - 1.0, u ** (p + 1.0) * jac.weights
 
 
 def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int) -> np.ndarray:
     """``kernel_moments`` of S intervals at once: an array of shape (S, x.size, m).
 
     Interval s runs from a[s] to b[s] and carries the fundamental polynomials
-    of nodesets[s], which share their node count m. Each row equals that of
-    ``kernel_moments`` on its interval alone, to the bit.
+    of nodesets[s], built on it by ``build_nodes`` with one family and node
+    count m: those of ``build_nodes((-1, 1), family, m)`` in sigma. Each row
+    equals that of ``kernel_moments`` on its interval alone, to the bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    nodes = np.array([ns.nodes for ns in nodesets])
-    weights = np.array([ns.weights for ns in nodesets])
-    M = np.zeros((len(nodesets), x.size, nodes.shape[1]))
-    for s, rows, tau, W in _branches(x, p, a, b, n, nodes.shape[1]):
-        # einsum, not a BLAS matmul: it sums over q in the order of one
-        # interval's contraction, so the moments do not change by a bit
-        M[s[:, None], rows] = np.einsum("scq,sqm->scm", W, _barycentric(nodes[s], weights[s], tau))
+    ref = _reference_nodes((-1.0, 1.0), nodesets[0].family, nodesets[0].m)
+    M = np.zeros((len(nodesets), x.size, ref.m))
+    shared = {}   # basis at the far (n points) and near (13 n points) rules
+    for s, rows, sigma, W in _rules(x, p, a, b, n, ref.m):
+        if sigma.ndim == 1:
+            if sigma.size not in shared:
+                shared[sigma.size] = lagrange_basis_matrix(ref, sigma)
+            # einsum, not BLAS: a row sums in one order, whatever the block size
+            M[s, rows] = np.einsum("cq,qm->cm", W, shared[sigma.size])
+        else:
+            M[s, rows] = np.einsum("cq,cqm->cm", W, lagrange_basis_matrix(ref, sigma))
     return M
 
 
 def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet, n: int) -> np.ndarray:
     """Moments M[i, j] = int_a^{min(b, x_i)} (x_i - tau)^p l_j(tau) dtau.
 
-    ``l_j`` are the fundamental polynomials of ``nodeset`` (extended as global
-    polynomials; the integration range is always inside [a, b]). The rules are
-    those of ``_branches``, so singular rows are exact for the polynomial
-    factor when n >= m / 2, and rows with x_i <= a are zero. This is the
-    one-interval case of ``stacked_kernel_moments``: the basis is evaluated at
-    n points per singular row and once at the points that all far (or all
-    near) rows share.
+    ``l_j`` are the fundamental polynomials of ``nodeset``, built on [a, b] by
+    ``build_nodes``. The rules are those of ``_rules``: singular rows are
+    exact for the polynomial factor when n >= m / 2, rows with x_i <= a zero.
     """
     return stacked_kernel_moments(x, p, [a], [b], [nodeset], n)[0]

@@ -20,7 +20,8 @@ each axis, so one generator, ``_cell_moments``, walks a sequence of target
 grids in chunks and builds per-axis moment tables per chunk, one per
 distinct source interval, evaluated at the sorted union of the chunk's grid
 coordinates: per axis, one ``stacked_kernel_moments`` call per node count
-fills the tables of all its intervals. The targets are the cells'
+fills the tables of all its intervals, with one Lagrange basis on the
+reference interval per shared rule. The targets are the cells'
 node grids in causal order for the march and the collocation residual check,
 sample grids for ``residual`` and the uniform grid for the oracle. A target's
 moment matrices are row gathers from these tables, and its 2D history is a
@@ -50,7 +51,7 @@ from .interp import geometric_degree_schedule, geometric_global_degree, power_de
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, shadow_matrix)
-from .quad import _TABLE_BUDGET, _branches, stacked_kernel_moments
+from .quad import _TABLE_BUDGET, _reference_nodes, _rules, stacked_kernel_moments
 from .spline import LocalSpline, TensorSpline, _inherited_values, _unfilled
 
 
@@ -219,9 +220,9 @@ def _cubature(kern: KernelSpec | None, grid, sources, n: int, lo: int, hi: int) 
     ``sources`` holds per-axis NodeSets per cell. Each weight matrix has
     shape (grid size, m_1 * ... * m_l): zero without a kernel, else tensor
     Gauss cubature, n points per panel, of h * g times the cell's tensor
-    Lagrange basis. The smooth factor couples the axes, so the cubature is
-    summed for every tuple of per-axis ``_branches`` blocks, over the rows of
-    those blocks.
+    Lagrange basis, evaluated on the reference interval of each axis. The
+    smooth factor couples the axes, so the cubature is summed for every tuple
+    of per-axis ``_rules`` blocks, over the rows of those blocks.
     """
     size = math.prod(x.size for x in grid)
     out = []
@@ -229,14 +230,14 @@ def _cubature(kern: KernelSpec | None, grid, sources, n: int, lo: int, hi: int) 
         if kern is None:
             out.append(np.zeros((size, math.prod(ns.m for ns in nodesets))))
             continue
-        rules = []   # per axis: (rows, points, weights times basis) per block of rules
+        rules = []   # per axis: (rows, points, weights times basis) per block of rows
         for x, p, ns in zip(grid, kern.exponents, nodesets):
+            ref = _reference_nodes((-1.0, 1.0), ns.family, ns.m)
             rules.append([])
-            for _, rows, tau, w in _branches(x, p, ns.a, ns.b, n, ns.m):
-                tau = np.broadcast_to(tau[:, None, :], w.shape).reshape(-1, w.shape[2])
-                rows, w = rows.ravel(), w.reshape(tau.shape)
-                basis = lagrange_basis_matrix(ns, tau.ravel()).reshape(*w.shape, ns.m)
-                rules[-1].append((rows, tau, w[:, :, None] * basis))
+            for _, rows, sigma, w in _rules(x, p, ns.a, ns.b, n, ns.m):
+                sigma = np.broadcast_to(sigma, w.shape)
+                tau = 0.5 * (ns.a + ns.b) + 0.5 * (ns.b - ns.a) * sigma
+                rules[-1].append((rows, tau, w[:, :, None] * lagrange_basis_matrix(ref, sigma)))
         W = np.zeros(tuple(x.size for x in grid) + tuple(ns.m for ns in nodesets))
         if len(grid) == 1:
             for rows, T, C in rules[0]:

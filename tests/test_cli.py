@@ -241,12 +241,23 @@ class TestMainEntry:
          "'catalogue' must be an integer, got True"),
         ("convergence", {"problem": {"l": 1.5, "T": 1.0, "kernel": None, "rhs": "one"}},
          "inline problem field 'l' must be an integer"),
+        # a malformed inline kernel is a config error, not a traceback
+        ("convergence", {"problem": {"l": 1, "T": 1.0, "kernel": {"exponents": ["a"]},
+                                     "rhs": "one"}}, "inline problem invalid"),
+        ("convergence", {"problem": {"l": 1, "T": 1.0, "kernel": {"exponents": [-1.5]},
+                                     "rhs": "one"}}, "exponents must be > -1"),
+        ("convergence", {"problem": {"l": 1, "T": 1.0, "kernel": {"exponents": 2.5},
+                                     "rhs": "one"}}, "inline problem invalid"),
+        ("convergence", {"problem": {"l": 1, "T": 1.0, "kernel": 5, "rhs": "one"}},
+         "inline kernel must be an object with field 'exponents'"),
     ], ids=["N-not-int", "samples-not-int", "samples-too-few", "widths-N-not-int",
             "lebesgue-m-too-few", "uniform-n-too-large", "widths-l-not-int",
             "widths-l-too-small", "widths-v-not-number", "widths-v-too-small",
             "widths-style-unknown", "bumps-l-not-int", "N-fractional",
             "samples-fractional", "bumps-l-bool", "lebesgue-m-fractional",
-            "uniform-n-fractional", "r-fractional", "catalogue-bool", "inline-l-fractional"])
+            "uniform-n-fractional", "r-fractional", "catalogue-bool", "inline-l-fractional",
+            "kernel-exponent-not-number", "kernel-exponent-too-small",
+            "kernel-exponents-scalar", "kernel-not-object"])
     def test_malformed_field_exit_1(self, tmp_path, capsys, command, config, field):
         base = {"problem": "corner-power-1d", "N": [2],
                 "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"}}
