@@ -175,8 +175,8 @@ def lagrange_basis_matrix(nodeset: NodeSet, points) -> np.ndarray:
     """Evaluate all fundamental polynomials at ``points``, of any shape.
 
     Returns an array of shape points.shape + (m,) (a scalar counts as one
-    point) whose entries [..., j] are l_j at the points. Rows at points
-    coinciding with a node are exact unit vectors.
+    point) of the l_j at the points, with exact unit rows at nodes. Nodes and
+    weights of shape (k, m) give each of k points a node set of its own.
     """
     basis = np.atleast_1d(np.asarray(points, float))[..., None] - nodeset.nodes
     hit = basis == 0.0

@@ -124,13 +124,13 @@ class Covering:
             self._causal_rank = rank
         return self._causal_rank
 
-    def lookup(self, pts: np.ndarray, priority) -> np.ndarray:
-        """Per point (n, l): the cell of least ``priority`` whose closure holds it, or -1.
+    def candidates(self, pts: np.ndarray) -> np.ndarray:
+        """Per point (n, l): the cells whose closure may hold it, shape (n, K), -1 padded.
 
-        Closures allow the slack of ``closure_bounds``; a cell of priority
-        ``ncells`` or more is never chosen. The distinct cell edges span an
-        elementary grid, built on first use and cached, whose boxes each lie
-        in one cell; the boxes that a point's slack box meets are candidates.
+        Closures allow the slack of ``closure_bounds``. The distinct cell
+        edges span an elementary grid, built on first use and cached, whose
+        boxes each lie in one cell; the boxes that a point's slack box meets
+        are its candidates.
         """
         if not hasattr(self, "_grid"):
             edges = [np.unique(np.concatenate([self.lo_array[:, a], self.hi_array[:, a]]))
@@ -149,20 +149,28 @@ class Covering:
             first = np.maximum(np.searchsorted(e, lower[:, a]) - 1, 0)
             last = np.minimum(np.searchsorted(e, upper[:, a], side="right") - 1, e.size - 2)
             idx = first[:, None] + np.arange(int(np.max(last - first, initial=0)) + 1)
-            shape = (n,) + (1,) * a + (-1,) + (1,) * (self.l - 1 - a)
+            shape = (n,) + (1,) * a + (idx.shape[1],) + (1,) * (self.l - 1 - a)
             inside = inside & (idx <= last[:, None]).reshape(shape)
             boxes.append(np.minimum(idx, e.size - 2).reshape(shape))
-        cand = np.where(inside, label[tuple(boxes)], -1).reshape(n, -1)
-        # label -1 (no cell) ranks last, after every cell
-        rank = np.append(priority, self.ncells)
-        best = cand[np.arange(n), np.argmin(rank[cand], axis=1)]
-        return np.where(rank[best] < self.ncells, best, -1)
+        return np.where(inside, label[tuple(boxes)], -1).reshape(n, -1 if n else 1)
+
+    def lookup(self, pts: np.ndarray, priority) -> np.ndarray:
+        """Per point (n, l): the closure-holding cell of least ``priority`` < ncells, or -1."""
+        cand = self.candidates(pts)
+        return least(cand, np.asarray(priority)[cand], self.ncells)
 
     def to_dict(self) -> dict:
         return {
             "l": self.l, "T": self.T, "N": self.N, "style": self.style, "v": self.v,
             "cells": [{"k": c.k, "lo": list(c.lo), "hi": list(c.hi)} for c in self.cells],
         }
+
+
+def least(cand: np.ndarray, priority: np.ndarray, ncells: int) -> np.ndarray:
+    """Per row of candidates (n, K), the one of least priority (same shape) below ncells, or -1."""
+    priority = np.where(cand < 0, ncells, priority)   # padding never wins
+    best = np.arange(cand.shape[0]), np.argmin(priority, axis=1)
+    return np.where(priority[best] < ncells, cand[best], -1)
 
 
 def closure_bounds(pts: np.ndarray):

@@ -33,6 +33,10 @@ A general h(t, tau) couples the axes. The generator then yields one
 flattened weight matrix per source cell, from tensor Gauss cubature over the
 same per-axis rules, and the consumers treat it as the one-axis case.
 
+The march calls the right side once on all nodes and looks up the donors
+of all boundary nodes at once; its cell loop keeps the history, inherited
+values, LU solve and residual check, which need the cells solved before.
+
 Cells whose predecessors are complete could be solved concurrently (wavefront
 contract); this implementation is the single-threaded reference.
 """
@@ -52,7 +56,7 @@ from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, shadow_matrix)
 from .quad import _TABLE_BUDGET, _reference_nodes, _rules, stacked_kernel_moments
-from .spline import LocalSpline, TensorSpline, _inherited_values, _unfilled
+from .spline import LocalSpline, TensorSpline, _donated, _nodal, _unfilled
 
 
 @dataclass
@@ -279,7 +283,7 @@ def _history(moments, values, shape) -> np.ndarray:
             for w, v in zip(W[0], block):
                 out += (w @ v.ravel()).reshape(shape)
         elif all(isinstance(w, np.ndarray) for w in W):
-            part = np.matmul(np.matmul(W[0], np.stack(block)), W[1].transpose(0, 2, 1))
+            part = np.matmul(np.matmul(W[0], np.asarray(block)), W[1].transpose(0, 2, 1))
             part[0] += out
             out = np.add.accumulate(part)[-1]   # in order, even for a 1 x 1 grid
         else:
@@ -297,7 +301,7 @@ def _node_grids(nodesets, cells):
 # the causal march
 # ---------------------------------------------------------------------------
 
-def _march(problem: VieProblem, spl: TensorSpline, order, tol: float) -> TensorSpline:
+def _march(problem: VieProblem, spl: TensorSpline, stack, order, tol: float) -> TensorSpline:
     """Fill the unfilled spline ``spl`` with the collocation solution, cell by cell.
 
     In each cell, nodes lying on the closure of a shadow-predecessor cell are
@@ -306,12 +310,18 @@ def _march(problem: VieProblem, spl: TensorSpline, order, tol: float) -> TensorS
     LU with partial pivoting, whose residual must stay below ``tol``. History
     integrals are accumulated over predecessor cells in index order, which
     makes the assembled systems independent of the particular causal order.
+
+    What depends only on the covering comes before the loop: the right side
+    at all nodes and each node's donor (``_nodal``). With ``stack``, the value
+    array of ``_unfilled``, a history gathers its sources' block of it.
     """
     covering, nodesets, values, owned = spl.covering, spl.nodesets, spl.values, spl.owned
     kern = problem.kernel
     shadow = shadow_matrix(covering)
     rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
+    nodal = _nodal(spl, problem.rhs, lambda cand, owner: np.where(shadow[cand, owner], rank[cand],
+                                                                  covering.ncells))
     # a cell's sources are its predecessors, then the cell itself
     cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
                           lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci))
@@ -319,19 +329,17 @@ def _march(problem: VieProblem, spl: TensorSpline, order, tol: float) -> TensorS
         pred_idx = srcs[:-1]
         if not done[pred_idx].all():
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
-        shape = tuple(ns.m for ns in nodesets[ci])
-        H = _history(moments, [values[di] for di in pred_idx], shape)
+        shape = values[ci].shape
+        H = _history(moments, [values[di] for di in pred_idx] if stack is None
+                     else stack[pred_idx], shape)
         own = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
         A = np.eye(H.size) - own.reshape(H.size, H.size)
-        pts = spl.node_grid(ci)
-        known_mask, known_vals = _inherited_values(spl, pts,
-                                                   np.where(shadow[:, ci], rank, covering.ncells))
-        rhs = np.asarray(problem.rhs(*pts.T), dtype=float) + H.ravel()
-        if known_mask.any():
-            rows = np.nonzero(known_mask)[0]
-            A[rows, :] = 0.0
-            A[rows, rows] = 1.0
-            rhs[rows] = known_vals[rows]
+        f, own, donors, pts = nodal[ci]
+        rhs = f + H.ravel()
+        rows = np.flatnonzero(~own)
+        A[rows, :] = 0.0
+        A[rows, rows] = 1.0
+        rhs[rows] = _donated(spl, stack, donors, pts)
         try:
             sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError as exc:
@@ -340,8 +348,8 @@ def _march(problem: VieProblem, spl: TensorSpline, order, tol: float) -> TensorS
         res = float(np.max(np.abs(A @ sol - rhs)))
         if res > tol:
             raise RuntimeError(f"local solve residual {res:.2e} > {tol:.0e} on cell {ci}")
-        values[ci] = sol.reshape(shape)
-        owned[ci] = (~known_mask).reshape(shape)
+        values[ci][...] = sol.reshape(shape)
+        owned[ci] = own.reshape(shape)
         done[ci] = True
     return spl
 
@@ -357,7 +365,7 @@ def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
     if problem.l != 1:
         raise ValueError("solve_1d requires a 1-dimensional problem")
     cov = mesh.covering()
-    spl = _march(problem, _unfilled(cov, schedule, family), causal_order(cov), 1e-10)
+    spl = _march(problem, *_unfilled(cov, schedule, family), causal_order(cov), 1e-10)
     return LocalSpline(**vars(spl))
 
 
@@ -379,7 +387,7 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
     order = list(order)
     if sorted(order) != list(range(covering.ncells)):
         raise ValueError("order is not a permutation of the covering's cells")
-    return _march(problem, _unfilled(covering, degree, family), order, 1e-9)
+    return _march(problem, *_unfilled(covering, degree, family), order, 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ immutable in practice and thread-safe to evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from .interp import _CLOSED_FAMILIES, build_nodes, lagrange_basis_matrix
-from .mesh import Covering, GradedMesh, causal_order
+from .mesh import Covering, GradedMesh, causal_order, least
 
 # points per block of ``TensorSpline.eval``
 _EVAL_BLOCK = 4096
@@ -59,8 +61,10 @@ class TensorSpline:
         bounds the temporary memory of a large sample grid.
         """
         pts = np.asarray(pts, dtype=float)
-        scalar = pts.ndim == 0
-        pts = pts.reshape(-1, 1) if self.covering.l == 1 else np.atleast_2d(pts)
+        scalar, l = pts.ndim == 0, self.covering.l
+        pts = pts.reshape(-1, 1) if l == 1 and pts.ndim < 2 else np.atleast_2d(pts)
+        if pts.ndim != 2 or pts.shape[1] != l:
+            raise ValueError(f"points must have shape (n, {l}), got {np.shape(pts)}")
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], _EVAL_BLOCK):
             block = pts[start:start + _EVAL_BLOCK]
@@ -128,33 +132,61 @@ class LocalSpline(TensorSpline):
     """
 
 
-def _unfilled(covering: Covering, degrees, family: str) -> TensorSpline:
-    """A spline with every cell's nodes and no values yet.
+def _unfilled(covering: Covering, degrees, family: str):
+    """A spline with every cell's nodes and zero values, and its value array.
 
     ``degrees`` is one node count per axis for every cell, or a list with
-    one count per cell.
+    one count per cell. Cells share a NodeSet per distinct interval and node
+    count. If all share their node count m, their ``values`` are views of
+    one array (ncells, m, ..., m), returned with the spline; else None is.
     """
     degrees = [degrees] * covering.ncells if isinstance(degrees, int) else list(degrees)
     if len(degrees) != covering.ncells:
         raise ValueError(f"{len(degrees)} node counts for {covering.ncells} cells")
-    nodesets = [tuple(build_nodes((cell.lo[a], cell.hi[a]), family, m) for a in range(covering.l))
+    nodes = lru_cache(maxsize=None)(lambda a, b, m: build_nodes((a, b), family, m))
+    nodesets = [tuple(nodes(cell.lo[a], cell.hi[a], m) for a in range(covering.l))
                 for cell, m in zip(covering.cells, degrees)]
-    return TensorSpline(covering=covering, nodesets=nodesets, values=[None] * covering.ncells,
-                        owned=[None] * covering.ncells)
+    uniform = len(set(degrees)) == 1
+    stack = np.zeros((covering.ncells,) + (degrees[0],) * covering.l) if uniform else None
+    values = [np.zeros((m,) * covering.l) for m in degrees] if stack is None else list(stack)
+    return TensorSpline(covering, nodesets, values, owned=[None] * covering.ncells), stack
 
 
-def _inherited_values(spline: TensorSpline, pts: np.ndarray, priority):
-    """Values that the nodes ``pts`` of a cell inherit from built cells.
+def _nodal(spline: TensorSpline, f, priority) -> list:
+    """Per cell: f at its nodes, its owned-node mask, and the donors and points of the others.
 
-    ``priority`` ranks the donor cells, ``ncells`` for a cell that may not
-    donate. A node lying on the closure of a donor takes the spline value of
-    the donor of least priority. Returns the inherited mask and the values
-    (0 where nothing is inherited).
+    Nodes are flattened as in ``node_grid``. ``priority(cand, owner)`` ranks the
+    candidate donors (n, K) of nodes of the cells owner (n, 1), ``ncells`` for a
+    non-donor; the least wins. Only boundary nodes (for closed families, first
+    or last on an axis) can lie on another cell's closure: they are looked up.
     """
-    donors = spline.covering.lookup(pts, priority)
-    mask, vals = donors >= 0, np.zeros(pts.shape[0])
-    vals[mask] = spline._eval_in(donors[mask], pts[mask])
-    return mask, vals
+    cov = spline.covering
+    pts = spline.node_points().reshape(-1, cov.l)
+    sizes = [v.size for v in spline.values]
+    owner = np.repeat(np.arange(cov.ncells), sizes)
+    face = np.flatnonzero(np.any((pts == cov.lo_array[owner]) | (pts == cov.hi_array[owner]), 1))
+    cand = cov.candidates(pts[face])
+    donors = least(cand, priority(cand, owner[face, None]), cov.ncells)
+    node, donors = face[donors >= 0], donors[donors >= 0]
+    own = np.bincount(node, minlength=pts.shape[0]) == 0
+    cut, at = np.cumsum(sizes)[:-1], np.searchsorted(node, np.cumsum(sizes)[:-1])
+    return list(zip(np.split(np.asarray(f(*pts.T), dtype=float), cut), np.split(own, cut),
+                    np.split(donors, at), np.split(pts[node], at)))
+
+
+def _donated(spline: TensorSpline, stack, donors: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Value at each point (k, l) of the interpolant of its cell ``donors[i]``.
+
+    A 2D ``stack`` (see ``_unfilled``) takes one batched evaluation with a
+    barycentric row per point; else each donor is evaluated on its points.
+    """
+    if stack is None or stack.ndim != 3 or not donors.size:
+        return spline._eval_in(donors, pts)
+    sets = [spline.nodesets[d] for d in donors]
+    basis = [lagrange_basis_matrix(SimpleNamespace(nodes=np.array([s[a].nodes for s in sets]),
+                                                   weights=np.array([s[a].weights for s in sets])),
+                                   pts[:, a]) for a in range(2)]
+    return np.einsum("pi,pij,pj->p", basis[0], stack[donors], basis[1])
 
 
 def build_tensor_spline(f, covering: Covering, degrees, order=None,
@@ -172,18 +204,17 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
     order = list(order)
     if sorted(order) != list(range(covering.ncells)):
         raise ValueError("order is not a permutation of the covering's cells")
-    spl = _unfilled(covering, degrees, family)
-    # a built cell's position in ``order``; ncells for the cells not yet built
-    priority = np.full(covering.ncells, covering.ncells)
-    for pos, ci in enumerate(order):
-        pts = spl.node_grid(ci)
-        shape = tuple(ns.m for ns in spl.nodesets[ci])
-        vals = np.asarray(f(*pts.T), dtype=float)
-        inherited, donated = _inherited_values(spl, pts, priority)
-        vals[inherited] = donated[inherited]
-        spl.values[ci] = vals.reshape(shape)
-        spl.owned[ci] = (~inherited).reshape(shape)
-        priority[ci] = pos
+    spl, stack = _unfilled(covering, degrees, family)
+    # a cell's position in ``order``: it may donate to the cells built after it
+    pos = np.empty(covering.ncells, dtype=int)
+    pos[order] = np.arange(covering.ncells)
+    nodal = _nodal(spl, f, lambda cand, owner: np.where(pos[cand] < pos[owner], pos[cand],
+                                                        covering.ncells))
+    for ci in order:
+        vals, own, donors, pts = nodal[ci]
+        vals[~own] = _donated(spl, stack, donors, pts)
+        spl.values[ci][...] = vals.reshape(spl.values[ci].shape)
+        spl.owned[ci] = own.reshape(spl.values[ci].shape)
     return spl
 
 
@@ -217,19 +248,11 @@ def max_node_error(spline, f, owned_only: bool = False) -> float:
     itself (for solver output: its collocation nodes), skipping values that
     were inherited from a neighbour's trace.
     """
-    worst = 0.0
-    for ci in range(spline.covering.ncells):
-        pts = spline.node_grid(ci)
-        exact = np.asarray(f(*[pts[:, a] for a in range(spline.covering.l)]),
-                           dtype=float).reshape(spline.values[ci].shape)
-        err = np.abs(exact - spline.values[ci])
-        if owned_only:
-            own = spline.owned[ci]
-            if not own.any():
-                continue
-            err = err[own]
-        worst = max(worst, float(np.max(err)))
-    return worst
+    pts = spline.node_points().reshape(-1, spline.covering.l)
+    err = np.abs(np.asarray(f(*pts.T), dtype=float) - spline.node_values())
+    if owned_only:
+        err = err[np.concatenate([own.ravel() for own in spline.owned])]
+    return float(np.max(err, initial=0.0))
 
 
 def n_functionals(spline) -> int:

@@ -420,7 +420,8 @@ def _table_case(case):
         return prob, solve_2d, preset_2d(derive_class_params(2, 2.5, "q_star", l=2), 2)
     kind, gamma, N = {"power-2d-qstar-4": ("q_star", 2.5, 4),
                       "power-2d-bstar-3": ("b_star", 0.5, 3),
-                      "power-2d-bstar-4": ("b_star", 0.5, 4)}[case]
+                      "power-2d-bstar-4": ("b_star", 0.5, 4),
+                      "power-2d-qstar-8": ("q_star", 2.5, 8)}[case]
     return (get_problem("corner-power-2d"), solve_2d,
             preset_2d(derive_class_params(2, gamma, kind, l=2), N))
 
@@ -538,12 +539,15 @@ class TestMomentTables:
                                   solver._history(R, vals, shape))
 
     @pytest.mark.parametrize("case, before_mb", [("abel-1d-bstar-32", 4.53),
-                                                 ("power-2d-bstar-4", 3.07)])
+                                                 ("power-2d-bstar-4", 3.07),
+                                                 ("power-2d-qstar-8", 4.26)])
     def test_peak_memory_of_a_solve(self, case, before_mb):
         # peak traced allocation of one solve; the bounds are 1.25x the peaks
-        # from when the tables took one moment call per source interval.
+        # from when the tables took one moment call per source interval (for
+        # Q* N = 8: from before the march looked up all donors at once).
         # Stacked calls that contract whole branches at once, not blocks of
-        # rules, peaked at 6.4 and 13.6 MB here
+        # rules, peaked at 6.4 and 13.6 MB here; a donor map over all nodes
+        # rather than the cells' boundary nodes, at 12.5 MB for B* N = 5
         import tracemalloc
 
         prob, solve, disc = _table_case(case)
@@ -562,6 +566,162 @@ class TestMomentTables:
         calls = _counting(monkeypatch)
         solve_2d(get_problem("corner-power-2d"), *preset_2d(q25_params_2d, 4))
         assert 0 < calls[0] <= 2
+
+
+def _shuffled_causal_order(cov, seed):
+    """A random causal order: a topological sort of the shadow relation with random keys."""
+    import heapq
+
+    S = shadow_matrix(cov)
+    indeg = S.sum(axis=0).astype(int)
+    key = np.random.default_rng(seed).random(cov.ncells)
+    ready = [(key[i], i) for i in range(cov.ncells) if indeg[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, i = heapq.heappop(ready)
+        order.append(i)
+        for j in np.nonzero(S[i])[0]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, (key[j], j))
+    return order
+
+
+def _reference_unfilled(cov, degrees, family):
+    """A spline with one NodeSet per cell and axis and no values yet."""
+    from wsvie.interp import build_nodes
+    from wsvie.spline import TensorSpline
+
+    degrees = [degrees] * cov.ncells if isinstance(degrees, int) else list(degrees)
+    nodesets = [tuple(build_nodes((c.lo[a], c.hi[a]), family, m) for a in range(cov.l))
+                for c, m in zip(cov.cells, degrees)]
+    return TensorSpline(cov, nodesets, [None] * cov.ncells, [None] * cov.ncells)
+
+
+def _inherit_by_lookup(spl, ci, pts, vals, priority, log):
+    """Overwrite vals at the nodes pts of cell ci that inherit; returns the owned mask.
+
+    One ``Covering.lookup`` over all the cell's nodes, then ``eval_cell`` per
+    donor; the donors of the inherited nodes are appended to ``log``.
+    """
+    donors = spl.covering.lookup(pts, priority)
+    log.append(donors[donors >= 0])
+    for di in np.unique(donors[donors >= 0]):
+        vals[donors == di] = spl.eval_cell(di, pts[donors == di])
+    return donors < 0
+
+
+def _reference_march(problem, cov, degrees, family, order, tol, log):
+    """The march done cell by cell, as a reference for ``solver._march``.
+
+    Per cell: a lookup of its donors over all its nodes, ``eval_cell`` per
+    donor, one right-side call on its nodes and a history over the list of
+    its predecessors' values, which ``_history`` stacks block by block.
+    Each cell's donors are appended to ``log``.
+    """
+    import wsvie.solver as solver
+
+    spl = _reference_unfilled(cov, degrees, family)
+    shadow, rank = shadow_matrix(cov), cov.causal_rank()
+    done = np.zeros(cov.ncells, dtype=bool)
+    for ci, srcs, moments in solver._cell_moments(
+            problem.kernel, spl.nodesets, solver._node_grids(spl.nodesets, order),
+            lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci)):
+        pred = srcs[:-1]
+        assert done[pred].all()
+        shape = tuple(ns.m for ns in spl.nodesets[ci])
+        H = solver._history(moments, [spl.values[di] for di in pred], shape)
+        own = solver._dense([w[0] for w in moments(len(pred), len(srcs))])
+        A = np.eye(H.size) - own.reshape(H.size, H.size)
+        pts = spl.node_grid(ci)
+        rhs = np.asarray(problem.rhs(*pts.T), dtype=float) + H.ravel()
+        owned = _inherit_by_lookup(spl, ci, pts, rhs, np.where(shadow[:, ci], rank, cov.ncells),
+                                   log)
+        rows = np.flatnonzero(~owned)
+        A[rows, :] = 0.0
+        A[rows, rows] = 1.0
+        sol = np.linalg.solve(A, rhs)
+        assert np.max(np.abs(A @ sol - rhs)) <= tol
+        spl.values[ci], spl.owned[ci] = sol.reshape(shape), owned.reshape(shape)
+        done[ci] = True
+    return spl
+
+
+def _march_case(case):
+    """(problem, solve, discretisation, order or None) of one reference-march case."""
+    from wsvie.funclass import derive_class_params
+
+    if case in ("abel-1d-bstar-8", "h2-2d-qstar-2"):
+        return *_table_case(case), None
+    name, shuffled = case.removesuffix("-shuffled"), case.endswith("-shuffled")
+    kind, gamma, N = {"qstar-4": ("q_star", 2.5, 4), "bstar-3": ("b_star", 0.5, 3),
+                      "qqstar-4": ("q_double_star", 2.5, 4), "mixed-m": ("q_star", 2.5, 3),
+                      "open": ("q_star", 2.5, 3)}[name]
+    cov, degree, fam = preset_2d(derive_class_params(2, gamma, kind, l=2), N)
+    if name == "mixed-m":
+        degree = np.random.default_rng(4).integers(3, 7, cov.ncells).tolist()
+    if name == "open":
+        fam = "chebyshev1_open"
+    order = _shuffled_causal_order(cov, N) if shuffled else None
+    # the 10 cells of Q** N = 4 admit one causal order only
+    assert order != causal_order(cov) or not shuffled or name == "qqstar-4"
+    return get_problem("corner-power-2d"), solve_2d, (cov, degree, fam), order
+
+
+class TestReferenceMarch:
+    # the march looks up every donor at once, evaluates the inherited nodes
+    # of a cell in one batch and the right side in one call, and gathers a
+    # history's sources from one value array when the node counts are
+    # uniform; per-cell node counts and an open family take the fallbacks
+    @pytest.mark.parametrize("case", [
+        "qstar-4", "qstar-4-shuffled", "bstar-3", "bstar-3-shuffled", "qqstar-4",
+        "qqstar-4-shuffled", "abel-1d-bstar-8", "mixed-m", "open", "h2-2d-qstar-2"])
+    def test_march_matches_per_cell_reference(self, case, monkeypatch):
+        # the values, the owned masks and every cell's donors: with uniform
+        # node counts the values do not show which of two donors holding a
+        # node gave its value
+        import wsvie.solver as solver
+
+        prob, solve, disc, order = _march_case(case)
+        donated, fast_log, ref_log = solver._donated, [], []
+        monkeypatch.setattr(solver, "_donated", lambda spl, stack, donors, pts: (
+            fast_log.append(donors), donated(spl, stack, donors, pts))[1])
+        if solve is solve_1d:
+            cov, order, tol = disc[0].covering(), causal_order(disc[0].covering()), 1e-10
+            fast = solve(prob, *disc)
+        else:
+            cov, tol = disc[0], 1e-9
+            fast = solve(prob, *disc, order=order)
+            order = order or causal_order(cov)
+        ref = _reference_march(prob, cov, disc[1], disc[2], order, tol, ref_log)
+        assert all(np.array_equal(f, r) for f, r in zip(fast_log, ref_log, strict=True))
+        assert len(fast.values) == len(ref.values)
+        for ci in range(cov.ncells):
+            assert np.array_equal(fast.values[ci], ref.values[ci])
+            assert np.array_equal(fast.owned[ci], ref.owned[ci])
+        if case in ("qstar-4", "mixed-m"):
+            assert not all(own.all() for own in fast.owned)
+        if case == "open":
+            assert all(own.all() for own in fast.owned)
+
+    def test_build_matches_per_cell_reference(self, b_params_2d):
+        # any total order of cells, causal or not
+        cov, degree, fam = preset_2d(b_params_2d, 3)
+        order = np.random.default_rng(6).permutation(cov.ncells).tolist()
+        f = lambda t1, t2: np.cos(t1 + 2.0 * t2) * (t1 * t2) ** 0.5
+        fast = build_tensor_spline(f, cov, degree, order=order, family=fam)
+        ref = _reference_unfilled(cov, degree, fam)
+        priority = np.full(cov.ncells, cov.ncells)
+        for pos, ci in enumerate(order):
+            pts = ref.node_grid(ci)
+            vals = np.asarray(f(*pts.T), dtype=float)
+            owned = _inherit_by_lookup(ref, ci, pts, vals, priority, [])
+            ref.values[ci], ref.owned[ci] = vals.reshape(degree, degree), owned.reshape(degree, degree)
+            priority[ci] = pos
+        for ci in range(cov.ncells):
+            assert np.array_equal(fast.values[ci], ref.values[ci])
+            assert np.array_equal(fast.owned[ci], ref.owned[ci])
 
 
 class TestResidual:

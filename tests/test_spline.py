@@ -197,11 +197,14 @@ class TestTensorSpline:
     def test_cell_of_matches_rank_ordered_scan(self, which):
         # Covering.lookup under three priorities (causal rank, a random
         # permutation, one cell's shadow predecessors) against a box scan of
-        # every cell; inheritance must take the scan's donors bit for bit
+        # every cell; inherited values must be the scan donors' evaluations
+        # bit for bit. The march's donor map, which looks up boundary nodes
+        # only, must give every cell the scan's donors under that cell's
+        # shadow priority on all its nodes: interior nodes never inherit
         from wsvie.funclass import derive_class_params
         from wsvie.mesh import shadow_matrix
         from wsvie.solver import preset_1d, preset_2d
-        from wsvie.spline import _inherited_values
+        from wsvie.spline import _donated, _nodal
 
         kind, l, N = {"qstar-2d-8": ("q_star", 2, 8), "bstar-2d-5": ("b_star", 2, 5),
                       "qqstar-2d-4": ("q_double_star", 2, 4), "bstar-1d-16": ("b_star", 1, 16)}[which]
@@ -212,6 +215,8 @@ class TestTensorSpline:
         else:
             cov, degrees, fam = preset_2d(params, N)
         spl = build_tensor_spline(lambda *t: np.cos(sum(t)), cov, degrees, family=fam)
+        # the batched evaluation takes the values of a 2D spline as one array
+        stack = np.array(spl.values) if l == 2 else None
         rng = np.random.default_rng(3)
         axis = np.linspace(0.0, 1.0, 101)
         grid = np.stack(np.meshgrid(*[axis] * l, indexing="ij"), -1).reshape(-1, l)
@@ -220,25 +225,49 @@ class TestTensorSpline:
         outside = np.array([[-0.1] * l, [1.0 + 1e-9] * l, [1.0 + 1e-13] * l, [0.5] * (l - 1) + [2.0]])
         pts = np.vstack([grid, corners, spl.node_points().reshape(-1, l), rng.random((2000, l)),
                          outside])
-        rank = cov.causal_rank()
+        rank, shadow = cov.causal_rank(), shadow_matrix(cov)
         middle = np.argsort(rank)[cov.ncells // 2]
         priorities = {"rank": rank, "permutation": rng.permutation(cov.ncells),
-                      "shadow": np.where(shadow_matrix(cov)[:, middle], rank, cov.ncells)}
+                      "shadow": np.where(shadow[:, middle], rank, cov.ncells)}
         refs = {name: _box_scan(cov, pts, priority) for name, priority in priorities.items()}
         for name, priority in priorities.items():
             ref = refs[name]
             assert np.array_equal(cov.lookup(pts, priority), ref), name
-            mask, vals = _inherited_values(spl, pts, priority)
-            expected = np.zeros(pts.shape[0])
-            for ci in np.unique(ref[ref >= 0]):
-                expected[ref == ci] = spl.eval_cell(ci, pts[ref == ci])
-            assert np.array_equal(mask, ref >= 0) and np.array_equal(vals, expected), name
+            donors, at = ref[ref >= 0], pts[ref >= 0]
+            expected = np.zeros(donors.size)
+            for ci in np.unique(donors):
+                expected[donors == ci] = spl.eval_cell(ci, at[donors == ci])
+            assert np.array_equal(_donated(spl, stack, donors, at), expected), name
         out = spl.cell_of(pts)
         assert np.array_equal(out, refs["rank"])
         assert np.array_equal(out[-4:] >= 0, [False, False, True, False])
         # a cell outside the predecessors never donates, even to its own nodes
         shadow_only = cov.lookup(spl.node_grid(middle), priorities["shadow"])
         assert middle not in shadow_only and np.any(shadow_only < 0)
+        nodal = _nodal(spl, lambda *t: t[0], lambda cand, owner: np.where(
+            shadow[cand, owner], rank[cand], cov.ncells))
+        for ci, (_, own, donors, at) in enumerate(nodal):
+            nodes = spl.node_grid(ci)
+            priority = np.where(shadow[:, ci], rank, cov.ncells)
+            scan = _box_scan(cov, nodes, priority)
+            assert np.array_equal(cov.lookup(nodes, priority), scan)
+            assert np.array_equal(own, scan < 0) and np.array_equal(donors, scan[scan >= 0])
+            assert np.array_equal(at, nodes[scan >= 0])
+
+    def test_eval_rejects_points_of_the_wrong_shape(self):
+        # a 2D spline dropped a third coordinate, and a scalar or a 1-D
+        # array raised IndexError; a 1D spline read an (n, 2) array as 2n points
+        cov = boundary_layer_covering(2, 1.0, 2, 1.5)
+        spl = build_tensor_spline(lambda a, b: a * b, cov, 3)
+        for pts in ([[0.5, 0.5, 0.5]], 0.5, [0.5]):
+            with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+                spl.eval(pts)
+        assert spl.eval([0.5, 0.5])[0] == pytest.approx(0.25, abs=1e-14)
+        spl_1d = build_spline_1d(lambda t: t, power_graded_mesh(3, 1.0, 1.0), [2, 2, 2])
+        with pytest.raises(ValueError, match=r"shape \(n, 1\)"):
+            spl_1d.eval([[0.25, 0.5]])
+        assert spl_1d.eval(0.25) == pytest.approx(0.25, abs=1e-14)
+        assert spl_1d.eval([[0.25], [0.5]]) == pytest.approx([0.25, 0.5], abs=1e-14)
 
     def test_constant_spline(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.5)
