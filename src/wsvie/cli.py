@@ -14,8 +14,8 @@ Every subcommand takes --config PATH plus optional --out PATH and --format
 Config schema (JSON), convergence/solve commands::
 
     {
-      "problem": "corner-power-2d" | "corner-power-1d" | "cos-rhs-1d"
-                 | "poly-k0-1d" | "poly-k0-2d",
+      "problem": "corner-power-2d" | "corner-power-1d" | "abel-1d"
+                 | "cos-rhs-1d" | "poly-k0-1d" | "poly-k0-2d",
       "class_params": {"r": 2, "gamma": 0.5, "kind": "b_star", "bound": 1.0},
       "N": [1, 2, 3],
       "samples_per_axis": 201    # dense grid for eps2, at least 50
@@ -86,6 +86,20 @@ def _corner_power_1d() -> VieProblem:
                       rhs=rhs, exact=exact)
 
 
+def _abel_1d() -> VieProblem:
+    # the Abel kernel (t - tau)^(-1/2) applied to t^(1/2) is power_moment(-1/2, 1/2, 1) t
+    c = power_moment(-0.5, 0.5, 1.0)  # = pi / 2
+
+    def rhs(t):
+        return t ** 0.5 - c * t
+
+    def exact(t):
+        return t ** 0.5
+
+    return VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(-0.5,)),
+                      rhs=rhs, exact=exact)
+
+
 def _cos_rhs_1d() -> VieProblem:
     return VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(2.5,)),
                       rhs=np.cos, exact=None)
@@ -108,6 +122,7 @@ def _poly_k0_2d() -> VieProblem:
 PROBLEMS = {
     "corner-power-2d": _corner_power_2d,
     "corner-power-1d": _corner_power_1d,
+    "abel-1d": _abel_1d,
     "cos-rhs-1d": _cos_rhs_1d,
     "poly-k0-1d": _poly_k0_1d,
     "poly-k0-2d": _poly_k0_2d,
@@ -259,17 +274,19 @@ def _integer_list(config: dict, key: str, lo: int) -> list:
     return [_integer(v, f"field {key!r}", lo) for v in values]
 
 
-def _class_from_config(config: dict, l: int):
+def _class_from_config(config: dict, l: int, T=None):
     cp = _require(config, "class_params")
     for key in ("r", "gamma", "kind"):
         if key not in cp:
             raise ConfigError(f"config: class_params missing field {key!r}")
+    if T is not None and "T" in cp and cp["T"] != T:   # the class lives on the problem's [0, T]
+        raise ConfigError(f"config: class_params field 'T' must equal the problem's T = {T!r}")
     r = _integer(cp["r"], "class_params field 'r'", 1)
     try:
         return derive_class_params(r, float(cp["gamma"]), str(cp["kind"]),
-                                   l=l, T=float(cp.get("T", 1.0)),
+                                   l=l, T=float(cp.get("T", 1.0) if T is None else T),
                                    bound=float(cp.get("bound", 1.0)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: class_params invalid: {exc}") from exc
 
 
@@ -285,10 +302,10 @@ def _problem_and_params(config: dict):
     defn = _require(config, "problem")
     if isinstance(defn, dict):
         l = _integer(defn.get("l"), "inline problem field 'l'", 1, 2)
-        params = _class_from_config(config, l)
+        params = _class_from_config(config, l, defn.get("T", 1.0))
         return _inline_problem(defn, params), params, "inline"
     problem = get_problem(str(defn))
-    return problem, _class_from_config(config, problem.l), str(defn)
+    return problem, _class_from_config(config, problem.l, problem.T), str(defn)
 
 
 def _preset_solve(problem: VieProblem, params, N: int):

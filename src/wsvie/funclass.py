@@ -64,8 +64,8 @@ def derive_class_params(r: int, gamma: float, kind: str, l: int = 1,
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be > 0 and finite, got {T}")
     if bound <= 0:
         raise ValueError(f"bound must be > 0, got {bound}")
     if kind in _B_KINDS:

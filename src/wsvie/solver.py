@@ -9,23 +9,22 @@ The approximate solution is a local spline whose nodal values are determined
 cell by cell in a causal order: inside the current cell the integral is
 expressed in the cell's tensor Lagrange basis, while the part over
 already-processed cells is evaluated with the known spline and moved to the
-right-hand side. A 1D graded mesh is solved as its one-axis covering, so both
-dimensions share one marching loop.
+right-hand side. A 1D graded mesh is solved as its one-axis covering, and
+each step loops over the l axes, so every dimension runs the same march.
 
 With no smooth factor (h absent) both pieces factorize per axis, because the
 kernel is a product and the spline is a tensor polynomial: the history
-contribution of a processed cell D reduces to W1 @ X_D @ W2.T with one moment
-matrix per axis. Those matrices depend only on D's range and node count on
-each axis, so one generator, ``_cell_moments``, walks a sequence of target
-grids in chunks and builds per-axis moment tables per chunk, one per
-distinct source interval, evaluated at the sorted union of the chunk's grid
-coordinates: per axis, one ``stacked_kernel_moments`` call per node count
-fills the tables of all its intervals, with one Lagrange basis on the
-reference interval per shared rule. The targets are the cells'
-node grids in causal order for the march and the collocation residual check,
-sample grids for ``residual`` and the uniform grid for the oracle. A target's
-moment matrices are row gathers from these tables, and its 2D history is a
-batched contraction over its stacked sources, summed in source-index order.
+contribution of a processed cell D is X_D contracted on each axis with one
+moment matrix, which depends only on D's range and node count on that axis.
+One generator, ``_cell_moments``, walks a sequence of target grids in chunks
+and builds per-axis moment tables per chunk, one per distinct source
+interval, evaluated at the sorted union of the chunk's grid coordinates:
+per axis, one ``stacked_kernel_moments`` call per node count fills them. The
+targets are the cells' node grids in causal order for the march and the
+collocation residual check, sample grids for ``residual`` and the uniform
+grid for the oracle. A target's moment matrices are row gathers from these
+tables; its history is one batched contraction per block of stacked sources
+(or one per source when node counts differ), summed in source-index order.
 Each chunk's tables, and each block of stacked sources, hold about
 ``_TABLE_BUDGET`` doubles (1 MB), which bounds the extra memory of the march.
 
@@ -36,9 +35,8 @@ same per-axis rules, and the consumers treat it as the one-axis case.
 The march calls the right side once on all nodes and looks up the donors
 of all boundary nodes at once; its cell loop keeps the history, inherited
 values, LU solve and residual check, which need the cells solved before.
-
-Cells whose predecessors are complete could be solved concurrently (wavefront
-contract); this implementation is the single-threaded reference.
+Cells whose predecessors are complete could be solved concurrently; this
+implementation is the single-threaded reference.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -74,8 +72,8 @@ class KernelSpec:
 
     def __post_init__(self):
         self.exponents = tuple(float(p) for p in np.atleast_1d(self.exponents))
-        if any(p <= -1 for p in self.exponents):
-            raise ValueError(f"kernel exponents must be > -1, got {self.exponents}")
+        if not all(-1 < p < math.inf for p in self.exponents):
+            raise ValueError(f"kernel exponents must be > -1 and finite, got {self.exponents}")
 
 
 @dataclass
@@ -91,8 +89,8 @@ class VieProblem:
     def __post_init__(self):
         if self.l not in (1, 2):
             raise ValueError(f"l must be 1 or 2, got {self.l}")
-        if self.T <= 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be > 0 and finite, got {self.T}")
         if self.kernel is not None and len(self.kernel.exponents) != self.l:
             raise ValueError("kernel exponent count does not match the dimension")
 
@@ -225,43 +223,53 @@ def _cubature(kern: KernelSpec | None, grid, sources, n: int, lo: int, hi: int) 
     shape (grid size, m_1 * ... * m_l): zero without a kernel, else tensor
     Gauss cubature, n points per panel, of h * g times the cell's tensor
     Lagrange basis, evaluated on the reference interval of each axis. The
-    smooth factor couples the axes, so the cubature is summed for every tuple
-    of per-axis ``_rules`` blocks, over the rows of those blocks.
+    smooth factor couples the axes, so the cubature is summed for every
+    l-tuple of per-axis ``_rules`` blocks, over the rows of those blocks: h
+    is evaluated on the axes (rows_1, ..., rows_l, points_1, ..., points_l).
     """
-    size = math.prod(x.size for x in grid)
+    l, size = len(grid), math.prod(x.size for x in grid)
+    rows, pts, basis = "abcd"[:l], "efgh"[:l], "ijkl"[:l]
+    spec = [r + q + b for r, q, b in zip(rows, pts, basis)]
+    spec = ",".join(spec[:1] + [rows + pts] + spec[1:]) + f"->{rows}{basis}"
     out = []
     for nodesets in sources[lo:hi]:
         if kern is None:
             out.append(np.zeros((size, math.prod(ns.m for ns in nodesets))))
             continue
-        rules = []   # per axis: (rows, points, weights times basis) per block of rows
-        for x, p, ns in zip(grid, kern.exponents, nodesets):
+        rules = []   # per axis and block: rows, their coordinates and points on h's axes, C
+        for a, (x, p, ns) in enumerate(zip(grid, kern.exponents, nodesets)):
             ref = _reference_nodes((-1.0, 1.0), ns.family, ns.m)
             rules.append([])
-            for _, rows, sigma, w in _rules(x, p, ns.a, ns.b, n, ns.m):
+            for _, r, sigma, w in _rules(x, p, ns.a, ns.b, n, ns.m):
                 sigma = np.broadcast_to(sigma, w.shape)
                 tau = 0.5 * (ns.a + ns.b) + 0.5 * (ns.b - ns.a) * sigma
-                rules[-1].append((rows, tau, w[:, :, None] * lagrange_basis_matrix(ref, sigma)))
+                rules[-1].append((r, np.expand_dims(x[r], [i for i in range(2 * l) if i != a]),
+                                  np.expand_dims(tau, [i for i in range(2 * l) if i % l != a]),
+                                  w[:, :, None] * lagrange_basis_matrix(ref, sigma)))
         W = np.zeros(tuple(x.size for x in grid) + tuple(ns.m for ns in nodesets))
-        if len(grid) == 1:
-            for rows, T, C in rules[0]:
-                h = kern.smooth_factor(grid[0][rows, None], T)
-                W[rows] = np.einsum("rqa,rq->ra", C, h)
-        else:
-            (x1, x2) = grid
-            for (r1, T1, C1), (r2, T2, C2) in itertools.product(*rules):
-                h = kern.smooth_factor(x1[r1, None, None, None], x2[None, r2, None, None],
-                                       T1[:, None, :, None], T2[None, :, None, :])
-                W[np.ix_(r1, r2)] = np.einsum("iqa,ijqp,jpb->ijab", C1, h, C2, optimize=True)
+        for blocks in itertools.product(*rules):
+            r, t, tau, C = zip(*blocks)   # C: weights times basis, (rows, points, m)
+            h = kern.smooth_factor(*t, *tau)
+            W[np.ix_(*r)] = np.einsum(spec, *C[:1], h, *C[1:], optimize=True)
         out.append(W.reshape(size, -1))
     return [out]
 
 
 def _dense(weights) -> np.ndarray:
-    """Per-axis weights as one array of shape (grid sizes..., m_1, ..., m_l)."""
-    if len(weights) == 1:
-        return weights[0]
-    return np.einsum("ia,jb->ijab", *weights)
+    """The outer product of per-axis weights, of shape (grid sizes..., m_1, ..., m_l)."""
+    rows, basis = "abcd"[:len(weights)], "ijkl"[:len(weights)]
+    return np.einsum(",".join(map(str.__add__, rows, basis)) + f"->{rows}{basis}", *weights)
+
+
+def _contract(W, x) -> np.ndarray:
+    """x (..., m_1, ..., m_l) with each axis a contracted against W[a] (..., n_a, m_a).
+
+    Batch shapes broadcast. Axis a is swapped to the back, multiplied by
+    W[a] transposed and swapped back; the last axis needs no swap.
+    """
+    for a, w in enumerate(W[:-1], -len(W)):
+        x = np.matmul(x.swapaxes(a, -1), w.swapaxes(-1, -2)).swapaxes(a, -1)
+    return np.matmul(x, W[-1].swapaxes(-1, -2))
 
 
 def _history(moments, values, shape) -> np.ndarray:
@@ -270,26 +278,26 @@ def _history(moments, values, shape) -> np.ndarray:
     ``moments`` is one target's weights from ``_cell_moments``, ``values``
     the nodal values of its first sources and ``shape`` the target grid's.
     Sources are taken in blocks whose weights hold about ``_TABLE_BUDGET``
-    doubles. When both axes of a 2D grid carry stacked moments, a block is
-    one batched contraction, still summed in source order: an accumulation,
-    since ``sum`` adds pairwise along a contiguous axis.
+    doubles. A block with moments stacked on every axis is one batched
+    ``_contract``, else each source is one (its values flattened when a
+    smooth factor flattens the axes). An accumulation sums the block after
+    the sum so far, in source order: ``sum`` adds pairwise.
     """
     out = np.zeros(shape)
     step = max(1, _TABLE_BUDGET // math.prod(shape))
     for lo in range(0, len(values), step):
         block = values[lo:lo + step]
         W = moments(lo, lo + len(block))
-        if len(W) == 1:
-            for w, v in zip(W[0], block):
-                out += (w @ v.ravel()).reshape(shape)
-        elif all(isinstance(w, np.ndarray) for w in W):
-            part = np.matmul(np.matmul(W[0], np.asarray(block)), W[1].transpose(0, 2, 1))
-            part[0] += out
-            out = np.add.accumulate(part)[-1]   # in order, even for a 1 x 1 grid
+        if all(isinstance(w, np.ndarray) for w in W):
+            # batch shape (sources, 1, ...): the 1 gives a 1D block's values a matrix row
+            one = (slice(None),) + (None,) * (len(W) - 1)
+            parts = _contract([w[one] for w in W], np.asarray(block)[:, None])[:, 0]
         else:
-            for w1, w2, v in zip(*W, block):
-                out += w1 @ v @ w2.T
-    return out
+            parts = [_contract(ws, v.reshape(v.shape[:len(ws) - 1] + (-1,)))
+                     for ws, v in zip(zip(*W), block)]
+        parts[0] += out.reshape(parts[0].shape)
+        out = np.add.accumulate(parts)[-1]   # in order, even for a 1 x 1 grid
+    return out.reshape(shape)
 
 
 def _node_grids(nodesets, cells):
@@ -316,6 +324,9 @@ def _march(problem: VieProblem, spl: TensorSpline, stack, order, tol: float) -> 
     array of ``_unfilled``, a history gathers its sources' block of it.
     """
     covering, nodesets, values, owned = spl.covering, spl.nodesets, spl.values, spl.owned
+    if (covering.l, covering.T) != (problem.l, problem.T):
+        raise ValueError(f"the mesh spans [0, {covering.T}]^{covering.l}, "
+                         f"the problem [0, {problem.T}]^{problem.l}")
     kern = problem.kernel
     shadow = shadow_matrix(covering)
     rank = covering.causal_rank()
@@ -346,7 +357,7 @@ def _march(problem: VieProblem, spl: TensorSpline, stack, order, tol: float) -> 
             raise RuntimeError(f"singular local system on cell {ci} "
                                f"(layer {covering.cells[ci].k})") from exc
         res = float(np.max(np.abs(A @ sol - rhs)))
-        if res > tol:
+        if not res <= tol:   # a NaN residual fails too
             raise RuntimeError(f"local solve residual {res:.2e} > {tol:.0e} on cell {ci}")
         values[ci][...] = sol.reshape(shape)
         owned[ci] = own.reshape(shape)
@@ -380,8 +391,6 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
     """
     if problem.l != 2:
         raise ValueError("solve_2d requires a 2-dimensional problem")
-    if covering.l != 2:
-        raise ValueError("covering dimension != 2")
     if order is None:
         order = np.argsort(covering.causal_rank()).tolist()  # the canonical order, cached
     order = list(order)
@@ -405,7 +414,7 @@ def residual(problem: VieProblem, solution, samples) -> float:
     if problem.l == 1:
         samples = (samples,)
     if isinstance(samples, np.ndarray) and samples.ndim == 2:
-        grids = [(pt[:1], pt[1:]) for pt in samples]
+        grids = [list(pt[:, None]) for pt in samples]   # a 1-element grid per coordinate
     else:
         grids = [[np.atleast_1d(np.asarray(ax, dtype=float)) for ax in samples]]
     cells = np.arange(len(solution.values))
@@ -417,8 +426,8 @@ def residual(problem: VieProblem, solution, samples) -> float:
         kx = _history(moments, solution.values, mesh[0].shape)
         r = (solution.eval(pts).reshape(kx.shape) - kx
              - np.asarray(problem.rhs(*mesh), dtype=float))
-        worst.append(float(np.max(np.abs(r))))
-    return max(worst)
+        worst.append(np.max(np.abs(r)))
+    return float(np.max(worst))   # NaN propagates
 
 
 def collocation_residual(problem: VieProblem, solution) -> float:
@@ -432,14 +441,14 @@ def collocation_residual(problem: VieProblem, solution) -> float:
     # a cell integrates over its shadow predecessors and its own clipped range
     shadow = shadow_matrix(solution.covering) | np.eye(len(values), dtype=bool)
     checked = _node_grids(nodesets, [ci for ci, own in enumerate(owned) if own.any()])
-    worst = 0.0
+    worst = [0.0]
     for ci, srcs, moments in _cell_moments(problem.kernel, nodesets, checked,
                                            lambda ci: np.nonzero(shadow[:, ci])[0]):
         lhs = values[ci] - _history(moments, [values[di] for di in srcs], values[ci].shape)
         grids = np.meshgrid(*[ns.nodes for ns in nodesets[ci]], indexing="ij")
         rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)
-        worst = max(worst, float(np.max(np.abs((lhs - rhs.reshape(lhs.shape))[owned[ci]]))))
-    return worst
+        worst.append(np.max(np.abs((lhs - rhs.reshape(lhs.shape))[owned[ci]])))
+    return float(np.max(worst))   # NaN propagates
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +490,24 @@ def oracle_solve(problem: VieProblem, uniform_n: int) -> OracleSolution:
     ``_linear_weight_matrix`` gives the kernel moments of each axis against
     the local linear basis. The discrete equation X - V1 X V2^T = F is lower
     triangular, so it is solved row by row:
-    X[i] = solve(I - V1[i, i] V2, F[i] + V2 @ (V1[i, :i] @ X[:i])). In 1D,
-    V2 is the 1 x 1 identity. Accuracy is second order in the mesh width.
+    X[i] = solve(I - V1[i, i] V2, F[i] + V2 @ (V1[i, :i] @ X[:i])), where V1
+    is the first axis's matrix and V2 the Kronecker product of the others'
+    (the 1 x 1 identity in 1D). Accuracy is second order in the mesh width.
     For l = 2 only kernels without a smooth factor are supported.
     """
     kern = problem.kernel
     if not 1 <= uniform_n <= ORACLE_MAX_N[problem.l]:
         raise ValueError(f"uniform_n must be in [1, {ORACLE_MAX_N[problem.l]}] "
                          f"for l = {problem.l}, got {uniform_n}")
-    if problem.l == 2 and kern is not None and kern.smooth_factor is not None:
+    if problem.l > 1 and kern is not None and kern.smooth_factor is not None:
         raise NotImplementedError("2D oracle supports product kernels without a smooth factor")
     axes = (np.linspace(0.0, problem.T, uniform_n + 1),) * problem.l
     F = np.asarray(problem.rhs(*np.meshgrid(*axes, indexing="ij", sparse=True)), dtype=float)
     if kern is None:
         return OracleSolution(axes=axes, values=F.copy())
-    if problem.l == 1:
-        V1, V2 = _linear_weight_matrix(axes[0], kern), np.eye(1)
-    else:
-        V1, V2 = (_linear_weight_matrix(t, KernelSpec(exponents=(p,)))
-                  for t, p in zip(axes, kern.exponents))
+    V1, *Vs = (_linear_weight_matrix(t, KernelSpec((p,), kern.smooth_factor))
+               for t, p in zip(axes, kern.exponents))
+    V2 = reduce(np.kron, Vs, np.eye(1))
     F = F.reshape(uniform_n + 1, -1)
     X = np.zeros_like(F)
     for i in range(uniform_n + 1):

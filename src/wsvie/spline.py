@@ -41,18 +41,9 @@ class TensorSpline:
         return self.covering.lookup(pts, self.covering.causal_rank())
 
     def eval_cell(self, ci: int, pts: np.ndarray) -> np.ndarray:
-        """Evaluate cell ci's tensor interpolant at points (n, l)."""
-        nsets = self.nodesets[ci]
-        vals = self.values[ci]
-        basis = [lagrange_basis_matrix(ns, pts[:, a]) for a, ns in enumerate(nsets)]
-        if len(nsets) == 1:
-            return basis[0] @ vals
-        if len(nsets) == 2:
-            return np.einsum("pi,ij,pj->p", basis[0], vals, basis[1])
-        acc = np.broadcast_to(vals, (pts.shape[0],) + vals.shape)
-        for B in basis:
-            acc = np.einsum("pi,pi...->p...", B, acc)
-        return acc
+        """Evaluate cell ci's tensor interpolant at points (n, l): one ``_at_points``."""
+        basis = [lagrange_basis_matrix(ns, pts[:, a]) for a, ns in enumerate(self.nodesets[ci])]
+        return _at_points(basis, self.values[ci][None])
 
     def eval(self, pts):
         """Spline values at points (n, l); for l = 1 also at a 1-D array or a scalar.
@@ -174,19 +165,27 @@ def _nodal(spline: TensorSpline, f, priority) -> list:
                     np.split(donors, at), np.split(pts[node], at)))
 
 
+def _at_points(basis, vals: np.ndarray) -> np.ndarray:
+    """Per point p, vals[p] (n or 1, m_1, ..., m_l) contracted with row p of each
+    axis's basis (n, m_a): one einsum, "pi,pij,pj->p" for l = 2."""
+    axes = "ijklmn"[:len(basis)]
+    spec = ",".join(["p" + axes[:1], "p" + axes] + ["p" + c for c in axes[1:]])
+    return np.einsum(spec + "->p", basis[0], vals, *basis[1:])
+
+
 def _donated(spline: TensorSpline, stack, donors: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Value at each point (k, l) of the interpolant of its cell ``donors[i]``.
 
-    A 2D ``stack`` (see ``_unfilled``) takes one batched evaluation with a
-    barycentric row per point; else each donor is evaluated on its points.
+    A ``stack`` (see ``_unfilled``) takes one batched evaluation with a
+    barycentric row per point and axis; else each donor is evaluated on its points.
     """
-    if stack is None or stack.ndim != 3 or not donors.size:
+    if stack is None or not donors.size:
         return spline._eval_in(donors, pts)
     sets = [spline.nodesets[d] for d in donors]
     basis = [lagrange_basis_matrix(SimpleNamespace(nodes=np.array([s[a].nodes for s in sets]),
                                                    weights=np.array([s[a].weights for s in sets])),
-                                   pts[:, a]) for a in range(2)]
-    return np.einsum("pi,pij,pj->p", basis[0], stack[donors], basis[1])
+                                   x) for a, x in enumerate(pts.T)]
+    return _at_points(basis, stack[donors])
 
 
 def build_tensor_spline(f, covering: Covering, degrees, order=None,

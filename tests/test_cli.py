@@ -250,6 +250,21 @@ class TestMainEntry:
                                      "rhs": "one"}}, "inline problem invalid"),
         ("convergence", {"problem": {"l": 1, "T": 1.0, "kernel": 5, "rhs": "one"}},
          "inline kernel must be an object with field 'exponents'"),
+        # non-finite numbers (JSON NaN and Infinity) are config errors
+        ("convergence", {"problem": {"l": 1, "T": 1.0, "kernel": {"exponents": [float("nan")]},
+                                     "rhs": "one"}}, "exponents must be > -1 and finite"),
+        ("convergence", {"problem": {"l": 1, "T": 1.0, "kernel": {"exponents": [float("inf")]},
+                                     "rhs": "one"}}, "exponents must be > -1 and finite"),
+        ("convergence", {"problem": {"l": 1, "T": float("nan"), "kernel": None, "rhs": "one"}},
+         "T must be > 0 and finite"),
+        ("convergence", {"problem": {"l": 1, "T": float("inf"), "kernel": None, "rhs": "one"}},
+         "T must be > 0 and finite"),
+        # the class parameters live on the problem's [0, T]
+        ("convergence", {"problem": {"l": 1, "T": 2.0, "kernel": None, "rhs": "one"},
+                         "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star", "T": 1.0}},
+         "class_params field 'T' must equal the problem's T"),
+        ("convergence", {"class_params": {"r": 2, "gamma": None, "kind": "q_star"}},
+         "class_params invalid"),
     ], ids=["N-not-int", "samples-not-int", "samples-too-few", "widths-N-not-int",
             "lebesgue-m-too-few", "uniform-n-too-large", "widths-l-not-int",
             "widths-l-too-small", "widths-v-not-number", "widths-v-too-small",
@@ -257,7 +272,9 @@ class TestMainEntry:
             "samples-fractional", "bumps-l-bool", "lebesgue-m-fractional",
             "uniform-n-fractional", "r-fractional", "catalogue-bool", "inline-l-fractional",
             "kernel-exponent-not-number", "kernel-exponent-too-small",
-            "kernel-exponents-scalar", "kernel-not-object"])
+            "kernel-exponents-scalar", "kernel-not-object", "kernel-exponent-nan",
+            "kernel-exponent-inf", "T-nan", "T-inf", "class-T-mismatch",
+            "gamma-null"])
     def test_malformed_field_exit_1(self, tmp_path, capsys, command, config, field):
         base = {"problem": "corner-power-1d", "N": [2],
                 "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"}}
@@ -305,6 +322,17 @@ class TestInlineProblems:
                "N": [2]}
         with pytest.raises(ConfigError):
             run_convergence(cfg)
+
+    def test_mesh_spans_the_problem_T(self):
+        # with no class_params T the mesh spans the problem's [0, 2], and so
+        # do the residual's samples; a class_params T equal to it is accepted
+        cfg = {"problem": {"l": 1, "T": 2.0, "kernel": {"exponents": [2.5]}, "rhs": "cos-sum"},
+               "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"},
+               "N": [8], "samples_per_axis": 101}
+        row = run_convergence(cfg).rows[0]
+        assert row.error is None and row.eps2 <= 1e-2
+        cfg["class_params"]["T"] = 2
+        assert run_convergence(cfg).rows[0].eps2 == row.eps2
 
     def test_bad_dimension_rejected(self):
         cfg = {"problem": {"l": 3, "T": 1.0, "kernel": None, "rhs": "one"},

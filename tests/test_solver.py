@@ -1,3 +1,5 @@
+import itertools
+import math
 from functools import partial
 
 import numpy as np
@@ -599,26 +601,73 @@ def _reference_unfilled(cov, degrees, family):
     return TensorSpline(cov, nodesets, [None] * cov.ncells, [None] * cov.ncells)
 
 
+# The references below keep their own per-dimension formulas for the history
+# sum, the self matrix and cell evaluation, so that a change to the solver's
+# single l-axis contractions shows as a mismatch.
+
+def _reference_eval_cell(spl, ci, pts):
+    """Cell ci's interpolant at points (n, l): a matrix-vector product in 1D,
+    einsum "pi,ij,pj->p" in 2D."""
+    from wsvie.interp import lagrange_basis_matrix
+
+    basis = [lagrange_basis_matrix(ns, pts[:, a]) for a, ns in enumerate(spl.nodesets[ci])]
+    if len(basis) == 1:
+        return basis[0] @ spl.values[ci]
+    return np.einsum("pi,ij,pj->p", basis[0], spl.values[ci], basis[1])
+
+
+def _reference_dense(weights):
+    """Per-axis self weights as one array: the 1D matrix itself, else einsum "ia,jb->ijab"."""
+    return weights[0] if len(weights) == 1 else np.einsum("ia,jb->ijab", *weights)
+
+
+def _reference_history(moments, values, shape):
+    """Sum over sources, in their order, of the integrals of their splines.
+
+    One matrix-vector product per source in 1D or with a smooth factor; in
+    2D one batched W1 @ X @ W2^T per block of stacked sources, accumulated
+    after the sum so far, else W1 @ X @ W2^T per source.
+    """
+    import wsvie.solver as solver
+
+    out = np.zeros(shape)
+    step = max(1, solver._TABLE_BUDGET // math.prod(shape))
+    for lo in range(0, len(values), step):
+        block = values[lo:lo + step]
+        W = moments(lo, lo + len(block))
+        if len(W) == 1:
+            for w, v in zip(W[0], block):
+                out += (w @ v.ravel()).reshape(shape)
+        elif all(isinstance(w, np.ndarray) for w in W):
+            part = np.matmul(np.matmul(W[0], np.asarray(block)), W[1].transpose(0, 2, 1))
+            part[0] += out
+            out = np.add.accumulate(part)[-1]
+        else:
+            for w1, w2, v in zip(*W, block):
+                out += w1 @ v @ w2.T
+    return out
+
+
 def _inherit_by_lookup(spl, ci, pts, vals, priority, log):
     """Overwrite vals at the nodes pts of cell ci that inherit; returns the owned mask.
 
-    One ``Covering.lookup`` over all the cell's nodes, then ``eval_cell`` per
-    donor; the donors of the inherited nodes are appended to ``log``.
+    One ``Covering.lookup`` over all the cell's nodes, then one evaluation
+    per donor; the donors of the inherited nodes are appended to ``log``.
     """
     donors = spl.covering.lookup(pts, priority)
     log.append(donors[donors >= 0])
     for di in np.unique(donors[donors >= 0]):
-        vals[donors == di] = spl.eval_cell(di, pts[donors == di])
+        vals[donors == di] = _reference_eval_cell(spl, di, pts[donors == di])
     return donors < 0
 
 
 def _reference_march(problem, cov, degrees, family, order, tol, log):
     """The march done cell by cell, as a reference for ``solver._march``.
 
-    Per cell: a lookup of its donors over all its nodes, ``eval_cell`` per
+    Per cell: a lookup of its donors over all its nodes, an evaluation per
     donor, one right-side call on its nodes and a history over the list of
-    its predecessors' values, which ``_history`` stacks block by block.
-    Each cell's donors are appended to ``log``.
+    its predecessors' values, which ``_reference_history`` stacks block by
+    block. Each cell's donors are appended to ``log``.
     """
     import wsvie.solver as solver
 
@@ -631,8 +680,8 @@ def _reference_march(problem, cov, degrees, family, order, tol, log):
         pred = srcs[:-1]
         assert done[pred].all()
         shape = tuple(ns.m for ns in spl.nodesets[ci])
-        H = solver._history(moments, [spl.values[di] for di in pred], shape)
-        own = solver._dense([w[0] for w in moments(len(pred), len(srcs))])
+        H = _reference_history(moments, [spl.values[di] for di in pred], shape)
+        own = _reference_dense([w[0] for w in moments(len(pred), len(srcs))])
         A = np.eye(H.size) - own.reshape(H.size, H.size)
         pts = spl.node_grid(ci)
         rhs = np.asarray(problem.rhs(*pts.T), dtype=float) + H.ravel()
@@ -652,6 +701,7 @@ def _march_case(case):
     """(problem, solve, discretisation, order or None) of one reference-march case."""
     from wsvie.funclass import derive_class_params
 
+    case = case.removesuffix("-blocks")
     if case in ("abel-1d-bstar-8", "h2-2d-qstar-2"):
         return *_table_case(case), None
     name, shuffled = case.removesuffix("-shuffled"), case.endswith("-shuffled")
@@ -673,16 +723,20 @@ class TestReferenceMarch:
     # the march looks up every donor at once, evaluates the inherited nodes
     # of a cell in one batch and the right side in one call, and gathers a
     # history's sources from one value array when the node counts are
-    # uniform; per-cell node counts and an open family take the fallbacks
+    # uniform; per-cell node counts and an open family take the fallbacks.
+    # A "-blocks" case sums every history in blocks of four sources.
     @pytest.mark.parametrize("case", [
         "qstar-4", "qstar-4-shuffled", "bstar-3", "bstar-3-shuffled", "qqstar-4",
-        "qqstar-4-shuffled", "abel-1d-bstar-8", "mixed-m", "open", "h2-2d-qstar-2"])
+        "qqstar-4-shuffled", "abel-1d-bstar-8", "mixed-m", "open", "h2-2d-qstar-2",
+        "qstar-4-blocks", "abel-1d-bstar-8-blocks", "mixed-m-blocks", "h2-2d-qstar-2-blocks"])
     def test_march_matches_per_cell_reference(self, case, monkeypatch):
         # the values, the owned masks and every cell's donors: with uniform
         # node counts the values do not show which of two donors holding a
         # node gave its value
         import wsvie.solver as solver
 
+        if case.endswith("-blocks"):
+            monkeypatch.setattr(solver, "_TABLE_BUDGET", 100)
         prob, solve, disc, order = _march_case(case)
         donated, fast_log, ref_log = solver._donated, [], []
         monkeypatch.setattr(solver, "_donated", lambda spl, stack, donors, pts: (
@@ -700,7 +754,7 @@ class TestReferenceMarch:
         for ci in range(cov.ncells):
             assert np.array_equal(fast.values[ci], ref.values[ci])
             assert np.array_equal(fast.owned[ci], ref.owned[ci])
-        if case in ("qstar-4", "mixed-m"):
+        if case.startswith(("qstar-4", "mixed-m")):
             assert not all(own.all() for own in fast.owned)
         if case == "open":
             assert all(own.all() for own in fast.owned)
@@ -722,6 +776,173 @@ class TestReferenceMarch:
         for ci in range(cov.ncells):
             assert np.array_equal(fast.values[ci], ref.values[ci])
             assert np.array_equal(fast.owned[ci], ref.owned[ci])
+
+
+# The single l-axis path is bit-identical to the per-dimension formulas in 2D.
+# In 1D it evaluates a cell by einsum where the matrix-vector product summed
+# in another order, and the smooth factor's cubature by the optimized einsum
+# that 2D uses: there the results agree to this relative tolerance.
+ONE_AXIS_RTOL = 1e-15
+
+
+def _reference_cubature(kern, grid, nodesets, n):
+    """One source cell's smooth-factor cubature at ``grid``: per-dimension einsums."""
+    from wsvie.interp import lagrange_basis_matrix
+    from wsvie.quad import _reference_nodes, _rules
+
+    rules = []
+    for x, p, ns in zip(grid, kern.exponents, nodesets):
+        ref = _reference_nodes((-1.0, 1.0), ns.family, ns.m)
+        rules.append([])
+        for _, rows, sigma, w in _rules(x, p, ns.a, ns.b, n, ns.m):
+            sigma = np.broadcast_to(sigma, w.shape)
+            tau = 0.5 * (ns.a + ns.b) + 0.5 * (ns.b - ns.a) * sigma
+            rules[-1].append((rows, tau, w[:, :, None] * lagrange_basis_matrix(ref, sigma)))
+    W = np.zeros(tuple(x.size for x in grid) + tuple(ns.m for ns in nodesets))
+    if len(grid) == 1:
+        for rows, T, C in rules[0]:
+            W[rows] = np.einsum("rqa,rq->ra", C, kern.smooth_factor(grid[0][rows, None], T))
+    else:
+        (x1, x2) = grid
+        for (r1, T1, C1), (r2, T2, C2) in itertools.product(*rules):
+            h = kern.smooth_factor(x1[r1, None, None, None], x2[None, r2, None, None],
+                                   T1[:, None, :, None], T2[None, :, None, :])
+            W[np.ix_(r1, r2)] = np.einsum("iqa,ijqp,jpb->ijab", C1, h, C2, optimize=True)
+    return W.reshape(math.prod(x.size for x in grid), -1)
+
+
+def _reference_oracle(problem, n, V):
+    """``oracle_solve``'s row recurrence with V1 = V[0] and V2 = V[1], or 1 in 1D."""
+    F = np.asarray(problem.rhs(*np.meshgrid(*(np.linspace(0.0, problem.T, n + 1),) * problem.l,
+                                            indexing="ij", sparse=True)), dtype=float)
+    V1, V2 = V[0], V[1] if len(V) == 2 else np.eye(1)
+    F = F.reshape(n + 1, -1)
+    X = np.zeros_like(F)
+    for i in range(n + 1):
+        X[i] = np.linalg.solve(np.eye(len(V2)) - V1[i, i] * V2, F[i] + V2 @ (V1[i, :i] @ X[:i]))
+    return X.reshape((n + 1,) * problem.l)
+
+
+class TestPerDimensionFormulas:
+    def test_eval_cell(self, b_params_2d):
+        from wsvie.funclass import derive_class_params
+        from wsvie.interp import lagrange_basis_matrix
+
+        prob1, _, disc = _table_case("abel-1d-bstar-32")
+        rng = np.random.default_rng(7)
+        for prob, sol in ((prob1, solve_1d(prob1, *disc)),
+                          (get_problem("corner-power-2d"),
+                           solve_2d(get_problem("corner-power-2d"), *preset_2d(b_params_2d, 3)))):
+            for ci, nsets in enumerate(sol.nodesets):
+                pts = rng.uniform([ns.a for ns in nsets], [ns.b for ns in nsets], (40, prob.l))
+                new, old = sol.eval_cell(ci, pts), _reference_eval_cell(sol, ci, pts)
+                if prob.l == 2:
+                    assert np.array_equal(new, old)
+                else:   # the rounding scale of the dot product, point by point
+                    B = lagrange_basis_matrix(nsets[0], pts[:, 0])
+                    scale = np.abs(B) @ np.abs(sol.values[ci])
+                    assert np.all(np.abs(new - old) <= ONE_AXIS_RTOL * scale)
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    @pytest.mark.parametrize("case", ["qstar-4", "mixed-m", "abel-1d-bstar-8", "h2-2d-qstar-2"])
+    def test_history(self, case, budget, monkeypatch):
+        # bitwise, every cell's history over its predecessors: the nodal
+        # values alone could hide a rounding change in a small history
+        import wsvie.solver as solver
+
+        if budget is not None:
+            monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
+        prob, solve, disc, _ = _march_case(case)
+        sol = solve(prob, *disc)
+        shadow = shadow_matrix(sol.covering)
+        for ci, srcs, M in solver._cell_moments(
+                prob.kernel, sol.nodesets, solver._node_grids(sol.nodesets, range(len(sol.values))),
+                lambda ci: np.nonzero(shadow[:, ci])[0]):
+            vals, shape = [sol.values[di] for di in srcs], sol.values[ci].shape
+            assert np.array_equal(solver._history(M, vals, shape),
+                                  _reference_history(M, vals, shape))
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_cubature(self, l):
+        import wsvie.solver as solver
+        from wsvie.interp import build_nodes
+
+        h = [lambda t, u: 2 + t * u - u / 2,
+             lambda t1, t2, u1, u2: 2 + t1 * u2 - u1 / 2][l - 1]
+        kern = KernelSpec((-0.5, 2.5)[:l], smooth_factor=h)
+        grid = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7) ** 2][:l]
+        for a, b, m in ((0.0, 0.25, 5), (0.25, 0.5, 3), (0.5, 1.0, 6)):
+            nodesets = [build_nodes((a, b), "legendre_closed", m)] * l
+            [[new]] = solver._cubature(kern, grid, [nodesets], m + 4, 0, 1)
+            old = _reference_cubature(kern, grid, nodesets, m + 4)
+            if l == 2:
+                assert np.array_equal(new, old)
+            else:
+                assert np.max(np.abs(new - old)) <= ONE_AXIS_RTOL * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("name", ["corner-power-1d", "corner-power-2d", "smooth-1d"])
+    def test_oracle(self, name):
+        import wsvie.solver as solver
+        from wsvie.interp import build_nodes
+
+        n = 20
+        if name == "smooth-1d":
+            kern = KernelSpec((2.5,), smooth_factor=lambda t, u: 2 + t * u - u / 2)
+            prob = VieProblem(l=1, T=1.0, kernel=kern, rhs=np.cos)
+            steps = np.linspace(0.0, 1.0, n + 1)
+            V = np.zeros((n + 1, n + 1))
+            for j in range(n):
+                W = _reference_cubature(kern, (steps,), (build_nodes(
+                    (steps[j], steps[j + 1]), "legendre_closed", 2),), 6)
+                V[:, j] += W[:, 0]
+                V[:, j + 1] += W[:, 1]
+            old = _reference_oracle(prob, n, [V])
+            new = oracle_solve(prob, n).values
+            assert np.max(np.abs(new - old)) <= ONE_AXIS_RTOL * np.max(np.abs(old))
+            return
+        prob = get_problem(name)
+        t = np.linspace(0.0, prob.T, n + 1)
+        V = [solver._linear_weight_matrix(t, KernelSpec((p,))) for p in prob.kernel.exponents]
+        assert np.array_equal(oracle_solve(prob, n).values, _reference_oracle(prob, n, V))
+
+
+class TestNonFiniteSolves:
+    # a NaN residual must fail the local check, not pass it
+    def test_infinite_rhs_1d(self):
+        from wsvie.funclass import derive_class_params
+
+        prob = VieProblem(l=1, T=1.0, kernel=KernelSpec((-0.5,)), rhs=lambda t: t ** -0.5)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="on cell 0"):
+            solve_1d(prob, *preset_1d(derive_class_params(2, 0.5, "b_star"), 4))
+
+    def test_nan_rhs_2d(self, q25_params_2d):
+        prob = VieProblem(l=2, T=1.0, kernel=KernelSpec((2.5, 2.5)),
+                          rhs=lambda t1, t2: np.where(t1 > 0.9, np.nan, 1.0 + 0.0 * t2))
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="on cell"):
+            solve_2d(prob, *preset_2d(q25_params_2d, 2))
+
+    def test_residuals_of_a_nan_spline_are_nan(self, q_params):
+        prob = get_problem("corner-power-1d")
+        sol = solve_1d(prob, *preset_1d(q_params, 4))
+        sol.values[2][1] = np.nan
+        with np.errstate(all="ignore"):
+            assert np.isnan(collocation_residual(prob, sol))
+            assert np.isnan(residual(prob, sol, np.linspace(0.0, 1.0, 11)))
+
+
+class TestDomain:
+    # the mesh or covering must span the problem's [0, T]
+    def test_mesh_of_another_T_rejected(self, q_params, q25_params_2d):
+        from wsvie.funclass import derive_class_params
+
+        prob = VieProblem(l=1, T=2.0, kernel=KernelSpec((2.5,)), rhs=np.cos)
+        with pytest.raises(ValueError, match=r"\[0, 2.0\]\^"):
+            solve_1d(prob, *preset_1d(q_params, 4))
+        prob2 = VieProblem(l=2, T=2.0, kernel=None, rhs=lambda t1, t2: t1 + t2)
+        with pytest.raises(ValueError, match=r"\[0, 2.0\]\^"):
+            solve_2d(prob2, *preset_2d(q25_params_2d, 2))
+        sol = solve_1d(prob, *preset_1d(derive_class_params(2, 0.5, "q_star", T=2.0), 4))
+        assert sol.covering.T == 2.0
 
 
 class TestResidual:
@@ -757,6 +978,16 @@ class TestKernelSpec:
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
             KernelSpec(exponents=(-1.0,))
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_non_finite_exponent_rejected(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(exponents=(2.5, p))
+
+    @pytest.mark.parametrize("T", [float("nan"), float("inf")])
+    def test_non_finite_T_rejected(self, T):
+        with pytest.raises(ValueError, match="finite"):
+            VieProblem(l=1, T=T, kernel=None, rhs=np.cos)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
