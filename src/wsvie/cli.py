@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -58,46 +60,19 @@ class ConfigError(ValueError):
 # built-in problem catalogue
 # ---------------------------------------------------------------------------
 
-def _corner_power_2d() -> VieProblem:
-    # rhs manufactured from the exact solution (t1 t2)^2.5 and the closed-form
-    # kernel moment, so the stated solution solves the equation identically
-    c = power_moment(2.5, 2.5, 1.0)  # = 5 pi / 1024
+def _power_problem(l: int, p: float, q: float) -> VieProblem:
+    # exact solution (t_1 ... t_l)^q; the kernel prod_i (t_i - tau_i)^p maps it to
+    # power_moment(p, q, 1)^l (t_1 ... t_l)^(q + p + 1), which gives the rhs, so
+    # the stated solution solves the equation identically
+    c = power_moment(p, q, 1.0) ** l
 
-    def rhs(t1, t2):
-        return (t1 * t2) ** 2.5 - c * c * (t1 * t2) ** 6
+    def exact(*t):
+        return math.prod(t) ** q
 
-    def exact(t1, t2):
-        return (t1 * t2) ** 2.5
+    def rhs(*t):
+        return exact(*t) - c * math.prod(t) ** (q + p + 1)
 
-    return VieProblem(l=2, T=1.0, kernel=KernelSpec(exponents=(2.5, 2.5)),
-                      rhs=rhs, exact=exact)
-
-
-def _corner_power_1d() -> VieProblem:
-    c = power_moment(2.5, 2.5, 1.0)
-
-    def rhs(t):
-        return t ** 2.5 - c * t ** 6
-
-    def exact(t):
-        return t ** 2.5
-
-    return VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(2.5,)),
-                      rhs=rhs, exact=exact)
-
-
-def _abel_1d() -> VieProblem:
-    # the Abel kernel (t - tau)^(-1/2) applied to t^(1/2) is power_moment(-1/2, 1/2, 1) t
-    c = power_moment(-0.5, 0.5, 1.0)  # = pi / 2
-
-    def rhs(t):
-        return t ** 0.5 - c * t
-
-    def exact(t):
-        return t ** 0.5
-
-    return VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(-0.5,)),
-                      rhs=rhs, exact=exact)
+    return VieProblem(l=l, T=1.0, kernel=KernelSpec(exponents=(p,) * l), rhs=rhs, exact=exact)
 
 
 def _cos_rhs_1d() -> VieProblem:
@@ -120,9 +95,9 @@ def _poly_k0_2d() -> VieProblem:
 
 
 PROBLEMS = {
-    "corner-power-2d": _corner_power_2d,
-    "corner-power-1d": _corner_power_1d,
-    "abel-1d": _abel_1d,
+    "corner-power-2d": partial(_power_problem, 2, 2.5, 2.5),
+    "corner-power-1d": partial(_power_problem, 1, 2.5, 2.5),
+    "abel-1d": partial(_power_problem, 1, -0.5, 0.5),   # the Abel kernel (t - tau)^(-1/2)
     "cos-rhs-1d": _cos_rhs_1d,
     "poly-k0-1d": _poly_k0_1d,
     "poly-k0-2d": _poly_k0_2d,

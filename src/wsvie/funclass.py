@@ -55,19 +55,20 @@ def derive_class_params(r: int, gamma: float, kind: str, l: int = 1,
     Raises
     ------
     ValueError
-        For gamma <= 0, B-kinds with gamma > 1 or r < 1, unknown kinds, or
-        r = 0 (the grading exponent is undefined there).
+        For gamma or bound outside (0, inf), B-kinds with gamma > 1 or
+        r < 1, unknown kinds, or r = 0 (the grading exponent is undefined
+        there).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be > 0 and finite, got {gamma}")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if not 0 < T < math.inf:
         raise ValueError(f"T must be > 0 and finite, got {T}")
-    if bound <= 0:
-        raise ValueError(f"bound must be > 0, got {bound}")
+    if not 0 < bound < math.inf:
+        raise ValueError(f"bound must be > 0 and finite, got {bound}")
     if kind in _B_KINDS:
         if gamma > 1:
             raise ValueError(f"B-kinds require gamma <= 1, got {gamma}")

@@ -14,10 +14,10 @@ generator, ``_rules``, from where x lies:
 The rules are written in the reference coordinate sigma on [-1, 1], where a
 NodeSet's l_j is the fundamental polynomial of one reference node set and
 the far (or near) rows of every interval share their points.
-``stacked_kernel_moments`` takes the moments of many intervals at one
-coordinate array, with one reference basis per shared rule; its rows sum in
-one fixed order, so stacking changes no bit. ``kernel_moments`` is its
-one-interval case.
+``stacked_kernel_moments`` takes the moments of many intervals, of any node
+counts, at one coordinate array, with one reference basis per node count and
+shared rule; its rows sum in one fixed order, so stacking changes no bit.
+``kernel_moments`` is its one-interval case.
 """
 
 from __future__ import annotations
@@ -209,25 +209,28 @@ def _rules(x, p: float, a, b, n: int, m: int):
 
 
 def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int) -> np.ndarray:
-    """``kernel_moments`` of S intervals at once: an array of shape (S, x.size, m).
+    """``kernel_moments`` of S intervals at once: an array of shape (S, x.size, M).
 
     Interval s runs from a[s] to b[s] and carries the fundamental polynomials
-    of nodesets[s], built on it by ``build_nodes`` with one family and node
-    count m: those of ``build_nodes((-1, 1), family, m)`` in sigma. Each row
-    equals that of ``kernel_moments`` on its interval alone, to the bit.
+    of nodesets[s], built on it by ``build_nodes`` with one family and m
+    nodes: those of ``build_nodes((-1, 1), family, m)`` in sigma, and zero past
+    m < M. Each row equals that of ``kernel_moments`` on its interval alone, to the bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    ref = _reference_nodes((-1.0, 1.0), nodesets[0].family, nodesets[0].m)
-    M = np.zeros((len(nodesets), x.size, ref.m))
-    shared = {}   # basis at the far (n points) and near (13 n points) rules
-    for s, rows, sigma, W in _rules(x, p, a, b, n, ref.m):
-        if sigma.ndim == 1:
-            if sigma.size not in shared:
-                shared[sigma.size] = lagrange_basis_matrix(ref, sigma)
-            # einsum, not BLAS: a row sums in one order, whatever the block size
-            M[s, rows] = np.einsum("cq,qm->cm", W, shared[sigma.size])
-        else:
-            M[s, rows] = np.einsum("cq,cqm->cm", W, lagrange_basis_matrix(ref, sigma))
+    a, b, ms = np.asarray(a, float), np.asarray(b, float), np.array([ns.m for ns in nodesets])
+    M = np.zeros((len(nodesets), x.size, ms.max()))
+    for m in np.unique(ms).tolist():   # the intervals of one node count share their rules
+        g = np.flatnonzero(ms == m)
+        ref = _reference_nodes((-1.0, 1.0), nodesets[g[0]].family, m)
+        shared = {}   # basis at the far (n points) and near (13 n points) rules
+        for s, rows, sigma, W in _rules(x, p, a[g], b[g], n, m):
+            if sigma.ndim == 1:
+                if sigma.size not in shared:
+                    shared[sigma.size] = lagrange_basis_matrix(ref, sigma)
+                # einsum, not BLAS: a row sums in one order, whatever the block size
+                M[g[s], rows, :m] = np.einsum("cq,qm->cm", W, shared[sigma.size])
+            else:
+                M[g[s], rows, :m] = np.einsum("cq,cqm->cm", W, lagrange_basis_matrix(ref, sigma))
     return M
 
 

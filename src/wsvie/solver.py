@@ -19,18 +19,20 @@ moment matrix, which depends only on D's range and node count on that axis.
 One generator, ``_cell_moments``, walks a sequence of target grids in chunks
 and builds per-axis moment tables per chunk, one per distinct source
 interval, evaluated at the sorted union of the chunk's grid coordinates:
-per axis, one ``stacked_kernel_moments`` call per node count fills them. The
-targets are the cells' node grids in causal order for the march and the
-collocation residual check, sample grids for ``residual`` and the uniform
-grid for the oracle. A target's moment matrices are row gathers from these
-tables; its history is one batched contraction per block of stacked sources
-(or one per source when node counts differ), summed in source-index order.
-Each chunk's tables, and each block of stacked sources, hold about
-``_TABLE_BUDGET`` doubles (1 MB), which bounds the extra memory of the march.
+per axis, one ``stacked_kernel_moments`` call fills them. The targets are
+the cells' node grids in causal order for the march and the collocation
+residual check, sample grids for ``residual`` and the uniform grid for the
+oracle. A target's moment matrices are row gathers from these tables,
+padded like the nodal values (``spline._padded``) to the largest node count
+per axis, so its history is one batched contraction per block of sources,
+whatever their node counts, summed in source-index order. Each chunk's
+tables, and each block of sources, hold about ``_TABLE_BUDGET`` doubles
+(1 MB), which bounds the extra memory of the march.
 
 A general h(t, tau) couples the axes. The generator then yields one
-flattened weight matrix per source cell, from tensor Gauss cubature over the
-same per-axis rules, and the consumers treat it as the one-axis case.
+flattened weight array per block of source cells, from tensor Gauss
+cubature over the same per-axis rules, and the consumers treat it as the
+one-axis case.
 
 The march calls the right side once on all nodes and looks up the donors
 of all boundary nodes at once; its cell loop keeps the history, inherited
@@ -54,7 +56,7 @@ from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, shadow_matrix)
 from .quad import _TABLE_BUDGET, _reference_nodes, _rules, stacked_kernel_moments
-from .spline import LocalSpline, TensorSpline, _donated, _nodal, _unfilled
+from .spline import LocalSpline, TensorSpline, _donated, _nodal, _padded, _unfilled
 
 
 @dataclass
@@ -143,29 +145,30 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
     returns the weights of the sources srcs[lo:hi] at the grid, per axis:
 
     * for h == 1, the ``kernel_moments`` of axis a: one array of shape
-      (hi - lo, grid[a].size, m) when the sources share the node count m on
-      that axis, else a list of 2D arrays. They are row gathers from tables
-      built per chunk of consecutive targets, one per distinct source
-      interval (a, b, m) of the chunk and axis, evaluated at the sorted
-      union of the chunk's grid coordinates: one ``stacked_kernel_moments``
-      call per axis and node count m fills them. A chunk grows while its
-      tables hold at most ``_TABLE_BUDGET`` doubles (a cell count would not
-      do, since the table width grows with m), and takes at least one
-      target.
-    * with a smooth factor, or without a kernel, a single axis: a list of
-      one flattened matrix per source, of shape (grid size, m_1 * ... * m_l)
-      (see ``_cubature``).
+      (hi - lo, grid[a].size, M_a), each source's in its leading m columns
+      and zero past them, M_a the largest node count of ``nodesets`` on the
+      axis. They are row gathers, padded to M_a, from tables built per chunk
+      of consecutive targets, one per distinct source interval (a, b, m) of
+      the chunk and axis, evaluated at the sorted union of the chunk's grid
+      coordinates: one ``stacked_kernel_moments`` call per axis fills them.
+      A chunk grows while its tables hold at most ``_TABLE_BUDGET`` doubles
+      (a cell count would not do, since the table width grows with m), and
+      takes at least one target.
+    * with a smooth factor, or without a kernel, a single axis: one array of
+      shape (hi - lo, grid size, M_1 * ... * M_l) (see ``_cubature``).
 
     Every rule takes ``quad_n`` Gauss points per panel (Gauss-Jacobi points
     on a singular row): the largest per-axis node count of ``nodesets`` plus
     4, at most 64.
     """
     quad_n = min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
+    widths = [max(ns.m for ns in sets) for sets in zip(*nodesets)]   # M_a
     targets = list(targets)
     if kern is None or kern.smooth_factor is not None:
         for key, grid in targets:
             srcs = sources(key)
-            yield key, srcs, partial(_cubature, kern, grid, [nodesets[d] for d in srcs], quad_n)
+            yield key, srcs, partial(_cubature, kern, grid, [nodesets[d] for d in srcs], quad_n,
+                                     widths)
         return
     kid, reps = [], []   # per axis: each cell's interval id, one NodeSet per id
     for a in range(len(kern.exponents)):
@@ -173,7 +176,7 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
         kid.append(np.array([index.setdefault((n[a].a, n[a].b, n[a].m), len(index))
                              for n in nodesets]))
         reps.append([nodesets[ci][a] for ci in np.unique(kid[a], return_index=True)[1]])
-    widths = [np.array([ns.m for ns in r]) for r in reps]
+    ms = [np.array([ns.m for ns in r]) for r in reps]
     pos = 0
     while pos < len(targets):
         used = [np.zeros(len(r), dtype=bool) for r in reps]
@@ -185,57 +188,49 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             for u, k in zip(grown, kid):
                 u[k[srcs]] = True
             wider = [c.union(x.tolist()) for c, x in zip(coords, grid)]
-            size = sum(len(c) * int(w[u].sum()) for c, w, u in zip(wider, widths, grown))
+            size = sum(len(c) * m[u].max(initial=0) * u.sum() for c, m, u in zip(wider, ms, grown))
             if chunk and size > _TABLE_BUDGET:
                 break
             used, coords = grown, wider
             chunk.append((key, grid, srcs))
         pos += len(chunk)
         tables = []
-        for p, r, u, c, w in zip(kern.exponents, reps, used, coords, widths):
+        for p, r, u, c in zip(kern.exponents, reps, used, coords):
             x = np.array(sorted(c))
-            ids = np.nonzero(u)[0]
-            ids = ids[np.argsort(w[ids], kind="stable")]   # by node count
-            local = np.zeros(len(r), dtype=int)
-            local[ids] = np.arange(ids.size)
-            tab = []   # one stacked call per node count
-            for g in np.split(ids, np.flatnonzero(np.diff(w[ids])) + 1):
-                ns = [r[i] for i in g]
-                tab.append(stacked_kernel_moments(x, p, *zip(*[(n.a, n.b) for n in ns]), ns, quad_n))
-            # one stacked array when the intervals share their node count
-            tables.append((x, local, tab[0] if len(tab) == 1 else [t for st in tab for t in st]))
+            ns = [r[i] for i in np.flatnonzero(u)]
+            tab = stacked_kernel_moments(x, p, [n.a for n in ns], [n.b for n in ns], ns, quad_n)
+            tables.append((x, np.cumsum(u) - 1, tab))   # an interval's row in tab
         for key, grid, srcs in chunk:
             rows = [np.searchsorted(x, g) for (x, _, _), g in zip(tables, grid)]
             sel = [local[k[srcs]] for (_, local, _), k in zip(tables, kid)]
-            yield key, srcs, partial(_gather, [tab for _, _, tab in tables], rows, sel)
+            yield key, srcs, partial(_gather, [tab for _, _, tab in tables], rows, sel, widths)
 
 
-def _gather(tabs, rows, sel, lo: int, hi: int) -> list:
-    """Per-axis moments of sources sel[a][lo:hi] at the target ``rows``."""
-    return [tab[s[lo:hi, None], r] if isinstance(tab, np.ndarray)
-            else [tab[i][r] for i in s[lo:hi]] for tab, r, s in zip(tabs, rows, sel)]
+def _gather(tabs, rows, sel, widths, lo: int, hi: int) -> list:
+    """Per-axis moments of sources sel[a][lo:hi] at the target ``rows``, padded to ``widths``."""
+    out = [tab[s[lo:hi, None], r] for tab, r, s in zip(tabs, rows, sel)]
+    return [w if w.shape[-1] == M else np.pad(w, [(0, 0), (0, 0), (0, M - w.shape[-1])])
+            for w, M in zip(out, widths)]
 
 
-def _cubature(kern: KernelSpec | None, grid, sources, n: int, lo: int, hi: int) -> list:
+def _cubature(kern: KernelSpec | None, grid, sources, n: int, widths, lo: int, hi: int) -> list:
     """Flattened weights of the source cells sources[lo:hi] at ``grid``, as one axis.
 
-    ``sources`` holds per-axis NodeSets per cell. Each weight matrix has
-    shape (grid size, m_1 * ... * m_l): zero without a kernel, else tensor
-    Gauss cubature, n points per panel, of h * g times the cell's tensor
-    Lagrange basis, evaluated on the reference interval of each axis. The
-    smooth factor couples the axes, so the cubature is summed for every
-    l-tuple of per-axis ``_rules`` blocks, over the rows of those blocks: h
-    is evaluated on the axes (rows_1, ..., rows_l, points_1, ..., points_l).
+    ``sources`` holds per-axis NodeSets per cell. The weights are one array
+    (hi - lo, grid size, M_1 * ... * M_l), a cell's in the leading corner of
+    the ``widths`` M_a: zero without a kernel, else tensor Gauss cubature, n
+    points per panel, of h * g times the cell's tensor Lagrange basis, on the
+    reference interval of each axis. The smooth factor couples the axes, so
+    the cubature is summed for every l-tuple of per-axis ``_rules`` blocks,
+    over their rows: h is evaluated on the axes (rows_1, ..., rows_l,
+    points_1, ..., points_l).
     """
     l, size = len(grid), math.prod(x.size for x in grid)
     rows, pts, basis = "abcd"[:l], "efgh"[:l], "ijkl"[:l]
     spec = [r + q + b for r, q, b in zip(rows, pts, basis)]
     spec = ",".join(spec[:1] + [rows + pts] + spec[1:]) + f"->{rows}{basis}"
-    out = []
-    for nodesets in sources[lo:hi]:
-        if kern is None:
-            out.append(np.zeros((size, math.prod(ns.m for ns in nodesets))))
-            continue
+    out = np.zeros((hi - lo,) + tuple(x.size for x in grid) + tuple(widths))
+    for W, nodesets in zip(out if kern is not None else (), sources[lo:hi]):
         rules = []   # per axis and block: rows, their coordinates and points on h's axes, C
         for a, (x, p, ns) in enumerate(zip(grid, kern.exponents, nodesets)):
             ref = _reference_nodes((-1.0, 1.0), ns.family, ns.m)
@@ -246,13 +241,12 @@ def _cubature(kern: KernelSpec | None, grid, sources, n: int, lo: int, hi: int) 
                 rules[-1].append((r, np.expand_dims(x[r], [i for i in range(2 * l) if i != a]),
                                   np.expand_dims(tau, [i for i in range(2 * l) if i % l != a]),
                                   w[:, :, None] * lagrange_basis_matrix(ref, sigma)))
-        W = np.zeros(tuple(x.size for x in grid) + tuple(ns.m for ns in nodesets))
+        W = W[(Ellipsis,) + tuple(slice(ns.m) for ns in nodesets)]   # the cell's corner
         for blocks in itertools.product(*rules):
             r, t, tau, C = zip(*blocks)   # C: weights times basis, (rows, points, m)
             h = kern.smooth_factor(*t, *tau)
             W[np.ix_(*r)] = np.einsum(spec, *C[:1], h, *C[1:], optimize=True)
-        out.append(W.reshape(size, -1))
-    return [out]
+    return [out.reshape(hi - lo, size, -1)]
 
 
 def _dense(weights) -> np.ndarray:
@@ -276,25 +270,21 @@ def _history(moments, values, shape) -> np.ndarray:
     """Sum over sources, in their order, of the integrals of their splines.
 
     ``moments`` is one target's weights from ``_cell_moments``, ``values``
-    the nodal values of its first sources and ``shape`` the target grid's.
-    Sources are taken in blocks whose weights hold about ``_TABLE_BUDGET``
-    doubles. A block with moments stacked on every axis is one batched
-    ``_contract``, else each source is one (its values flattened when a
-    smooth factor flattens the axes). An accumulation sums the block after
-    the sum so far, in source order: ``sum`` adds pairwise.
+    the padded nodal values (sources, M_1, ..., M_l) of its first sources
+    and ``shape`` the target grid's. Sources are taken in blocks whose
+    weights hold about ``_TABLE_BUDGET`` doubles; each block is one batched
+    ``_contract``, with its values flattened when a smooth factor flattens
+    the axes. An accumulation sums the block after the sum so far, in
+    source order: ``sum`` adds pairwise.
     """
     out = np.zeros(shape)
     step = max(1, _TABLE_BUDGET // math.prod(shape))
     for lo in range(0, len(values), step):
-        block = values[lo:lo + step]
-        W = moments(lo, lo + len(block))
-        if all(isinstance(w, np.ndarray) for w in W):
-            # batch shape (sources, 1, ...): the 1 gives a 1D block's values a matrix row
-            one = (slice(None),) + (None,) * (len(W) - 1)
-            parts = _contract([w[one] for w in W], np.asarray(block)[:, None])[:, 0]
-        else:
-            parts = [_contract(ws, v.reshape(v.shape[:len(ws) - 1] + (-1,)))
-                     for ws, v in zip(zip(*W), block)]
+        W = moments(lo, min(lo + step, len(values)))
+        block = values[lo:lo + step].reshape((-1,) + tuple(w.shape[-1] for w in W))
+        # batch shape (sources, 1, ...): the 1 gives a 1D block's values a matrix row
+        one = (slice(None),) + (None,) * (len(W) - 1)
+        parts = _contract([w[one] for w in W], block[:, None])[:, 0]
         parts[0] += out.reshape(parts[0].shape)
         out = np.add.accumulate(parts)[-1]   # in order, even for a 1 x 1 grid
     return out.reshape(shape)
@@ -309,7 +299,7 @@ def _node_grids(nodesets, cells):
 # the causal march
 # ---------------------------------------------------------------------------
 
-def _march(problem: VieProblem, spl: TensorSpline, stack, order, tol: float) -> TensorSpline:
+def _march(problem: VieProblem, spl: TensorSpline, padded, order, tol: float) -> TensorSpline:
     """Fill the unfilled spline ``spl`` with the collocation solution, cell by cell.
 
     In each cell, nodes lying on the closure of a shadow-predecessor cell are
@@ -320,8 +310,9 @@ def _march(problem: VieProblem, spl: TensorSpline, stack, order, tol: float) -> 
     makes the assembled systems independent of the particular causal order.
 
     What depends only on the covering comes before the loop: the right side
-    at all nodes and each node's donor (``_nodal``). With ``stack``, the value
-    array of ``_unfilled``, a history gathers its sources' block of it.
+    at all nodes and each node's donor (``_nodal``). ``padded`` holds the
+    arrays of ``_unfilled``: a history gathers its sources' rows of the value
+    array, and inherited nodes are evaluated from the node tables.
     """
     covering, nodesets, values, owned = spl.covering, spl.nodesets, spl.values, spl.owned
     if (covering.l, covering.T) != (problem.l, problem.T):
@@ -341,16 +332,16 @@ def _march(problem: VieProblem, spl: TensorSpline, stack, order, tol: float) -> 
         if not done[pred_idx].all():
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
         shape = values[ci].shape
-        H = _history(moments, [values[di] for di in pred_idx] if stack is None
-                     else stack[pred_idx], shape)
+        H = _history(moments, padded.values[pred_idx], shape)
         own = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
+        own = own.reshape(shape + padded.values.shape[1:])[(Ellipsis,) + tuple(map(slice, shape))]
         A = np.eye(H.size) - own.reshape(H.size, H.size)
         f, own, donors, pts = nodal[ci]
         rhs = f + H.ravel()
         rows = np.flatnonzero(~own)
         A[rows, :] = 0.0
         A[rows, rows] = 1.0
-        rhs[rows] = _donated(spl, stack, donors, pts)
+        rhs[rows] = _donated(padded, donors, pts)
         try:
             sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError as exc:
@@ -417,13 +408,13 @@ def residual(problem: VieProblem, solution, samples) -> float:
         grids = [list(pt[:, None]) for pt in samples]   # a 1-element grid per coordinate
     else:
         grids = [[np.atleast_1d(np.asarray(ax, dtype=float)) for ax in samples]]
-    cells = np.arange(len(solution.values))
+    values = _padded(solution.nodesets, solution.values).values
     worst = []
     for i, _, moments in _cell_moments(problem.kernel, solution.nodesets, enumerate(grids),
-                                       lambda _: cells):
+                                       lambda _: np.arange(len(values))):
         mesh = np.meshgrid(*grids[i], indexing="ij")
         pts = np.column_stack([g.ravel() for g in mesh])
-        kx = _history(moments, solution.values, mesh[0].shape)
+        kx = _history(moments, values, mesh[0].shape)
         r = (solution.eval(pts).reshape(kx.shape) - kx
              - np.asarray(problem.rhs(*mesh), dtype=float))
         worst.append(np.max(np.abs(r)))
@@ -438,13 +429,14 @@ def collocation_residual(problem: VieProblem, solution) -> float:
     the cell that first computed them and are checked there.
     """
     nodesets, values, owned = solution.nodesets, solution.values, solution.owned
+    padded = _padded(nodesets, values).values
     # a cell integrates over its shadow predecessors and its own clipped range
     shadow = shadow_matrix(solution.covering) | np.eye(len(values), dtype=bool)
     checked = _node_grids(nodesets, [ci for ci, own in enumerate(owned) if own.any()])
     worst = [0.0]
     for ci, srcs, moments in _cell_moments(problem.kernel, nodesets, checked,
                                            lambda ci: np.nonzero(shadow[:, ci])[0]):
-        lhs = values[ci] - _history(moments, [values[di] for di in srcs], values[ci].shape)
+        lhs = values[ci] - _history(moments, padded[srcs], values[ci].shape)
         grids = np.meshgrid(*[ns.nodes for ns in nodesets[ci]], indexing="ij")
         rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)
         worst.append(np.max(np.abs((lhs - rhs.reshape(lhs.shape))[owned[ci]])))
@@ -476,7 +468,7 @@ def _linear_weight_matrix(t: np.ndarray, kern: KernelSpec) -> np.ndarray:
     steps = [(build_nodes((t[j], t[j + 1]), "legendre_closed", 2),) for j in range(t.size - 1)]
     [(_, _, moments)] = _cell_moments(kern, steps, [(0, (t,))],
                                       lambda _: np.arange(len(steps)))
-    M = np.asarray(moments(0, len(steps))[0])
+    M = moments(0, len(steps))[0]
     V = np.zeros((t.size, t.size))
     V[:, :-1] += M[:, :, 0].T
     V[:, 1:] += M[:, :, 1].T

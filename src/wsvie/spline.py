@@ -19,9 +19,7 @@ import numpy as np
 
 from .interp import _CLOSED_FAMILIES, build_nodes, lagrange_basis_matrix
 from .mesh import Covering, GradedMesh, causal_order, least
-
-# points per block of ``TensorSpline.eval``
-_EVAL_BLOCK = 4096
+from .quad import _TABLE_BUDGET
 
 # fewest samples per axis of ``sup_error``'s dense grid
 MIN_SAMPLES = 50
@@ -48,30 +46,24 @@ class TensorSpline:
     def eval(self, pts):
         """Spline values at points (n, l); for l = 1 also at a 1-D array or a scalar.
 
-        Points are looked up and evaluated ``_EVAL_BLOCK`` at a time, which
-        bounds the temporary memory of a large sample grid.
+        Points are looked up and evaluated in blocks whose cell values hold about
+        ``_TABLE_BUDGET`` doubles, which bounds the temporary memory of a large sample grid.
         """
         pts = np.asarray(pts, dtype=float)
         scalar, l = pts.ndim == 0, self.covering.l
         pts = pts.reshape(-1, 1) if l == 1 and pts.ndim < 2 else np.atleast_2d(pts)
         if pts.ndim != 2 or pts.shape[1] != l:
             raise ValueError(f"points must have shape (n, {l}), got {np.shape(pts)}")
+        padded = _padded(self.nodesets, self.values)
+        step = max(1, _TABLE_BUDGET // padded.values[0].size)
         out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _EVAL_BLOCK):
-            block = pts[start:start + _EVAL_BLOCK]
+        for start in range(0, pts.shape[0], step):
+            block = pts[start:start + step]
             cells = self.cell_of(block)
             if np.any(cells < 0):
                 raise ValueError("evaluation point outside [0, T]^l")
-            out[start:start + _EVAL_BLOCK] = self._eval_in(cells, block)
+            out[start:start + step] = _donated(padded, cells, block)
         return float(out[0]) if scalar else out
-
-    def _eval_in(self, cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Value at each point (n, l) of the interpolant of its cell ``cells[i]``."""
-        out = np.empty(pts.shape[0])
-        for ci in np.unique(cells):
-            mask = cells == ci
-            out[mask] = self.eval_cell(int(ci), pts[mask])
-        return out
 
     __call__ = eval
 
@@ -83,7 +75,9 @@ class TensorSpline:
 
     def node_points(self) -> np.ndarray:
         """Every cell's node grid, cell after cell: shape (n, l), or (n,) for l = 1."""
-        pts = np.vstack([self.node_grid(ci) for ci in range(self.covering.ncells)])
+        padded = _padded(self.nodesets)
+        pts = np.column_stack([np.broadcast_to(ax.spread, padded.lead.shape)[padded.lead]
+                               for ax in padded.axes])
         return pts[:, 0] if self.covering.l == 1 else pts
 
     def node_values(self) -> np.ndarray:
@@ -123,13 +117,35 @@ class LocalSpline(TensorSpline):
     """
 
 
+def _padded(nodesets, values=()) -> SimpleNamespace:
+    """Every cell's nodes, barycentric weights and values in zero-padded arrays.
+
+    ``axes[a]`` holds the cells' ``nodes`` and ``weights`` on axis a as rows of
+    (ncells, M_a), M_a its largest node count, padded with nodes at +inf of
+    weight 0, whose barycentric terms vanish; ``spread`` puts the nodes on axis
+    a + 1. ``values`` fill the leading corners ``lead`` of zeros (ncells, M_1, ..., M_l).
+    """
+    l, axes, lead = len(nodesets[0]), [], True
+    for a, sets in enumerate(zip(*nodesets)):
+        row = np.arange(max(ns.m for ns in sets)) < np.array([[ns.m] for ns in sets])
+        nodes, weights = np.full(row.shape, np.inf), np.zeros(row.shape)
+        nodes[row] = np.concatenate([ns.nodes for ns in sets])
+        weights[row] = np.concatenate([ns.weights for ns in sets])
+        spread = (len(sets),) + (1,) * a + (-1,) + (1,) * (l - 1 - a)
+        axes.append(SimpleNamespace(nodes=nodes, weights=weights, spread=nodes.reshape(spread)))
+        lead = lead & row.reshape(spread)
+    padded = np.zeros(lead.shape)
+    padded[lead] = np.concatenate([v.ravel() for v in values]) if len(values) else 0.0
+    return SimpleNamespace(axes=axes, lead=lead, values=padded)
+
+
 def _unfilled(covering: Covering, degrees, family: str):
-    """A spline with every cell's nodes and zero values, and its value array.
+    """A spline with every cell's nodes and zero values, and its ``_padded`` arrays.
 
     ``degrees`` is one node count per axis for every cell, or a list with
     one count per cell. Cells share a NodeSet per distinct interval and node
-    count. If all share their node count m, their ``values`` are views of
-    one array (ncells, m, ..., m), returned with the spline; else None is.
+    count. Their ``values`` are views of the leading corners of the padded
+    value array.
     """
     degrees = [degrees] * covering.ncells if isinstance(degrees, int) else list(degrees)
     if len(degrees) != covering.ncells:
@@ -137,10 +153,9 @@ def _unfilled(covering: Covering, degrees, family: str):
     nodes = lru_cache(maxsize=None)(lambda a, b, m: build_nodes((a, b), family, m))
     nodesets = [tuple(nodes(cell.lo[a], cell.hi[a], m) for a in range(covering.l))
                 for cell, m in zip(covering.cells, degrees)]
-    uniform = len(set(degrees)) == 1
-    stack = np.zeros((covering.ncells,) + (degrees[0],) * covering.l) if uniform else None
-    values = [np.zeros((m,) * covering.l) for m in degrees] if stack is None else list(stack)
-    return TensorSpline(covering, nodesets, values, owned=[None] * covering.ncells), stack
+    padded = _padded(nodesets)
+    values = [v[(slice(m),) * covering.l] for v, m in zip(padded.values, degrees)]
+    return TensorSpline(covering, nodesets, values, owned=[None] * covering.ncells), padded
 
 
 def _nodal(spline: TensorSpline, f, priority) -> list:
@@ -173,19 +188,16 @@ def _at_points(basis, vals: np.ndarray) -> np.ndarray:
     return np.einsum(spec + "->p", basis[0], vals, *basis[1:])
 
 
-def _donated(spline: TensorSpline, stack, donors: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _donated(padded: SimpleNamespace, donors: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Value at each point (k, l) of the interpolant of its cell ``donors[i]``.
 
-    A ``stack`` (see ``_unfilled``) takes one batched evaluation with a
-    barycentric row per point and axis; else each donor is evaluated on its points.
+    One batched ``_at_points`` over the ``_padded`` arrays, with a
+    barycentric row per point and axis from its donor's padded nodes.
     """
-    if stack is None or not donors.size:
-        return spline._eval_in(donors, pts)
-    sets = [spline.nodesets[d] for d in donors]
-    basis = [lagrange_basis_matrix(SimpleNamespace(nodes=np.array([s[a].nodes for s in sets]),
-                                                   weights=np.array([s[a].weights for s in sets])),
-                                   x) for a, x in enumerate(pts.T)]
-    return _at_points(basis, stack[donors])
+    basis = [lagrange_basis_matrix(SimpleNamespace(nodes=ax.nodes[donors],
+                                                   weights=ax.weights[donors]), x)
+             for ax, x in zip(padded.axes, pts.T)]
+    return _at_points(basis, padded.values[donors])
 
 
 def build_tensor_spline(f, covering: Covering, degrees, order=None,
@@ -203,7 +215,7 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
     order = list(order)
     if sorted(order) != list(range(covering.ncells)):
         raise ValueError("order is not a permutation of the covering's cells")
-    spl, stack = _unfilled(covering, degrees, family)
+    spl, padded = _unfilled(covering, degrees, family)
     # a cell's position in ``order``: it may donate to the cells built after it
     pos = np.empty(covering.ncells, dtype=int)
     pos[order] = np.arange(covering.ncells)
@@ -211,7 +223,7 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
                                                         covering.ncells))
     for ci in order:
         vals, own, donors, pts = nodal[ci]
-        vals[~own] = _donated(spl, stack, donors, pts)
+        vals[~own] = _donated(padded, donors, pts)
         spl.values[ci][...] = vals.reshape(spl.values[ci].shape)
         spl.owned[ci] = own.reshape(spl.values[ci].shape)
     return spl

@@ -265,6 +265,10 @@ class TestMainEntry:
          "class_params field 'T' must equal the problem's T"),
         ("convergence", {"class_params": {"r": 2, "gamma": None, "kind": "q_star"}},
          "class_params invalid"),
+        # non-finite class parameters: NaN passed gamma <= 0 and bound <= 0
+        *[("convergence", {"class_params": {"r": 2, "gamma": 0.5, "kind": "q_star", key: v}},
+           f"{key} must be > 0 and finite")
+          for key in ("gamma", "bound") for v in (float("nan"), float("inf"))],
     ], ids=["N-not-int", "samples-not-int", "samples-too-few", "widths-N-not-int",
             "lebesgue-m-too-few", "uniform-n-too-large", "widths-l-not-int",
             "widths-l-too-small", "widths-v-not-number", "widths-v-too-small",
@@ -274,7 +278,7 @@ class TestMainEntry:
             "kernel-exponent-not-number", "kernel-exponent-too-small",
             "kernel-exponents-scalar", "kernel-not-object", "kernel-exponent-nan",
             "kernel-exponent-inf", "T-nan", "T-inf", "class-T-mismatch",
-            "gamma-null"])
+            "gamma-null", "gamma-nan", "gamma-inf", "bound-nan", "bound-inf"])
     def test_malformed_field_exit_1(self, tmp_path, capsys, command, config, field):
         base = {"problem": "corner-power-1d", "N": [2],
                 "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"}}

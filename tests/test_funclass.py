@@ -51,6 +51,15 @@ class TestDeriveClassParams:
         with pytest.raises(ValueError):
             derive_class_params(2, 0.5, "smooth")
 
+    @pytest.mark.parametrize("field", ["gamma", "bound"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        # NaN passed the old gamma <= 0 and bound <= 0 checks, and both
+        # infinite bound and infinite gamma reached int() in the schedules
+        kwargs = {"gamma": 0.5, "bound": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be > 0 and finite"):
+            derive_class_params(2, kwargs["gamma"], "q_star", bound=kwargs["bound"])
+
 
 class TestSampleMember:
     def test_power_member_values(self):

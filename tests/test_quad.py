@@ -231,12 +231,12 @@ def test_kernel_moments_match_padded_contraction(p, m):
     _assert_near_reference(M, ref, m, a, b)
 
 
-def _interval_stack(m):
-    # intervals of one node count, narrow and wide, overlapping and apart; one
-    # coordinate array holds rows in every branch of every interval, rows at
-    # or below a, rows on nodes and rows one ulp past b
+def _interval_stack(ms):
+    # intervals of the node counts ms, narrow and wide, overlapping and apart;
+    # one coordinate array holds rows in every branch of every interval, rows
+    # at or below a, rows on nodes and rows one ulp past b
     boxes = [(0.25, 0.65), (0.1, 0.3), (0.6, 0.61), (0.0, 1.0), (0.3, 0.300001)]
-    nodesets = [build_nodes(box, "legendre_closed", m) for box in boxes]
+    nodesets = [build_nodes(box, "legendre_closed", m) for box, m in zip(boxes, ms)]
     xs = np.concatenate([_rows_in_every_branch(*box) for box in boxes]
                         + [np.nextafter([b for _, b in boxes], np.inf)]
                         + [ns.nodes for ns in nodesets])
@@ -244,27 +244,30 @@ def _interval_stack(m):
 
 
 @pytest.mark.parametrize("budget", [None, 1])
-@pytest.mark.parametrize("m", [2, 5, 14, 40])
+@pytest.mark.parametrize("ms", [(2,) * 5, (5,) * 5, (14,) * 5, (40,) * 5, (5, 2, 40, 14, 5)],
+                         ids=["2", "5", "14", "40", "mixed"])
 @pytest.mark.parametrize("p", [2.5, 0.3, -0.5])
-def test_stacked_moments_equal_one_interval_calls(p, m, budget, monkeypatch):
+def test_stacked_moments_equal_one_interval_calls(p, ms, budget, monkeypatch):
     # every row of a stacked call is that of kernel_moments on its interval
-    # alone, to the bit, and near the x-space reference. The single-interval
-    # side runs at the default block budget, the stacked call also with one
-    # row per block (budget 1), so the split into blocks changes no bit.
-    # Some rule points fall on nodes of the same interval (exact unit basis
-    # rows), for n = m - 2 every far-row point of a Legendre family
-    xs, nodesets = _interval_stack(m)
+    # alone, to the bit, zero past the interval's node count, and near the
+    # x-space reference. The single-interval side runs at the default block
+    # budget, the stacked call also with one row per block (budget 1), so the
+    # split into blocks changes no bit. Some rule points fall on nodes of the
+    # same interval (exact unit basis rows), for n = m - 2 every far-row point
+    # of a Legendre family
+    xs, nodesets = _interval_stack(ms)
     a, b = [ns.a for ns in nodesets], [ns.b for ns in nodesets]
-    for n in {min(m + 4, 64), max(m - 2, 1)}:
+    for n in {min(max(ms) + 4, 64), max(min(ms) - 2, 1)}:
         with monkeypatch.context() as patch:
             if budget is not None:
                 patch.setattr(quad, "_TABLE_BUDGET", budget)
             M = quad.stacked_kernel_moments(xs, p, a, b, nodesets, n)
-        assert M.shape == (len(nodesets), xs.size, m)
+        assert M.shape == (len(nodesets), xs.size, max(ms))
         for Ms, lo, hi, ns in zip(M, a, b, nodesets):
             one = kernel_moments(xs, p, lo, hi, ns, n)
-            _assert_near_reference(one, _padded_moments(xs, p, lo, hi, ns, n), m, lo, hi)
-            assert np.array_equal(Ms, one)
+            _assert_near_reference(one, _padded_moments(xs, p, lo, hi, ns, n), ns.m, lo, hi)
+            assert np.array_equal(Ms[:, :ns.m], one)
+            assert np.all(Ms[:, ns.m:] == 0.0)
             assert np.all(one[xs <= lo] == 0.0)
 
 
@@ -288,7 +291,7 @@ def test_smooth_factor_cubature_matches_padded_contraction(l):
         def h(t1, t2, u1, u2):
             return np.exp(t1 * u2) - 0.5 * t2 * u1
     kern = KernelSpec(exponents=ps, smooth_factor=h)
-    [[W]] = _cubature(kern, grid, [nodesets], n, 0, 1)
+    [[W]] = _cubature(kern, grid, [nodesets], n, ms, 0, 1)
     rules = [_padded_rule(x, p, a, b, n) for x, p, (a, b) in zip(grid, ps, boxes)]
     C = [w[:, :, None] * lagrange_basis_matrix(ns, T) for (T, w), ns in zip(rules, nodesets)]
     if l == 1:
@@ -332,8 +335,10 @@ def test_solver_values_match_padded_contraction(case, monkeypatch):
 
     def padded_stack(x, p, a, b, nodesets, n):
         calls[0] += 1
-        return np.array([_padded_moments(x, p, lo, hi, ns, n)
-                         for lo, hi, ns in zip(a, b, nodesets)])
+        M = np.zeros((len(nodesets), np.size(x), max(ns.m for ns in nodesets)))
+        for Ms, lo, hi, ns in zip(M, a, b, nodesets):
+            Ms[:, :ns.m] = _padded_moments(x, p, lo, hi, ns, n)
+        return M
 
     monkeypatch.setattr(solver, "stacked_kernel_moments", padded_stack)
     ref = solve(problem, *disc)

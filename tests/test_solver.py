@@ -9,7 +9,7 @@ from wsvie.cli import get_problem
 from wsvie.mesh import boundary_layer_covering, causal_order, shadow_matrix
 from wsvie.solver import (KernelSpec, VieProblem, collocation_residual, oracle_solve,
                           preset_1d, preset_2d, residual, solve_1d, solve_2d)
-from wsvie.spline import build_tensor_spline, max_node_error, sup_error
+from wsvie.spline import _padded, build_tensor_spline, max_node_error, sup_error
 
 Q_05 = dict(r=2, gamma=0.5, kind="q_star")
 
@@ -361,25 +361,31 @@ class TestSolve2D:
 def _per_pair_moments(kern, nodesets, targets, sources):
     """Reference for ``solver._cell_moments``: one call per (target, source, axis).
 
-    Each source's moments are computed at the target grid itself and handed
-    over as lists, so ``_history`` sums the sources one by one. The Gauss
-    point count is this test's own copy of the solver's rule, so a change to
-    that rule shows as a mismatch.
+    Each source's moments are computed at the target grid itself and copied
+    to the leading columns of zero arrays padded to the largest node count
+    of each axis. The Gauss point count is this test's own copy of the
+    solver's rule, so a change to that rule shows as a mismatch.
     """
     import wsvie.solver as solver
     from wsvie.quad import kernel_moments
 
     quad_n = min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
+    widths = [max(ns.m for ns in sets) for sets in zip(*nodesets)]
 
     def moments(grid, srcs, lo, hi):
-        return [[kernel_moments(x, p, nodesets[di][a].a, nodesets[di][a].b, nodesets[di][a], quad_n)
-                 for di in srcs[lo:hi]] for a, (x, p) in enumerate(zip(grid, kern.exponents))]
+        out = []
+        for a, (x, p) in enumerate(zip(grid, kern.exponents)):
+            out.append(np.zeros((hi - lo, x.size, widths[a])))
+            for W, di in zip(out[-1], srcs[lo:hi]):
+                ns = nodesets[di][a]
+                W[:, :ns.m] = kernel_moments(x, p, ns.a, ns.b, ns, quad_n)
+        return out
 
     for key, grid in targets:
         srcs = sources(key)
         if kern is None or kern.smooth_factor is not None:
             yield key, srcs, partial(solver._cubature, kern, grid,
-                                     [nodesets[di] for di in srcs], quad_n)
+                                     [nodesets[di] for di in srcs], quad_n, widths)
         else:
             yield key, srcs, partial(moments, grid, srcs)
 
@@ -456,13 +462,13 @@ def _check_case(case):
         samples = np.vstack([np.random.default_rng(5).random((30, 2)),
                              [[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [0.0, 0.7]]])
         grids = [(pt[:1], pt[1:]) for pt in samples]
-    cells = np.arange(len(sol.values))
+    cells, values = np.arange(len(sol.values)), _padded(sol.nodesets, sol.values).values
 
     def run():
         targets = solver._cell_moments(prob.kernel, sol.nodesets, enumerate(grids),
                                        lambda _: cells)
         return [residual(prob, sol, samples)] + [
-            solver._history(M, sol.values, tuple(x.size for x in grids[i]))
+            solver._history(M, values, tuple(x.size for x in grids[i]))
             for i, _, M in targets]
 
     return run
@@ -530,13 +536,13 @@ class TestMomentTables:
         # leave the nodal values unchanged: compare each cell's weights (per
         # axis, or the smooth factor's cubature) and sums directly
         shadow = shadow_matrix(fast.covering) | np.eye(len(fast.values), dtype=bool)
-        order = np.argsort(fast.covering.causal_rank())
+        order, padded = np.argsort(fast.covering.causal_rank()), _padded(fast.nodesets, fast.values)
         args = (prob.kernel, fast.nodesets, list(solver._node_grids(fast.nodesets, order)),
                 lambda ci: np.nonzero(shadow[:, ci])[0])
         for (ci, srcs, M), (_, _, R) in zip(tables(*args), _per_pair_moments(*args)):
             for fast_w, ref_w in zip(M(0, len(srcs)), R(0, len(srcs)), strict=True):
                 assert all(np.array_equal(f, r) for f, r in zip(fast_w, ref_w, strict=True))
-            vals, shape = [fast.values[di] for di in srcs], fast.values[ci].shape
+            vals, shape = padded.values[srcs], fast.values[ci].shape
             assert np.array_equal(solver._history(M, vals, shape),
                                   solver._history(R, vals, shape))
 
@@ -624,9 +630,9 @@ def _reference_dense(weights):
 def _reference_history(moments, values, shape):
     """Sum over sources, in their order, of the integrals of their splines.
 
-    One matrix-vector product per source in 1D or with a smooth factor; in
-    2D one batched W1 @ X @ W2^T per block of stacked sources, accumulated
-    after the sum so far, else W1 @ X @ W2^T per source.
+    ``values`` are padded as in ``spline._padded``. One matrix-vector
+    product per source in 1D or with a smooth factor; in 2D one batched
+    W1 @ X @ W2^T per block of sources, accumulated after the sum so far.
     """
     import wsvie.solver as solver
 
@@ -638,13 +644,18 @@ def _reference_history(moments, values, shape):
         if len(W) == 1:
             for w, v in zip(W[0], block):
                 out += (w @ v.ravel()).reshape(shape)
-        elif all(isinstance(w, np.ndarray) for w in W):
-            part = np.matmul(np.matmul(W[0], np.asarray(block)), W[1].transpose(0, 2, 1))
+        else:
+            part = np.matmul(np.matmul(W[0], block), W[1].transpose(0, 2, 1))
             part[0] += out
             out = np.add.accumulate(part)[-1]
-        else:
-            for w1, w2, v in zip(*W, block):
-                out += w1 @ v @ w2.T
+    return out
+
+
+def _reference_padded(values, widths):
+    """Per-cell values in the leading corners of a zero array (cells, M_1, ..., M_l)."""
+    out = np.zeros((len(values),) + tuple(widths))
+    for o, v in zip(out, values):
+        o[tuple(map(slice, v.shape))] = v
     return out
 
 
@@ -673,6 +684,7 @@ def _reference_march(problem, cov, degrees, family, order, tol, log):
 
     spl = _reference_unfilled(cov, degrees, family)
     shadow, rank = shadow_matrix(cov), cov.causal_rank()
+    widths = tuple(max(ns.m for ns in sets) for sets in zip(*spl.nodesets))
     done = np.zeros(cov.ncells, dtype=bool)
     for ci, srcs, moments in solver._cell_moments(
             problem.kernel, spl.nodesets, solver._node_grids(spl.nodesets, order),
@@ -680,8 +692,11 @@ def _reference_march(problem, cov, degrees, family, order, tol, log):
         pred = srcs[:-1]
         assert done[pred].all()
         shape = tuple(ns.m for ns in spl.nodesets[ci])
-        H = _reference_history(moments, [spl.values[di] for di in pred], shape)
+        H = _reference_history(moments, _reference_padded([spl.values[di] for di in pred], widths),
+                               shape)
+        # the cell's own weights: the leading corner of its padded ones
         own = _reference_dense([w[0] for w in moments(len(pred), len(srcs))])
+        own = own.reshape(shape + widths)[(Ellipsis,) + tuple(map(slice, shape))]
         A = np.eye(H.size) - own.reshape(H.size, H.size)
         pts = spl.node_grid(ci)
         rhs = np.asarray(problem.rhs(*pts.T), dtype=float) + H.ravel()
@@ -722,8 +737,8 @@ def _march_case(case):
 class TestReferenceMarch:
     # the march looks up every donor at once, evaluates the inherited nodes
     # of a cell in one batch and the right side in one call, and gathers a
-    # history's sources from one value array when the node counts are
-    # uniform; per-cell node counts and an open family take the fallbacks.
+    # history's sources from one padded value array, whether node counts are
+    # uniform, differ per cell (mixed-m, abel-1d) or the family is open.
     # A "-blocks" case sums every history in blocks of four sources.
     @pytest.mark.parametrize("case", [
         "qstar-4", "qstar-4-shuffled", "bstar-3", "bstar-3-shuffled", "qqstar-4",
@@ -739,8 +754,8 @@ class TestReferenceMarch:
             monkeypatch.setattr(solver, "_TABLE_BUDGET", 100)
         prob, solve, disc, order = _march_case(case)
         donated, fast_log, ref_log = solver._donated, [], []
-        monkeypatch.setattr(solver, "_donated", lambda spl, stack, donors, pts: (
-            fast_log.append(donors), donated(spl, stack, donors, pts))[1])
+        monkeypatch.setattr(solver, "_donated", lambda padded, donors, pts: (
+            fast_log.append(donors), donated(padded, donors, pts))[1])
         if solve is solve_1d:
             cov, order, tol = disc[0].covering(), causal_order(disc[0].covering()), 1e-10
             fast = solve(prob, *disc)
@@ -752,8 +767,12 @@ class TestReferenceMarch:
         assert all(np.array_equal(f, r) for f, r in zip(fast_log, ref_log, strict=True))
         assert len(fast.values) == len(ref.values)
         for ci in range(cov.ncells):
-            assert np.array_equal(fast.values[ci], ref.values[ci])
             assert np.array_equal(fast.owned[ci], ref.owned[ci])
+        fast_x, ref_x = (np.concatenate([v.ravel() for v in s.values]) for s in (fast, ref))
+        if case.startswith("abel-1d"):   # node counts differ on the one axis
+            assert np.max(np.abs(fast_x - ref_x)) <= ONE_AXIS_RTOL * np.max(np.abs(ref_x))
+        else:
+            assert np.array_equal(fast_x, ref_x)
         if case.startswith(("qstar-4", "mixed-m")):
             assert not all(own.all() for own in fast.owned)
         if case == "open":
@@ -781,7 +800,10 @@ class TestReferenceMarch:
 # The single l-axis path is bit-identical to the per-dimension formulas in 2D.
 # In 1D it evaluates a cell by einsum where the matrix-vector product summed
 # in another order, and the smooth factor's cubature by the optimized einsum
-# that 2D uses: there the results agree to this relative tolerance.
+# that 2D uses; where 1D node counts differ (abel-1d), its histories and
+# evaluations also sum over the zeros that pad every cell to the largest
+# node count, in another order. There the results agree to this relative
+# tolerance.
 ONE_AXIS_RTOL = 1e-15
 
 
@@ -854,13 +876,18 @@ class TestPerDimensionFormulas:
             monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
         prob, solve, disc, _ = _march_case(case)
         sol = solve(prob, *disc)
-        shadow = shadow_matrix(sol.covering)
+        shadow, padded = shadow_matrix(sol.covering), _padded(sol.nodesets, sol.values).values
         for ci, srcs, M in solver._cell_moments(
                 prob.kernel, sol.nodesets, solver._node_grids(sol.nodesets, range(len(sol.values))),
                 lambda ci: np.nonzero(shadow[:, ci])[0]):
-            vals, shape = [sol.values[di] for di in srcs], sol.values[ci].shape
-            assert np.array_equal(solver._history(M, vals, shape),
-                                  _reference_history(M, vals, shape))
+            vals, shape = padded[srcs], sol.values[ci].shape
+            new, old = solver._history(M, vals, shape), _reference_history(M, vals, shape)
+            if case.startswith("abel-1d"):   # to the rounding scale of the sum
+                scale = _reference_history(lambda lo, hi: [np.abs(w) for w in M(lo, hi)],
+                                           np.abs(vals), shape)
+                assert np.all(np.abs(new - old) <= ONE_AXIS_RTOL * scale)
+            else:
+                assert np.array_equal(new, old)
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_cubature(self, l):
@@ -873,7 +900,7 @@ class TestPerDimensionFormulas:
         grid = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7) ** 2][:l]
         for a, b, m in ((0.0, 0.25, 5), (0.25, 0.5, 3), (0.5, 1.0, 6)):
             nodesets = [build_nodes((a, b), "legendre_closed", m)] * l
-            [[new]] = solver._cubature(kern, grid, [nodesets], m + 4, 0, 1)
+            [[new]] = solver._cubature(kern, grid, [nodesets], m + 4, [m] * l, 0, 1)
             old = _reference_cubature(kern, grid, nodesets, m + 4)
             if l == 2:
                 assert np.array_equal(new, old)
