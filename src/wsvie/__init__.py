@@ -16,8 +16,8 @@ from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
 from .quad import QuadRule, gauss_jacobi, gauss_legendre, integrate_box, power_moment
 from .solver import (KernelSpec, OracleSolution, VieProblem, collocation_residual,
                      oracle_solve, preset_1d, preset_2d, residual, solve_1d, solve_2d)
-from .spline import (LocalSpline, TensorSpline, build_spline_1d, build_tensor_spline,
-                     max_node_error, n_functionals, sup_error)
+from .spline import (LocalSpline, TensorSpline, build_tensor_spline, max_node_error,
+                     n_functionals, sup_error)
 from .widths import (BumpSpec, bump_eval, bump_membership_scale, bump_sup,
                      covering_count, fit_loglog_slope, layer_cube_bump,
                      width_upper_estimate)
@@ -31,7 +31,7 @@ __all__ = [
     "boundary_layer_covering", "corner_layer_covering", "geometric_covering",
     "causal_order", "verify_causal_order",
     "QuadRule", "gauss_legendre", "gauss_jacobi", "integrate_box", "power_moment",
-    "LocalSpline", "TensorSpline", "build_spline_1d", "build_tensor_spline",
+    "LocalSpline", "TensorSpline", "build_tensor_spline",
     "sup_error", "max_node_error", "n_functionals",
     "KernelSpec", "VieProblem", "solve_1d", "solve_2d", "oracle_solve",
     "residual", "collocation_residual", "preset_1d", "preset_2d", "OracleSolution",

@@ -278,9 +278,13 @@ def _problem_and_params(config: dict):
     if isinstance(defn, dict):
         l = _integer(defn.get("l"), "inline problem field 'l'", 1, 2)
         params = _class_from_config(config, l, defn.get("T", 1.0))
-        return _inline_problem(defn, params), params, "inline"
-    problem = get_problem(str(defn))
-    return problem, _class_from_config(config, problem.l, problem.T), str(defn)
+        problem, problem_id = _inline_problem(defn, params), "inline"
+    else:
+        problem, problem_id = get_problem(str(defn)), str(defn)
+        params = _class_from_config(config, problem.l, problem.T)
+    if problem.l == 2 and params.kind == "b_double_star":   # see preset_2d
+        raise ConfigError("config: kind 'b_double_star' has no covering construction in 2D")
+    return problem, params, problem_id
 
 
 def _preset_solve(problem: VieProblem, params, N: int):

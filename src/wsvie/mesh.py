@@ -288,12 +288,14 @@ def shadow_matrix(covering: Covering) -> np.ndarray:
     """Boolean matrix S with S[d, c] true iff cell d must precede cell c.
 
     Cell d precedes c when the interior of d meets the rectangle
-    [0, sup(c)], i.e. lo_d < hi_c holds strictly on every axis.
+    [0, sup(c)], i.e. lo_d < hi_c holds strictly on every axis. Cached, read-only.
     """
-    lo, hi = covering.lo_array, covering.hi_array
-    S = np.all(lo[:, None, :] < hi[None, :, :], axis=2)
-    np.fill_diagonal(S, False)
-    return S
+    if not hasattr(covering, "_shadow"):
+        lo, hi = covering.lo_array, covering.hi_array
+        covering._shadow = np.all(lo[:, None, :] < hi[None, :, :], axis=2)
+        np.fill_diagonal(covering._shadow, False)
+        covering._shadow.flags.writeable = False
+    return covering._shadow
 
 
 def causal_order(covering: Covering) -> list[int]:

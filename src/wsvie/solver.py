@@ -23,11 +23,11 @@ per axis, one ``stacked_kernel_moments`` call fills them. The targets are
 the cells' node grids in causal order for the march and the collocation
 residual check, sample grids for ``residual`` and the uniform grid for the
 oracle. A target's moment matrices are row gathers from these tables,
-padded like the nodal values (``spline._padded``) to the largest node count
-per axis, so its history is one batched contraction per block of sources,
-whatever their node counts, summed in source-index order. Each chunk's
-tables, and each block of sources, hold about ``_TABLE_BUDGET`` doubles
-(1 MB), which bounds the extra memory of the march.
+padded like the spline's value table (``TensorSpline.tables``) to the
+largest node count per axis, so its history is one batched contraction per
+block of sources, whatever their node counts, summed in source-index order.
+Each chunk's tables, and each block of sources, hold about ``_TABLE_BUDGET``
+doubles (1 MB), which bounds the extra memory of the march.
 
 A general h(t, tau) couples the axes. The generator then yields one
 flattened weight array per block of source cells, from tensor Gauss
@@ -56,7 +56,7 @@ from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, shadow_matrix)
 from .quad import _TABLE_BUDGET, _reference_nodes, _rules, stacked_kernel_moments
-from .spline import LocalSpline, TensorSpline, _donated, _nodal, _padded, _unfilled
+from .spline import LocalSpline, TensorSpline, _donated, _nodal, _unfilled
 
 
 @dataclass
@@ -299,26 +299,29 @@ def _node_grids(nodesets, cells):
 # the causal march
 # ---------------------------------------------------------------------------
 
-def _march(problem: VieProblem, spl: TensorSpline, padded, order, tol: float) -> TensorSpline:
+_RESIDUAL_BOUND = 1e-10   # the largest local-solve residual, for every l
+
+
+def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     """Fill the unfilled spline ``spl`` with the collocation solution, cell by cell.
 
     In each cell, nodes lying on the closure of a shadow-predecessor cell are
     knowns inherited from that cell's spline (the one of lowest causal rank);
     all other nodal values are unknowns of the local dense system, solved by
-    LU with partial pivoting, whose residual must stay below ``tol``. History
-    integrals are accumulated over predecessor cells in index order, which
-    makes the assembled systems independent of the particular causal order.
+    LU with partial pivoting, whose residual must stay below ``_RESIDUAL_BOUND``.
+    History integrals are accumulated over predecessor cells in index order,
+    which makes the assembled systems independent of the causal order.
 
     What depends only on the covering comes before the loop: the right side
-    at all nodes and each node's donor (``_nodal``). ``padded`` holds the
-    arrays of ``_unfilled``: a history gathers its sources' rows of the value
-    array, and inherited nodes are evaluated from the node tables.
+    at all nodes and each node's donor (``_nodal``). A history gathers its
+    sources' rows of the spline's padded value table, and inherited nodes are
+    evaluated from its node tables; each solution is written in place.
     """
     covering, nodesets, values, owned = spl.covering, spl.nodesets, spl.values, spl.owned
     if (covering.l, covering.T) != (problem.l, problem.T):
         raise ValueError(f"the mesh spans [0, {covering.T}]^{covering.l}, "
                          f"the problem [0, {problem.T}]^{problem.l}")
-    kern = problem.kernel
+    kern, tables = problem.kernel, spl.tables
     shadow = shadow_matrix(covering)
     rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
@@ -332,26 +335,27 @@ def _march(problem: VieProblem, spl: TensorSpline, padded, order, tol: float) ->
         if not done[pred_idx].all():
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
         shape = values[ci].shape
-        H = _history(moments, padded.values[pred_idx], shape)
+        H = _history(moments, tables.values[pred_idx], shape)
         own = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
-        own = own.reshape(shape + padded.values.shape[1:])[(Ellipsis,) + tuple(map(slice, shape))]
+        own = own.reshape(shape + tables.values.shape[1:])[(Ellipsis,) + tuple(map(slice, shape))]
         A = np.eye(H.size) - own.reshape(H.size, H.size)
         f, own, donors, pts = nodal[ci]
         rhs = f + H.ravel()
         rows = np.flatnonzero(~own)
         A[rows, :] = 0.0
         A[rows, rows] = 1.0
-        rhs[rows] = _donated(padded, donors, pts)
+        rhs[rows] = _donated(tables, donors, pts)
         try:
             sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular local system on cell {ci} "
                                f"(layer {covering.cells[ci].k})") from exc
         res = float(np.max(np.abs(A @ sol - rhs)))
-        if not res <= tol:   # a NaN residual fails too
-            raise RuntimeError(f"local solve residual {res:.2e} > {tol:.0e} on cell {ci}")
+        if not res <= _RESIDUAL_BOUND:   # a NaN residual fails too
+            raise RuntimeError(f"local solve residual {res:.2e} > {_RESIDUAL_BOUND:.0e} "
+                               f"on cell {ci}")
         values[ci][...] = sol.reshape(shape)
-        owned[ci] = own.reshape(shape)
+        owned[ci][...] = own.reshape(shape)
         done[ci] = True
     return spl
 
@@ -362,13 +366,12 @@ def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
 
     The mesh is solved as its one-axis covering (cell k is segment k, see
     ``solve_2d``): segment k inherits its first node, the breakpoint shared
-    with segment k - 1, and each local residual must stay below 1e-10.
+    with segment k - 1, and each residual must stay below ``_RESIDUAL_BOUND``.
     """
     if problem.l != 1:
         raise ValueError("solve_1d requires a 1-dimensional problem")
     cov = mesh.covering()
-    spl = _march(problem, *_unfilled(cov, schedule, family), causal_order(cov), 1e-10)
-    return LocalSpline(**vars(spl))
+    return _march(problem, _unfilled(cov, schedule, family, LocalSpline), causal_order(cov))
 
 
 def solve_2d(problem: VieProblem, covering: Covering, degree,
@@ -377,17 +380,16 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
 
     Nodes on the closure of an already-solved shadow predecessor inherit its
     value; the others are the unknowns of the cell's local dense system,
-    whose residual must stay below 1e-9. ``order`` may be any causal order
-    (default: the canonical one); the result does not depend on it.
+    whose residual must stay below ``_RESIDUAL_BOUND``, as in 1D. ``order`` may
+    be any causal order (default: the canonical one); the result does not depend on it.
     """
     if problem.l != 2:
         raise ValueError("solve_2d requires a 2-dimensional problem")
-    if order is None:
-        order = np.argsort(covering.causal_rank()).tolist()  # the canonical order, cached
-    order = list(order)
+    # default: the canonical order, cached
+    order = np.argsort(covering.causal_rank()).tolist() if order is None else list(order)
     if sorted(order) != list(range(covering.ncells)):
         raise ValueError("order is not a permutation of the covering's cells")
-    return _march(problem, *_unfilled(covering, degree, family), order, 1e-9)
+    return _march(problem, _unfilled(covering, degree, family), order)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +410,7 @@ def residual(problem: VieProblem, solution, samples) -> float:
         grids = [list(pt[:, None]) for pt in samples]   # a 1-element grid per coordinate
     else:
         grids = [[np.atleast_1d(np.asarray(ax, dtype=float)) for ax in samples]]
-    values = _padded(solution.nodesets, solution.values).values
+    values = solution.tables.values
     worst = []
     for i, _, moments in _cell_moments(problem.kernel, solution.nodesets, enumerate(grids),
                                        lambda _: np.arange(len(values))):
@@ -429,7 +431,7 @@ def collocation_residual(problem: VieProblem, solution) -> float:
     the cell that first computed them and are checked there.
     """
     nodesets, values, owned = solution.nodesets, solution.values, solution.owned
-    padded = _padded(nodesets, values).values
+    padded = solution.tables.values
     # a cell integrates over its shadow predecessors and its own clipped range
     shadow = shadow_matrix(solution.covering) | np.eye(len(values), dtype=bool)
     checked = _node_grids(nodesets, [ci for ci, own in enumerate(owned) if own.any()])

@@ -11,14 +11,14 @@ immutable in practice and thread-safe to evaluate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 
 from .interp import _CLOSED_FAMILIES, build_nodes, lagrange_basis_matrix
-from .mesh import Covering, GradedMesh, causal_order, least
+from .mesh import Covering, causal_order, covering_from_dict, least
 from .quad import _TABLE_BUDGET
 
 # fewest samples per axis of ``sup_error``'s dense grid
@@ -27,12 +27,28 @@ MIN_SAMPLES = 50
 
 @dataclass
 class TensorSpline:
-    """Per-cell tensor-product interpolant over a covering."""
+    """Per-cell tensor-product interpolant over a covering.
+
+    The constructor builds the padded ``tables`` once (``_padded``, values 0 when
+    absent); each ``values[ci]`` is a view of its cell's corner there, written in place.
+    """
 
     covering: Covering
-    nodesets: list   # per cell: tuple of NodeSet, one per axis
-    values: list     # per cell: ndarray of shape (m_1, ..., m_l)
-    owned: list      # per cell: bool ndarray, False where the value was inherited
+    nodesets: list       # per cell: tuple of NodeSet, one per axis
+    values: list = None  # per cell: ndarray of shape (m_1, ..., m_l)
+    owned: list = None   # per cell: bool ndarray, False where the value was inherited
+    tables: SimpleNamespace = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shapes = [tuple(ns.m for ns in nsets) for nsets in self.nodesets]
+        if len(shapes) != self.covering.ncells:
+            raise ValueError(f"{len(shapes)} node sets for {self.covering.ncells} cells")
+        if self.values is not None and [np.shape(v) for v in self.values] != shapes:
+            raise ValueError("value arrays do not match the cells' node counts")
+        self.tables = _padded(self.nodesets, () if self.values is None else self.values)
+        self.values = [v[tuple(map(slice, s))] for v, s in zip(self.tables.values, shapes)]
+        if self.owned is None:
+            self.owned = [np.ones(s, dtype=bool) for s in shapes]   # all nodes owned
 
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
         """Containing cell per point, of lowest causal rank on a shared face; -1 outside."""
@@ -54,15 +70,14 @@ class TensorSpline:
         pts = pts.reshape(-1, 1) if l == 1 and pts.ndim < 2 else np.atleast_2d(pts)
         if pts.ndim != 2 or pts.shape[1] != l:
             raise ValueError(f"points must have shape (n, {l}), got {np.shape(pts)}")
-        padded = _padded(self.nodesets, self.values)
-        step = max(1, _TABLE_BUDGET // padded.values[0].size)
+        step = max(1, _TABLE_BUDGET // self.tables.values[0].size)
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], step):
             block = pts[start:start + step]
             cells = self.cell_of(block)
             if np.any(cells < 0):
                 raise ValueError("evaluation point outside [0, T]^l")
-            out[start:start + step] = _donated(padded, cells, block)
+            out[start:start + step] = _donated(self.tables, cells, block)
         return float(out[0]) if scalar else out
 
     __call__ = eval
@@ -75,14 +90,14 @@ class TensorSpline:
 
     def node_points(self) -> np.ndarray:
         """Every cell's node grid, cell after cell: shape (n, l), or (n,) for l = 1."""
-        padded = _padded(self.nodesets)
-        pts = np.column_stack([np.broadcast_to(ax.spread, padded.lead.shape)[padded.lead]
-                               for ax in padded.axes])
+        tables = self.tables
+        pts = np.column_stack([np.broadcast_to(ax.spread, tables.lead.shape)[tables.lead]
+                               for ax in tables.axes])
         return pts[:, 0] if self.covering.l == 1 else pts
 
     def node_values(self) -> np.ndarray:
         """Stored nodal values in the order of ``node_points``."""
-        return np.concatenate([v.ravel() for v in self.values])
+        return self.tables.values[self.tables.lead]
 
     def to_dict(self) -> dict:
         return {
@@ -94,18 +109,10 @@ class TensorSpline:
 
 
 def tensor_spline_from_dict(data: dict) -> TensorSpline:
-    from .mesh import covering_from_dict
-
     cov = covering_from_dict(data["covering"])
-    nodesets, values, owned = [], [], []
-    for ci, cell in enumerate(cov.cells):
-        nsets = tuple(build_nodes((cell.lo[a], cell.hi[a]), data["families"][ci][a],
-                                  data["degrees"][ci][a]) for a in range(cov.l))
-        nodesets.append(nsets)
-        vals = np.asarray(data["values"][ci], dtype=float)
-        values.append(vals)
-        owned.append(np.ones(vals.shape, dtype=bool))
-    return TensorSpline(covering=cov, nodesets=nodesets, values=values, owned=owned)
+    nodesets = [tuple(build_nodes((c.lo[a], c.hi[a]), fams[a], ms[a]) for a in range(cov.l))
+                for c, fams, ms in zip(cov.cells, data["families"], data["degrees"])]
+    return TensorSpline(cov, nodesets, data["values"])
 
 
 class LocalSpline(TensorSpline):
@@ -135,27 +142,23 @@ def _padded(nodesets, values=()) -> SimpleNamespace:
         axes.append(SimpleNamespace(nodes=nodes, weights=weights, spread=nodes.reshape(spread)))
         lead = lead & row.reshape(spread)
     padded = np.zeros(lead.shape)
-    padded[lead] = np.concatenate([v.ravel() for v in values]) if len(values) else 0.0
+    padded[lead] = np.concatenate([np.ravel(v) for v in values]) if len(values) else 0.0
     return SimpleNamespace(axes=axes, lead=lead, values=padded)
 
 
-def _unfilled(covering: Covering, degrees, family: str):
-    """A spline with every cell's nodes and zero values, and its ``_padded`` arrays.
+def _unfilled(covering: Covering, degrees, family: str, kind=TensorSpline):
+    """A spline of type ``kind`` with every cell's nodes, zero values and all nodes owned.
 
     ``degrees`` is one node count per axis for every cell, or a list with
     one count per cell. Cells share a NodeSet per distinct interval and node
-    count. Their ``values`` are views of the leading corners of the padded
-    value array.
+    count.
     """
     degrees = [degrees] * covering.ncells if isinstance(degrees, int) else list(degrees)
     if len(degrees) != covering.ncells:
         raise ValueError(f"{len(degrees)} node counts for {covering.ncells} cells")
     nodes = lru_cache(maxsize=None)(lambda a, b, m: build_nodes((a, b), family, m))
-    nodesets = [tuple(nodes(cell.lo[a], cell.hi[a], m) for a in range(covering.l))
-                for cell, m in zip(covering.cells, degrees)]
-    padded = _padded(nodesets)
-    values = [v[(slice(m),) * covering.l] for v, m in zip(padded.values, degrees)]
-    return TensorSpline(covering, nodesets, values, owned=[None] * covering.ncells), padded
+    return kind(covering, [tuple(nodes(cell.lo[a], cell.hi[a], m) for a in range(covering.l))
+                           for cell, m in zip(covering.cells, degrees)])
 
 
 def _nodal(spline: TensorSpline, f, priority) -> list:
@@ -188,16 +191,16 @@ def _at_points(basis, vals: np.ndarray) -> np.ndarray:
     return np.einsum(spec + "->p", basis[0], vals, *basis[1:])
 
 
-def _donated(padded: SimpleNamespace, donors: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _donated(tables: SimpleNamespace, donors: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Value at each point (k, l) of the interpolant of its cell ``donors[i]``.
 
-    One batched ``_at_points`` over the ``_padded`` arrays, with a
+    One batched ``_at_points`` over a spline's ``tables``, with a
     barycentric row per point and axis from its donor's padded nodes.
     """
     basis = [lagrange_basis_matrix(SimpleNamespace(nodes=ax.nodes[donors],
                                                    weights=ax.weights[donors]), x)
-             for ax, x in zip(padded.axes, pts.T)]
-    return _at_points(basis, padded.values[donors])
+             for ax, x in zip(tables.axes, pts.T)]
+    return _at_points(basis, tables.values[donors])
 
 
 def build_tensor_spline(f, covering: Covering, degrees, order=None,
@@ -210,12 +213,10 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
     """
     if family not in _CLOSED_FAMILIES:
         raise ValueError(f"continuity requires a closed node family, got {family!r}")
-    if order is None:
-        order = causal_order(covering)
-    order = list(order)
+    order = causal_order(covering) if order is None else list(order)
     if sorted(order) != list(range(covering.ncells)):
         raise ValueError("order is not a permutation of the covering's cells")
-    spl, padded = _unfilled(covering, degrees, family)
+    spl = _unfilled(covering, degrees, family)
     # a cell's position in ``order``: it may donate to the cells built after it
     pos = np.empty(covering.ncells, dtype=int)
     pos[order] = np.arange(covering.ncells)
@@ -223,21 +224,10 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
                                                         covering.ncells))
     for ci in order:
         vals, own, donors, pts = nodal[ci]
-        vals[~own] = _donated(padded, donors, pts)
+        vals[~own] = _donated(spl.tables, donors, pts)
         spl.values[ci][...] = vals.reshape(spl.values[ci].shape)
-        spl.owned[ci] = own.reshape(spl.values[ci].shape)
+        spl.owned[ci][...] = own.reshape(spl.values[ci].shape)
     return spl
-
-
-def build_spline_1d(f, mesh: GradedMesh, schedule, family: str = "legendre_closed") -> LocalSpline:
-    """Interpolate f segment by segment over a graded mesh.
-
-    ``schedule`` lists the node count per segment. This is
-    ``build_tensor_spline`` on the mesh's one-axis covering: the closed node
-    family puts a node on every breakpoint, where segment k inherits the
-    value of segment k - 1.
-    """
-    return LocalSpline(**vars(build_tensor_spline(f, mesh.covering(), schedule, family=family)))
 
 
 def sup_error(spline, f, samples_per_axis: int = 201) -> float:
@@ -281,4 +271,4 @@ def n_functionals(spline) -> int:
         x, inverse = np.unique(pts[:, a], return_inverse=True)
         apart = np.diff(x) > 1e-12 * (np.abs(x[1:]) + np.abs(x[:-1]))
         ids[:, a] = np.concatenate([[0], np.cumsum(apart)])[inverse]
-    return int(np.unique(ids, axis=0).shape[0])
+    return int(np.unique(np.ravel_multi_index(ids.T, ids.max(axis=0) + 1)).size)

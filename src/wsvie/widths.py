@@ -20,7 +20,7 @@ import numpy as np
 from .funclass import ClassParams
 from .mesh import boundary_layer_covering, corner_layer_covering, geometric_covering
 from .solver import preset_1d, preset_2d
-from .spline import build_spline_1d, build_tensor_spline, n_functionals, sup_error
+from .spline import build_tensor_spline, n_functionals, sup_error
 
 
 @dataclass
@@ -176,7 +176,7 @@ def width_upper_estimate(params: ClassParams, f, N: int,
     """
     if params.l == 1:
         mesh, schedule, family = preset_1d(params, N)
-        spl = build_spline_1d(f, mesh, schedule, family)
+        spl = build_tensor_spline(f, mesh.covering(), schedule, family=family)
         samples = samples_per_axis or 2001
     elif params.l == 2:
         if params.kind == "b_double_star":

@@ -20,7 +20,7 @@ from wsvie.mesh import causal_order, geometric_mesh, power_graded_mesh, shadow_m
     verify_causal_order
 from wsvie.quad import gauss_legendre
 from wsvie.solver import oracle_solve, preset_1d, preset_2d, solve_1d, solve_2d
-from wsvie.spline import build_spline_1d, build_tensor_spline, max_node_error, sup_error
+from wsvie.spline import build_tensor_spline, max_node_error, sup_error
 from wsvie.widths import covering_count, fit_loglog_slope, layer_cube_bump, bump_sup
 
 
@@ -87,7 +87,7 @@ def test_criterion_04_1d_spline_rate():
     errs = {}
     for N in (8, 16, 32, 64):
         mesh = power_graded_mesh(N, 1.0, 1.5)
-        spl = build_spline_1d(f, mesh, power_degree_schedule(N, 2, 3))
+        spl = build_tensor_spline(f, mesh.covering(), power_degree_schedule(N, 2, 3))
         errs[N] = sup_error(spl, f, 2001)
     ratios = [errs[N] / errs[2 * N] for N in (8, 16, 32)]
     per_doubling = float(np.prod(ratios) ** (1 / 3))
@@ -106,7 +106,7 @@ def test_criterion_05_geometric_mesh_decay():
     for N in range(2, 9):
         mesh = geometric_mesh(N, 1.0)
         sched = geometric_degree_schedule(mesh.nsegments, 2, 0.5, 1.0, 1.0)
-        spl = build_spline_1d(f, mesh, sched, "chebyshev1_closed")
+        spl = build_tensor_spline(f, mesh.covering(), sched, family="chebyshev1_closed")
         errs.append(sup_error(spl, f, 2001))
     decay = float(np.mean([np.log2(a / b) for a, b in zip(errs, errs[1:])]))
     assert decay >= 1.5
@@ -166,7 +166,7 @@ def test_criterion_08_convergence_contract():
     for N in range(2, 9):
         mesh, sched, fam = preset_1d(params1, N)
         sol = solve_1d(prob1, mesh, sched, fam)
-        approx = build_spline_1d(prob1.exact, mesh, sched, fam)
+        approx = build_tensor_spline(prob1.exact, mesh.covering(), sched, family=fam)
         worst1 = max(worst1, sup_error(sol, prob1.exact, 2001)
                      / sup_error(approx, prob1.exact, 2001))
     prob2 = get_problem("corner-power-2d")

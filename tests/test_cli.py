@@ -269,6 +269,12 @@ class TestMainEntry:
         *[("convergence", {"class_params": {"r": 2, "gamma": 0.5, "kind": "q_star", key: v}},
            f"{key} must be > 0 and finite")
           for key in ("gamma", "bound") for v in (float("nan"), float("inf"))],
+        # a class kind with no covering construction for the problem's dimension
+        *[(command, {"problem": "corner-power-2d", "N": [2] if command == "convergence" else 2,
+                     "uniform_n": 8, "class_params": {"r": 2, "gamma": 0.5,
+                                                      "kind": "b_double_star"}},
+           "kind 'b_double_star' has no covering construction in 2D")
+          for command in ("convergence", "oracle-check")],
     ], ids=["N-not-int", "samples-not-int", "samples-too-few", "widths-N-not-int",
             "lebesgue-m-too-few", "uniform-n-too-large", "widths-l-not-int",
             "widths-l-too-small", "widths-v-not-number", "widths-v-too-small",
@@ -278,7 +284,8 @@ class TestMainEntry:
             "kernel-exponent-not-number", "kernel-exponent-too-small",
             "kernel-exponents-scalar", "kernel-not-object", "kernel-exponent-nan",
             "kernel-exponent-inf", "T-nan", "T-inf", "class-T-mismatch",
-            "gamma-null", "gamma-nan", "gamma-inf", "bound-nan", "bound-inf"])
+            "gamma-null", "gamma-nan", "gamma-inf", "bound-nan", "bound-inf",
+            "b-double-star-2d", "oracle-b-double-star-2d"])
     def test_malformed_field_exit_1(self, tmp_path, capsys, command, config, field):
         base = {"problem": "corner-power-1d", "N": [2],
                 "class_params": {"r": 2, "gamma": 0.5, "kind": "q_star"}}

@@ -179,6 +179,15 @@ class TestCausalOrder:
         S = shadow_matrix(cov)
         assert not np.any(S & S.T)
 
+    def test_shadow_matrix_is_built_once(self):
+        # causal_order, the march and collocation_residual share one read-only matrix
+        cov = boundary_layer_covering(3, 1.0, 2, 1.5)
+        S = shadow_matrix(cov)
+        assert shadow_matrix(cov) is S and not S.flags.writeable
+        lo, hi = cov.lo_array, cov.hi_array
+        off_diagonal = ~np.eye(cov.ncells, dtype=bool)
+        assert np.array_equal(S, np.all(lo[:, None] < hi[None], axis=2) & off_diagonal)
+
 
 class TestSerialization:
     def test_round_trip(self):

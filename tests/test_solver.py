@@ -9,7 +9,7 @@ from wsvie.cli import get_problem
 from wsvie.mesh import boundary_layer_covering, causal_order, shadow_matrix
 from wsvie.solver import (KernelSpec, VieProblem, collocation_residual, oracle_solve,
                           preset_1d, preset_2d, residual, solve_1d, solve_2d)
-from wsvie.spline import _padded, build_tensor_spline, max_node_error, sup_error
+from wsvie.spline import build_tensor_spline, max_node_error, sup_error
 
 Q_05 = dict(r=2, gamma=0.5, kind="q_star")
 
@@ -308,14 +308,13 @@ class TestSolve2D:
     def test_zero_kernel_matches_tensor_spline(self, l, kind, gamma, N):
         # without a kernel the solver only inherits and samples, like the interpolant
         from wsvie.funclass import derive_class_params
-        from wsvie.spline import build_spline_1d
 
-        preset, solve, build = ((preset_1d, solve_1d, build_spline_1d) if l == 1
-                                else (preset_2d, solve_2d, build_tensor_spline))
+        preset, solve = (preset_1d, solve_1d) if l == 1 else (preset_2d, solve_2d)
         prob = get_problem(f"poly-k0-{l}d")
         disc, degrees, fam = preset(derive_class_params(2, gamma, kind, l=l), N)
         sol = solve(prob, disc, degrees, fam)
-        spl = build(prob.rhs, disc, degrees, family=fam)
+        spl = build_tensor_spline(prob.rhs, disc.covering() if l == 1 else disc, degrees,
+                                  family=fam)
         assert len(sol.values) == len(spl.values)
         for ci in range(len(sol.values)):
             assert np.array_equal(sol.values[ci], spl.values[ci])
@@ -462,7 +461,7 @@ def _check_case(case):
         samples = np.vstack([np.random.default_rng(5).random((30, 2)),
                              [[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [0.0, 0.7]]])
         grids = [(pt[:1], pt[1:]) for pt in samples]
-    cells, values = np.arange(len(sol.values)), _padded(sol.nodesets, sol.values).values
+    cells, values = np.arange(len(sol.values)), sol.tables.values
 
     def run():
         targets = solver._cell_moments(prob.kernel, sol.nodesets, enumerate(grids),
@@ -536,7 +535,7 @@ class TestMomentTables:
         # leave the nodal values unchanged: compare each cell's weights (per
         # axis, or the smooth factor's cubature) and sums directly
         shadow = shadow_matrix(fast.covering) | np.eye(len(fast.values), dtype=bool)
-        order, padded = np.argsort(fast.covering.causal_rank()), _padded(fast.nodesets, fast.values)
+        order, padded = np.argsort(fast.covering.causal_rank()), fast.tables
         args = (prob.kernel, fast.nodesets, list(solver._node_grids(fast.nodesets, order)),
                 lambda ci: np.nonzero(shadow[:, ci])[0])
         for (ci, srcs, M), (_, _, R) in zip(tables(*args), _per_pair_moments(*args)):
@@ -597,14 +596,14 @@ def _shuffled_causal_order(cov, seed):
 
 
 def _reference_unfilled(cov, degrees, family):
-    """A spline with one NodeSet per cell and axis and no values yet."""
+    """A spline with one NodeSet per cell and axis and zero values."""
     from wsvie.interp import build_nodes
     from wsvie.spline import TensorSpline
 
     degrees = [degrees] * cov.ncells if isinstance(degrees, int) else list(degrees)
     nodesets = [tuple(build_nodes((c.lo[a], c.hi[a]), family, m) for a in range(cov.l))
                 for c, m in zip(cov.cells, degrees)]
-    return TensorSpline(cov, nodesets, [None] * cov.ncells, [None] * cov.ncells)
+    return TensorSpline(cov, nodesets)
 
 
 # The references below keep their own per-dimension formulas for the history
@@ -876,7 +875,7 @@ class TestPerDimensionFormulas:
             monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
         prob, solve, disc, _ = _march_case(case)
         sol = solve(prob, *disc)
-        shadow, padded = shadow_matrix(sol.covering), _padded(sol.nodesets, sol.values).values
+        shadow, padded = shadow_matrix(sol.covering), sol.tables.values
         for ci, srcs, M in solver._cell_moments(
                 prob.kernel, sol.nodesets, solver._node_grids(sol.nodesets, range(len(sol.values))),
                 lambda ci: np.nonzero(shadow[:, ci])[0]):
@@ -957,6 +956,53 @@ class TestNonFiniteSolves:
             assert np.isnan(residual(prob, sol, np.linspace(0.0, 1.0, 11)))
 
 
+class TestResidualBound:
+    # one absolute bound on every local solve's residual, in 1D and 2D
+    def test_2d_solve_checks_the_common_bound(self, q25_params_2d, monkeypatch):
+        # a solution off by 5e-10 passed the former 2D bound of 1e-9
+        import wsvie.solver as solver
+
+        solve = solver.np.linalg.solve
+        monkeypatch.setattr(solver.np.linalg, "solve", lambda A, b: solve(A, b) + 5e-10)
+        with pytest.raises(RuntimeError, match="local solve residual"):
+            solve_2d(get_problem("corner-power-2d"), *preset_2d(q25_params_2d, 2))
+
+    def test_diverging_march_is_not_returned(self):
+        # 1D B* with p = -0.9 at N = 40 diverges: the nodal values reach
+        # |x| ~ 1e13 while each local backward error stays below one eps, so
+        # a bound relative to the system would pass them
+        from wsvie.cli import _power_problem
+        from wsvie.funclass import derive_class_params
+
+        prob = _power_problem(1, -0.9, 2.5)
+        try:
+            sol = solve_1d(prob, *preset_1d(derive_class_params(2, 0.5, "b_star"), 40))
+        except RuntimeError:
+            return
+        assert max_node_error(sol, prob.exact) <= 1e-6
+
+
+class TestSplineTables:
+    def test_one_table_build_per_spline(self, q25_params_2d, monkeypatch):
+        # the constructor builds the padded tables; the march, evaluation
+        # and every diagnostic read them from the spline
+        import wsvie.spline as spline
+
+        builds, padded = [], spline._padded
+        monkeypatch.setattr(spline, "_padded", lambda *a: (builds.append(a), padded(*a))[1])
+        prob = get_problem("corner-power-2d")
+        sol = solve_2d(prob, *preset_2d(q25_params_2d, 3))
+        for pt in np.random.default_rng(7).random((5, 2)):
+            sol.eval(pt[None])
+        max_node_error(sol, prob.exact)
+        spline.n_functionals(sol)
+        sup_error(sol, prob.exact, 51)
+        residual(prob, sol, np.random.default_rng(8).random((4, 2)))
+        collocation_residual(prob, sol)
+        assert len(builds) == 1
+        assert all(np.shares_memory(v, sol.tables.values) for v in sol.values)
+
+
 class TestDomain:
     # the mesh or covering must span the problem's [0, T]
     def test_mesh_of_another_T_rejected(self, q_params, q25_params_2d):
@@ -1033,14 +1079,12 @@ class TestKernelSpec:
 
 class TestConvergenceContract:
     def test_1d_solver_error_tracks_spline_error(self, q_params):
-        from wsvie.spline import build_spline_1d
-
         prob = get_problem("corner-power-1d")
         worst = 0.0
         for N in range(2, 9):
             mesh, sched, fam = preset_1d(q_params, N)
             sol = solve_1d(prob, mesh, sched, fam)
-            approx = build_spline_1d(prob.exact, mesh, sched, fam)
+            approx = build_tensor_spline(prob.exact, mesh.covering(), sched, family=fam)
             ratio = sup_error(sol, prob.exact, 2001) / sup_error(approx, prob.exact, 2001)
             worst = max(worst, ratio)
         assert worst <= 10.0

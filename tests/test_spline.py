@@ -3,8 +3,8 @@ import pytest
 
 from wsvie.interp import geometric_degree_schedule, power_degree_schedule
 from wsvie.mesh import boundary_layer_covering, causal_order, geometric_mesh, power_graded_mesh
-from wsvie.spline import (build_spline_1d, build_tensor_spline, max_node_error,
-                          n_functionals, sup_error, tensor_spline_from_dict)
+from wsvie.spline import (build_tensor_spline, max_node_error, n_functionals, sup_error,
+                          tensor_spline_from_dict)
 
 
 # The batched evaluation pads every cell to the largest node count. Where
@@ -31,25 +31,25 @@ def _box_scan(cov, pts, priority):
 class TestSpline1D:
     def test_linear_reproduction(self):
         mesh = power_graded_mesh(5, 1.0, 1.5)
-        spl = build_spline_1d(lambda t: t, mesh, [2] * 5)
+        spl = build_tensor_spline(lambda t: t, mesh.covering(), [2] * 5)
         assert sup_error(spl, lambda t: t, 501) <= 1e-13
 
     def test_open_family_rejected(self):
         mesh = power_graded_mesh(3, 1.0, 1.0)
         with pytest.raises(ValueError):
-            build_spline_1d(lambda t: t, mesh, [3] * 3, "chebyshev1_open")
+            build_tensor_spline(lambda t: t, mesh.covering(), [3] * 3, family="chebyshev1_open")
 
     def test_schedule_length_checked(self):
         mesh = power_graded_mesh(3, 1.0, 1.0)
         with pytest.raises(ValueError):
-            build_spline_1d(lambda t: t, mesh, [3, 3])
+            build_tensor_spline(lambda t: t, mesh.covering(), [3, 3])
 
     def test_power_mesh_rate_for_corner_singularity(self):
         f = lambda t: t ** 2.5
         errs = {}
         for N in (8, 16, 32, 64):
             mesh = power_graded_mesh(N, 1.0, 1.5)
-            spl = build_spline_1d(f, mesh, power_degree_schedule(N, 2, 3))
+            spl = build_tensor_spline(f, mesh.covering(), power_degree_schedule(N, 2, 3))
             errs[N] = sup_error(spl, f, 2001)
         ratios = [errs[N] / errs[2 * N] for N in (8, 16, 32)]
         # decay order s = 3: the per-doubling ratio approaches 8; the first
@@ -65,7 +65,7 @@ class TestSpline1D:
         for N in range(2, 9):
             mesh = geometric_mesh(N, 1.0)
             sched = geometric_degree_schedule(mesh.nsegments, 2, 0.5, 1.0, 1.0)
-            spl = build_spline_1d(f, mesh, sched, "chebyshev1_closed")
+            spl = build_tensor_spline(f, mesh.covering(), sched, family="chebyshev1_closed")
             errs.append(sup_error(spl, f, 2001))
         decays = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert np.mean(decays) >= 1.5
@@ -73,13 +73,13 @@ class TestSpline1D:
     def test_eval_at_nodes_exact(self):
         mesh = power_graded_mesh(4, 1.0, 2.0)
         f = lambda t: np.sin(3 * t)
-        spl = build_spline_1d(f, mesh, [2, 4, 4, 4])
+        spl = build_tensor_spline(f, mesh.covering(), [2, 4, 4, 4])
         pts = spl.node_points()
         assert spl.eval(pts) == pytest.approx(spl.node_values(), abs=0.0)
 
     def test_breakpoint_continuity(self):
         mesh = power_graded_mesh(6, 1.0, 1.5)
-        spl = build_spline_1d(lambda t: t ** 2.5, mesh, [2] + [3] * 5)
+        spl = build_tensor_spline(lambda t: t ** 2.5, mesh.covering(), [2] + [3] * 5)
         v = mesh.breakpoints[1:-1]
         left = spl.eval(v - 1e-13)
         right = spl.eval(v + 1e-13)
@@ -87,17 +87,17 @@ class TestSpline1D:
 
     def test_outside_domain_rejected(self):
         mesh = power_graded_mesh(3, 1.0, 1.0)
-        spl = build_spline_1d(lambda t: t, mesh, [2, 2, 2])
+        spl = build_tensor_spline(lambda t: t, mesh.covering(), [2, 2, 2])
         with pytest.raises(ValueError):
             spl.eval(1.5)
 
     def test_graded_beats_uniform(self):
         f = lambda t: t ** 2.5
         N = 16
-        uniform = build_spline_1d(f, power_graded_mesh(N, 1.0, 1.0),
-                                  power_degree_schedule(N, 2, 3))
-        graded = build_spline_1d(f, power_graded_mesh(N, 1.0, 1.5),
-                                 power_degree_schedule(N, 2, 3))
+        uniform = build_tensor_spline(f, power_graded_mesh(N, 1.0, 1.0).covering(),
+                                      power_degree_schedule(N, 2, 3))
+        graded = build_tensor_spline(f, power_graded_mesh(N, 1.0, 1.5).covering(),
+                                     power_degree_schedule(N, 2, 3))
         assert sup_error(graded, f, 2001) < sup_error(uniform, f, 2001)
 
 
@@ -214,7 +214,7 @@ class TestTensorSpline:
         from wsvie.interp import lagrange_basis_matrix
         from wsvie.mesh import shadow_matrix
         from wsvie.solver import preset_1d, preset_2d
-        from wsvie.spline import _donated, _nodal, _padded
+        from wsvie.spline import _donated, _nodal
 
         kind, l, N = {"qstar-2d-8": ("q_star", 2, 8), "bstar-2d-5": ("b_star", 2, 5),
                       "qqstar-2d-4": ("q_double_star", 2, 4), "bstar-1d-16": ("b_star", 1, 16)}[which]
@@ -225,7 +225,7 @@ class TestTensorSpline:
         else:
             cov, degrees, fam = preset_2d(params, N)
         spl = build_tensor_spline(lambda *t: np.cos(sum(t)), cov, degrees, family=fam)
-        padded = _padded(spl.nodesets, spl.values)
+        padded = spl.tables
 
         def assert_evaluates(got, cells, at):
             # against eval_cell, cell by cell
@@ -283,7 +283,8 @@ class TestTensorSpline:
             with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
                 spl.eval(pts)
         assert spl.eval([0.5, 0.5])[0] == pytest.approx(0.25, abs=1e-14)
-        spl_1d = build_spline_1d(lambda t: t, power_graded_mesh(3, 1.0, 1.0), [2, 2, 2])
+        spl_1d = build_tensor_spline(lambda t: t, power_graded_mesh(3, 1.0, 1.0).covering(),
+                                     [2, 2, 2])
         with pytest.raises(ValueError, match=r"shape \(n, 1\)"):
             spl_1d.eval([[0.25, 0.5]])
         assert spl_1d.eval(0.25) == pytest.approx(0.25, abs=1e-14)
@@ -304,7 +305,7 @@ class TestTensorSpline:
 
     def test_n_functionals_counts_distinct_nodes(self):
         mesh = power_graded_mesh(4, 1.0, 1.0)
-        spl = build_spline_1d(lambda t: t, mesh, [3, 3, 3, 3])
+        spl = build_tensor_spline(lambda t: t, mesh.covering(), [3, 3, 3, 3])
         # 4 segments x 3 nodes with 3 shared breakpoints
         assert n_functionals(spl) == 9
 
@@ -316,7 +317,8 @@ class TestTensorSpline:
 
         b_star = derive_class_params(2, 0.5, "b_star")
         for N, count in ((40, 1301), (48, 1613)):
-            spl = build_spline_1d(np.sqrt, *preset_1d(b_star, N))
+            mesh, sched, fam = preset_1d(b_star, N)
+            spl = build_tensor_spline(np.sqrt, mesh.covering(), sched, family=fam)
             assert np.unique(spl.node_points()).size == count
             assert n_functionals(spl) == count
         # a face node computed in two cells may differ in the last bit, and
@@ -331,11 +333,19 @@ class TestTensorSpline:
         rng = np.random.default_rng(1)
         cov = boundary_layer_covering(2, 1.0, 2, 1.5)
         spl_2d = build_tensor_spline(lambda t1, t2: (t1 * t2) ** 2.5, cov, 3)
-        spl_1d = build_spline_1d(lambda t: t ** 2.5, geometric_mesh(4, 1.0), [3, 4, 5, 6, 7],
-                                 "chebyshev1_closed")
+        spl_1d = build_tensor_spline(lambda t: t ** 2.5, geometric_mesh(4, 1.0).covering(),
+                                     [3, 4, 5, 6, 7], family="chebyshev1_closed")
         for spl, pts in ((spl_2d, rng.random((40, 2))), (spl_1d, rng.random(40))):
             back = tensor_spline_from_dict(spl.to_dict())
             assert back.eval(pts) == pytest.approx(spl.eval(pts), abs=1e-14)
+
+    def test_values_must_match_node_counts(self):
+        # a serialized spline comes from JSON: a cell's values of the wrong shape are rejected
+        cov = boundary_layer_covering(2, 1.0, 2, 1.5)
+        data = build_tensor_spline(lambda t1, t2: t1 * t2, cov, 3).to_dict()
+        data["values"][1] = data["values"][1][:2]
+        with pytest.raises(ValueError, match="node counts"):
+            tensor_spline_from_dict(data)
 
     def test_sup_error_validates_samples(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.5)
