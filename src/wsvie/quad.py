@@ -3,7 +3,7 @@
 The moment helpers integrate products (x - tau)^p * l_j(tau) over a clipped
 interval [a, min(b, x)], where l_j are the Lagrange fundamental polynomials of
 a NodeSet. Each row x takes one of three fixed rules, chosen by one private
-generator, ``_rules``, from where x lies:
+generator, ``_reference_pairs``, from where x lies:
 
 * singular rows (a < x <= b) -- a Gauss-Jacobi rule with the weight
   (x - tau)^p folded in, exact for polynomial factors of degree <= 2n - 1;
@@ -11,12 +11,12 @@ generator, ``_rules``, from where x lies:
 * near rows (the rest) -- composite Gauss-Legendre with panels graded
   dyadically toward b.
 
-The rules are written in the reference coordinate sigma on [-1, 1], where a
-NodeSet's l_j is the fundamental polynomial of one reference node set and
-the far (or near) rows of every interval share their points.
-``stacked_kernel_moments`` takes the moments of many intervals, of any node
-counts, at one coordinate array, with one reference basis per node count and
-shared rule; its rows sum in one fixed order, so stacking changes no bit.
+The rules are written in the reference coordinate sigma on [-1, 1]: a row is
+h^(p + 1), h = (b - a) / 2, times a reference row of (family, m, p, n,
+branch, X), X its reference coordinate, from one function, ``_reference_rows``
+(``_RowStore`` puts a store in front of it). ``stacked_kernel_moments`` takes
+the moments of many intervals, of any node counts, at one coordinate array;
+its rows sum in one fixed order, so stacking changes no bit.
 ``kernel_moments`` is its one-interval case.
 """
 
@@ -167,70 +167,113 @@ def _graded_panels(n: int, panels: int) -> QuadRule:
 _reference_nodes = lru_cache(maxsize=None)(build_nodes)
 
 
-def _rules(x, p: float, a, b, n: int, m: int):
-    """Classify rows against S intervals [a[s], b[s]]; yield their rules in blocks.
+def _reference_pairs(x, a, b, width):
+    """Classify rows x against S intervals [a[s], b[s]]; yield each branch's pairs in blocks.
 
-    A row x_i of interval s is
-
-    * singular when a < x_i <= b: n Gauss-Jacobi points on [a, x_i], a rule
-      per row;
-    * far when x_i - b >= b - a: one Gauss-Legendre panel on [a, b];
-    * near otherwise: ``_NEAR_PANELS`` Gauss-Legendre panels on [a, b],
-      graded dyadically toward b.
-
-    Rows with x_i <= a belong to no branch. Yields ``(s, rows, sigma, W)``
-    per block of (interval, row) pairs: pair c is row rows[c] of interval
-    s[c], with weights W[c], (x - tau)^p folded in, at the reference points
-    sigma = (2 tau - a - b) / (b - a). Far (and near) blocks share one sigma
-    array; a singular block has one row sigma[c] per pair. A block's weights,
-    and its basis of m functions at per-row points, hold at most
-    ``_TABLE_BUDGET / 8`` doubles, or one pair.
+    Yields ``(panels, s, r, X)`` for the singular (panels 0), far (1) and near
+    (``_NEAR_PANELS``) rows, per block of at most ``_TABLE_BUDGET / 8`` doubles
+    at ``width(panels)`` a pair (or one pair): pair c is row r[c] of interval
+    s[c] at the reference coordinate X[c], (x - a) / (b - a) when singular,
+    else (x - b) / h, h = (b - a) / 2, which keeps the digits of rows past b.
     """
     a, b = np.reshape(a, (-1, 1)).astype(float), np.reshape(b, (-1, 1)).astype(float)
     active = np.minimum(x, b) > a
     singular = active & (x <= b)
     far = active & (x - b >= (b - a))
-    jac = gauss_jacobi(n, p)
     for rows, panels in ((singular, 0), (far, 1), (active & ~singular & ~far, _NEAR_PANELS)):
         s, r = np.nonzero(rows)
-        step = max(1, _TABLE_BUDGET // (8 * n * (panels or m + 1)))
-        if panels:
-            rule = _graded_panels(n, panels)
-            d, w, sigma = rule.nodes, rule.weights, 1.0 - rule.nodes
+        origin, unit = (a[:, 0], (b - a)[:, 0]) if panels == 0 else (b[:, 0], 0.5 * (b - a)[:, 0])
+        step = max(1, _TABLE_BUDGET // (8 * width(panels)))
         for lo in range(0, s.size, step):
             sb, rb = s[lo:lo + step], r[lo:lo + step]
-            half = 0.5 * (b[sb] - a[sb])
-            if panels:
-                # x - tau = (x - b) + half * d keeps its digits just past b
-                yield sb, rb, sigma, half * w * ((x[rb, None] - b[sb]) + half * d) ** p
-            else:
-                u = 0.5 * (x[rb, None] - a[sb])   # half the length of [a, x]
-                yield sb, rb, (jac.nodes + 1.0) * (u / half) - 1.0, u ** (p + 1.0) * jac.weights
+            yield panels, sb, rb, (x[rb] - origin[sb]) / unit[sb]
 
 
-def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int) -> np.ndarray:
+def _reference_rule(X, p: float, n: int, panels: int):
+    """Points sigma and weights of the rows at X of [-1, 1]: n Gauss-Jacobi points
+    on [-1, 2 X - 1] per singular row, (rows, points); else the points of
+    ``_graded_panels(n, panels)`` in d = 1 - sigma, weights w (X + d)^p (points, rows)."""
+    if panels:
+        rule = _graded_panels(n, panels)
+        return 1.0 - rule.nodes, rule.weights[:, None] * (X + rule.nodes[:, None]) ** p
+    jac = gauss_jacobi(n, p)
+    return (jac.nodes + 1.0) * X[:, None] - 1.0, X[:, None] ** (p + 1.0) * jac.weights
+
+
+def _rules(x, p: float, a, b, n: int, m: int):
+    """``(s, rows, sigma, W)`` per block of ``_reference_pairs``: the weights W
+    (pairs, points) of ``_reference_rule``, scaled to each interval, at the
+    points sigma (a far or near block shares them); a block's weights, and
+    basis of m functions at per-row points, hold at most ``_TABLE_BUDGET / 8`` doubles."""
+    a, b = np.atleast_1d(np.asarray(a, float)), np.atleast_1d(np.asarray(b, float))
+    for panels, s, r, X in _reference_pairs(x, a, b, lambda panels: n * (panels or m + 1)):
+        sigma, W = _reference_rule(X, p, n, panels)
+        yield s, r, sigma, (0.5 * (b[s] - a[s]))[:, None] ** (p + 1.0) * (W.T if panels else W)
+
+
+def _reference_rows(ref: NodeSet, p: float, n: int, panels: int, X) -> np.ndarray:
+    """The moment rows (X.size, m) of the reference node set ``ref`` at X, branch ``panels``:
+    einsum sums each row in one order, whatever its block, near rows panel by panel."""
+    G, basis = np.empty((X.size, ref.m)), None
+    step = max(1, _TABLE_BUDGET // (8 * n * (panels or ref.m + 1)))
+    for lo in range(0, X.size, step):
+        sigma, W = _reference_rule(X[lo:lo + step], p, n, panels)
+        if panels:
+            basis = lagrange_basis_matrix(ref, sigma) if basis is None else basis
+            parts = np.einsum("pqc,pqm->pmc", W.reshape(panels, n, -1),
+                              basis.reshape(panels, n, -1))
+            G[lo:lo + step] = sum(parts[1:], parts[0]).T   # the panels in order
+        else:
+            G[lo:lo + step] = np.einsum("cq,cqm->cm", W, lagrange_basis_matrix(ref, sigma))
+    return G
+
+
+class _RowStore:
+    """``_reference_rows`` behind a store of the rows it computed, keyed by its arguments:
+    missing rows are computed in one batch and kept while they fit in ``room`` doubles.
+    Far rows pass through: they are about as cheap to compute as to look up."""
+
+    def __init__(self, room: int):
+        self.room, self.size, self.groups = room, 0, {}   # group -> sorted X, their rows
+
+    def __call__(self, ref: NodeSet, p: float, n: int, panels: int, X) -> np.ndarray:
+        if panels == 1:
+            return _reference_rows(ref, p, n, panels, X)
+        group = (ref.family, ref.m, p, n, panels)
+        keys, rows = self.groups.get(group, (np.empty(0), np.empty((0, ref.m))))
+        X, inverse = np.unique(X, return_inverse=True)
+        at = np.searchsorted(keys, X)
+        hit = keys[np.minimum(at, keys.size - 1)] == X if keys.size else np.zeros(X.size, bool)
+        G, new = np.empty((X.size, ref.m)), np.flatnonzero(~hit)
+        G[hit] = rows[at[hit]]
+        G[new] = _reference_rows(ref, p, n, panels, X[new])
+        new = new[:(self.room - self.size) // ref.m]
+        if new.size:
+            self.groups[group] = (np.insert(keys, at[new], X[new]),
+                                  np.insert(rows, at[new], G[new], axis=0))
+            self.size += new.size * ref.m
+        return G[inverse]
+
+
+def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
+                           rows=_reference_rows) -> np.ndarray:
     """``kernel_moments`` of S intervals at once: an array of shape (S, x.size, M).
 
     Interval s runs from a[s] to b[s] and carries the fundamental polynomials
     of nodesets[s], built on it by ``build_nodes`` with one family and m
     nodes: those of ``build_nodes((-1, 1), family, m)`` in sigma, and zero past
-    m < M. Each row equals that of ``kernel_moments`` on its interval alone, to the bit.
+    m < M. A row is h^(p + 1) times its reference row from ``rows`` (``_reference_rows``
+    or a ``_RowStore``), and equals that of ``kernel_moments`` on its interval, to the bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    a, b, ms = np.asarray(a, float), np.asarray(b, float), np.array([ns.m for ns in nodesets])
-    M = np.zeros((len(nodesets), x.size, ms.max()))
-    for m in np.unique(ms).tolist():   # the intervals of one node count share their rules
+    a, b, ms = np.asarray(a, float), np.asarray(b, float), np.array([ns.m for ns in nodesets], int)
+    M = np.zeros((len(nodesets), x.size, ms.max(initial=0)))
+    for m in np.unique(ms).tolist():
         g = np.flatnonzero(ms == m)
         ref = _reference_nodes((-1.0, 1.0), nodesets[g[0]].family, m)
-        shared = {}   # basis at the far (n points) and near (13 n points) rules
-        for s, rows, sigma, W in _rules(x, p, a[g], b[g], n, m):
-            if sigma.ndim == 1:
-                if sigma.size not in shared:
-                    shared[sigma.size] = lagrange_basis_matrix(ref, sigma)
-                # einsum, not BLAS: a row sums in one order, whatever the block size
-                M[g[s], rows, :m] = np.einsum("cq,qm->cm", W, shared[sigma.size])
-            else:
-                M[g[s], rows, :m] = np.einsum("cq,cqm->cm", W, lagrange_basis_matrix(ref, sigma))
+        scale = (0.5 * (b[g] - a[g])) ** (p + 1.0)
+        for panels, s, r, X in _reference_pairs(x, a[g], b[g], lambda panels: m):
+            M[g[s], r, :m] = scale[s, None] * rows(ref, p, n, panels, X)
     return M
 
 
@@ -238,7 +281,7 @@ def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet, n: int) ->
     """Moments M[i, j] = int_a^{min(b, x_i)} (x_i - tau)^p l_j(tau) dtau.
 
     ``l_j`` are the fundamental polynomials of ``nodeset``, built on [a, b] by
-    ``build_nodes``. The rules are those of ``_rules``: singular rows are
-    exact for the polynomial factor when n >= m / 2, rows with x_i <= a zero.
+    ``build_nodes``. The rules are those of ``_reference_pairs``: singular rows
+    are exact for the polynomial factor when n >= m / 2, rows with x_i <= a zero.
     """
     return stacked_kernel_moments(x, p, [a], [b], [nodeset], n)[0]

@@ -19,15 +19,16 @@ moment matrix, which depends only on D's range and node count on that axis.
 One generator, ``_cell_moments``, walks a sequence of target grids in chunks
 and builds per-axis moment tables per chunk, one per distinct source
 interval, evaluated at the sorted union of the chunk's grid coordinates:
-per axis, one ``stacked_kernel_moments`` call fills them. The targets are
-the cells' node grids in causal order for the march and the collocation
-residual check, sample grids for ``residual`` and the uniform grid for the
-oracle. A target's moment matrices are row gathers from these tables,
-padded like the spline's value table (``TensorSpline.tables``) to the
-largest node count per axis, so its history is one batched contraction per
-block of sources, whatever their node counts, summed in source-index order.
-Each chunk's tables, and each block of sources, hold about ``_TABLE_BUDGET``
-doubles (1 MB), which bounds the extra memory of the march.
+per axis, one ``stacked_kernel_moments`` call fills them, from one row store
+per walk (``quad._RowStore``). The targets are the cells' node grids in
+causal order for the march and the collocation residual check, sample grids
+for ``residual`` and the uniform grid for the oracle. A target's moment
+matrices are row gathers from these tables, padded like the spline's value
+table (``TensorSpline.tables``) to the largest node count per axis, so its
+history is one batched contraction per block of sources, summed in
+source-index order. A chunk's tables with the store, and each block of
+sources, hold about ``_TABLE_BUDGET`` doubles (1 MB), which bounds the extra
+memory of the march.
 
 A general h(t, tau) couples the axes. The generator then yields one
 flattened weight array per block of source cells, from tensor Gauss
@@ -55,7 +56,7 @@ from .interp import geometric_degree_schedule, geometric_global_degree, power_de
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, shadow_matrix)
-from .quad import _TABLE_BUDGET, _reference_nodes, _rules, stacked_kernel_moments
+from .quad import _TABLE_BUDGET, _reference_nodes, _RowStore, _rules, stacked_kernel_moments
 from .spline import LocalSpline, TensorSpline, _donated, _nodal, _unfilled
 
 
@@ -150,10 +151,12 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       axis. They are row gathers, padded to M_a, from tables built per chunk
       of consecutive targets, one per distinct source interval (a, b, m) of
       the chunk and axis, evaluated at the sorted union of the chunk's grid
-      coordinates: one ``stacked_kernel_moments`` call per axis fills them.
-      A chunk grows while its tables hold at most ``_TABLE_BUDGET`` doubles
-      (a cell count would not do, since the table width grows with m), and
-      takes at least one target.
+      coordinates: one ``stacked_kernel_moments`` call per axis fills them
+      from a ``_RowStore`` of ``_TABLE_BUDGET / 2`` doubles that lives as
+      long as this generator. A chunk grows while its tables and the store
+      hold at most ``_TABLE_BUDGET`` doubles (a cell count would not do,
+      since the table width grows with m), and takes at least one target.
+      Its tables go when the next chunk's are built; moments drawn later raise.
     * with a smooth factor, or without a kernel, a single axis: one array of
       shape (hi - lo, grid size, M_1 * ... * M_l) (see ``_cubature``).
 
@@ -177,7 +180,7 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
                              for n in nodesets]))
         reps.append([nodesets[ci][a] for ci in np.unique(kid[a], return_index=True)[1]])
     ms = [np.array([ns.m for ns in r]) for r in reps]
-    pos = 0
+    store, tables, pos = _RowStore(_TABLE_BUDGET // 2), [], 0
     while pos < len(targets):
         used = [np.zeros(len(r), dtype=bool) for r in reps]
         coords = [set() for _ in reps]
@@ -189,26 +192,27 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
                 u[k[srcs]] = True
             wider = [c.union(x.tolist()) for c, x in zip(coords, grid)]
             size = sum(len(c) * m[u].max(initial=0) * u.sum() for c, m, u in zip(wider, ms, grown))
-            if chunk and size > _TABLE_BUDGET:
+            if chunk and size > _TABLE_BUDGET - store.size:
                 break
             used, coords = grown, wider
             chunk.append((key, grid, srcs))
         pos += len(chunk)
+        tables.clear()   # free the last chunk's tables first; a late gather of them raises
         tables = []
         for p, r, u, c in zip(kern.exponents, reps, used, coords):
             x = np.array(sorted(c))
             ns = [r[i] for i in np.flatnonzero(u)]
-            tab = stacked_kernel_moments(x, p, [n.a for n in ns], [n.b for n in ns], ns, quad_n)
-            tables.append((x, np.cumsum(u) - 1, tab))   # an interval's row in tab
+            tables.append((x, np.cumsum(u) - 1, stacked_kernel_moments(   # no local keeps it
+                x, p, [n.a for n in ns], [n.b for n in ns], ns, quad_n, store)))
         for key, grid, srcs in chunk:
             rows = [np.searchsorted(x, g) for (x, _, _), g in zip(tables, grid)]
             sel = [local[k[srcs]] for (_, local, _), k in zip(tables, kid)]
-            yield key, srcs, partial(_gather, [tab for _, _, tab in tables], rows, sel, widths)
+            yield key, srcs, partial(_gather, tables, rows, sel, widths)
 
 
-def _gather(tabs, rows, sel, widths, lo: int, hi: int) -> list:
+def _gather(tables, rows, sel, widths, lo: int, hi: int) -> list:
     """Per-axis moments of sources sel[a][lo:hi] at the target ``rows``, padded to ``widths``."""
-    out = [tab[s[lo:hi, None], r] for tab, r, s in zip(tabs, rows, sel)]
+    out = [tab[s[lo:hi, None], r] for (_, _, tab), r, s in zip(tables, rows, sel, strict=True)]
     return [w if w.shape[-1] == M else np.pad(w, [(0, 0), (0, 0), (0, M - w.shape[-1])])
             for w, M in zip(out, widths)]
 

@@ -30,13 +30,14 @@ class TensorSpline:
     """Per-cell tensor-product interpolant over a covering.
 
     The constructor builds the padded ``tables`` once (``_padded``, values 0 when
-    absent); each ``values[ci]`` is a view of its cell's corner there, written in place.
+    absent). ``values`` and ``owned`` become tuples: each ``values[ci]`` is a view of
+    its cell's corner there, written in place, and rebinding one raises.
     """
 
     covering: Covering
-    nodesets: list       # per cell: tuple of NodeSet, one per axis
-    values: list = None  # per cell: ndarray of shape (m_1, ..., m_l)
-    owned: list = None   # per cell: bool ndarray, False where the value was inherited
+    nodesets: list        # per cell: tuple of NodeSet, one per axis
+    values: tuple = None  # per cell: ndarray of shape (m_1, ..., m_l)
+    owned: tuple = None   # per cell: bool ndarray, False where the value was inherited
     tables: SimpleNamespace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -46,9 +47,9 @@ class TensorSpline:
         if self.values is not None and [np.shape(v) for v in self.values] != shapes:
             raise ValueError("value arrays do not match the cells' node counts")
         self.tables = _padded(self.nodesets, () if self.values is None else self.values)
-        self.values = [v[tuple(map(slice, s))] for v, s in zip(self.tables.values, shapes)]
-        if self.owned is None:
-            self.owned = [np.ones(s, dtype=bool) for s in shapes]   # all nodes owned
+        self.values = tuple(v[tuple(map(slice, s))] for v, s in zip(self.tables.values, shapes))
+        owned = map(np.ones, shapes) if self.owned is None else self.owned   # all, when absent
+        self.owned = tuple(np.array(o, dtype=bool) for o in owned)
 
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
         """Containing cell per point, of lowest causal rank on a shared face; -1 outside."""
@@ -62,15 +63,17 @@ class TensorSpline:
     def eval(self, pts):
         """Spline values at points (n, l); for l = 1 also at a 1-D array or a scalar.
 
-        Points are looked up and evaluated in blocks whose cell values hold about
-        ``_TABLE_BUDGET`` doubles, which bounds the temporary memory of a large sample grid.
+        Points are looked up and evaluated in blocks of about ``_TABLE_BUDGET`` doubles:
+        per point its cell's values, and per axis a basis row, its donor's nodes and
+        weights and a mask (4 M_a). This bounds the memory of a large sample grid.
         """
         pts = np.asarray(pts, dtype=float)
         scalar, l = pts.ndim == 0, self.covering.l
         pts = pts.reshape(-1, 1) if l == 1 and pts.ndim < 2 else np.atleast_2d(pts)
         if pts.ndim != 2 or pts.shape[1] != l:
             raise ValueError(f"points must have shape (n, {l}), got {np.shape(pts)}")
-        step = max(1, _TABLE_BUDGET // self.tables.values[0].size)
+        values = self.tables.values
+        step = max(1, _TABLE_BUDGET // (values[0].size + 4 * sum(values.shape[1:])))
         out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], step):
             block = pts[start:start + step]

@@ -574,6 +574,68 @@ class TestMomentTables:
         solve_2d(get_problem("corner-power-2d"), *preset_2d(q25_params_2d, 4))
         assert 0 < calls[0] <= 2
 
+    def test_a_finished_chunk_releases_its_tables(self, b_params_2d):
+        # the next chunk's tables replace the last one's: weights drawn after
+        # the generator has moved on raise instead of reading the new tables
+        import wsvie.solver as solver
+        from wsvie.spline import _unfilled
+
+        cov, degree, fam = preset_2d(b_params_2d, 4)
+        nodesets = _unfilled(cov, degree, fam).nodesets
+        targets = list(solver._cell_moments(get_problem("corner-power-2d").kernel, nodesets,
+                                            solver._node_grids(nodesets, range(cov.ncells)),
+                                            lambda ci: np.arange(ci + 1)))
+        assert len(targets[-1][2](0, 1)) == 2
+        with pytest.raises(ValueError):
+            targets[0][2](0, 1)
+
+
+def _row_counts(monkeypatch):
+    """Count the rows a row store serves and computes, per branch; returns the two dicts."""
+    from wsvie import quad
+
+    served, computed = {}, {}
+    call, rows = quad._RowStore.__call__, quad._reference_rows
+
+    def counted_call(self, ref, p, n, panels, X):
+        served[panels] = served.get(panels, 0) + np.size(X)
+        return call(self, ref, p, n, panels, X)
+
+    def counted_rows(ref, p, n, panels, X):
+        computed.setdefault(panels, []).append((ref.family, ref.m, p, n, X.copy()))
+        return rows(ref, p, n, panels, X)
+
+    monkeypatch.setattr(quad._RowStore, "__call__", counted_call)
+    monkeypatch.setattr(quad, "_reference_rows", counted_rows)
+    return served, computed
+
+
+class TestRowStore:
+    def test_rows_are_computed_once_per_solve(self, monkeypatch):
+        # B* N = 4: the singular and near rows repeat across the whole march
+        # (the geometric covering is self-similar), so the store computes
+        # 578 of the 8,495 it serves, each once; far rows pass through
+        served, computed = _row_counts(monkeypatch)
+        prob, solve, disc = _table_case("power-2d-bstar-4")
+        solve(prob, *disc)
+        kept = sum(X.size for panels in (0, 13) for *_, X in computed[panels])
+        assert kept <= 0.08 * (served[0] + served[13])   # 6.8% measured
+        for panels in (0, 13):   # no key twice
+            keys = [(f, m, p, n, x) for f, m, p, n, X in computed[panels] for x in X.tolist()]
+            assert len(set(keys)) == len(keys)
+
+    def test_store_lives_for_one_solve(self, monkeypatch):
+        # a store kept across solves would serve the second solve from the
+        # first one's rows
+        served, computed = _row_counts(monkeypatch)
+        prob, solve, disc = _table_case("power-2d-bstar-3")
+        counts = []
+        for _ in range(2):
+            computed.clear()
+            solve(prob, *disc)
+            counts.append({panels: sum(X.size for *_, X in c) for panels, c in computed.items()})
+        assert counts[0] == counts[1] and counts[0][0] > 0
+
 
 def _shuffled_causal_order(cov, seed):
     """A random causal order: a topological sort of the shadow relation with random keys."""
@@ -706,7 +768,7 @@ def _reference_march(problem, cov, degrees, family, order, tol, log):
         A[rows, rows] = 1.0
         sol = np.linalg.solve(A, rhs)
         assert np.max(np.abs(A @ sol - rhs)) <= tol
-        spl.values[ci], spl.owned[ci] = sol.reshape(shape), owned.reshape(shape)
+        spl.values[ci][...], spl.owned[ci][...] = sol.reshape(shape), owned.reshape(shape)
         done[ci] = True
     return spl
 
@@ -789,7 +851,8 @@ class TestReferenceMarch:
             pts = ref.node_grid(ci)
             vals = np.asarray(f(*pts.T), dtype=float)
             owned = _inherit_by_lookup(ref, ci, pts, vals, priority, [])
-            ref.values[ci], ref.owned[ci] = vals.reshape(degree, degree), owned.reshape(degree, degree)
+            ref.values[ci][...] = vals.reshape(degree, degree)
+            ref.owned[ci][...] = owned.reshape(degree, degree)
             priority[ci] = pos
         for ci in range(cov.ncells):
             assert np.array_equal(fast.values[ci], ref.values[ci])

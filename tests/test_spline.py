@@ -347,6 +347,18 @@ class TestTensorSpline:
         with pytest.raises(ValueError, match="node counts"):
             tensor_spline_from_dict(data)
 
+    def test_rebinding_a_cell_raises(self):
+        # values are views of the padded tables: a rebound cell would leave them stale,
+        # so only writes in place are possible, and evaluation sees them
+        cov = boundary_layer_covering(2, 1.0, 2, 1.5)
+        spl = build_tensor_spline(lambda t1, t2: t1 * t2, cov, 3)
+        with pytest.raises(TypeError):
+            spl.values[0] = spl.values[0] + 1.0
+        with pytest.raises(TypeError):
+            spl.owned[0] = ~spl.owned[0]
+        spl.values[0][...] += 1.0
+        assert max_node_error(spl, lambda t1, t2: t1 * t2) == pytest.approx(1.0, abs=1e-15)
+
     def test_sup_error_validates_samples(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.5)
         spl = build_tensor_spline(lambda a, b: a * b, cov, 3)
