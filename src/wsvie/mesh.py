@@ -301,7 +301,8 @@ def shadow_matrix(covering: Covering) -> np.ndarray:
 def causal_order(covering: Covering) -> list[int]:
     """Total processing order of cells compatible with the shadow relation.
 
-    Cells are emitted by a priority topological sort keyed by ascending sum of
+    Cells are emitted by a priority topological sort keyed by edge lengths
+    (smaller cells first: a shape's cells stay together), then ascending sum of
     lower-corner coordinates with lexicographic tie-break on the lower corner,
     so the key order is produced verbatim whenever it already respects the
     relation. A cycle (impossible for boxes with disjoint interiors) raises.
@@ -309,13 +310,13 @@ def causal_order(covering: Covering) -> list[int]:
     n = covering.ncells
     S = shadow_matrix(covering)
     indeg = S.sum(axis=0).astype(int)
-    lo = covering.lo_array
-    keys = [(float(lo[i].sum()), tuple(lo[i]), i) for i in range(n)]
+    lo, width = covering.lo_array, covering.hi_array - covering.lo_array
+    keys = [(tuple(width[i]), float(lo[i].sum()), tuple(lo[i]), i) for i in range(n)]
     ready = [keys[i] for i in range(n) if indeg[i] == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
-        _, _, i = heapq.heappop(ready)
+        *_, i = heapq.heappop(ready)
         order.append(i)
         for j in np.nonzero(S[i])[0]:
             indeg[j] -= 1

@@ -37,7 +37,7 @@ one-axis case.
 
 The march calls the right side once on all nodes and looks up the donors
 of all boundary nodes at once; its cell loop keeps the history, inherited
-values, LU solve and residual check, which need the cells solved before.
+values, local solve (one inverse per cell shape) and residual check.
 Cells whose predecessors are complete could be solved concurrently; this
 implementation is the single-threaded reference.
 """
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -56,7 +57,8 @@ from .interp import geometric_degree_schedule, geometric_global_degree, power_de
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    corner_layer_covering, geometric_covering, geometric_mesh,
                    power_graded_mesh, shadow_matrix)
-from .quad import _TABLE_BUDGET, _reference_nodes, _RowStore, _rules, stacked_kernel_moments
+from .quad import (_TABLE_BUDGET, _reference_nodes, _RowStore, _rules, kernel_moments,
+                   stacked_kernel_moments)
 from .spline import LocalSpline, TensorSpline, _donated, _nodal, _unfilled
 
 
@@ -160,11 +162,10 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
     * with a smooth factor, or without a kernel, a single axis: one array of
       shape (hi - lo, grid size, M_1 * ... * M_l) (see ``_cubature``).
 
-    Every rule takes ``quad_n`` Gauss points per panel (Gauss-Jacobi points
-    on a singular row): the largest per-axis node count of ``nodesets`` plus
-    4, at most 64.
+    Every rule takes ``_gauss_count(nodesets)`` points per panel
+    (Gauss-Jacobi points on a singular row).
     """
-    quad_n = min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
+    quad_n = _gauss_count(nodesets)
     widths = [max(ns.m for ns in sets) for sets in zip(*nodesets)]   # M_a
     targets = list(targets)
     if kern is None or kern.smooth_factor is not None:
@@ -208,6 +209,11 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             rows = [np.searchsorted(x, g) for (x, _, _), g in zip(tables, grid)]
             sel = [local[k[srcs]] for (_, local, _), k in zip(tables, kid)]
             yield key, srcs, partial(_gather, tables, rows, sel, widths)
+
+
+def _gauss_count(nodesets) -> int:
+    """Gauss points per panel of a solve's rules: its largest node count plus 4, at most 64."""
+    return min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
 
 
 def _gather(tables, rows, sel, widths, lo: int, hi: int) -> list:
@@ -306,15 +312,38 @@ def _node_grids(nodesets, cells):
 _RESIDUAL_BOUND = 1e-10   # the largest local-solve residual, for every l
 
 
+def _local_matrix(W, own) -> np.ndarray:
+    """I - W as an (n, n) matrix, with an identity row per inherited node (``own`` False)."""
+    eye = np.eye(own.size)
+    return np.where(own[:, None], eye - W.reshape(eye.shape), eye)
+
+
+def _shape_key(nsets, own) -> tuple:
+    """Per axis the family, node count and width of a cell, and its owned-node mask."""
+    return tuple((ns.family, ns.m, ns.b - ns.a) for ns in nsets), own.tobytes()
+
+
+def _shape_matrix(kern: KernelSpec, nsets, own, n: int) -> np.ndarray:
+    """The local matrix, for h == 1, of every cell of one ``_shape_key``: axis a's
+    self weights are ((b - a) / 2)^(p_a + 1) times the moments of the reference
+    node set on [-1, 1] at its own nodes, ``n`` Gauss points per panel."""
+    weights = [(0.5 * (ns.b - ns.a)) ** (p + 1.0) * kernel_moments(ref.nodes, p, -1.0, 1.0, ref, n)
+               for p, ns in zip(kern.exponents, nsets)
+               for ref in [_reference_nodes((-1.0, 1.0), ns.family, ns.m)]]
+    return _local_matrix(_dense(weights), own)
+
+
 def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     """Fill the unfilled spline ``spl`` with the collocation solution, cell by cell.
 
     In each cell, nodes lying on the closure of a shadow-predecessor cell are
     knowns inherited from that cell's spline (the one of lowest causal rank);
-    all other nodal values are unknowns of the local dense system, solved by
-    LU with partial pivoting, whose residual must stay below ``_RESIDUAL_BOUND``.
-    History integrals are accumulated over predecessor cells in index order,
-    which makes the assembled systems independent of the causal order.
+    all other nodal values are unknowns of the local dense system, solved with
+    the inverse of its key (for h == 1 its ``_shape_key``, else the cell): from
+    ``_shape_matrix`` if cells share the key, else the cell's own matrix. Inverses
+    are kept while they hold ``_TABLE_BUDGET / 2`` doubles (and at least one). A
+    residual against the cell's own matrix must stay below ``_RESIDUAL_BOUND``.
+    Histories sum over predecessors in index order, so no value depends on the order.
 
     What depends only on the covering comes before the loop: the right side
     at all nodes and each node's donor (``_nodal``). A history gathers its
@@ -325,12 +354,15 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     if (covering.l, covering.T) != (problem.l, problem.T):
         raise ValueError(f"the mesh spans [0, {covering.T}]^{covering.l}, "
                          f"the problem [0, {problem.T}]^{problem.l}")
-    kern, tables = problem.kernel, spl.tables
+    kern, tables, inverses, quad_n = problem.kernel, spl.tables, {}, _gauss_count(nodesets)
     shadow = shadow_matrix(covering)
     rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
     nodal = _nodal(spl, problem.rhs, lambda cand, owner: np.where(shadow[cand, owner], rank[cand],
                                                                   covering.ncells))
+    shared = kern is not None and kern.smooth_factor is None   # h == 1
+    keys = [_shape_key(nodesets[ci], n[1]) if shared else ci for ci, n in enumerate(nodal)]
+    repeats = Counter(keys)
     # a cell's sources are its predecessors, then the cell itself
     cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
                           lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci))
@@ -340,20 +372,24 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
         shape = values[ci].shape
         H = _history(moments, tables.values[pred_idx], shape)
-        own = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
-        own = own.reshape(shape + tables.values.shape[1:])[(Ellipsis,) + tuple(map(slice, shape))]
-        A = np.eye(H.size) - own.reshape(H.size, H.size)
+        W = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
+        W = W.reshape(shape + tables.values.shape[1:])[(Ellipsis,) + tuple(map(slice, shape))]
         f, own, donors, pts = nodal[ci]
+        A = _local_matrix(W, own)
         rhs = f + H.ravel()
-        rows = np.flatnonzero(~own)
-        A[rows, :] = 0.0
-        A[rows, rows] = 1.0
-        rhs[rows] = _donated(tables, donors, pts)
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular local system on cell {ci} "
-                               f"(layer {covering.cells[ci].k})") from exc
+        rhs[~own] = _donated(tables, donors, pts)
+        key = keys[ci]
+        if key not in inverses:
+            try:
+                inv = np.linalg.inv(_shape_matrix(kern, nodesets[ci], own, quad_n)
+                                    if repeats[key] > 1 else A)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"singular local system on cell {ci} "
+                                   f"(layer {covering.cells[ci].k})") from exc
+            if inv.size + sum(v.size for v in inverses.values()) > _TABLE_BUDGET // 2:
+                inverses = {}   # keep at least the new one
+            inverses[key] = inv
+        sol = inverses[key] @ rhs
         res = float(np.max(np.abs(A @ sol - rhs)))
         if not res <= _RESIDUAL_BOUND:   # a NaN residual fails too
             raise RuntimeError(f"local solve residual {res:.2e} > {_RESIDUAL_BOUND:.0e} "
@@ -384,8 +420,10 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
 
     Nodes on the closure of an already-solved shadow predecessor inherit its
     value; the others are the unknowns of the cell's local dense system,
-    whose residual must stay below ``_RESIDUAL_BOUND``, as in 1D. ``order`` may
-    be any causal order (default: the canonical one); the result does not depend on it.
+    solved, as in 1D, with the inverse shared by its cell shape (see
+    ``_march``), and its residual must stay below ``_RESIDUAL_BOUND``.
+    ``order`` may be any causal order (default: the canonical one, smaller
+    cells first); the result does not depend on it, to the bit.
     """
     if problem.l != 2:
         raise ValueError("solve_2d requires a 2-dimensional problem")
