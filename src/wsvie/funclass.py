@@ -13,7 +13,7 @@ derived quantities are
   s / (s - floor(gamma) - 1) otherwise; drives mesh grading and coverings.
 
 Class membership of the catalogue fixtures is guaranteed by construction and
-can be smoke-tested with the finite-difference growth helpers below.
+can be smoke-tested with the finite-difference helper ``fd_derivative``.
 """
 
 from __future__ import annotations
@@ -165,22 +165,3 @@ def fd_derivative(f, t: float, k: int, h: float) -> float:
     for j in range(k + 1):
         acc += (-1.0) ** j * math.comb(k, j) * float(f(t + (k / 2.0 - j) * h))
     return acc / h ** k
-
-
-def derivative_growth_slope(f, k: int, deltas=None, step_ratio: float = 16.0) -> float:
-    """Log-log slope of |f^(k)(delta)| versus delta, estimated by differences.
-
-    For a corner singularity t^(r+gamma) the slope approaches r + gamma - k
-    as delta -> 0. The step is delta / step_ratio, keeping the bias at the
-    (1/step_ratio)^2 level.
-    """
-    if deltas is None:
-        deltas = 2.0 ** -np.arange(4, 11)
-    deltas = np.asarray(deltas, dtype=float)
-    vals = np.array([abs(fd_derivative(f, d, k, d / step_ratio)) for d in deltas])
-    if np.any(vals == 0):
-        raise ValueError("finite-difference estimate vanished; cannot fit a slope")
-    logs = np.log(vals)
-    logd = np.log(deltas)
-    slope = np.polyfit(logd, logs, 1)[0]
-    return float(slope)

@@ -39,14 +39,6 @@ def _legendre_and_derivative(m: int, x: np.ndarray):
     return p, dp
 
 
-def legendre_polynomial(m: int, x):
-    """Evaluate the degree-m Legendre polynomial via the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    if m == 0:
-        return np.ones_like(x)
-    return _legendre_and_derivative(m, x)[0]
-
-
 @lru_cache(maxsize=None)
 def legendre_roots(m: int) -> np.ndarray:
     """Roots of the degree-m Legendre polynomial, sorted ascending.

@@ -35,9 +35,10 @@ flattened weight array per block of source cells, from tensor Gauss
 cubature over the same per-axis rules, and the consumers treat it as the
 one-axis case.
 
-The march calls the right side once on all nodes and looks up the donors
-of all boundary nodes at once; its cell loop keeps the history, inherited
-values, local solve (one inverse per cell shape) and residual check.
+The march calls the right side once on all nodes, looks up the donors of
+all boundary nodes at once and builds their basis rows per block of cells;
+its cell loop keeps the history, inherited values, local solve (one inverse
+per cell shape) and residual check, per axis where the inverse is shared.
 Cells whose predecessors are complete could be solved concurrently; this
 implementation is the single-threaded reference.
 """
@@ -59,7 +60,7 @@ from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
                    power_graded_mesh, shadow_matrix)
 from .quad import (_TABLE_BUDGET, _reference_nodes, _RowStore, _rules, kernel_moments,
                    stacked_kernel_moments)
-from .spline import LocalSpline, TensorSpline, _donated, _nodal, _unfilled
+from .spline import LocalSpline, TensorSpline, _inherited, _nodal, _unfilled
 
 
 @dataclass
@@ -340,15 +341,16 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     knowns inherited from that cell's spline (the one of lowest causal rank);
     all other nodal values are unknowns of the local dense system, solved with
     the inverse of its key (for h == 1 its ``_shape_key``, else the cell): from
-    ``_shape_matrix`` if cells share the key, else the cell's own matrix. Inverses
-    are kept while they hold ``_TABLE_BUDGET / 2`` doubles (and at least one). A
-    residual against the cell's own matrix must stay below ``_RESIDUAL_BOUND``.
+    ``_shape_matrix`` if cells share the key, else the cell's own dense matrix.
+    Inverses are kept while they hold ``_TABLE_BUDGET / 2`` doubles (and at least
+    one). The residual against the cell's own matrix, which a shared key applies
+    per axis from the cell's self weights, must stay below ``_RESIDUAL_BOUND``.
     Histories sum over predecessors in index order, so no value depends on the order.
 
-    What depends only on the covering comes before the loop: the right side
-    at all nodes and each node's donor (``_nodal``). A history gathers its
-    sources' rows of the spline's padded value table, and inherited nodes are
-    evaluated from its node tables; each solution is written in place.
+    Before the loop: the right side at all nodes and each node's donor
+    (``_nodal``); donor basis rows come per block of cells (``_inherited``). A
+    history gathers its sources' rows of the spline's padded value table; each
+    solution is written in place.
     """
     covering, nodesets, values, owned = spl.covering, spl.nodesets, spl.values, spl.owned
     if (covering.l, covering.T) != (problem.l, problem.T):
@@ -366,23 +368,23 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     # a cell's sources are its predecessors, then the cell itself
     cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
                           lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci))
+    inherited = _inherited(tables, nodal, order)
     for ci, srcs, moments in cells:
         pred_idx = srcs[:-1]
         if not done[pred_idx].all():
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
         shape = values[ci].shape
-        H = _history(moments, tables.values[pred_idx], shape)
-        W = _dense([w[0] for w in moments(len(pred_idx), len(srcs))])
-        W = W.reshape(shape + tables.values.shape[1:])[(Ellipsis,) + tuple(map(slice, shape))]
-        f, own, donors, pts = nodal[ci]
-        A = _local_matrix(W, own)
-        rhs = f + H.ravel()
-        rhs[~own] = _donated(tables, donors, pts)
-        key = keys[ci]
+        f, own = nodal[ci][:2]
+        rhs = f + _history(moments, tables.values[pred_idx], shape).ravel()
+        rhs[~own] = next(inherited)
+        W, key, A = [w[0] for w in moments(len(pred_idx), len(srcs))], keys[ci], None
+        if repeats[key] == 1:   # the cell inverts its own matrix
+            dense = _dense(W).reshape(shape + tables.values.shape[1:])
+            A = _local_matrix(dense[(Ellipsis,) + tuple(map(slice, shape))], own)
         if key not in inverses:
             try:
-                inv = np.linalg.inv(_shape_matrix(kern, nodesets[ci], own, quad_n)
-                                    if repeats[key] > 1 else A)
+                inv = np.linalg.inv(A if A is not None
+                                    else _shape_matrix(kern, nodesets[ci], own, quad_n))
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(f"singular local system on cell {ci} "
                                    f"(layer {covering.cells[ci].k})") from exc
@@ -390,7 +392,9 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
                 inverses = {}   # keep at least the new one
             inverses[key] = inv
         sol = inverses[key] @ rhs
-        res = float(np.max(np.abs(A @ sol - rhs)))
+        Ax = A @ sol if A is not None else np.where(own, sol - _contract(   # per axis
+            [w[:, :m] for w, m in zip(W, shape)], sol.reshape(shape)).ravel(), sol)
+        res = float(np.max(np.abs(Ax - rhs)))
         if not res <= _RESIDUAL_BOUND:   # a NaN residual fails too
             raise RuntimeError(f"local solve residual {res:.2e} > {_RESIDUAL_BOUND:.0e} "
                                f"on cell {ci}")

@@ -80,7 +80,8 @@ class TensorSpline:
             cells = self.cell_of(block)
             if np.any(cells < 0):
                 raise ValueError("evaluation point outside [0, T]^l")
-            out[start:start + step] = _donated(self.tables, cells, block)
+            rows = _donor_rows(self.tables, cells, block)
+            out[start:start + step] = _donated(self.tables, cells, rows)
         return float(out[0]) if scalar else out
 
     __call__ = eval
@@ -194,16 +195,38 @@ def _at_points(basis, vals: np.ndarray) -> np.ndarray:
     return np.einsum(spec + "->p", basis[0], vals, *basis[1:])
 
 
-def _donated(tables: SimpleNamespace, donors: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Value at each point (k, l) of the interpolant of its cell ``donors[i]``.
+def _donor_rows(tables: SimpleNamespace, donors: np.ndarray, pts: np.ndarray) -> list:
+    """Per axis, the barycentric rows (k, M_a) of points (k, l) in their donors' padded nodes."""
+    return [lagrange_basis_matrix(SimpleNamespace(nodes=ax.nodes[donors],
+                                                  weights=ax.weights[donors]), x)
+            for ax, x in zip(tables.axes, pts.T)]
 
-    One batched ``_at_points`` over a spline's ``tables``, with a
-    barycentric row per point and axis from its donor's padded nodes.
+
+def _donated(tables: SimpleNamespace, donors: np.ndarray, rows: list) -> np.ndarray:
+    """Value at each point of the interpolant of its cell ``donors[i]``, from the points'
+    ``_donor_rows``: one batched ``_at_points`` over a spline's ``tables``."""
+    return _at_points(rows, tables.values[donors])
+
+
+def _inherited(tables: SimpleNamespace, nodal: list, order):
+    """Yield the values of each cell's inherited nodes, cell after cell of ``order``.
+
+    ``nodal`` is ``_nodal``'s list. The donor rows depend on geometry only, so
+    one ``_donor_rows`` gives those of a block of consecutive cells: the cells
+    whose inherited nodes start in one stretch of about ``_TABLE_BUDGET``
+    doubles of rows, with their donors' gathered nodes and weights (3 M_a per
+    node and axis). A cell's ``_donated`` reads ``tables`` when the generator
+    reaches it, after the cells before it are written.
     """
-    basis = [lagrange_basis_matrix(SimpleNamespace(nodes=ax.nodes[donors],
-                                                   weights=ax.weights[donors]), x)
-             for ax, x in zip(tables.axes, pts.T)]
-    return _at_points(basis, tables.values[donors])
+    sizes = np.array([nodal[ci][2].size for ci in order], dtype=int)
+    step = max(1, _TABLE_BUDGET // (3 * sum(ax.nodes.shape[1] for ax in tables.axes)))
+    bounds = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // step)) + 1
+    for cells, counts in zip(np.split(order, bounds), np.split(sizes, bounds)):
+        rows = _donor_rows(tables, np.concatenate([nodal[ci][2] for ci in cells]),
+                           np.concatenate([nodal[ci][3] for ci in cells]))
+        cut = np.cumsum(counts)[:-1]
+        for ci, *cell_rows in zip(cells, *(np.split(r, cut) for r in rows)):
+            yield _donated(tables, nodal[ci][2], cell_rows)
 
 
 def build_tensor_spline(f, covering: Covering, degrees, order=None,
@@ -225,9 +248,9 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
     pos[order] = np.arange(covering.ncells)
     nodal = _nodal(spl, f, lambda cand, owner: np.where(pos[cand] < pos[owner], pos[cand],
                                                         covering.ncells))
-    for ci in order:
-        vals, own, donors, pts = nodal[ci]
-        vals[~own] = _donated(spl.tables, donors, pts)
+    for ci, inherited in zip(order, _inherited(spl.tables, nodal, order)):
+        vals, own = nodal[ci][:2]
+        vals[~own] = inherited
         spl.values[ci][...] = vals.reshape(spl.values[ci].shape)
         spl.owned[ci][...] = own.reshape(spl.values[ci].shape)
     return spl

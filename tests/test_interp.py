@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wsvie.interp import (FAMILIES, build_nodes, chebyshev1_roots, lagrange_basis_matrix,
-                          lebesgue_constant, legendre_polynomial, legendre_roots)
+from wsvie.interp import (FAMILIES, _legendre_and_derivative, build_nodes, chebyshev1_roots,
+                          lagrange_basis_matrix, lebesgue_constant, legendre_roots)
 
 
 class TestLegendreRoots:
@@ -18,7 +18,7 @@ class TestLegendreRoots:
     def test_residual_and_symmetry(self, m):
         roots = legendre_roots(m)
         assert len(np.unique(roots)) == m
-        assert np.max(np.abs(legendre_polynomial(m, roots))) <= 1e-13
+        assert np.max(np.abs(_legendre_and_derivative(m, roots)[0])) <= 1e-13
         assert roots == pytest.approx(-roots[::-1])
 
     def test_rejects_m0(self):

@@ -817,8 +817,9 @@ class TestReferenceMarch:
     # of a cell in one batch and the right side in one call, and gathers a
     # history's sources from one padded value array, whether node counts are
     # uniform, differ per cell (mixed-m, abel-1d) or the family is open.
-    # A "-blocks" case sums every history in blocks of four sources. Donors
-    # and owned masks match exactly, values to LOCAL_SOLVE_RTOL.
+    # A "-blocks" case sums every history in blocks of four sources and
+    # builds donor rows for a few nodes at a time. Donors and owned masks
+    # match exactly, values to LOCAL_SOLVE_RTOL.
     @pytest.mark.parametrize("case", [
         "qstar-4", "qstar-4-shuffled", "bstar-3", "bstar-3-shuffled", "qqstar-4",
         "qqstar-4-shuffled", "abel-1d-bstar-8", "mixed-m", "open", "h2-2d-qstar-2",
@@ -826,15 +827,18 @@ class TestReferenceMarch:
     def test_march_matches_per_cell_reference(self, case, monkeypatch):
         # the values, the owned masks and every cell's donors: with uniform
         # node counts the values do not show which of two donors holding a
-        # node gave its value
+        # node gave its value. Donors are logged where the march gathers the
+        # inherited values, one cell at a time
         import wsvie.solver as solver
+        import wsvie.spline as spline
 
         if case.endswith("-blocks"):
             monkeypatch.setattr(solver, "_TABLE_BUDGET", 100)
+            monkeypatch.setattr(spline, "_TABLE_BUDGET", 100)
         prob, solve, disc, order = _march_case(case)
-        donated, fast_log, ref_log = solver._donated, [], []
-        monkeypatch.setattr(solver, "_donated", lambda padded, donors, pts: (
-            fast_log.append(donors), donated(padded, donors, pts))[1])
+        donated, fast_log, ref_log = spline._donated, [], []
+        monkeypatch.setattr(spline, "_donated", lambda padded, donors, rows: (
+            fast_log.append(donors), donated(padded, donors, rows))[1])
         if solve is solve_1d:
             cov, order, tol = disc[0].covering(), causal_order(disc[0].covering()), 1e-10
             fast = solve(prob, *disc)
@@ -1084,6 +1088,56 @@ class TestShapeInverses:
         solve(prob, *disc)
         assert len(inverted) == 7
         assert len(shared) == len(set(shared)) == 5
+
+    def test_per_axis_work_per_cell(self, monkeypatch):
+        # B* N = 4: the march builds a dense local matrix only for its 2
+        # one-cell keys and its 5 _shape_matrix builds; the other cells check
+        # their residual per axis. Donor basis rows come once per block of
+        # cells and axis, not once per cell
+        import wsvie.solver as solver
+        import wsvie.spline as spline
+
+        local, dense, basis, rows = solver._local_matrix, [], spline.lagrange_basis_matrix, []
+        monkeypatch.setattr(solver, "_local_matrix", lambda W, own: (dense.append(own.size),
+                                                                     local(W, own))[1])
+        monkeypatch.setattr(spline, "lagrange_basis_matrix", lambda ns, x: (rows.append(x.size),
+                                                                            basis(ns, x))[1])
+        prob, solve, disc = _table_case("power-2d-bstar-4")
+        sol = solve(prob, *disc)
+        inheriting = sum(not own.all() for own in sol.owned)
+        assert len(dense) == 7 and inheriting > 50
+        assert len(rows) == 2 and rows[0] == rows[1] == sum((~o).sum() for o in sol.owned)
+        # blocks of about 100 nodes: one call per block and axis
+        rows.clear()
+        monkeypatch.setattr(spline, "_TABLE_BUDGET", 3 * 2 * disc[1] * 100)
+        small = solve(prob, *disc)
+        assert 2 < len(rows) < inheriting and rows[::2] == rows[1::2]
+        assert all(np.array_equal(a, b) for a, b in zip(sol.values, small.values))
+
+    def test_a_perturbed_shared_solution_fails(self, monkeypatch):
+        # the per-axis residual sees one owned node of a shared key's cell
+        # off by 1e-9, as the dense one did
+        import wsvie.solver as solver
+
+        inverse, shape_matrix, shared = solver.np.linalg.inv, solver._shape_matrix, []
+
+        class Off(np.ndarray):
+            def __matmul__(self, rhs):
+                out = np.asarray(self) @ rhs
+                out[np.flatnonzero(shared[0][1])[-1]] += 1e-9
+                return out
+
+        def matrix(kern, nsets, own, n):
+            shared.append((shape_matrix(kern, nsets, own, n), own))
+            return shared[-1][0]
+
+        monkeypatch.setattr(solver, "_shape_matrix", matrix)
+        monkeypatch.setattr(solver.np.linalg, "inv", lambda A: (
+            inverse(A).view(Off) if shared and A is shared[0][0] else inverse(A)))
+        prob, solve, disc = _table_case("power-2d-bstar-4")
+        with pytest.raises(RuntimeError, match="local solve residual"):
+            solve(prob, *disc)
+        assert len(shared) == 1
 
     def test_a_wrong_key_fails_loudly(self, monkeypatch):
         # every cell on the first cell's inverse: the residual against each

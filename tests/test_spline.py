@@ -214,7 +214,7 @@ class TestTensorSpline:
         from wsvie.interp import lagrange_basis_matrix
         from wsvie.mesh import shadow_matrix
         from wsvie.solver import preset_1d, preset_2d
-        from wsvie.spline import _donated, _nodal
+        from wsvie.spline import _donated, _donor_rows, _nodal
 
         kind, l, N = {"qstar-2d-8": ("q_star", 2, 8), "bstar-2d-5": ("b_star", 2, 5),
                       "qqstar-2d-4": ("q_double_star", 2, 4), "bstar-1d-16": ("b_star", 1, 16)}[which]
@@ -256,7 +256,7 @@ class TestTensorSpline:
             ref = refs[name]
             assert np.array_equal(cov.lookup(pts, priority), ref), name
             donors, at = ref[ref >= 0], pts[ref >= 0]
-            assert_evaluates(_donated(padded, donors, at), donors, at)
+            assert_evaluates(_donated(padded, donors, _donor_rows(padded, donors, at)), donors, at)
         out = spl.cell_of(pts)
         assert np.array_equal(out, refs["rank"])
         assert_evaluates(spl.eval(pts[out >= 0]), out[out >= 0], pts[out >= 0])
