@@ -113,7 +113,7 @@ class Covering:
         return len(self.cells)
 
     def causal_rank(self) -> np.ndarray:
-        """Position of each cell in the canonical causal order (cached).
+        """Position of each cell in the canonical causal order (cached, read-only).
 
         Boundary points and inherited nodes resolve to the containing cell of
         minimal rank: the cell that computed the shared values first.
@@ -121,6 +121,7 @@ class Covering:
         if not hasattr(self, "_causal_rank"):
             rank = np.empty(self.ncells, dtype=int)
             rank[causal_order(self)] = np.arange(self.ncells)
+            rank.flags.writeable = False
             self._causal_rank = rank
         return self._causal_rank
 
@@ -292,9 +293,12 @@ def shadow_matrix(covering: Covering) -> np.ndarray:
     """
     if not hasattr(covering, "_shadow"):
         lo, hi = covering.lo_array, covering.hi_array
-        covering._shadow = np.all(lo[:, None, :] < hi[None, :, :], axis=2)
-        np.fill_diagonal(covering._shadow, False)
-        covering._shadow.flags.writeable = False
+        S = lo[:, None, 0] < hi[None, :, 0]
+        for a in range(1, covering.l):   # one (n, n) comparison per axis
+            S &= lo[:, None, a] < hi[None, :, a]
+        np.fill_diagonal(S, False)
+        S.flags.writeable = False
+        covering._shadow = S
     return covering._shadow
 
 
@@ -304,25 +308,28 @@ def causal_order(covering: Covering) -> list[int]:
     Cells are emitted by a priority topological sort keyed by edge lengths
     (smaller cells first: a shape's cells stay together), then ascending sum of
     lower-corner coordinates with lexicographic tie-break on the lower corner,
-    so the key order is produced verbatim whenever it already respects the
-    relation. A cycle (impossible for boxes with disjoint interiors) raises.
+    then index, so the key order is produced verbatim whenever it already
+    respects the relation. One ``np.lexsort`` ranks the keys; the heap holds
+    integer ranks, and each emitted cell lowers its successors' in-degrees
+    with one vector update. A cycle (impossible for boxes with disjoint
+    interiors) raises.
     """
-    n = covering.ncells
     S = shadow_matrix(covering)
-    indeg = S.sum(axis=0).astype(int)
+    indeg = S.sum(axis=0)
     lo, width = covering.lo_array, covering.hi_array - covering.lo_array
-    keys = [(tuple(width[i]), float(lo[i].sum()), tuple(lo[i]), i) for i in range(n)]
-    ready = [keys[i] for i in range(n) if indeg[i] == 0]
+    by_key = np.lexsort([*lo.T[::-1], lo.sum(axis=1), *width.T[::-1]])   # last key first
+    prio = np.empty_like(by_key)
+    prio[by_key] = np.arange(by_key.size)
+    ready = prio[indeg == 0].tolist()
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
-        *_, i = heapq.heappop(ready)
+        i = int(by_key[heapq.heappop(ready)])
         order.append(i)
-        for j in np.nonzero(S[i])[0]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, keys[j])
-    if len(order) != n:
+        indeg -= S[i]
+        for p in prio[S[i] & (indeg == 0)].tolist():
+            heapq.heappush(ready, p)
+    if len(order) != covering.ncells:
         raise RuntimeError("shadow relation is cyclic; covering cells are inconsistent")
     return order
 

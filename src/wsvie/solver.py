@@ -55,9 +55,8 @@ import numpy as np
 
 from .interp import build_nodes, lagrange_basis_matrix
 from .interp import geometric_degree_schedule, geometric_global_degree, power_degree_schedule
-from .mesh import (Covering, GradedMesh, boundary_layer_covering, causal_order,
-                   corner_layer_covering, geometric_covering, geometric_mesh,
-                   power_graded_mesh, shadow_matrix)
+from .mesh import (Covering, GradedMesh, boundary_layer_covering, corner_layer_covering,
+                   geometric_covering, geometric_mesh, power_graded_mesh, shadow_matrix)
 from .quad import (_TABLE_BUDGET, _reference_nodes, _RowStore, _rules, kernel_moments,
                    stacked_kernel_moments)
 from .spline import LocalSpline, TensorSpline, _inherited, _nodal, _unfilled
@@ -285,8 +284,9 @@ def _history(moments, values, shape) -> np.ndarray:
     and ``shape`` the target grid's. Sources are taken in blocks whose
     weights hold about ``_TABLE_BUDGET`` doubles; each block is one batched
     ``_contract``, with its values flattened when a smooth factor flattens
-    the axes. An accumulation sums the block after the sum so far, in
-    source order: ``sum`` adds pairwise.
+    the axes. Each block is summed after the sum so far, in source order:
+    numpy reduces the sources of a grid of several points one after another,
+    but those of a one-point grid pairwise, so that grid accumulates.
     """
     out = np.zeros(shape)
     step = max(1, _TABLE_BUDGET // math.prod(shape))
@@ -297,7 +297,7 @@ def _history(moments, values, shape) -> np.ndarray:
         one = (slice(None),) + (None,) * (len(W) - 1)
         parts = _contract([w[one] for w in W], block[:, None])[:, 0]
         parts[0] += out.reshape(parts[0].shape)
-        out = np.add.accumulate(parts)[-1]   # in order, even for a 1 x 1 grid
+        out = np.add.reduce(parts) if parts[0].size > 1 else np.add.accumulate(parts)[-1]
     return out.reshape(shape)
 
 
@@ -415,7 +415,8 @@ def solve_1d(problem: VieProblem, mesh: GradedMesh, schedule,
     if problem.l != 1:
         raise ValueError("solve_1d requires a 1-dimensional problem")
     cov = mesh.covering()
-    return _march(problem, _unfilled(cov, schedule, family, LocalSpline), causal_order(cov))
+    order = np.argsort(cov.causal_rank()).tolist()
+    return _march(problem, _unfilled(cov, schedule, family, LocalSpline), order)
 
 
 def solve_2d(problem: VieProblem, covering: Covering, degree,

@@ -1,4 +1,6 @@
+import heapq
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -153,6 +155,51 @@ class TestGeometricCovering:
                 assert h_k - 1e-12 <= hi - lo <= 2 * h_k + 1e-12
 
 
+# Reference: the shadow matrix as one (n, n, l) comparison, and the causal
+# order as a heap of tuple keys whose in-degrees drop one successor at a time.
+
+def _reference_shadow(cov):
+    lo, hi = cov.lo_array, cov.hi_array
+    S = np.all(lo[:, None] < hi[None], axis=2)
+    np.fill_diagonal(S, False)
+    return S
+
+
+def _reference_causal_order(cov, S):
+    n = cov.ncells
+    indeg = S.sum(axis=0).astype(int)
+    lo, width = cov.lo_array, cov.hi_array - cov.lo_array
+    keys = [(tuple(width[i]), float(lo[i].sum()), tuple(lo[i]), i) for i in range(n)]
+    ready = [keys[i] for i in range(n) if indeg[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        *_, i = heapq.heappop(ready)
+        order.append(i)
+        for j in np.nonzero(S[i])[0]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, keys[j])
+    assert len(order) == n
+    return order
+
+
+_REFERENCE_COVERINGS = (
+    [(f"boundary-v{v}-{N}", partial(boundary_layer_covering, N, 1.0, 2, v))
+     for v in (2.0, 2.5) for N in range(1, 13)]
+    + [(f"corner-{N}", partial(corner_layer_covering, N, 1.0, 2, 2.0)) for N in range(1, 13)]
+    + [(f"geometric-{N}", partial(geometric_covering, N, 1.0, 2)) for N in range(1, 8)]
+    + [(f"{style}-l3-{N}", partial(build, N, 1.0, 3, *v)) for N in (2, 3)
+       for style, build, v in (("boundary", boundary_layer_covering, (2.0,)),
+                               ("boundary-v2.5", boundary_layer_covering, (2.5,)),
+                               ("corner", corner_layer_covering, (2.0,)),
+                               ("geometric", geometric_covering, ()))]
+    + [(f"1d-{kind}-{N}", lambda build=build, N=N: build(N).covering()) for N in (1, 4, 16, 40)
+       for kind, build in (("power", partial(power_graded_mesh, T=1.0, q=2.5)),
+                           ("geometric", partial(geometric_mesh, T=1.0)))]
+)
+
+
 class TestCausalOrder:
     def test_uniform_2x2_order(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.0)
@@ -187,6 +234,23 @@ class TestCausalOrder:
         lo, hi = cov.lo_array, cov.hi_array
         off_diagonal = ~np.eye(cov.ncells, dtype=bool)
         assert np.array_equal(S, np.all(lo[:, None] < hi[None], axis=2) & off_diagonal)
+
+    def test_causal_rank_is_read_only(self):
+        # donor priority, cell_of and the default order of every later solve read it
+        cov = boundary_layer_covering(3, 1.0, 2, 1.5)
+        rank = cov.causal_rank()
+        assert cov.causal_rank() is rank
+        with pytest.raises(ValueError):
+            rank[0] = cov.ncells
+        assert np.array_equal(np.sort(rank), np.arange(cov.ncells))
+
+    @pytest.mark.parametrize("build", [pytest.param(build, id=name)
+                                       for name, build in _REFERENCE_COVERINGS])
+    def test_order_and_shadow_equal_references(self, build):
+        cov = build()
+        S = _reference_shadow(cov)
+        assert np.array_equal(shadow_matrix(cov), S)
+        assert causal_order(cov) == _reference_causal_order(cov, S)
 
 
 class TestSerialization:

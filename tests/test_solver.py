@@ -970,6 +970,28 @@ class TestPerDimensionFormulas:
             else:
                 assert np.array_equal(new, old)
 
+    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("shape", [(5,), (1,), (3, 2), (1, 1)])
+    def test_history_sums_sources_in_index_order(self, shape, budget, monkeypatch):
+        # 1.0 then 299 values near 1e-16: one after another each rounds away,
+        # pairwise they add up, so any other order gives other bits
+        import wsvie.solver as solver
+
+        if budget is not None:   # several blocks
+            monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
+        k = 300
+        v = np.concatenate([[1.0], 1e-16 * (1.0 + np.arange(1, k) / k)])
+        expected = 0.0
+        for x in v:
+            expected += x
+        assert expected != math.fsum(v) and expected != np.sum(v)
+
+        def moments(lo, hi):
+            return [np.ones((hi - lo, m, 1)) for m in shape]
+
+        out = solver._history(moments, v.reshape((k,) + (1,) * len(shape)), shape)
+        assert np.array_equal(out, np.full(shape, expected))
+
     @pytest.mark.parametrize("l", [1, 2])
     def test_cubature(self, l):
         import wsvie.solver as solver
