@@ -416,9 +416,7 @@ def run_oracle_check(config: dict) -> ConvergenceReport:
     t0 = time.perf_counter()
     oracle = oracle_solve(problem, uniform_n)
     sol = _preset_solve(problem, params, N)
-    grids = np.meshgrid(*oracle.axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    dev = float(np.max(np.abs(sol.eval(pts).reshape(oracle.values.shape) - oracle.values)))
+    dev = float(np.max(np.abs(sol.eval_grid(oracle.axes) - oracle.values)))
     report.rows.append(ReportRow(N=N, n=n_functionals(sol), eps1=dev, eps2=dev,
                                  wall_time_ms=int(round((time.perf_counter() - t0) * 1000))))
     return report

@@ -462,9 +462,7 @@ def residual(problem: VieProblem, solution, samples) -> float:
     for i, _, moments in _cell_moments(problem.kernel, solution.nodesets, enumerate(grids),
                                        lambda _: np.arange(len(values))):
         mesh = np.meshgrid(*grids[i], indexing="ij")
-        pts = np.column_stack([g.ravel() for g in mesh])
-        kx = _history(moments, values, mesh[0].shape)
-        r = (solution.eval(pts).reshape(kx.shape) - kx
+        r = (solution.eval_grid(grids[i]) - _history(moments, values, mesh[0].shape)
              - np.asarray(problem.rhs(*mesh), dtype=float))
         worst.append(np.max(np.abs(r)))
     return float(np.max(worst))   # NaN propagates

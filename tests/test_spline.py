@@ -364,3 +364,113 @@ class TestTensorSpline:
         spl = build_tensor_spline(lambda a, b: a * b, cov, 3)
         with pytest.raises(ValueError):
             sup_error(spl, lambda a, b: a * b, 10)
+
+
+def _random_spline(which):
+    """A spline of random values per cell over a preset covering: it jumps by O(1)
+    across every face, so a face point read from the wrong cell shows."""
+    from wsvie.funclass import derive_class_params
+    from wsvie.solver import preset_1d, preset_2d
+    from wsvie.spline import _unfilled
+
+    kind, l, N = {"bstar-1d-16": ("b_star", 1, 16), "qstar-2d-4": ("q_star", 2, 4),
+                  "bstar-2d-3": ("b_star", 2, 3)}[which]
+    params = derive_class_params(2, 2.5 if kind == "q_star" else 0.5, kind, l=l)
+    if l == 1:
+        mesh, degrees, fam = preset_1d(params, N)
+        cov = mesh.covering()
+    else:
+        cov, degrees, fam = preset_2d(params, N)
+    spl = _unfilled(cov, degrees, fam)
+    rng = np.random.default_rng(5)
+    for v in spl.values:
+        v[...] = rng.standard_normal(v.shape)
+    return spl
+
+
+def _edge_axis(cov, a):
+    """Axis a's cell edges, each +-1 ulp, x (1 +- 5e-13) (inside the closure slack) and
+    x (1 +- 2e-12) (outside it), and 37 uniform points, all within the closure of [0, T].
+    The subnormal next to the edge 0 is left out: at it the barycentric quotients
+    overflow, in ``eval`` as in ``eval_grid``."""
+    edges = np.unique(np.concatenate([cov.lo_array[:, a], cov.hi_array[:, a]]))
+    near = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+    near += [edges * (1 + d) for d in (5e-13, -5e-13, 2e-12, -2e-12)]
+    x = np.unique(np.concatenate([edges, *near, np.linspace(0.0, cov.T, 37)]))
+    return x[(x == 0) | (x >= np.finfo(float).tiny) & (x <= cov.T * (1 + 5e-13))]
+
+
+class TestEvalGrid:
+    @pytest.mark.parametrize("which", ["bstar-1d-16", "qstar-2d-4", "bstar-2d-3"])
+    def test_matches_eval_at_and_near_every_face(self, which):
+        # each point's value comes from the cell cell_of picks: of the cells whose
+        # closure holds it, the one of lowest causal rank
+        spl = _random_spline(which)
+        l = spl.covering.l
+        axes = [_edge_axis(spl.covering, a) for a in range(l)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, l)
+        got = spl.eval_grid(axes)
+        assert got.shape == tuple(x.size for x in axes)
+        scale = np.max(np.abs(spl.node_values()))
+        assert np.max(np.abs(got.ravel() - spl.eval(pts))) <= 1e-13 * scale
+
+    def test_unsorted_axes_give_permuted_values(self):
+        spl = _random_spline("qstar-2d-4")
+        rng = np.random.default_rng(1)
+        axes = [_edge_axis(spl.covering, a) for a in range(2)]
+        perms = [rng.permutation(x.size) for x in axes]
+        got = spl.eval_grid([x[p] for x, p in zip(axes, perms)])
+        assert np.array_equal(got, spl.eval_grid(axes)[np.ix_(*perms)])
+
+    def test_points_outside_the_domain_raise(self):
+        spl, spl_1d = _random_spline("bstar-2d-3"), _random_spline("bstar-1d-16")
+        T, inside = spl.covering.T, np.linspace(0.0, spl.covering.T, 5)
+        for bad in (-1e-3, -1e-300, T * (1 + 2e-12), 2 * T, np.nan):
+            for axes in ([inside, np.append(inside, bad)], [np.append(inside, bad), inside]):
+                with pytest.raises(ValueError, match="outside"):
+                    spl.eval_grid(axes)
+            with pytest.raises(ValueError, match="outside"):
+                spl_1d.eval_grid([np.append(inside, bad)])
+        for axes in ([inside], [inside] * 3, [inside, inside[:, None]]):
+            with pytest.raises(ValueError, match="1-D coordinate arrays"):
+                spl.eval_grid(axes)
+
+    def test_nan_value_propagates_to_sup_error(self):
+        spl = _random_spline("qstar-2d-4")
+        spl.values[spl.cell_of(np.array([[0.5, 0.5]]))[0]][0, 0] = np.nan
+        assert np.isnan(sup_error(spl, lambda t1, t2: t1 * t2))
+
+    @pytest.mark.parametrize("kind, N", [("b_star", 3), ("q_star", 4)])
+    def test_sup_error_matches_the_point_path_on_solutions(self, kind, N):
+        from wsvie.cli import get_problem
+        from wsvie.funclass import derive_class_params
+        from wsvie.solver import preset_2d, solve_2d
+
+        prob = get_problem("corner-power-2d")
+        params = derive_class_params(2, 2.5 if kind == "q_star" else 0.5, kind, l=2)
+        sol = solve_2d(prob, *preset_2d(params, N))
+        axis = np.linspace(0.0, prob.T, 201)
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        point = np.max(np.abs(prob.exact(*pts.T) - sol.eval(pts)))
+        scale = np.max(np.abs(sol.node_values()))
+        assert abs(sup_error(sol, prob.exact, 201) - point) <= 1e-14 * scale
+
+    def test_basis_rows_once_per_axis_and_interval(self, monkeypatch):
+        import wsvie.spline as spline_module
+        from wsvie.interp import lagrange_basis_matrix
+
+        calls = []
+
+        def counted(nodeset, points):
+            calls.append((nodeset.a, nodeset.b))
+            return lagrange_basis_matrix(nodeset, points)
+
+        monkeypatch.setattr(spline_module, "lagrange_basis_matrix", counted)
+        spl = _random_spline("bstar-2d-3")
+        cov = spl.covering
+        # every cell holds grid points: the axes hold all edges
+        spl.eval_grid([_edge_axis(cov, a) for a in range(2)])
+        per_axis = [{(lo, hi) for lo, hi in zip(cov.lo_array[:, a], cov.hi_array[:, a])}
+                    for a in range(2)]
+        assert len(calls) == sum(map(len, per_axis))
+        assert set(calls) == per_axis[0] | per_axis[1]
