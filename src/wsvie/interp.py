@@ -93,15 +93,19 @@ def chebyshev1_roots(m: int) -> np.ndarray:
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    """Barycentric weights w_i = 1 / prod_{j != i}(x_i - x_j), rescaled to max 1."""
+    """Barycentric weights w_i = 1 / prod_{j != i}(x_i - x_j), rescaled to max 1.
+
+    ``nodes`` is one array of nodes, or rows of them padded with +inf, of weight 0.
+    """
     nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
+    valid = nodes != np.inf
+    x, n = np.where(valid, nodes, nodes[..., :1]), valid.sum(axis=-1, keepdims=True)
     # scaling by the capacity (b - a)/4 keeps products in range for large m
-    scale = 4.0 / (nodes[-1] - nodes[0]) if n > 1 else 1.0
-    diff = (nodes[:, None] - nodes[None, :]) * scale
-    np.fill_diagonal(diff, 1.0)
-    w = 1.0 / diff.prod(axis=1)
-    return w / np.max(np.abs(w))
+    scale = 4.0 / np.where(n > 1, np.take_along_axis(x, n - 1, -1) - x[..., :1], 4.0)
+    diff = (x[..., :, None] - x[..., None, :]) * scale[..., None]
+    diff[~valid[..., None, :] | np.eye(x.shape[-1], dtype=bool)] = 1.0
+    w = np.divide(1.0, diff.prod(axis=-1), out=np.zeros(x.shape), where=valid)
+    return w / np.max(np.abs(w), axis=-1, keepdims=True)
 
 
 @dataclass
@@ -131,49 +135,58 @@ class NodeSet:
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
-        if np.any(np.diff(self.nodes) <= 0):
+        if (self.nodes[1:] <= self.nodes[:-1]).any():
             raise ValueError("nodes must be strictly increasing (duplicates present)")
         if self.weights is None:
             self.weights = barycentric_weights(self.nodes)
 
 
-def build_nodes(segment, family: str, m: int) -> NodeSet:
-    """Construct a NodeSet on ``segment`` = (a, b).
+def node_table(a, b, family: str, m):
+    """Nodes and barycentric weights on S segments [a[s], b[s]] with m[s] nodes each.
 
-    Interior reference roots y_j are mapped by the midpoint form
-    (a + b)/2 + (b - a)/2 * y_j.
+    Two arrays (S, M), M the largest m[s]: row s holds the segment's nodes,
+    then +inf, and their weights, then 0. Reference roots y_j are mapped by
+    the midpoint form (a + b)/2 + (b - a)/2 * y_j, all rows in one vector step.
     """
-    a, b = float(segment[0]), float(segment[1])
-    if not a < b:
-        raise ValueError(f"segment must satisfy a < b, got ({a}, {b})")
+    a, b, m = np.asarray(a, float), np.asarray(b, float), np.asarray(m, int)
+    for s in np.flatnonzero(~(a < b))[:1]:
+        raise ValueError(f"segment must satisfy a < b, got ({a[s]}, {b[s]})")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    if family in _CLOSED_FAMILIES:
-        if m < 2:
-            raise ValueError(f"family {family!r} needs m >= 2, got {m}")
-        roots = np.empty(0)
-        if m > 2:
-            roots = legendre_roots(m - 2) if family == "legendre_closed" else chebyshev1_roots(m - 2)
-        nodes = np.concatenate([[a], mid + half * roots, [b]])
-    else:
-        if m < 1:
-            raise ValueError(f"family {family!r} needs m >= 1, got {m}")
-        nodes = mid + half * chebyshev1_roots(m)
-    return NodeSet(a=a, b=b, family=family, m=m, nodes=nodes)
+    closed = int(family in _CLOSED_FAMILIES)
+    if np.any(m < 1 + closed):
+        raise ValueError(f"family {family!r} needs m >= {1 + closed}, got {m.min()}")
+    roots = legendre_roots if family == "legendre_closed" else chebyshev1_roots
+    counts, inverse = np.unique(m, return_inverse=True)
+    ref = np.full((counts.size, counts[-1]), np.inf)   # per node count: the roots, ends at 0
+    for i, k in enumerate(counts.tolist()):
+        ref[i, :k] = 0.0
+        ref[i, closed:k - closed] = roots(k - 2 * closed) if k > 2 * closed else ()
+    nodes = (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * ref[inverse.ravel()]
+    if closed:
+        nodes[:, 0], nodes[np.arange(m.size), m - 1] = a, b
+    return nodes, barycentric_weights(nodes)
+
+
+def build_nodes(segment, family: str, m: int) -> NodeSet:
+    """Construct a NodeSet on ``segment`` = (a, b): the one-segment ``node_table``."""
+    a, b = float(segment[0]), float(segment[1])
+    nodes, weights = node_table([a], [b], family, [m])
+    return NodeSet(a=a, b=b, family=family, m=m, nodes=nodes[0], weights=weights[0])
 
 
 def lagrange_basis_matrix(nodeset: NodeSet, points) -> np.ndarray:
     """Evaluate all fundamental polynomials at ``points``, of any shape.
 
     Returns an array of shape points.shape + (m,) (a scalar counts as one
-    point) of the l_j at the points, with exact unit rows at nodes. Nodes and
+    point) of the l_j at the points, with exact unit rows at nodes and at points
+    a subnormal distance from one, where the quotients would overflow. Nodes and
     weights of shape (k, m) give each of k points a node set of its own.
     """
     basis = np.atleast_1d(np.asarray(points, float))[..., None] - nodeset.nodes
-    hit = basis == 0.0
+    hit = np.abs(basis) < np.finfo(float).tiny
     hit_row = hit.any(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(nodeset.weights, basis, out=basis)
         basis /= basis.sum(axis=-1, keepdims=True)
     if hit_row.any():

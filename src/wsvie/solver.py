@@ -35,9 +35,13 @@ flattened weight array per block of source cells, from tensor Gauss
 cubature over the same per-axis rules, and the consumers treat it as the
 one-axis case.
 
-The march calls the right side once on all nodes, looks up the donors of
-all boundary nodes at once and builds their basis rows per block of cells;
-its cell loop keeps the history, inherited values, local solve (one inverse
+What a solve derives from its geometry alone is built once per solve, in
+vector steps: the node sets of all distinct (interval, node count) pairs
+(``spline._unfilled``), the right side at all nodes and the donors of all
+boundary nodes, in flat arrays sliced per cell (``_nodal``), the reference
+self-moments per (family, m, p) (``_shape_matrix``), and the chunk plan of
+``_cell_moments`` on integer ids. Donor basis rows come per block of cells.
+The cell loop keeps the history, inherited values, local solve (one inverse
 per cell shape) and residual check, per axis where the inverse is shared.
 Cells whose predecessors are complete could be solved concurrently; this
 implementation is the single-threaded reference.
@@ -49,7 +53,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -158,6 +163,10 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       long as this generator. A chunk grows while its tables and the store
       hold at most ``_TABLE_BUDGET`` doubles (a cell count would not do,
       since the table width grows with m), and takes at least one target.
+      It is planned on integer ids, of the distinct coordinates of all
+      targets (one ``np.unique`` per axis) and of the source intervals: a
+      target's and a chunk's ids are ``_bitsets``, and a target's table rows
+      a lookup of its coordinate ids. Sources are looked up 64 targets ahead.
       Its tables go when the next chunk's are built; moments drawn later raise.
     * with a smooth factor, or without a kernel, a single axis: one array of
       shape (hi - lo, grid size, M_1 * ... * M_l) (see ``_cubature``).
@@ -174,41 +183,59 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             yield key, srcs, partial(_cubature, kern, grid, [nodesets[d] for d in srcs], quad_n,
                                      widths)
         return
-    kid, reps = [], []   # per axis: each cell's interval id, one NodeSet per id
-    for a in range(len(kern.exponents)):
-        index: dict = {}
-        kid.append(np.array([index.setdefault((n[a].a, n[a].b, n[a].m), len(index))
-                             for n in nodesets]))
-        reps.append([nodesets[ci][a] for ci in np.unique(kid[a], return_index=True)[1]])
-    ms = [np.array([ns.m for ns in r]) for r in reps]
+    axes = []   # per axis: the integer ids that chunks are planned on
+    for a, p in enumerate(kern.exponents):
+        keys = [(n[a].m, n[a].a, n[a].b) for n in nodesets]   # a cell's source interval
+        index = {key: i for i, key in enumerate(sorted(set(keys)))}   # ids in order of m
+        kid, reps = np.array([index[key] for key in keys]), np.empty(len(index), dtype=object)
+        reps[kid] = [n[a] for n in nodesets]   # one NodeSet per id
+        x, cid = np.unique(np.concatenate([g[a] for _, g in targets]), return_inverse=True)
+        axes.append(SimpleNamespace(  # ``top`` by a bitset's bit length: its largest m
+            p=p, kid=kid, reps=reps, ends=np.array(list(index))[:, 1:],
+            top=np.array([0] + [m for m, _, _ in index]), x=x, cid=cid.ravel(),
+            off=np.append(0, np.cumsum([g[a].size for _, g in targets]))))
+    srcs, bits = [], []   # per target until yielded: its sources; per axis, its id bitsets
     store, tables, pos = _RowStore(_TABLE_BUDGET // 2), [], 0
     while pos < len(targets):
-        used = [np.zeros(len(r), dtype=bool) for r in reps]
-        coords = [set() for _ in reps]
-        chunk = []
-        for key, grid in targets[pos:]:
-            srcs = sources(key)
-            grown = [u.copy() for u in used]
-            for u, k in zip(grown, kid):
-                u[k[srcs]] = True
-            wider = [c.union(x.tolist()) for c, x in zip(coords, grid)]
-            size = sum(len(c) * m[u].max(initial=0) * u.sum() for c, m, u in zip(wider, ms, grown))
-            if chunk and size > _TABLE_BUDGET - store.size:
+        end, chunk = pos, [(0, 0)] * len(axes)   # per axis: the chunk's coordinates, intervals
+        while end < len(targets):
+            if end == len(bits):   # the sources and bitsets of the next 64 targets
+                srcs += [sources(key) for key, _ in targets[end:end + 64]]
+                cut = np.append(0, np.cumsum([s.size for s in srcs[end:]]))
+                cat = np.concatenate(srcs[end:])
+                bits += zip(*[zip(_bitsets(ax.off[end:len(srcs) + 1], ax.cid, ax.x.size),
+                                  _bitsets(cut, ax.kid[cat], len(ax.reps))) for ax in axes])
+            grown = [(c | bc, i | bi) for (c, i), (bc, bi) in zip(chunk, bits[end])]
+            size = sum(c.bit_count() * ax.top[i.bit_length()] * i.bit_count()
+                       for (c, i), ax in zip(grown, axes))
+            if end > pos and size > _TABLE_BUDGET - store.size:
                 break
-            used, coords = grown, wider
-            chunk.append((key, grid, srcs))
-        pos += len(chunk)
+            chunk, end = grown, end + 1
         tables.clear()   # free the last chunk's tables first; a late gather of them raises
-        tables = []
-        for p, r, u, c in zip(kern.exponents, reps, used, coords):
-            x = np.array(sorted(c))
-            ns = [r[i] for i in np.flatnonzero(u)]
-            tables.append((x, np.cumsum(u) - 1, stacked_kernel_moments(   # no local keeps it
-                x, p, [n.a for n in ns], [n.b for n in ns], ns, quad_n, store)))
-        for key, grid, srcs in chunk:
-            rows = [np.searchsorted(x, g) for (x, _, _), g in zip(tables, grid)]
-            sel = [local[k[srcs]] for (_, local, _), k in zip(tables, kid)]
-            yield key, srcs, partial(_gather, tables, rows, sel, widths)
+        tables, rows, sel, cat = [], [], [], np.concatenate(srcs[pos:end])
+        for ax in axes:   # the ids of the chunk's coordinates and intervals, as masks
+            near, used = np.zeros(ax.x.size, dtype=bool), np.zeros(len(ax.reps), dtype=bool)
+            near[ax.cid[ax.off[pos]:ax.off[end]]] = used[ax.kid[cat]] = True
+            tables.append(stacked_kernel_moments(   # no local keeps it
+                ax.x[near], ax.p, *ax.ends[used].T, ax.reps[used], quad_n, store))
+            rows.append(np.cumsum(near) - 1)   # a coordinate id's row in the chunk's tables
+            sel.append(np.cumsum(used) - 1)
+        for t in range(pos, end):
+            yield targets[t][0], srcs[t], partial(
+                _gather, tables, [r[ax.cid[ax.off[t]:ax.off[t + 1]]] for r, ax in zip(rows, axes)],
+                [s[ax.kid[srcs[t]]] for s, ax in zip(sel, axes)], widths)
+            srcs[t] = bits[t] = None
+        pos = end
+
+
+def _bitsets(off, ids, n: int) -> list:
+    """Per group ids[off[g]:off[g + 1]] of ids below n, an int with those bits set."""
+    held = np.zeros((len(off) - 1, n), dtype=bool)
+    flat = np.repeat(np.arange(0, held.size, n), np.diff(off)) + ids[off[0]:off[-1]]
+    held.reshape(-1)[flat] = True
+    packed = np.packbits(held, axis=1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[g * w:g * w + w], "little") for g in range(len(held))]
 
 
 def _gauss_count(nodesets) -> int:
@@ -218,7 +245,7 @@ def _gauss_count(nodesets) -> int:
 
 def _gather(tables, rows, sel, widths, lo: int, hi: int) -> list:
     """Per-axis moments of sources sel[a][lo:hi] at the target ``rows``, padded to ``widths``."""
-    out = [tab[s[lo:hi, None], r] for (_, _, tab), r, s in zip(tables, rows, sel, strict=True)]
+    out = [tab[s[lo:hi, None], r] for tab, r, s in zip(tables, rows, sel, strict=True)]
     return [w if w.shape[-1] == M else np.pad(w, [(0, 0), (0, 0), (0, M - w.shape[-1])])
             for w, M in zip(out, widths)]
 
@@ -324,13 +351,13 @@ def _shape_key(nsets, own) -> tuple:
     return tuple((ns.family, ns.m, ns.b - ns.a) for ns in nsets), own.tobytes()
 
 
-def _shape_matrix(kern: KernelSpec, nsets, own, n: int) -> np.ndarray:
+def _shape_matrix(kern: KernelSpec, nsets, own, reference) -> np.ndarray:
     """The local matrix, for h == 1, of every cell of one ``_shape_key``: axis a's
-    self weights are ((b - a) / 2)^(p_a + 1) times the moments of the reference
-    node set on [-1, 1] at its own nodes, ``n`` Gauss points per panel."""
-    weights = [(0.5 * (ns.b - ns.a)) ** (p + 1.0) * kernel_moments(ref.nodes, p, -1.0, 1.0, ref, n)
-               for p, ns in zip(kern.exponents, nsets)
-               for ref in [_reference_nodes((-1.0, 1.0), ns.family, ns.m)]]
+    self weights are ((b - a) / 2)^(p_a + 1) times ``reference(family, m, p_a)``,
+    the moments of the reference node set on [-1, 1] at its own nodes, which
+    ``_march`` computes once per (family, m, p) and solve."""
+    weights = [(0.5 * (ns.b - ns.a)) ** (p + 1.0) * reference(ns.family, ns.m, p)
+               for p, ns in zip(kern.exponents, nsets)]
     return _local_matrix(_dense(weights), own)
 
 
@@ -357,13 +384,19 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
         raise ValueError(f"the mesh spans [0, {covering.T}]^{covering.l}, "
                          f"the problem [0, {problem.T}]^{problem.l}")
     kern, tables, inverses, quad_n = problem.kernel, spl.tables, {}, _gauss_count(nodesets)
+
+    @lru_cache(maxsize=None)   # the reference self-moments, once per (family, m, p) and solve
+    def reference(family, m, p):
+        ref = _reference_nodes((-1.0, 1.0), family, m)
+        return kernel_moments(ref.nodes, p, -1.0, 1.0, ref, quad_n)
     shadow = shadow_matrix(covering)
     rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
     nodal = _nodal(spl, problem.rhs, lambda cand, owner: np.where(shadow[cand, owner], rank[cand],
                                                                   covering.ncells))
     shared = kern is not None and kern.smooth_factor is None   # h == 1
-    keys = [_shape_key(nodesets[ci], n[1]) if shared else ci for ci, n in enumerate(nodal)]
+    keys = [_shape_key(nodesets[ci], nodal.own[c]) if shared else ci
+            for ci, c in enumerate(nodal.cells)]
     repeats = Counter(keys)
     # a cell's sources are its predecessors, then the cell itself
     cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
@@ -374,7 +407,7 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
         if not done[pred_idx].all():
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
         shape = values[ci].shape
-        f, own = nodal[ci][:2]
+        f, own = nodal.f[nodal.cells[ci]], nodal.own[nodal.cells[ci]]
         rhs = f + _history(moments, tables.values[pred_idx], shape).ravel()
         rhs[~own] = next(inherited)
         W, key, A = [w[0] for w in moments(len(pred_idx), len(srcs))], keys[ci], None
@@ -384,7 +417,7 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
         if key not in inverses:
             try:
                 inv = np.linalg.inv(A if A is not None
-                                    else _shape_matrix(kern, nodesets[ci], own, quad_n))
+                                    else _shape_matrix(kern, nodesets[ci], own, reference))
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(f"singular local system on cell {ci} "
                                    f"(layer {covering.cells[ci].k})") from exc

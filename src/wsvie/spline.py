@@ -12,12 +12,11 @@ immutable in practice and thread-safe to evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 
-from .interp import _CLOSED_FAMILIES, build_nodes, lagrange_basis_matrix
+from .interp import _CLOSED_FAMILIES, NodeSet, build_nodes, lagrange_basis_matrix, node_table
 from .mesh import Covering, causal_order, closure_bounds, covering_from_dict, least
 from .quad import _TABLE_BUDGET
 
@@ -31,7 +30,8 @@ class TensorSpline:
 
     The constructor builds the padded ``tables`` once (``_padded``, values 0 when
     absent). ``values`` and ``owned`` become tuples: each ``values[ci]`` is a view of
-    its cell's corner there, written in place, and rebinding one raises.
+    its cell's corner there, written in place, and rebinding one raises. An absent
+    ``owned`` becomes such views of a copy of ``lead``: every node owned.
     """
 
     covering: Covering
@@ -47,9 +47,10 @@ class TensorSpline:
         if self.values is not None and [np.shape(v) for v in self.values] != shapes:
             raise ValueError("value arrays do not match the cells' node counts")
         self.tables = _padded(self.nodesets, () if self.values is None else self.values)
-        self.values = tuple(v[tuple(map(slice, s))] for v, s in zip(self.tables.values, shapes))
-        owned = map(np.ones, shapes) if self.owned is None else self.owned   # all, when absent
-        self.owned = tuple(np.array(o, dtype=bool) for o in owned)
+        corners = [tuple(map(slice, s)) for s in shapes]
+        self.values = tuple(v[c] for v, c in zip(self.tables.values, corners))
+        self.owned = (tuple(o[c] for o, c in zip(self.tables.lead.copy(), corners))
+                      if self.owned is None else tuple(np.array(o, dtype=bool) for o in self.owned))
 
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
         """Containing cell per point, of lowest causal rank on a shared face; -1 outside."""
@@ -187,37 +188,46 @@ def _unfilled(covering: Covering, degrees, family: str, kind=TensorSpline):
     """A spline of type ``kind`` with every cell's nodes, zero values and all nodes owned.
 
     ``degrees`` is one node count per axis for every cell, or a list with
-    one count per cell. Cells share a NodeSet per distinct interval and node
-    count.
+    one count per cell. The cells share a NodeSet per distinct interval and
+    node count, of any axis: one ``node_table`` builds them all, once per solve.
     """
     degrees = [degrees] * covering.ncells if isinstance(degrees, int) else list(degrees)
     if len(degrees) != covering.ncells:
         raise ValueError(f"{len(degrees)} node counts for {covering.ncells} cells")
-    nodes = lru_cache(maxsize=None)(lambda a, b, m: build_nodes((a, b), family, m))
-    return kind(covering, [tuple(nodes(cell.lo[a], cell.hi[a], m) for a in range(covering.l))
-                           for cell, m in zip(covering.cells, degrees)])
+    keys = np.column_stack([covering.lo_array.T.ravel(), covering.hi_array.T.ravel(),
+                            np.tile(degrees, covering.l)])   # (a, b, m), axis after axis
+    keys, cells = np.unique(keys, axis=0, return_inverse=True)
+    lo, hi, ms = keys[:, 0].tolist(), keys[:, 1].tolist(), keys[:, 2].astype(int).tolist()
+    sets = [NodeSet(a, b, family, m, n[:m], w[:m])
+            for a, b, m, n, w in zip(lo, hi, ms, *node_table(lo, hi, family, ms))]
+    cells = cells.reshape(covering.l, -1).tolist()
+    return kind(covering, list(zip(*([sets[i] for i in ids] for ids in cells))))
 
 
-def _nodal(spline: TensorSpline, f, priority) -> list:
-    """Per cell: f at its nodes, its owned-node mask, and the donors and points of the others.
+def _nodal(spline: TensorSpline, f, priority) -> SimpleNamespace:
+    """f at every node, the owned-node mask, and the donors and points of the others,
+    once per solve: flat arrays, with a cell's pieces the slices ``cells[ci]`` of
+    ``f`` and ``own`` and ``inherit[ci]`` of ``donors`` and ``pts``.
 
-    Nodes are flattened as in ``node_grid``. ``priority(cand, owner)`` ranks the
-    candidate donors (n, K) of nodes of the cells owner (n, 1), ``ncells`` for a
-    non-donor; the least wins. Only boundary nodes (for closed families, first
-    or last on an axis) can lie on another cell's closure: they are looked up.
+    Nodes are flattened cell after cell, each as in ``node_grid``. ``priority(cand,
+    owner)`` ranks the candidate donors (n, K) of nodes of the cells owner (n, 1),
+    ``ncells`` for a non-donor; the least wins. Only boundary nodes (for closed
+    families, first or last on an axis) can lie on another cell's closure: they
+    are looked up.
     """
     cov = spline.covering
     pts = spline.node_points().reshape(-1, cov.l)
-    sizes = [v.size for v in spline.values]
+    sizes = np.count_nonzero(spline.tables.lead.reshape(cov.ncells, -1), axis=1)
     owner = np.repeat(np.arange(cov.ncells), sizes)
     face = np.flatnonzero(np.any((pts == cov.lo_array[owner]) | (pts == cov.hi_array[owner]), 1))
     cand = cov.candidates(pts[face])
     donors = least(cand, priority(cand, owner[face, None]), cov.ncells)
-    node, donors = face[donors >= 0], donors[donors >= 0]
-    own = np.bincount(node, minlength=pts.shape[0]) == 0
-    cut, at = np.cumsum(sizes)[:-1], np.searchsorted(node, np.cumsum(sizes)[:-1])
-    return list(zip(np.split(np.asarray(f(*pts.T), dtype=float), cut), np.split(own, cut),
-                    np.split(donors, at), np.split(pts[node], at)))
+    node, start = face[donors >= 0], np.append(0, np.cumsum(sizes))
+    cells, inherit = ([*map(slice, o[:-1], o[1:])]
+                      for o in (start.tolist(), np.searchsorted(node, start).tolist()))
+    return SimpleNamespace(f=np.asarray(f(*pts.T), dtype=float), cells=cells, inherit=inherit,
+                           own=np.bincount(node, minlength=pts.shape[0]) == 0,
+                           donors=donors[donors >= 0], pts=pts[node])
 
 
 def _at_points(basis, vals: np.ndarray) -> np.ndarray:
@@ -241,25 +251,26 @@ def _donated(tables: SimpleNamespace, donors: np.ndarray, rows: list) -> np.ndar
     return _at_points(rows, tables.values[donors])
 
 
-def _inherited(tables: SimpleNamespace, nodal: list, order):
+def _inherited(tables: SimpleNamespace, nodal: SimpleNamespace, order):
     """Yield the values of each cell's inherited nodes, cell after cell of ``order``.
 
-    ``nodal`` is ``_nodal``'s list. The donor rows depend on geometry only, so
+    ``nodal`` is ``_nodal``'s. The donor rows depend on geometry only, so
     one ``_donor_rows`` gives those of a block of consecutive cells: the cells
     whose inherited nodes start in one stretch of about ``_TABLE_BUDGET``
     doubles of rows, with their donors' gathered nodes and weights (3 M_a per
     node and axis). A cell's ``_donated`` reads ``tables`` when the generator
     reaches it, after the cells before it are written.
     """
-    sizes = np.array([nodal[ci][2].size for ci in order], dtype=int)
+    pick = nodal.inherit
+    sizes = np.array([pick[ci].stop - pick[ci].start for ci in order], dtype=int)
     step = max(1, _TABLE_BUDGET // (3 * sum(ax.nodes.shape[1] for ax in tables.axes)))
     bounds = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // step)) + 1
     for cells, counts in zip(np.split(order, bounds), np.split(sizes, bounds)):
-        rows = _donor_rows(tables, np.concatenate([nodal[ci][2] for ci in cells]),
-                           np.concatenate([nodal[ci][3] for ci in cells]))
+        rows = _donor_rows(tables, np.concatenate([nodal.donors[pick[ci]] for ci in cells]),
+                           np.concatenate([nodal.pts[pick[ci]] for ci in cells]))
         cut = np.cumsum(counts)[:-1]
         for ci, *cell_rows in zip(cells, *(np.split(r, cut) for r in rows)):
-            yield _donated(tables, nodal[ci][2], cell_rows)
+            yield _donated(tables, nodal.donors[pick[ci]], cell_rows)
 
 
 def build_tensor_spline(f, covering: Covering, degrees, order=None,
@@ -282,7 +293,7 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
     nodal = _nodal(spl, f, lambda cand, owner: np.where(pos[cand] < pos[owner], pos[cand],
                                                         covering.ncells))
     for ci, inherited in zip(order, _inherited(spl.tables, nodal, order)):
-        vals, own = nodal[ci][:2]
+        vals, own = nodal.f[nodal.cells[ci]], nodal.own[nodal.cells[ci]]
         vals[~own] = inherited
         spl.values[ci][...] = vals.reshape(spl.values[ci].shape)
         spl.owned[ci][...] = own.reshape(spl.values[ci].shape)

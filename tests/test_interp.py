@@ -98,6 +98,19 @@ class TestInterpolate:
         poly = lagrange_basis_matrix(ns, ns.nodes) @ vals
         assert poly == pytest.approx(vals, abs=0.0)
 
+    @pytest.mark.parametrize("family", ["legendre_closed", "chebyshev1_closed"])
+    def test_unit_rows_a_subnormal_distance_from_a_node(self, family):
+        # weights / (x - node) overflowed there, and the row normalised to inf / inf:
+        # a NaN, and under -W error a RuntimeWarning. Nodes at 0: the end of [0, 1]
+        # and the middle node of 5 on [-1, 1]
+        tiny = np.nextafter(0.0, 1.0)
+        for segment, j in (((0.0, 1.0), 0), ((-1.0, 1.0), 2)):
+            ns = build_nodes(segment, family, 5)
+            assert ns.nodes[j] == 0.0
+            x = np.array([-tiny, tiny, 2 * tiny, 1e3 * tiny])
+            x = x[x >= ns.a]
+            assert np.array_equal(lagrange_basis_matrix(ns, x), np.eye(5)[[j] * x.size])
+
     def test_duplicate_nodes_rejected(self):
         from wsvie.interp import NodeSet
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -496,6 +497,45 @@ def _counting(monkeypatch):
     return calls
 
 
+def _set_based_chunks(kern, nodesets, targets, sources):
+    """Reference for the chunks of ``solver._cell_moments`` (h == 1): its planner from
+    before integer ids, on Python sets of coordinates and per-target copies of the
+    used intervals. Returns per chunk and axis the table coordinates and the sorted
+    source intervals (a, b, m), and fills the same row store on the way."""
+    import wsvie.solver as solver
+    from wsvie.quad import _RowStore, stacked_kernel_moments
+
+    quad_n = min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
+    targets, kid, reps = list(targets), [], []
+    for a in range(len(kern.exponents)):
+        index: dict = {}
+        kid.append(np.array([index.setdefault((n[a].a, n[a].b, n[a].m), len(index))
+                             for n in nodesets]))
+        reps.append([nodesets[ci][a] for ci in np.unique(kid[a], return_index=True)[1]])
+    ms = [np.array([ns.m for ns in r]) for r in reps]
+    store, chunks, pos = _RowStore(solver._TABLE_BUDGET // 2), [], 0
+    while pos < len(targets):
+        used, coords = [np.zeros(len(r), dtype=bool) for r in reps], [set() for _ in reps]
+        for end, (key, grid) in enumerate(targets[pos:], pos):
+            grown = [u.copy() for u in used]
+            for u, k in zip(grown, kid):
+                u[k[sources(key)]] = True
+            wider = [c.union(x.tolist()) for c, x in zip(coords, grid)]
+            size = sum(len(c) * m[u].max(initial=0) * u.sum() for c, m, u in zip(wider, ms, grown))
+            if end > pos and size > solver._TABLE_BUDGET - store.size:
+                break
+            used, coords = grown, wider
+        else:
+            end = len(targets)
+        chunks.append([])
+        for p, r, u, c in zip(kern.exponents, reps, used, coords):
+            x, ns = np.array(sorted(c)), [r[i] for i in np.flatnonzero(u)]
+            stacked_kernel_moments(x, p, [n.a for n in ns], [n.b for n in ns], ns, quad_n, store)
+            chunks[-1].append((x, sorted((n.a, n.b, n.m) for n in ns)))
+        pos = end
+    return chunks
+
+
 class TestMomentTables:
     # h == 1 cases under the default table budget, one that splits the march
     # into many chunks, and one that gives every cell a chunk of its own and
@@ -553,6 +593,48 @@ class TestMomentTables:
             vals, shape = padded.values[srcs], fast.values[ci].shape
             assert np.array_equal(solver._history(M, vals, shape),
                                   solver._history(R, vals, shape))
+
+    @pytest.mark.parametrize("case, budget", [
+        *[(case, budget) for case in ("power-2d-qstar-8", "power-2d-bstar-3", "abel-1d-bstar-16")
+          for budget in (None, 1 << 13)], ("residual-2d-points", 1 << 12)])
+    def test_chunks_match_the_set_based_plan(self, case, budget, monkeypatch):
+        # the chunks planned on integer ids and bitsets are those of the greedy
+        # rule on sets: the same table coordinates and source intervals, chunk
+        # after chunk, with the row store filled alike
+        import wsvie.solver as solver
+        from wsvie.funclass import derive_class_params
+        from wsvie.spline import _unfilled
+
+        if budget is not None:
+            monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
+        if case == "residual-2d-points":
+            prob = get_problem("corner-power-2d")
+            spl = _unfilled(*preset_2d(derive_class_params(2, 0.5, "b_star", l=2), 2))
+            pts = np.random.default_rng(5).random((40, 2))
+            args = (prob.kernel, spl.nodesets, [(i, (pt[:1], pt[1:])) for i, pt in enumerate(pts)],
+                    lambda _: np.arange(spl.covering.ncells))
+        else:
+            prob, _, disc = _table_case(case)
+            cov = disc[0].covering() if prob.l == 1 else disc[0]
+            nodesets = _unfilled(cov, *disc[1:]).nodesets
+            shadow = shadow_matrix(cov)
+            args = (prob.kernel, nodesets,
+                    list(solver._node_grids(nodesets, np.argsort(cov.causal_rank()))),
+                    lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci))
+        expected = _set_based_chunks(*args)
+        got, moments = [], solver.stacked_kernel_moments
+
+        def recorded(x, p, a, b, nodesets, n, rows):
+            got.append((x, sorted(zip(np.asarray(a).tolist(), np.asarray(b).tolist(),
+                                      [ns.m for ns in nodesets]))))
+            return moments(x, p, a, b, nodesets, n, rows)
+
+        monkeypatch.setattr(solver, "stacked_kernel_moments", recorded)
+        assert len(list(solver._cell_moments(*args))) == len(args[2])
+        assert len(expected) > (1 if budget else 0)
+        assert len(got) == sum(map(len, expected))
+        for (x, intervals), (ref_x, ref_intervals) in zip(got, itertools.chain(*expected)):
+            assert np.array_equal(x, ref_x) and intervals == ref_intervals
 
     @pytest.mark.parametrize("case, before_mb", [("abel-1d-bstar-32", 4.53),
                                                  ("power-2d-bstar-4", 3.07),
@@ -1170,6 +1252,28 @@ class TestShapeInverses:
         prob, solve, disc = _table_case("power-2d-bstar-4")
         with pytest.raises(RuntimeError, match="local solve residual"):
             solve(prob, *disc)
+
+    @pytest.mark.parametrize("exponents", [(2.5, 2.5), (2.5, 1.5)])
+    def test_reference_self_moments_once_per_solve(self, exponents, q25_params_2d,
+                                                   monkeypatch):
+        # Q* N = 8: 37 shape keys of several cells build a _shape_matrix, all of
+        # one family and node count; the reference self-moments come once per
+        # (family, m, p) of a solve, not twice per key, and a second solve
+        # computes them again
+        import wsvie.solver as solver
+
+        calls, moments = [], solver.kernel_moments
+        monkeypatch.setattr(solver, "kernel_moments", lambda x, p, a, b, ns, n: (
+            calls.append((ns.family, ns.m, p)), moments(x, p, a, b, ns, n))[1])
+        cov, degree, family = preset_2d(q25_params_2d, 8)
+        prob = VieProblem(l=2, T=1.0, kernel=KernelSpec(exponents), rhs=lambda t1, t2: t1 * t2)
+        sol = solve_2d(prob, cov, degree, family)
+        keys = Counter(solver._shape_key(n, own) for n, own in zip(sol.nodesets, sol.owned))
+        assert cov.ncells == 522 and sum(count > 1 for count in keys.values()) == 37
+        once = sorted({(family, degree, p) for p in exponents})
+        assert sorted(calls) == once
+        solve_2d(prob, cov, degree, family)
+        assert sorted(calls) == sorted(once * 2)
 
 
 class TestSplineTables:

@@ -266,7 +266,9 @@ class TestTensorSpline:
         assert middle not in shadow_only and np.any(shadow_only < 0)
         nodal = _nodal(spl, lambda *t: t[0], lambda cand, owner: np.where(
             shadow[cand, owner], rank[cand], cov.ncells))
-        for ci, (_, own, donors, at) in enumerate(nodal):
+        for ci in range(cov.ncells):
+            own = nodal.own[nodal.cells[ci]]
+            donors, at = nodal.donors[nodal.inherit[ci]], nodal.pts[nodal.inherit[ci]]
             nodes = spl.node_grid(ci)
             priority = np.where(shadow[:, ci], rank, cov.ncells)
             scan = _box_scan(cov, nodes, priority)
@@ -390,14 +392,13 @@ def _random_spline(which):
 
 def _edge_axis(cov, a):
     """Axis a's cell edges, each +-1 ulp, x (1 +- 5e-13) (inside the closure slack) and
-    x (1 +- 2e-12) (outside it), and 37 uniform points, all within the closure of [0, T].
-    The subnormal next to the edge 0 is left out: at it the barycentric quotients
-    overflow, in ``eval`` as in ``eval_grid``."""
+    x (1 +- 2e-12) (outside it), and 37 uniform points, all within the closure of [0, T]:
+    among them the subnormal next to the edge 0."""
     edges = np.unique(np.concatenate([cov.lo_array[:, a], cov.hi_array[:, a]]))
     near = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
     near += [edges * (1 + d) for d in (5e-13, -5e-13, 2e-12, -2e-12)]
     x = np.unique(np.concatenate([edges, *near, np.linspace(0.0, cov.T, 37)]))
-    return x[(x == 0) | (x >= np.finfo(float).tiny) & (x <= cov.T * (1 + 5e-13))]
+    return x[(x >= 0) & (x <= cov.T * (1 + 5e-13))]
 
 
 class TestEvalGrid:
@@ -474,3 +475,56 @@ class TestEvalGrid:
                     for a in range(2)]
         assert len(calls) == sum(map(len, per_axis))
         assert set(calls) == per_axis[0] | per_axis[1]
+
+
+def _per_segment_nodes(a, b, family, m):
+    """``build_nodes``' construction before the node sets of a spline were built in
+    one vector step: a closed family's nodes on one segment, then their barycentric
+    weights (the reference for ``node_table``)."""
+    from wsvie.interp import chebyshev1_roots, legendre_roots
+
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    roots = np.empty(0)
+    if m > 2:
+        roots = legendre_roots(m - 2) if family == "legendre_closed" else chebyshev1_roots(m - 2)
+    nodes = np.concatenate([[a], mid + half * roots, [b]])
+    diff = (nodes[:, None] - nodes[None, :]) * (4.0 / (nodes[-1] - nodes[0]))
+    np.fill_diagonal(diff, 1.0)
+    w = 1.0 / diff.prod(axis=1)
+    return nodes, w / np.max(np.abs(w))
+
+
+class TestNodeConstruction:
+    @pytest.mark.parametrize("family", ["legendre_closed", "chebyshev1_closed"])
+    @pytest.mark.parametrize("which", ["boundary-2d", "corner-2d", "geometric-2d",
+                                       "power-1d", "geometric-1d"])
+    def test_node_sets_match_the_per_segment_construction(self, which, family):
+        # every node and weight of every cell and axis, to the bit, for one node
+        # count per covering and for counts mixed across cells; the padded tables
+        # are those of the per-segment node sets
+        from wsvie.interp import NodeSet
+        from wsvie.mesh import corner_layer_covering, geometric_covering
+        from wsvie.spline import _padded, _unfilled
+
+        cov = {"boundary-2d": lambda: boundary_layer_covering(8, 1.0, 2, 2.5),
+               "corner-2d": lambda: corner_layer_covering(8, 1.0, 2, 2.5),
+               "geometric-2d": lambda: geometric_covering(5, 1.0, 2),
+               "power-1d": lambda: power_graded_mesh(32, 1.0, 1.5).covering(),
+               "geometric-1d": lambda: geometric_mesh(32, 1.0).covering()}[which]()
+        counts = (2, 3, 5, 14, 23, 40)
+        for degrees in (*counts, [counts[ci % 6] for ci in range(cov.ncells)]):
+            spl = _unfilled(cov, degrees, family)
+            reference = []
+            for ci, (cell, nsets) in enumerate(zip(cov.cells, spl.nodesets)):
+                m = degrees if isinstance(degrees, int) else degrees[ci]
+                reference.append([])
+                for a, ns in enumerate(nsets):
+                    assert (ns.a, ns.b, ns.family, ns.m) == (cell.lo[a], cell.hi[a], family, m)
+                    nodes, weights = _per_segment_nodes(cell.lo[a], cell.hi[a], family, m)
+                    assert np.array_equal(ns.nodes, nodes) and np.array_equal(ns.weights, weights)
+                    reference[-1].append(NodeSet(ns.a, ns.b, family, m, nodes, weights))
+            padded = _padded(reference)
+            assert np.array_equal(spl.tables.lead, padded.lead)
+            for got, ref in zip(spl.tables.axes, padded.axes, strict=True):
+                assert np.array_equal(got.nodes, ref.nodes)
+                assert np.array_equal(got.weights, ref.weights)
