@@ -167,23 +167,23 @@ def _graded_panels(n: int, panels: int) -> QuadRule:
 _reference_nodes = lru_cache(maxsize=None)(build_nodes)
 
 
-def _reference_pairs(x, a, b, width):
+def _reference_pairs(x, a, b, m: int):
     """Classify rows x against S intervals [a[s], b[s]]; yield each branch's pairs in blocks.
 
     Yields ``(panels, s, r, X)`` for the singular (panels 0), far (1) and near
     (``_NEAR_PANELS``) rows, per block of at most ``_TABLE_BUDGET / 8`` doubles
-    at ``width(panels)`` a pair (or one pair): pair c is row r[c] of interval
-    s[c] at the reference coordinate X[c], (x - a) / (b - a) when singular,
-    else (x - b) / h, h = (b - a) / 2, which keeps the digits of rows past b.
+    of m-column rows (or one pair): pair c is row r[c] of interval s[c] at the
+    reference coordinate X[c], (x - a) / (b - a) when singular, else
+    (x - b) / h, h = (b - a) / 2, which keeps the digits of rows past b.
     """
     a, b = np.reshape(a, (-1, 1)).astype(float), np.reshape(b, (-1, 1)).astype(float)
     active = np.minimum(x, b) > a
     singular = active & (x <= b)
     far = active & (x - b >= (b - a))
+    step = max(1, _TABLE_BUDGET // (8 * m))
     for rows, panels in ((singular, 0), (far, 1), (active & ~singular & ~far, _NEAR_PANELS)):
         s, r = np.nonzero(rows)
         origin, unit = (a[:, 0], (b - a)[:, 0]) if panels == 0 else (b[:, 0], 0.5 * (b - a)[:, 0])
-        step = max(1, _TABLE_BUDGET // (8 * width(panels)))
         for lo in range(0, s.size, step):
             sb, rb = s[lo:lo + step], r[lo:lo + step]
             yield panels, sb, rb, (x[rb] - origin[sb]) / unit[sb]
@@ -198,17 +198,6 @@ def _reference_rule(X, p: float, n: int, panels: int):
         return 1.0 - rule.nodes, rule.weights[:, None] * (X + rule.nodes[:, None]) ** p
     jac = gauss_jacobi(n, p)
     return (jac.nodes + 1.0) * X[:, None] - 1.0, X[:, None] ** (p + 1.0) * jac.weights
-
-
-def _rules(x, p: float, a, b, n: int, m: int):
-    """``(s, rows, sigma, W)`` per block of ``_reference_pairs``: the weights W
-    (pairs, points) of ``_reference_rule``, scaled to each interval, at the
-    points sigma (a far or near block shares them); a block's weights, and
-    basis of m functions at per-row points, hold at most ``_TABLE_BUDGET / 8`` doubles."""
-    a, b = np.atleast_1d(np.asarray(a, float)), np.atleast_1d(np.asarray(b, float))
-    for panels, s, r, X in _reference_pairs(x, a, b, lambda panels: n * (panels or m + 1)):
-        sigma, W = _reference_rule(X, p, n, panels)
-        yield s, r, sigma, (0.5 * (b[s] - a[s]))[:, None] ** (p + 1.0) * (W.T if panels else W)
 
 
 def _reference_rows(ref: NodeSet, p: float, n: int, panels: int, X) -> np.ndarray:
@@ -272,7 +261,7 @@ def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
         g = np.flatnonzero(ms == m)
         ref = _reference_nodes((-1.0, 1.0), nodesets[g[0]].family, m)
         scale = (0.5 * (b[g] - a[g])) ** (p + 1.0)
-        for panels, s, r, X in _reference_pairs(x, a[g], b[g], lambda panels: m):
+        for panels, s, r, X in _reference_pairs(x, a[g], b[g], m):
             M[g[s], r, :m] = scale[s, None] * rows(ref, p, n, panels, X)
     return M
 

@@ -30,10 +30,11 @@ source-index order. A chunk's tables with the store, and each block of
 sources, hold about ``_TABLE_BUDGET`` doubles (1 MB), which bounds the extra
 memory of the march.
 
-A general h(t, tau) couples the axes. The generator then yields one
-flattened weight array per block of source cells, from tensor Gauss
-cubature over the same per-axis rules, and the consumers treat it as the
-one-axis case.
+A general h(t, tau) couples the axes. The generator then weights the same
+tables by product integration: h(t, .) x is interpolated at each source
+cell's nodes, so node j's weight is its h == 1 moment times h(t, tau_j),
+exact when h(t, .) is constant in tau and of the same order otherwise. The
+weights are flattened to one axis, which the consumers treat as l = 1.
 
 What a solve derives from its geometry alone is built once per solve, in
 vector steps: the node sets of all distinct (interval, node count) pairs
@@ -49,7 +50,6 @@ implementation is the single-threaded reference.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -58,12 +58,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .interp import build_nodes, lagrange_basis_matrix
+from .interp import build_nodes
 from .interp import geometric_degree_schedule, geometric_global_degree, power_degree_schedule
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, corner_layer_covering,
                    geometric_covering, geometric_mesh, power_graded_mesh, shadow_matrix)
-from .quad import (_TABLE_BUDGET, _reference_nodes, _RowStore, _rules, kernel_moments,
-                   stacked_kernel_moments)
+from .quad import _TABLE_BUDGET, _reference_nodes, _RowStore, kernel_moments, stacked_kernel_moments
 from .spline import LocalSpline, TensorSpline, _inherited, _nodal, _unfilled
 
 
@@ -73,8 +72,10 @@ class KernelSpec:
 
     ``exponents`` lists p_i per axis (each > -1). ``smooth_factor`` is an
     optional vectorized callable taking 2l coordinate arrays
-    (t_1, ..., t_l, tau_1, ..., tau_l); absent means h == 1 and enables the
-    fast per-axis factorized path.
+    (t_1, ..., t_l, tau_1, ..., tau_l), whose output, a scalar or any shape,
+    broadcasts with them; absent means h == 1 and enables the fast per-axis
+    factorized path. With h the solver applies the product-integration
+    operator (see ``_cell_moments``).
     """
 
     exponents: tuple
@@ -168,8 +169,9 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       target's and a chunk's ids are ``_bitsets``, and a target's table rows
       a lookup of its coordinate ids. Sources are looked up 64 targets ahead.
       Its tables go when the next chunk's are built; moments drawn later raise.
-    * with a smooth factor, or without a kernel, a single axis: one array of
-      shape (hi - lo, grid size, M_1 * ... * M_l) (see ``_cubature``).
+    * with a smooth factor, one array of shape (hi - lo, grid size,
+      M_1 * ... * M_l): the product-integration weights of ``_product``, exact
+      for the spline when h(t, .) is constant in tau; zero without a kernel.
 
     Every rule takes ``_gauss_count(nodesets)`` points per panel
     (Gauss-Jacobi points on a singular row).
@@ -177,12 +179,15 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
     quad_n = _gauss_count(nodesets)
     widths = [max(ns.m for ns in sets) for sets in zip(*nodesets)]   # M_a
     targets = list(targets)
-    if kern is None or kern.smooth_factor is not None:
+    if kern is None:   # zero weights, as one axis, and no tables
         for key, grid in targets:
-            srcs = sources(key)
-            yield key, srcs, partial(_cubature, kern, grid, [nodesets[d] for d in srcs], quad_n,
-                                     widths)
+            size = (math.prod(x.size for x in grid), math.prod(widths))
+            yield key, sources(key), lambda lo, hi, size=size: [np.zeros((hi - lo,) + size)]
         return
+    h = kern.smooth_factor
+    if h is not None:   # per axis, every cell's nodes, padded with its last (h stays finite)
+        nodes = [np.array([np.pad(n[a].nodes, (0, M - n[a].m), mode="edge") for n in nodesets])
+                 for a, M in enumerate(widths)]
     axes = []   # per axis: the integer ids that chunks are planned on
     for a, p in enumerate(kern.exponents):
         keys = [(n[a].m, n[a].a, n[a].b) for n in nodesets]   # a cell's source interval
@@ -221,9 +226,12 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             rows.append(np.cumsum(near) - 1)   # a coordinate id's row in the chunk's tables
             sel.append(np.cumsum(used) - 1)
         for t in range(pos, end):
-            yield targets[t][0], srcs[t], partial(
+            moments = partial(
                 _gather, tables, [r[ax.cid[ax.off[t]:ax.off[t + 1]]] for r, ax in zip(rows, axes)],
                 [s[ax.kid[srcs[t]]] for s, ax in zip(sel, axes)], widths)
+            if h is not None:
+                moments = partial(_product, h, moments, targets[t][1], [n[srcs[t]] for n in nodes])
+            yield targets[t][0], srcs[t], moments
             srcs[t] = bits[t] = None
         pos = end
 
@@ -250,46 +258,27 @@ def _gather(tables, rows, sel, widths, lo: int, hi: int) -> list:
             for w, M in zip(out, widths)]
 
 
-def _cubature(kern: KernelSpec | None, grid, sources, n: int, widths, lo: int, hi: int) -> list:
-    """Flattened weights of the source cells sources[lo:hi] at ``grid``, as one axis.
+def _product(h, moments, grid, nodes, lo: int, hi: int) -> list:
+    """Product-integration weights of sources lo:hi at ``grid``, flattened to one axis.
 
-    ``sources`` holds per-axis NodeSets per cell. The weights are one array
-    (hi - lo, grid size, M_1 * ... * M_l), a cell's in the leading corner of
-    the ``widths`` M_a: zero without a kernel, else tensor Gauss cubature, n
-    points per panel, of h * g times the cell's tensor Lagrange basis, on the
-    reference interval of each axis. The smooth factor couples the axes, so
-    the cubature is summed for every l-tuple of per-axis ``_rules`` blocks,
-    over their rows: h is evaluated on the axes (rows_1, ..., rows_l,
-    points_1, ..., points_l).
+    The outer product of their per-axis ``moments`` (h == 1) times h at
+    (grid point, source node): h takes the axes (source, n_1, ..., n_l,
+    M_1, ..., M_l), with nodes[a] the sources' padded nodes (sources, M_a).
     """
-    l, size = len(grid), math.prod(x.size for x in grid)
-    rows, pts, basis = "abcd"[:l], "efgh"[:l], "ijkl"[:l]
-    spec = [r + q + b for r, q, b in zip(rows, pts, basis)]
-    spec = ",".join(spec[:1] + [rows + pts] + spec[1:]) + f"->{rows}{basis}"
-    out = np.zeros((hi - lo,) + tuple(x.size for x in grid) + tuple(widths))
-    for W, nodesets in zip(out if kern is not None else (), sources[lo:hi]):
-        rules = []   # per axis and block: rows, their coordinates and points on h's axes, C
-        for a, (x, p, ns) in enumerate(zip(grid, kern.exponents, nodesets)):
-            ref = _reference_nodes((-1.0, 1.0), ns.family, ns.m)
-            rules.append([])
-            for _, r, sigma, w in _rules(x, p, ns.a, ns.b, n, ns.m):
-                sigma = np.broadcast_to(sigma, w.shape)
-                tau = 0.5 * (ns.a + ns.b) + 0.5 * (ns.b - ns.a) * sigma
-                rules[-1].append((r, np.expand_dims(x[r], [i for i in range(2 * l) if i != a]),
-                                  np.expand_dims(tau, [i for i in range(2 * l) if i % l != a]),
-                                  w[:, :, None] * lagrange_basis_matrix(ref, sigma)))
-        W = W[(Ellipsis,) + tuple(slice(ns.m) for ns in nodesets)]   # the cell's corner
-        for blocks in itertools.product(*rules):
-            r, t, tau, C = zip(*blocks)   # C: weights times basis, (rows, points, m)
-            h = kern.smooth_factor(*t, *tau)
-            W[np.ix_(*r)] = np.einsum(spec, *C[:1], h, *C[1:], optimize=True)
-    return [out.reshape(hi - lo, size, -1)]
+    W, l = _dense(moments(lo, hi)), len(grid)
+    t = [np.expand_dims(x, [i for i in range(2 * l + 1) if i != a + 1]) for a, x in enumerate(grid)]
+    tau = [np.expand_dims(n[lo:hi], [i for i in range(1, 2 * l + 1) if i != l + a + 1])
+           for a, n in enumerate(nodes)]
+    W *= h(*t, *tau)
+    return [W.reshape(hi - lo, math.prod(x.size for x in grid), -1)]
 
 
 def _dense(weights) -> np.ndarray:
-    """The outer product of per-axis weights, of shape (grid sizes..., m_1, ..., m_l)."""
+    """The outer product of per-axis weights (..., n_a, m_a), of shape
+    (..., n_1, ..., n_l, m_1, ..., m_l): the batch axes broadcast."""
     rows, basis = "abcd"[:len(weights)], "ijkl"[:len(weights)]
-    return np.einsum(",".join(map(str.__add__, rows, basis)) + f"->{rows}{basis}", *weights)
+    spec = ",".join("..." + r + b for r, b in zip(rows, basis))
+    return np.einsum(f"{spec}->...{rows}{basis}", *weights)
 
 
 def _contract(W, x) -> np.ndarray:
@@ -482,7 +471,8 @@ def residual(problem: VieProblem, solution, samples) -> float:
     ``samples`` holds one axis array per dimension, spanning a sample grid;
     for l = 1 it is the one axis array itself. For l = 2 it may also be an
     (n, 2) array of points, each evaluated through its own degenerate grid.
-    (K x)(t) integrates over the solution's own cells clipped to [0, t].
+    (K x)(t) integrates over the solution's own cells clipped to [0, t], by
+    product integration with a smooth factor (see ``_cell_moments``).
     """
     if problem.l == 1:
         samples = (samples,)

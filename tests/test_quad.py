@@ -278,42 +278,6 @@ def test_stacked_moments_equal_one_interval_calls(p, ms, budget, monkeypatch):
             assert np.all(one[xs <= lo] == 0.0)
 
 
-@pytest.mark.parametrize("l", [1, 2])
-def test_smooth_factor_cubature_matches_padded_contraction(l):
-    # a smooth factor h couples the axes: the solver's cubature over each tuple
-    # of per-axis branches must match one dense contraction of the padded
-    # x-space rules. The solver's basis is evaluated on the reference interval,
-    # so the two round differently: by 2.1 and 2.5 eps of the largest weight
-    # in 1D and 2D when the reference basis came in
-    from wsvie.solver import KernelSpec, _cubature
-
-    boxes, ps, ms = [(0.25, 0.65), (0.1, 0.3)][:l], (2.5, -0.5)[:l], (5, 4)[:l]
-    nodesets = tuple(build_nodes(box, "legendre_closed", m) for box, m in zip(boxes, ms))
-    grid = [_rows_in_every_branch(a, b) for a, b in boxes]
-    n = 9
-    if l == 1:
-        def h(t, u):
-            return 2.0 + t * u
-    else:
-        def h(t1, t2, u1, u2):
-            return np.exp(t1 * u2) - 0.5 * t2 * u1
-    kern = KernelSpec(exponents=ps, smooth_factor=h)
-    [[W]] = _cubature(kern, grid, [nodesets], n, ms, 0, 1)
-    rules = [_padded_rule(x, p, a, b, n) for x, p, (a, b) in zip(grid, ps, boxes)]
-    C = [w[:, :, None] * lagrange_basis_matrix(ns, T) for (T, w), ns in zip(rules, nodesets)]
-    if l == 1:
-        ref = np.einsum("rqa,rq->ra", C[0], h(grid[0][:, None], rules[0][0]))
-    else:
-        (x1, x2), ((T1, _), (T2, _)) = grid, rules
-        hh = h(x1[:, None, None, None], x2[None, :, None, None],
-               T1[:, None, :, None], T2[None, :, None, :])
-        ref = np.einsum("iqa,ijqp,jpb->ijab", C[0], hh, C[1], optimize=True)
-    assert W.shape == (math.prod(x.size for x in grid), math.prod(ms))
-    ref = ref.reshape(W.shape)
-    assert np.max(np.abs(ref)) > 0
-    assert np.max(np.abs(W - ref)) <= 1e-15 * np.max(np.abs(ref))
-
-
 def _abel_problem():
     from wsvie.solver import KernelSpec, VieProblem
 

@@ -1,7 +1,7 @@
 import itertools
 import math
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -250,18 +250,20 @@ class TestSolve2D:
         sol = solve_2d(prob, cov, degree, fam)
         assert max_node_error(sol, prob.rhs) <= 1e-12
 
-    def test_generic_smooth_factor_path_matches_fast_path(self, q25_params_2d):
-        prob = get_problem("corner-power-2d")
-        kern = KernelSpec(exponents=(2.5, 2.5),
-                          smooth_factor=lambda t1, t2, u1, u2: np.ones(
-                              np.broadcast(t1, t2, u1, u2).shape))
-        prob_h = VieProblem(l=2, T=1.0, kernel=kern, rhs=prob.rhs, exact=prob.exact)
-        cov, degree, fam = preset_2d(q25_params_2d, 1)
-        fast = solve_2d(prob, cov, degree, fam)
-        slow = solve_2d(prob_h, cov, degree, fam)
-        dev = max(float(np.max(np.abs(fast.values[ci] - slow.values[ci])))
-                  for ci in range(cov.ncells))
-        assert dev <= 1e-9
+    def test_generic_smooth_factor_path_matches_fast_path(self, q25_params_2d, b_params_2d):
+        # h == 1 as an array: the product weights equal the per-axis ones, but
+        # each cell inverts its own dense matrix and sums a flattened history
+        one = lambda *x: np.ones(np.broadcast(*x).shape)
+        corner = get_problem("corner-power-2d")
+        cases = [(corner, solve_2d, preset_2d(q25_params_2d, 1)),
+                 (corner, solve_2d, preset_2d(b_params_2d, 3)), _table_case("abel-1d-bstar-16")]
+        for prob, solve, disc in cases:
+            kern = KernelSpec(exponents=prob.kernel.exponents, smooth_factor=one)
+            fast = solve(prob, *disc)
+            slow = solve(VieProblem(l=prob.l, T=1.0, kernel=kern, rhs=prob.rhs), *disc)
+            top = max(float(np.max(np.abs(v))) for v in fast.values)
+            dev = max(float(np.max(np.abs(f - s))) for f, s in zip(fast.values, slow.values))
+            assert dev <= 1e-14 * top
 
     def test_collocation_residual_small(self, q25_params_2d):
         prob = get_problem("corner-power-2d")
@@ -335,6 +337,64 @@ class TestSolve2D:
             solve_2d(prob, cov, degree, fam, order=list(range(cov.ncells))[::-1])
 
 
+def _smooth_problem(l, p, q):
+    """h = -(2 + t tau - tau / 2), in 2D -(2 + t_1 tau_2 - tau_1 / 2), with x = t^q (a
+    product in 2D) and its closed-form right side: int (t - tau)^p tau^q (2 + t tau - tau / 2)
+    = 2 A + (t - 1/2) B, A = power_moment(p, q, 1) t^(p+q+1), B = power_moment(p, q+1, 1)
+    t^(p+q+2), and in 2D 2 A_1 A_2 + t_1 A_1 B_2 - B_1 A_2 / 2."""
+    from wsvie.quad import power_moment
+
+    a, b = power_moment(p, q, 1.0), power_moment(p, q + 1.0, 1.0)
+    A = lambda t: a * t ** (p + q + 1)
+    B = lambda t: b * t ** (p + q + 2)
+    if l == 1:
+        return VieProblem(l=1, T=1.0, kernel=KernelSpec((p,), lambda t, u: -(2 + t * u - u / 2)),
+                          rhs=lambda t: t ** q + 2 * A(t) + (t - 0.5) * B(t),
+                          exact=lambda t: t ** q)
+    return VieProblem(
+        l=2, T=1.0, kernel=KernelSpec((p, p), lambda t1, t2, u1, u2: -(2 + t1 * u2 - u1 / 2)),
+        rhs=lambda t1, t2: ((t1 * t2) ** q + 2 * A(t1) * A(t2) + t1 * A(t1) * B(t2)
+                            - 0.5 * B(t1) * A(t2)),
+        exact=lambda t1, t2: (t1 * t2) ** q)
+
+
+class TestSmoothFactor:
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_scalar_smooth_factor(self, l, q25_params, q25_params_2d):
+        # h may return a scalar: h == 2 against x = t^2.5, as the array h == 2
+        from wsvie.quad import power_moment
+
+        c = power_moment(2.5, 2.5, 1.0)
+        if l == 1:
+            rhs, exact = lambda t: t ** 2.5 - 2.0 * c * t ** 6, lambda t: t ** 2.5
+            solve, disc = solve_1d, preset_1d(q25_params, 12)
+        else:
+            rhs = lambda t1, t2: (t1 * t2) ** 2.5 - 2.0 * c * c * (t1 * t2) ** 6
+            exact = lambda t1, t2: (t1 * t2) ** 2.5
+            solve, disc = solve_2d, preset_2d(q25_params_2d, 2)
+        sols = [solve(VieProblem(l=l, T=1.0, kernel=KernelSpec((2.5,) * l, h), rhs=rhs), *disc)
+                for h in (lambda *x: 2.0, lambda *x: np.full(np.broadcast(*x).shape, 2.0))]
+        assert max_node_error(sols[0], exact) <= 1e-6
+        assert all(np.array_equal(a, b) for a, b in zip(*(s.values for s in sols)))
+
+    @pytest.mark.parametrize("l, p, q, kind, gamma, N, bound", [
+        (1, 2.5, 2.5, "q_star", 2.5, 32, 3.1e-10),
+        (1, -0.5, 0.5, "b_star", 0.5, 24, 9.1e-11),
+        (2, 2.5, 2.5, "q_star", 2.5, 4, 1.1e-5),
+        (2, 2.5, 2.5, "b_star", 0.5, 3, 3.1e-7)],
+        ids=["1d-qstar", "1d-bstar-abel", "2d-qstar", "2d-bstar"])
+    def test_non_constant_factor_against_exact(self, l, p, q, kind, gamma, N, bound):
+        # bounds: twice the sup errors of the tensor cubature that product
+        # integration replaced (the same to 3 digits)
+        from wsvie.funclass import derive_class_params
+
+        prob = _smooth_problem(l, p, q)
+        params = derive_class_params(2, gamma, kind, l=l)
+        sol = (solve_1d(prob, *preset_1d(params, N)) if l == 1
+               else solve_2d(prob, *preset_2d(params, N)))
+        assert sup_error(sol, prob.exact) <= bound
+
+
 def _assert_order_invariant(cov, degree, fam):
     """The canonical causal order and one taken by the reverse heap key give
     the same nodal values and owned masks, to the bit."""
@@ -372,10 +432,12 @@ def _per_pair_moments(kern, nodesets, targets, sources):
 
     Each source's moments are computed at the target grid itself and copied
     to the leading columns of zero arrays padded to the largest node count
-    of each axis. The Gauss point count is this test's own copy of the
-    solver's rule, so a change to that rule shows as a mismatch.
+    of each axis. With a smooth factor h, a source's weights are the outer
+    product of its rows times h at (grid point, source node), its nodes
+    padded with its last, flattened to one axis. The Gauss point count is
+    this test's own copy of the solver's rule, so a change to that rule
+    shows as a mismatch.
     """
-    import wsvie.solver as solver
     from wsvie.quad import kernel_moments
 
     quad_n = min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
@@ -390,13 +452,24 @@ def _per_pair_moments(kern, nodesets, targets, sources):
                 W[:, :ns.m] = kernel_moments(x, p, ns.a, ns.b, ns, quad_n)
         return out
 
+    def product(grid, srcs, lo, hi):
+        out, rows = [], moments(grid, srcs, lo, hi)
+        for s, di in enumerate(srcs[lo:hi]):
+            W = reduce(np.multiply.outer, [w[s] for w in rows])
+            W = W.transpose([0, 2, 1, 3]) if len(grid) == 2 else W   # (n_1, n_2, M_1, M_2)
+            tau = [np.pad(ns.nodes, (0, M - ns.m), mode="edge")
+                   for ns, M in zip(nodesets[di], widths)]
+            out.append((W * kern.smooth_factor(*np.meshgrid(*grid, *tau, indexing="ij")))
+                       .reshape(math.prod(x.size for x in grid), -1))
+        return [np.array(out)]
+
     for key, grid in targets:
         srcs = sources(key)
-        if kern is None or kern.smooth_factor is not None:
-            yield key, srcs, partial(solver._cubature, kern, grid,
-                                     [nodesets[di] for di in srcs], quad_n, widths)
+        if kern is None:
+            yield key, srcs, lambda lo, hi, g=grid: [np.zeros(
+                (hi - lo, math.prod(x.size for x in g), math.prod(widths)))]
         else:
-            yield key, srcs, partial(moments, grid, srcs)
+            yield key, srcs, partial(moments if kern.smooth_factor is None else product, grid, srcs)
 
 
 def _patch_per_pair(monkeypatch):
@@ -569,8 +642,8 @@ class TestMomentTables:
         calls = _counting(monkeypatch)
         fast = solve(prob, *disc)
         fast_res = collocation_residual(prob, fast)
-        # a smooth factor takes the tensor cubature, h == 1 the stacked tables
-        assert (calls[0] == 0) == (prob.kernel.smooth_factor is not None)
+        # a smooth factor weights the stacked tables of h == 1
+        assert calls[0] > 0
         tables = solver._cell_moments
         count, used = calls[0], _patch_per_pair(monkeypatch)
         ref = solve(prob, *disc)
@@ -582,7 +655,7 @@ class TestMomentTables:
         assert fast_res == collocation_residual(prob, fast)
         # the history is small next to the right side, so rounding in it can
         # leave the nodal values unchanged: compare each cell's weights (per
-        # axis, or the smooth factor's cubature) and sums directly
+        # axis, or flattened with a smooth factor) and sums directly
         shadow = shadow_matrix(fast.covering) | np.eye(len(fast.values), dtype=bool)
         order, padded = np.argsort(fast.covering.causal_rank()), fast.tables
         args = (prob.kernel, fast.nodesets, list(solver._node_grids(fast.nodesets, order)),
@@ -962,38 +1035,11 @@ class TestReferenceMarch:
 
 # The single l-axis path is bit-identical to the per-dimension formulas in 2D.
 # In 1D it evaluates a cell by einsum where the matrix-vector product summed
-# in another order, and the smooth factor's cubature by the optimized einsum
-# that 2D uses; where 1D node counts differ (abel-1d), its histories and
+# in another order; where 1D node counts differ (abel-1d), its histories and
 # evaluations also sum over the zeros that pad every cell to the largest
 # node count, in another order. There the results agree to this relative
 # tolerance.
 ONE_AXIS_RTOL = 1e-15
-
-
-def _reference_cubature(kern, grid, nodesets, n):
-    """One source cell's smooth-factor cubature at ``grid``: per-dimension einsums."""
-    from wsvie.interp import lagrange_basis_matrix
-    from wsvie.quad import _reference_nodes, _rules
-
-    rules = []
-    for x, p, ns in zip(grid, kern.exponents, nodesets):
-        ref = _reference_nodes((-1.0, 1.0), ns.family, ns.m)
-        rules.append([])
-        for _, rows, sigma, w in _rules(x, p, ns.a, ns.b, n, ns.m):
-            sigma = np.broadcast_to(sigma, w.shape)
-            tau = 0.5 * (ns.a + ns.b) + 0.5 * (ns.b - ns.a) * sigma
-            rules[-1].append((rows, tau, w[:, :, None] * lagrange_basis_matrix(ref, sigma)))
-    W = np.zeros(tuple(x.size for x in grid) + tuple(ns.m for ns in nodesets))
-    if len(grid) == 1:
-        for rows, T, C in rules[0]:
-            W[rows] = np.einsum("rqa,rq->ra", C, kern.smooth_factor(grid[0][rows, None], T))
-    else:
-        (x1, x2) = grid
-        for (r1, T1, C1), (r2, T2, C2) in itertools.product(*rules):
-            h = kern.smooth_factor(x1[r1, None, None, None], x2[None, r2, None, None],
-                                   T1[:, None, :, None], T2[None, :, None, :])
-            W[np.ix_(r1, r2)] = np.einsum("iqa,ijqp,jpb->ijab", C1, h, C2, optimize=True)
-    return W.reshape(math.prod(x.size for x in grid), -1)
 
 
 def _reference_oracle(problem, n, V):
@@ -1074,38 +1120,22 @@ class TestPerDimensionFormulas:
         out = solver._history(moments, v.reshape((k,) + (1,) * len(shape)), shape)
         assert np.array_equal(out, np.full(shape, expected))
 
-    @pytest.mark.parametrize("l", [1, 2])
-    def test_cubature(self, l):
-        import wsvie.solver as solver
-        from wsvie.interp import build_nodes
-
-        h = [lambda t, u: 2 + t * u - u / 2,
-             lambda t1, t2, u1, u2: 2 + t1 * u2 - u1 / 2][l - 1]
-        kern = KernelSpec((-0.5, 2.5)[:l], smooth_factor=h)
-        grid = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7) ** 2][:l]
-        for a, b, m in ((0.0, 0.25, 5), (0.25, 0.5, 3), (0.5, 1.0, 6)):
-            nodesets = [build_nodes((a, b), "legendre_closed", m)] * l
-            [[new]] = solver._cubature(kern, grid, [nodesets], m + 4, [m] * l, 0, 1)
-            old = _reference_cubature(kern, grid, nodesets, m + 4)
-            if l == 2:
-                assert np.array_equal(new, old)
-            else:
-                assert np.max(np.abs(new - old)) <= ONE_AXIS_RTOL * np.max(np.abs(old))
-
     @pytest.mark.parametrize("name", ["corner-power-1d", "corner-power-2d", "smooth-1d"])
     def test_oracle(self, name):
         import wsvie.solver as solver
         from wsvie.interp import build_nodes
+        from wsvie.quad import kernel_moments
 
         n = 20
         if name == "smooth-1d":
-            kern = KernelSpec((2.5,), smooth_factor=lambda t, u: 2 + t * u - u / 2)
-            prob = VieProblem(l=1, T=1.0, kernel=kern, rhs=np.cos)
+            # product integration: the moments M of h == 1 times H, h at (t_i, node)
+            h = lambda t, u: 2 + t * u - u / 2
+            prob = VieProblem(l=1, T=1.0, kernel=KernelSpec((2.5,), smooth_factor=h), rhs=np.cos)
             steps = np.linspace(0.0, 1.0, n + 1)
             V = np.zeros((n + 1, n + 1))
             for j in range(n):
-                W = _reference_cubature(kern, (steps,), (build_nodes(
-                    (steps[j], steps[j + 1]), "legendre_closed", 2),), 6)
+                ns = build_nodes((steps[j], steps[j + 1]), "legendre_closed", 2)
+                W = kernel_moments(steps, 2.5, ns.a, ns.b, ns, 6) * h(steps[:, None], ns.nodes)
                 V[:, j] += W[:, 0]
                 V[:, j + 1] += W[:, 1]
             old = _reference_oracle(prob, n, [V])
