@@ -247,9 +247,3 @@ def geometric_degree_schedule(nsegments: int, r: int, gamma: float, bound: float
         mk = int(np.floor((10.0 / 9.0) * k * (r + 1 - gamma) * bound * T)) + 1
         out.append(min(max(mk, 2), 40))
     return out
-
-
-def geometric_global_degree(N: int, r: int, gamma: float, bound: float, T: float) -> int:
-    """Single per-axis node count for geometric coverings in dimension >= 2 (segment k = N)."""
-    mk = int(np.floor((10.0 / 9.0) * N * (r + 1 - gamma) * bound * T)) + 1
-    return min(max(mk, 2), 40)

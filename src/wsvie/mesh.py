@@ -6,14 +6,13 @@ slabs (one per axis, keyed by the first axis that falls inside the layer band)
 and each slab is tiled by sweeping rows of boxes of the maximal allowed edge,
 shrinking or merging the last box of a row to fit. A 1D graded mesh is the
 one-axis covering with one cell per segment, so splines and solvers treat
-l = 1 and l = 2 alike. Construction is single-threaded; the resulting objects
-are immutable in practice and safe to share across threads.
+l = 1 and l = 2 alike. A covering is three read-only arrays (``Covering``);
+construction is single-threaded, and the results are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,14 +36,11 @@ class GradedMesh:
     def nsegments(self) -> int:
         return len(self.breakpoints) - 1
 
-    def segments(self):
-        v = self.breakpoints
-        return [(float(v[k]), float(v[k + 1])) for k in range(self.nsegments)]
-
     def covering(self) -> Covering:
         """The one-axis covering: cell k (and layer k) is segment k, left to right."""
-        cells = [Cell(k=k, lo=(a,), hi=(b,)) for k, (a, b) in enumerate(self.segments())]
-        return Covering(l=1, T=self.T, N=self.N, style=self.kind, v=self.q, cells=cells)
+        v = self.breakpoints[:, None]
+        return Covering(l=1, T=self.T, N=self.N, style=self.kind, v=self.q,
+                        k=np.arange(self.nsegments), lo_array=v[:-1], hi_array=v[1:])
 
 
 def power_graded_mesh(N: int, T: float, q: float) -> GradedMesh:
@@ -81,36 +77,33 @@ def geometric_mesh(N: int, T: float) -> GradedMesh:
     return GradedMesh(T=float(T), N=N, kind="geometric", q=None, breakpoints=v)
 
 
-@dataclass
-class Cell:
-    """Axis-aligned box with its layer index."""
-
-    k: int
-    lo: tuple
-    hi: tuple
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Covering:
-    """Tiling of [0, T]^l by layered axis-aligned cells."""
+    """Tiling of [0, T]^l by layered boxes: cell i spans ``lo_array[i]`` to ``hi_array[i]``
+    (ncells, l) in layer ``k[i]``. The constructor copies the three arrays read-only: the
+    causal rank, shadow matrix and lookup grid are cached from them, so a write raises."""
 
     l: int
     T: float
     N: int
     style: str  # "boundary" | "corner" | "geometric"; 1D: the mesh kind
     v: float | None
-    cells: list
-
-    lo_array: np.ndarray = field(init=False, repr=False)
-    hi_array: np.ndarray = field(init=False, repr=False)
+    k: np.ndarray = field(repr=False)
+    lo_array: np.ndarray = field(repr=False)
+    hi_array: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.lo_array = np.array([c.lo for c in self.cells], dtype=float)
-        self.hi_array = np.array([c.hi for c in self.cells], dtype=float)
+        for name, dtype in (("k", int), ("lo_array", float), ("hi_array", float)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if not self.lo_array.shape == self.hi_array.shape == (self.k.size, self.l):
+            raise ValueError(f"corners {self.lo_array.shape} and {self.hi_array.shape} "
+                             f"for {self.k.size} cells, l = {self.l}")
 
     @property
     def ncells(self) -> int:
-        return len(self.cells)
+        return self.k.size
 
     def causal_rank(self) -> np.ndarray:
         """Position of each cell in the canonical causal order (cached, read-only).
@@ -119,10 +112,9 @@ class Covering:
         minimal rank: the cell that computed the shared values first.
         """
         if not hasattr(self, "_causal_rank"):
-            rank = np.empty(self.ncells, dtype=int)
-            rank[causal_order(self)] = np.arange(self.ncells)
+            rank = np.argsort(causal_order(self))   # the inverse permutation
             rank.flags.writeable = False
-            self._causal_rank = rank
+            object.__setattr__(self, "_causal_rank", rank)
         return self._causal_rank
 
     def candidates(self, pts: np.ndarray) -> np.ndarray:
@@ -140,7 +132,7 @@ class Covering:
             for ci, (lo, hi) in enumerate(zip(self.lo_array, self.hi_array)):
                 label[tuple(slice(np.searchsorted(e, a), np.searchsorted(e, b))
                             for e, a, b in zip(edges, lo, hi))] = ci
-            self._grid = edges, label
+            object.__setattr__(self, "_grid", (edges, label))
         edges, label = self._grid
         lower, upper = closure_bounds(pts)
         n = pts.shape[0]
@@ -161,10 +153,9 @@ class Covering:
         return least(cand, np.asarray(priority)[cand], self.ncells)
 
     def to_dict(self) -> dict:
-        return {
-            "l": self.l, "T": self.T, "N": self.N, "style": self.style, "v": self.v,
-            "cells": [{"k": c.k, "lo": list(c.lo), "hi": list(c.hi)} for c in self.cells],
-        }
+        cells = zip(self.k.tolist(), self.lo_array.tolist(), self.hi_array.tolist())
+        return {"l": self.l, "T": self.T, "N": self.N, "style": self.style, "v": self.v,
+                "cells": [{"k": k, "lo": lo, "hi": hi} for k, lo, hi in cells]}
 
 
 def least(cand: np.ndarray, priority: np.ndarray, ncells: int) -> np.ndarray:
@@ -187,10 +178,10 @@ def closure_bounds(pts: np.ndarray):
 
 def covering_from_dict(data: dict) -> Covering:
     """Rebuild a Covering from its to_dict() form."""
-    cells = [Cell(k=int(c["k"]), lo=tuple(map(float, c["lo"])), hi=tuple(map(float, c["hi"])))
-             for c in data["cells"]]
+    cells = data["cells"]
     return Covering(l=int(data["l"]), T=float(data["T"]), N=int(data["N"]),
-                    style=str(data["style"]), v=data.get("v"), cells=cells)
+                    style=str(data["style"]), v=data.get("v"), k=[c["k"] for c in cells],
+                    lo_array=[c["lo"] for c in cells], hi_array=[c["hi"] for c in cells])
 
 
 def _chop(a: float, b: float, h: float, merge: bool) -> np.ndarray:
@@ -230,16 +221,19 @@ def _layered(N: int, T: float, l: int, style: str, v: float | None, rows,
     range, such as the top cube of a boundary or geometric covering or the
     first cube of a corner one, is its slab 0, which comes out as one cell.
     """
-    cells = []
-    for k, band, below, above, h in rows:
+    k, lo, hi = [], [], []
+    for layer, band, below, above, h in rows:
         for j in range(l):
             ranges = [below] * j + [band] + [above] * (l - 1 - j)
             if any(b <= a for a, b in ranges):
                 continue
             edges = [np.array(r) if i == j else _chop(*r, h, merge) for i, r in enumerate(ranges)]
-            pieces = [list(zip(e[:-1].tolist(), e[1:].tolist())) for e in edges]
-            cells += [Cell(k, *zip(*box)) for box in itertools.product(*pieces)]
-    return Covering(l=l, T=float(T), N=N, style=style, v=v, cells=cells)
+            for out, ends in ((lo, slice(None, -1)), (hi, slice(1, None))):   # boxes in C order
+                grids = np.meshgrid(*[e[ends] for e in edges], indexing="ij")
+                out.append(np.column_stack([g.ravel() for g in grids]))
+            k += [layer] * len(lo[-1])
+    return Covering(l=l, T=float(T), N=N, style=style, v=v, k=k,
+                    lo_array=np.concatenate(lo), hi_array=np.concatenate(hi))
 
 
 def boundary_layer_covering(N: int, T: float, l: int, v: float) -> Covering:
@@ -298,7 +292,7 @@ def shadow_matrix(covering: Covering) -> np.ndarray:
             S &= lo[:, None, a] < hi[None, :, a]
         np.fill_diagonal(S, False)
         S.flags.writeable = False
-        covering._shadow = S
+        object.__setattr__(covering, "_shadow", S)
     return covering._shadow
 
 

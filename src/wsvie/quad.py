@@ -249,7 +249,7 @@ def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
     """``kernel_moments`` of S intervals at once: an array of shape (S, x.size, M).
 
     Interval s runs from a[s] to b[s] and carries the fundamental polynomials
-    of nodesets[s], built on it by ``build_nodes`` with one family and m
+    of nodesets[s], built on it by ``build_nodes`` with its family and m
     nodes: those of ``build_nodes((-1, 1), family, m)`` in sigma, and zero past
     m < M. A row is h^(p + 1) times its reference row from ``rows`` (``_reference_rows``
     or a ``_RowStore``), and equals that of ``kernel_moments`` on its interval, to the bit.
@@ -257,9 +257,10 @@ def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, ms = np.asarray(a, float), np.asarray(b, float), np.array([ns.m for ns in nodesets], int)
     M = np.zeros((len(nodesets), x.size, ms.max(initial=0)))
-    for m in np.unique(ms).tolist():
-        g = np.flatnonzero(ms == m)
-        ref = _reference_nodes((-1.0, 1.0), nodesets[g[0]].family, m)
+    families = np.array([ns.family for ns in nodesets])
+    for m, family in sorted(set(zip(ms.tolist(), families.tolist()))):
+        g = np.flatnonzero((ms == m) & (families == family))
+        ref = _reference_nodes((-1.0, 1.0), family, m)
         scale = (0.5 * (b[g] - a[g])) ** (p + 1.0)
         for panels, s, r, X in _reference_pairs(x, a[g], b[g], m):
             M[g[s], r, :m] = scale[s, None] * rows(ref, p, n, panels, X)

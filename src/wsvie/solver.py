@@ -59,7 +59,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .interp import build_nodes
-from .interp import geometric_degree_schedule, geometric_global_degree, power_degree_schedule
+from .interp import geometric_degree_schedule, power_degree_schedule
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, corner_layer_covering,
                    geometric_covering, geometric_mesh, power_graded_mesh, shadow_matrix)
 from .quad import _TABLE_BUDGET, _reference_nodes, _RowStore, kernel_moments, stacked_kernel_moments
@@ -126,17 +126,13 @@ def preset_1d(params, N: int):
 
 def preset_2d(params, N: int):
     """(covering, per-axis node count, family) for the plane at level N."""
-    if params.kind == "q_star":
-        cov = boundary_layer_covering(N, params.T, 2, params.grading_exponent)
-        return cov, max(params.s, 2), "legendre_closed"
-    if params.kind == "q_double_star":
-        cov = corner_layer_covering(N, params.T, 2, params.grading_exponent)
-        return cov, max(params.s, 2), "legendre_closed"
-    if params.kind == "b_star":
-        cov = geometric_covering(N, params.T, 2)
-        degree = geometric_global_degree(N, params.r, params.gamma,
-                                         params.bound_constant, params.T)
-        return cov, degree, "chebyshev1_closed"
+    if params.kind in ("q_star", "q_double_star"):
+        build = boundary_layer_covering if params.kind == "q_star" else corner_layer_covering
+        return build(N, params.T, 2, params.grading_exponent), max(params.s, 2), "legendre_closed"
+    if params.kind == "b_star":   # every cell takes the node count of 1D segment N
+        degree = geometric_degree_schedule(N + 1, params.r, params.gamma, params.bound_constant,
+                                           params.T)[N]
+        return geometric_covering(N, params.T, 2), degree, "chebyshev1_closed"
     raise ValueError(f"no covering construction for kind {params.kind!r}")
 
 
@@ -157,13 +153,14 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       (hi - lo, grid[a].size, M_a), each source's in its leading m columns
       and zero past them, M_a the largest node count of ``nodesets`` on the
       axis. They are row gathers, padded to M_a, from tables built per chunk
-      of consecutive targets, one per distinct source interval (a, b, m) of
-      the chunk and axis, evaluated at the sorted union of the chunk's grid
-      coordinates: one ``stacked_kernel_moments`` call per axis fills them
-      from a ``_RowStore`` of ``_TABLE_BUDGET / 2`` doubles that lives as
-      long as this generator. A chunk grows while its tables and the store
-      hold at most ``_TABLE_BUDGET`` doubles (a cell count would not do,
-      since the table width grows with m), and takes at least one target.
+      of consecutive targets, one per distinct source interval (a, b) and
+      node set (m, family) of the chunk and axis, evaluated at the sorted
+      union of the chunk's grid coordinates: one ``stacked_kernel_moments``
+      call per axis fills them from a ``_RowStore`` of ``_TABLE_BUDGET / 2``
+      doubles that lives as long as this generator. A chunk grows while its
+      tables and the store hold at most ``_TABLE_BUDGET`` doubles (a cell
+      count would not do, since the table width grows with m), and takes at
+      least one target.
       It is planned on integer ids, of the distinct coordinates of all
       targets (one ``np.unique`` per axis) and of the source intervals: a
       target's and a chunk's ids are ``_bitsets``, and a target's table rows
@@ -190,14 +187,14 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
                  for a, M in enumerate(widths)]
     axes = []   # per axis: the integer ids that chunks are planned on
     for a, p in enumerate(kern.exponents):
-        keys = [(n[a].m, n[a].a, n[a].b) for n in nodesets]   # a cell's source interval
+        keys = [(n[a].m, n[a].family, n[a].a, n[a].b) for n in nodesets]   # a source interval
         index = {key: i for i, key in enumerate(sorted(set(keys)))}   # ids in order of m
         kid, reps = np.array([index[key] for key in keys]), np.empty(len(index), dtype=object)
         reps[kid] = [n[a] for n in nodesets]   # one NodeSet per id
         x, cid = np.unique(np.concatenate([g[a] for _, g in targets]), return_inverse=True)
         axes.append(SimpleNamespace(  # ``top`` by a bitset's bit length: its largest m
-            p=p, kid=kid, reps=reps, ends=np.array(list(index))[:, 1:],
-            top=np.array([0] + [m for m, _, _ in index]), x=x, cid=cid.ravel(),
+            p=p, kid=kid, reps=reps, ends=np.array([key[2:] for key in index]),
+            top=np.array([0] + [key[0] for key in index]), x=x, cid=cid.ravel(),
             off=np.append(0, np.cumsum([g[a].size for _, g in targets]))))
     srcs, bits = [], []   # per target until yielded: its sources; per axis, its id bitsets
     store, tables, pos = _RowStore(_TABLE_BUDGET // 2), [], 0
@@ -292,20 +289,22 @@ def _contract(W, x) -> np.ndarray:
     return np.matmul(x, W[-1].swapaxes(-1, -2))
 
 
-def _history(moments, values, shape) -> np.ndarray:
+def _history(moments, values, shape, flat: bool = False) -> np.ndarray:
     """Sum over sources, in their order, of the integrals of their splines.
 
     ``moments`` is one target's weights from ``_cell_moments``, ``values``
     the padded nodal values (sources, M_1, ..., M_l) of its first sources
-    and ``shape`` the target grid's. Sources are taken in blocks whose
-    weights hold about ``_TABLE_BUDGET`` doubles; each block is one batched
-    ``_contract``, with its values flattened when a smooth factor flattens
-    the axes. Each block is summed after the sum so far, in source order:
-    numpy reduces the sources of a grid of several points one after another,
-    but those of a one-point grid pairwise, so that grid accumulates.
+    and ``shape`` the target grid's. Sources are taken in blocks of about
+    ``_TABLE_BUDGET`` doubles of weights: the grid size per source, times
+    M_1 * ... * M_l when they are ``flat`` (``_flat``; the values are flattened
+    alike). Each block is one batched ``_contract``, summed after the sum so
+    far, in source order: numpy reduces the sources of a grid of several
+    points one after another, but those of a one-point grid pairwise, so that
+    grid accumulates.
     """
     out = np.zeros(shape)
-    step = max(1, _TABLE_BUDGET // math.prod(shape))
+    width = math.prod(shape) * (math.prod(values.shape[1:]) if flat else 1)   # per source
+    step = max(1, _TABLE_BUDGET // width)
     for lo in range(0, len(values), step):
         W = moments(lo, min(lo + step, len(values)))
         block = values[lo:lo + step].reshape((-1,) + tuple(w.shape[-1] for w in W))
@@ -315,6 +314,11 @@ def _history(moments, values, shape) -> np.ndarray:
         parts[0] += out.reshape(parts[0].shape)
         out = np.add.reduce(parts) if parts[0].size > 1 else np.add.accumulate(parts)[-1]
     return out.reshape(shape)
+
+
+def _flat(kern: KernelSpec | None) -> bool:
+    """Whether ``_cell_moments`` flattens the weights to one axis: for h or no kernel."""
+    return kern is None or kern.smooth_factor is not None
 
 
 def _node_grids(nodesets, cells):
@@ -383,8 +387,8 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     done = np.zeros(covering.ncells, dtype=bool)
     nodal = _nodal(spl, problem.rhs, lambda cand, owner: np.where(shadow[cand, owner], rank[cand],
                                                                   covering.ncells))
-    shared = kern is not None and kern.smooth_factor is None   # h == 1
-    keys = [_shape_key(nodesets[ci], nodal.own[c]) if shared else ci
+    flat = _flat(kern)   # else h == 1
+    keys = [ci if flat else _shape_key(nodesets[ci], nodal.own[c])
             for ci, c in enumerate(nodal.cells)]
     repeats = Counter(keys)
     # a cell's sources are its predecessors, then the cell itself
@@ -397,7 +401,7 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
             raise RuntimeError(f"order processes cell {ci} before its predecessors")
         shape = values[ci].shape
         f, own = nodal.f[nodal.cells[ci]], nodal.own[nodal.cells[ci]]
-        rhs = f + _history(moments, tables.values[pred_idx], shape).ravel()
+        rhs = f + _history(moments, tables.values[pred_idx], shape, flat).ravel()
         rhs[~own] = next(inherited)
         W, key, A = [w[0] for w in moments(len(pred_idx), len(srcs))], keys[ci], None
         if repeats[key] == 1:   # the cell inverts its own matrix
@@ -409,7 +413,7 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
                                     else _shape_matrix(kern, nodesets[ci], own, reference))
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(f"singular local system on cell {ci} "
-                                   f"(layer {covering.cells[ci].k})") from exc
+                                   f"(layer {covering.k[ci]})") from exc
             if inv.size + sum(v.size for v in inverses.values()) > _TABLE_BUDGET // 2:
                 inverses = {}   # keep at least the new one
             inverses[key] = inv
@@ -485,8 +489,8 @@ def residual(problem: VieProblem, solution, samples) -> float:
     for i, _, moments in _cell_moments(problem.kernel, solution.nodesets, enumerate(grids),
                                        lambda _: np.arange(len(values))):
         mesh = np.meshgrid(*grids[i], indexing="ij")
-        r = (solution.eval_grid(grids[i]) - _history(moments, values, mesh[0].shape)
-             - np.asarray(problem.rhs(*mesh), dtype=float))
+        hist = _history(moments, values, mesh[0].shape, _flat(problem.kernel))
+        r = solution.eval_grid(grids[i]) - hist - np.asarray(problem.rhs(*mesh), dtype=float)
         worst.append(np.max(np.abs(r)))
     return float(np.max(worst))   # NaN propagates
 
@@ -506,7 +510,7 @@ def collocation_residual(problem: VieProblem, solution) -> float:
     worst = [0.0]
     for ci, srcs, moments in _cell_moments(problem.kernel, nodesets, checked,
                                            lambda ci: np.nonzero(shadow[:, ci])[0]):
-        lhs = values[ci] - _history(moments, padded[srcs], values[ci].shape)
+        lhs = values[ci] - _history(moments, padded[srcs], values[ci].shape, _flat(problem.kernel))
         grids = np.meshgrid(*[ns.nodes for ns in nodesets[ci]], indexing="ij")
         rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)
         worst.append(np.max(np.abs((lhs - rhs.reshape(lhs.shape))[owned[ci]])))

@@ -148,8 +148,8 @@ class TensorSpline:
 
 def tensor_spline_from_dict(data: dict) -> TensorSpline:
     cov = covering_from_dict(data["covering"])
-    nodesets = [tuple(build_nodes((c.lo[a], c.hi[a]), fams[a], ms[a]) for a in range(cov.l))
-                for c, fams, ms in zip(cov.cells, data["families"], data["degrees"])]
+    nodesets = [tuple(map(build_nodes, zip(lo, hi), fams, ms)) for lo, hi, fams, ms in zip(
+        cov.lo_array.tolist(), cov.hi_array.tolist(), data["families"], data["degrees"])]
     return TensorSpline(cov, nodesets, data["values"])
 
 
@@ -288,8 +288,7 @@ def build_tensor_spline(f, covering: Covering, degrees, order=None,
         raise ValueError("order is not a permutation of the covering's cells")
     spl = _unfilled(covering, degrees, family)
     # a cell's position in ``order``: it may donate to the cells built after it
-    pos = np.empty(covering.ncells, dtype=int)
-    pos[order] = np.arange(covering.ncells)
+    pos = np.argsort(order)
     nodal = _nodal(spl, f, lambda cand, owner: np.where(pos[cand] < pos[owner], pos[cand],
                                                         covering.ncells))
     for ci, inherited in zip(order, _inherited(spl.tables, nodal, order)):

@@ -52,6 +52,12 @@ class TestGeometricMesh:
         assert ratios == pytest.approx(np.full(ratios.size, 2.0))
 
 
+def _boxes(cov):
+    """(layer, lower corner, upper corner) per cell, in Python numbers."""
+    return list(zip(cov.k.tolist(), map(tuple, cov.lo_array.tolist()),
+                    map(tuple, cov.hi_array.tolist())))
+
+
 def _tiling_ok(cov):
     vol = math.fsum(np.prod(cov.hi_array - cov.lo_array, axis=1).tolist())
     assert abs(vol - cov.T ** cov.l) <= 1e-12 * cov.T ** cov.l
@@ -68,7 +74,7 @@ class TestBoundaryLayerCovering:
     def test_uniform_2x2(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.0)
         assert cov.ncells == 4
-        boxes = {(c.lo, c.hi) for c in cov.cells}
+        boxes = {(lo, hi) for _, lo, hi in _boxes(cov)}
         assert ((0.5, 0.5), (1.0, 1.0)) in boxes
         assert ((0.0, 0.0), (0.5, 0.5)) in boxes
         assert ((0.0, 0.5), (0.5, 1.0)) in boxes
@@ -80,9 +86,9 @@ class TestBoundaryLayerCovering:
         assert cov.ncells >= 4
         _tiling_ok(cov)
         # layer boundary at min(t1, t2) = 0.25, shell cells have edge <= 0.75
-        for c in cov.cells:
-            if c.k == 0:
-                assert max(h - l for l, h in zip(c.lo, c.hi)) <= 0.75 + 1e-12
+        for k, lo, hi in _boxes(cov):
+            if k == 0:
+                assert max(h - l for l, h in zip(lo, hi)) <= 0.75 + 1e-12
 
     def test_count_growth_regime(self):
         count = boundary_layer_covering(8, 1.0, 2, 3.0).ncells
@@ -93,13 +99,13 @@ class TestBoundaryLayerCovering:
         cov = boundary_layer_covering(N, 1.0, 2, v)
         _tiling_ok(cov)
         b = [(k / N) ** v for k in range(N + 1)]
-        for c in cov.cells:
-            rho_min = min(c.lo)
-            rho_max = min(c.hi)
-            assert rho_min >= b[c.k] - 1e-12
-            assert rho_max <= b[c.k + 1] + 1e-12
-            h_k = b[c.k + 1] - b[c.k]
-            assert max(h - l for l, h in zip(c.lo, c.hi)) <= h_k + 1e-12
+        for k, lo, hi in _boxes(cov):
+            rho_min = min(lo)
+            rho_max = min(hi)
+            assert rho_min >= b[k] - 1e-12
+            assert rho_max <= b[k + 1] + 1e-12
+            h_k = b[k + 1] - b[k]
+            assert max(h - l for l, h in zip(lo, hi)) <= h_k + 1e-12
 
     def test_l3_tiling(self):
         _tiling_ok(boundary_layer_covering(3, 1.0, 3, 1.5))
@@ -109,15 +115,14 @@ class TestCornerLayerCovering:
     def test_uniform_2x2(self):
         cov = corner_layer_covering(2, 1.0, 2, 1.0)
         assert cov.ncells == 4
-        boxes = {(c.lo, c.hi) for c in cov.cells}
+        boxes = {(lo, hi) for _, lo, hi in _boxes(cov)}
         assert ((0.0, 0.0), (0.5, 0.5)) in boxes
         _tiling_ok(cov)
 
     def test_single_layer(self):
         cov = corner_layer_covering(1, 1.0, 2, 2.0)
         assert cov.ncells == 1
-        assert cov.cells[0].lo == (0.0, 0.0)
-        assert cov.cells[0].hi == (1.0, 1.0)
+        assert _boxes(cov) == [(1, (0.0, 0.0), (1.0, 1.0))]
 
     def test_count_near_N_squared(self):
         count = corner_layer_covering(4, 1.0, 2, 2.0).ncells
@@ -128,11 +133,11 @@ class TestCornerLayerCovering:
         cov = corner_layer_covering(N, 1.0, 2, v)
         _tiling_ok(cov)
         c_bounds = [(k / N) ** v for k in range(N + 1)]
-        for c in cov.cells:
-            assert max(c.hi) <= c_bounds[c.k] + 1e-12
-            if c.k >= 2:
-                h = c_bounds[c.k] - c_bounds[c.k - 1]
-                assert max(hh - ll for ll, hh in zip(c.lo, c.hi)) <= h + 1e-12
+        for k, lo, hi in _boxes(cov):
+            assert max(hi) <= c_bounds[k] + 1e-12
+            if k >= 2:
+                h = c_bounds[k] - c_bounds[k - 1]
+                assert max(hh - ll for ll, hh in zip(lo, hi)) <= h + 1e-12
 
 
 class TestGeometricCovering:
@@ -149,10 +154,10 @@ class TestGeometricCovering:
     def test_edge_bounds(self, N):
         cov = geometric_covering(N, 1.0, 2)
         _tiling_ok(cov)
-        for c in cov.cells:
-            h_k = 2.0 ** (c.k - 1 - N)
-            for lo, hi in zip(c.lo, c.hi):
-                assert h_k - 1e-12 <= hi - lo <= 2 * h_k + 1e-12
+        for k, lo, hi in _boxes(cov):
+            h_k = 2.0 ** (k - 1 - N)
+            for a, b in zip(lo, hi):
+                assert h_k - 1e-12 <= b - a <= 2 * h_k + 1e-12
 
 
 # Reference: the shadow matrix as one (n, n, l) comparison, and the causal
@@ -204,7 +209,7 @@ class TestCausalOrder:
     def test_uniform_2x2_order(self):
         cov = boundary_layer_covering(2, 1.0, 2, 1.0)
         order = causal_order(cov)
-        assert [cov.cells[i].lo for i in order] == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
+        assert cov.lo_array[order].tolist() == [[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]]
 
     def test_single_cell(self):
         cov = corner_layer_covering(1, 1.0, 2, 1.0)
@@ -262,8 +267,39 @@ class TestSerialization:
         assert back.ncells == cov.ncells
         assert np.array_equal(back.lo_array, cov.lo_array)
         assert np.array_equal(back.hi_array, cov.hi_array)
-        assert np.array_equal([c.k for c in back.cells], [c.k for c in cov.cells])
+        assert np.array_equal(back.k, cov.k)
         assert np.array_equal(back.causal_rank(), cov.causal_rank())
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("build", [
+        partial(boundary_layer_covering, 3, 1.0, 2, 1.5),
+        partial(corner_layer_covering, 3, 1.0, 2, 2.0),
+        partial(geometric_covering, 3, 1.0, 2),
+        lambda: power_graded_mesh(4, 1.0, 2.0).covering(),
+    ], ids=["boundary", "corner", "geometric", "1d-power"])
+    def test_geometry_is_read_only(self, build):
+        # the causal rank, shadow matrix and lookup grid are cached from these arrays
+        cov = build()
+        cov.causal_rank()
+        for name in ("k", "lo_array", "hi_array"):
+            with pytest.raises(ValueError):
+                getattr(cov, name)[0] = 0
+            with pytest.raises(AttributeError):
+                setattr(cov, name, getattr(cov, name).copy())
+            assert f"{name}=" not in repr(cov)
+
+    def test_constructor_copies_its_arrays(self):
+        lo, hi = np.array([[0.0], [0.5]]), np.array([[0.5], [1.0]])
+        cov = mesh.Covering(l=1, T=1.0, N=1, style="power", v=1.0, k=[0, 1],
+                            lo_array=lo, hi_array=hi)
+        lo[0, 0] = 0.25
+        assert cov.lo_array[0, 0] == 0.0
+
+    def test_corners_must_match_the_layers(self):
+        with pytest.raises(ValueError, match="corners"):
+            mesh.Covering(l=2, T=1.0, N=1, style="corner", v=1.0, k=[1],
+                          lo_array=[[0.0]], hi_array=[[1.0]])
 
 
 # Reference: the three covering builders as they were written before they
@@ -306,38 +342,44 @@ def _ref_tile_slabs(cells, k, l, band, below, above, h, chop_style):
         for flat in np.ndindex(*[len(e) - 1 for e in per_axis_edges]):
             lo = tuple(float(per_axis_edges[i][flat[i]]) for i in range(l))
             hi = tuple(float(per_axis_edges[i][flat[i] + 1]) for i in range(l))
-            cells.append(mesh.Cell(k=k, lo=lo, hi=hi))
+            cells.append((k, lo, hi))
+
+
+def _ref_covering(cells, **meta):
+    """The Covering of the (k, lo, hi) triples ``cells``, in their order."""
+    k, lo, hi = zip(*cells)
+    return mesh.Covering(k=k, lo_array=lo, hi_array=hi, **meta)
 
 
 def _ref_boundary(N, T, l, v):
     b = power_graded_mesh(N, T, v).breakpoints
-    cells = [mesh.Cell(k=N - 1, lo=(float(b[N - 1]),) * l, hi=(float(T),) * l)]
+    cells = [(N - 1, (float(b[N - 1]),) * l, (float(T),) * l)]
     for k in range(N - 2, -1, -1):
         _ref_tile_slabs(cells, k, l, band=(float(b[k]), float(b[k + 1])),
                         below=(float(b[k + 1]), float(T)), above=(float(b[k]), float(T)),
                         h=float(b[k + 1] - b[k]), chop_style="ceil")
-    return mesh.Covering(l=l, T=float(T), N=N, style="boundary", v=float(v), cells=cells)
+    return _ref_covering(cells, l=l, T=float(T), N=N, style="boundary", v=float(v))
 
 
 def _ref_corner(N, T, l, v):
     c = power_graded_mesh(N, T, v).breakpoints
-    cells = [mesh.Cell(k=1, lo=(0.0,) * l, hi=(float(c[1]),) * l)]
+    cells = [(1, (0.0,) * l, (float(c[1]),) * l)]
     for k in range(2, N + 1):
         _ref_tile_slabs(cells, k, l, band=(float(c[k - 1]), float(c[k])),
                         below=(0.0, float(c[k - 1])), above=(0.0, float(c[k])),
                         h=float(c[k] - c[k - 1]), chop_style="ceil")
-    return mesh.Covering(l=l, T=float(T), N=N, style="corner", v=float(v), cells=cells)
+    return _ref_covering(cells, l=l, T=float(T), N=N, style="corner", v=float(v))
 
 
 def _ref_geometric(N, T, l):
     outer = [T * 2.0 ** (k - N) for k in range(N + 1)]
-    cells = [mesh.Cell(k=N, lo=(float(T / 2),) * l, hi=(float(T),) * l)]
+    cells = [(N, (float(T / 2),) * l, (float(T),) * l)]
     for k in range(N - 1, -1, -1):
         inner = 0.0 if k == 0 else outer[k - 1]
         _ref_tile_slabs(cells, k, l, band=(float(inner), float(outer[k])),
                         below=(float(outer[k]), float(T)), above=(float(inner), float(T)),
                         h=float(T * 2.0 ** (k - 1 - N)), chop_style="floor")
-    return mesh.Covering(l=l, T=float(T), N=N, style="geometric", v=None, cells=cells)
+    return _ref_covering(cells, l=l, T=float(T), N=N, style="geometric", v=None)
 
 
 @pytest.mark.parametrize("T", [1.0, 2.5])
@@ -357,7 +399,7 @@ def test_shell_loop_matches_reference_builders(style, l, Nmax, T):
                                                                want.style, want.v)
             assert np.array_equal(cov.lo_array, want.lo_array)
             assert np.array_equal(cov.hi_array, want.hi_array)
-            assert [c.k for c in cov.cells] == [c.k for c in want.cells]
+            assert np.array_equal(cov.k, want.k)
 
 
 @pytest.mark.parametrize("merge", [False, True])

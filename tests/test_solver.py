@@ -394,6 +394,26 @@ class TestSmoothFactor:
                else solve_2d(prob, *preset_2d(params, N)))
         assert sup_error(sol, prob.exact) <= bound
 
+    def test_memory_of_flat_weights(self):
+        # h's weights hold grid x M_1 M_2 doubles per source: blocks of sources are
+        # sized by them, so the peak stays near that of h == 1 (7x it when sized
+        # by the grid alone)
+        import tracemalloc
+
+        from wsvie.funclass import derive_class_params
+
+        prob = _smooth_problem(2, 2.5, 2.5)
+        disc = preset_2d(derive_class_params(2, 0.5, "b_star", l=2), 4)
+        peaks = []
+        for kern in (prob.kernel, KernelSpec((2.5, 2.5))):
+            tracemalloc.start()
+            try:
+                solve_2d(VieProblem(l=2, T=1.0, kernel=kern, rhs=prob.rhs), *disc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * peaks[1]
+
 
 def _assert_order_invariant(cov, degree, fam):
     """The canonical causal order and one taken by the reverse heap key give
@@ -827,8 +847,8 @@ def _reference_unfilled(cov, degrees, family):
     from wsvie.spline import TensorSpline
 
     degrees = [degrees] * cov.ncells if isinstance(degrees, int) else list(degrees)
-    nodesets = [tuple(build_nodes((c.lo[a], c.hi[a]), family, m) for a in range(cov.l))
-                for c, m in zip(cov.cells, degrees)]
+    nodesets = [tuple(build_nodes((lo[a], hi[a]), family, m) for a in range(cov.l))
+                for lo, hi, m in zip(cov.lo_array.tolist(), cov.hi_array.tolist(), degrees)]
     return TensorSpline(cov, nodesets)
 
 
@@ -1369,6 +1389,31 @@ class TestResidual:
         mesh, sched, fam = preset_1d(q_params, 16)
         sol = solve_1d(prob, mesh, sched, fam)
         assert residual(prob, sol, np.linspace(0, 1, 101)) <= 1e-4
+
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("other", ["legendre_closed", "chebyshev1_closed"])
+    def test_cells_of_different_families(self, l, other):
+        # x = prod (1 + t_i) lies in every spline space, p = -1/2: each source
+        # interval's moments use its own family, also where cells of two
+        # families share an interval and a node count
+        from wsvie.interp import build_nodes
+        from wsvie.mesh import geometric_mesh
+        from wsvie.spline import TensorSpline
+
+        integral = lambda t: 2 * np.sqrt(t) + 4 / 3 * t ** 1.5   # of (t - tau)^(-1/2) (1 + tau)
+        prob = VieProblem(l=l, T=1.0, kernel=KernelSpec((-0.5,) * l),
+                          rhs=lambda *t: math.prod(1 + x for x in t) - math.prod(map(integral, t)))
+        cov = (geometric_mesh(2, 1.0).covering() if l == 1
+               else boundary_layer_covering(2, 1.0, 2, 1.0))   # four cells, two per interval
+        families = ["legendre_closed", other]
+        corners = enumerate(zip(cov.lo_array.tolist(), cov.hi_array.tolist()))
+        nodesets = [tuple(build_nodes(ab, families[ci % 2], 6) for ab in zip(lo, hi))
+                    for ci, (lo, hi) in corners]
+        values = [math.prod(np.ix_(*[1 + ns.nodes for ns in nsets])) for nsets in nodesets]
+        spl = TensorSpline(cov, nodesets, values)
+        ax = np.linspace(0, 1, 21)
+        assert residual(prob, spl, (ax,) * l if l > 1 else ax) <= 1e-13
+        assert collocation_residual(prob, spl) <= 1e-13
 
 
 class TestKernelSpec:

@@ -515,12 +515,13 @@ class TestNodeConstruction:
         for degrees in (*counts, [counts[ci % 6] for ci in range(cov.ncells)]):
             spl = _unfilled(cov, degrees, family)
             reference = []
-            for ci, (cell, nsets) in enumerate(zip(cov.cells, spl.nodesets)):
+            cells = zip(cov.lo_array.tolist(), cov.hi_array.tolist(), spl.nodesets)
+            for ci, (lo, hi, nsets) in enumerate(cells):
                 m = degrees if isinstance(degrees, int) else degrees[ci]
                 reference.append([])
                 for a, ns in enumerate(nsets):
-                    assert (ns.a, ns.b, ns.family, ns.m) == (cell.lo[a], cell.hi[a], family, m)
-                    nodes, weights = _per_segment_nodes(cell.lo[a], cell.hi[a], family, m)
+                    assert (ns.a, ns.b, ns.family, ns.m) == (lo[a], hi[a], family, m)
+                    nodes, weights = _per_segment_nodes(lo[a], hi[a], family, m)
                     assert np.array_equal(ns.nodes, nodes) and np.array_equal(ns.weights, weights)
                     reference[-1].append(NodeSet(ns.a, ns.b, family, m, nodes, weights))
             padded = _padded(reference)
