@@ -13,11 +13,12 @@ generator, ``_reference_pairs``, from where x lies:
 
 The rules are written in the reference coordinate sigma on [-1, 1]: a row is
 h^(p + 1), h = (b - a) / 2, times a reference row of (family, m, p, n,
-branch, X), X its reference coordinate, from one function, ``_reference_rows``
-(``_RowStore`` puts a store in front of it). ``stacked_kernel_moments`` takes
-the moments of many intervals, of any node counts, at one coordinate array;
-its rows sum in one fixed order, so stacking changes no bit.
-``kernel_moments`` is its one-interval case.
+branch, X), X its reference coordinate, from one function, ``_reference_rows``.
+``stacked_kernel_moments`` takes the moments of many intervals, of any node
+counts, at one coordinate array; its rows sum in one fixed order, so stacking
+changes no bit. A ``_RowStore`` keeps the singular and near rows of a walk; a
+caller may gather far rows from rows of its own (``far``), as the solver does
+from its far classes. ``kernel_moments`` is the one-interval case.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def _reference_pairs(x, a, b, m: int):
     (x - b) / h, h = (b - a) / 2, which keeps the digits of rows past b.
     """
     a, b = np.reshape(a, (-1, 1)).astype(float), np.reshape(b, (-1, 1)).astype(float)
-    active = np.minimum(x, b) > a
+    active = x > a   # min(x, b) > a, as b > a
     singular = active & (x <= b)
     far = active & (x - b >= (b - a))
     step = max(1, _TABLE_BUDGET // (8 * m))
@@ -219,15 +220,13 @@ def _reference_rows(ref: NodeSet, p: float, n: int, panels: int, X) -> np.ndarra
 
 class _RowStore:
     """``_reference_rows`` behind a store of the rows it computed, keyed by its arguments:
-    missing rows are computed in one batch and kept while they fit in ``room`` doubles.
-    Far rows pass through: they are about as cheap to compute as to look up."""
+    missing rows are computed in one batch and kept while ``size`` stays within ``room``
+    doubles. The solver's far rows, numbered by class, count against the same room."""
 
     def __init__(self, room: int):
         self.room, self.size, self.groups = room, 0, {}   # group -> sorted X, their rows
 
     def __call__(self, ref: NodeSet, p: float, n: int, panels: int, X) -> np.ndarray:
-        if panels == 1:
-            return _reference_rows(ref, p, n, panels, X)
         group = (ref.family, ref.m, p, n, panels)
         keys, rows = self.groups.get(group, (np.empty(0), np.empty((0, ref.m))))
         X, inverse = np.unique(X, return_inverse=True)
@@ -245,7 +244,7 @@ class _RowStore:
 
 
 def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
-                           rows=_reference_rows) -> np.ndarray:
+                           rows=_reference_rows, far=None) -> np.ndarray:
     """``kernel_moments`` of S intervals at once: an array of shape (S, x.size, M).
 
     Interval s runs from a[s] to b[s] and carries the fundamental polynomials
@@ -253,6 +252,8 @@ def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
     nodes: those of ``build_nodes((-1, 1), family, m)`` in sigma, and zero past
     m < M. A row is h^(p + 1) times its reference row from ``rows`` (``_reference_rows``
     or a ``_RowStore``), and equals that of ``kernel_moments`` on its interval, to the bit.
+    ``far(ref, s, r, X)``, if given, returns the reference rows of the far pairs
+    (interval s[c], row r[c], at X[c]) in place of ``rows``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, ms = np.asarray(a, float), np.asarray(b, float), np.array([ns.m for ns in nodesets], int)
@@ -263,7 +264,9 @@ def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
         ref = _reference_nodes((-1.0, 1.0), family, m)
         scale = (0.5 * (b[g] - a[g])) ** (p + 1.0)
         for panels, s, r, X in _reference_pairs(x, a[g], b[g], m):
-            M[g[s], r, :m] = scale[s, None] * rows(ref, p, n, panels, X)
+            G = far(ref, g[s], r, X) if far and panels == 1 else rows(ref, p, n, panels, X)
+            G *= scale[s, None]   # G is a fresh array
+            M[g[s], r, :m] = G
     return M
 
 

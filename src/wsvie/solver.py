@@ -62,6 +62,7 @@ from .interp import build_nodes
 from .interp import geometric_degree_schedule, power_degree_schedule
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, corner_layer_covering,
                    geometric_covering, geometric_mesh, power_graded_mesh, shadow_matrix)
+from . import quad
 from .quad import _TABLE_BUDGET, _reference_nodes, _RowStore, kernel_moments, stacked_kernel_moments
 from .spline import LocalSpline, TensorSpline, _inherited, _nodal, _unfilled
 
@@ -198,6 +199,8 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             off=np.append(0, np.cumsum([g[a].size for _, g in targets]))))
     srcs, bits = [], []   # per target until yielded: its sources; per axis, its id bitsets
     store, tables, pos = _RowStore(_TABLE_BUDGET // 2), [], 0
+    classes = _far_classes(axes, targets, sources, store.room if quad_n >= _CLASS_POINTS else 0,
+                           quad_n)
     while pos < len(targets):
         end, chunk = pos, [(0, 0)] * len(axes)   # per axis: the chunk's coordinates, intervals
         while end < len(targets):
@@ -218,8 +221,10 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
         for ax in axes:   # the ids of the chunk's coordinates and intervals, as masks
             near, used = np.zeros(ax.x.size, dtype=bool), np.zeros(len(ax.reps), dtype=bool)
             near[ax.cid[ax.off[pos]:ax.off[end]]] = used[ax.kid[cat]] = True
+            ax.used, ax.near = np.flatnonzero(used), np.flatnonzero(near)
             tables.append(stacked_kernel_moments(   # no local keeps it
-                ax.x[near], ax.p, *ax.ends[used].T, ax.reps[used], quad_n, store))
+                ax.x[near], ax.p, *ax.ends[used].T, ax.reps[used], quad_n, store,
+                partial(_far_rows, ax, classes, quad_n)))
             rows.append(np.cumsum(near) - 1)   # a coordinate id's row in the chunk's tables
             sel.append(np.cumsum(used) - 1)
         for t in range(pos, end):
@@ -241,6 +246,121 @@ def _bitsets(off, ids, n: int) -> list:
     packed = np.packbits(held, axis=1, bitorder="little")
     raw, w = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(raw[g * w:g * w + w], "little") for g in range(len(held))]
+
+
+# far rules of fewer Gauss points give rows about as cheap to compute as to look up
+_CLASS_POINTS = 16
+
+
+def _far_classes(axes, targets, sources, room: int, n: int) -> dict:
+    """Number the far classes of a walk once, from its integer ids, and compute the rows
+    of those it keeps: returns their tables, one per source (m, family).
+
+    On axis a, coordinate id i is node ``j[i]`` of interval ``tgt[i]``, the lowest id
+    whose node array is a target's axis-a grid and holds it (K, none, for other
+    grids). A pair (t, source interval s) where t can reach past b_s + (b_s - a_s) is
+    keyed by r1 = (mid_t - b_s) / h_s, r2 = h_t / h_s, the (m, family) of t and of s,
+    and p_a; one sort over the pairs of all axes numbers the classes. Row j of a class
+    is the far row at X = r1 + r2 y_j, y_j node j of t's reference node set. The
+    classes that the targets use most (a use: a target with a node on t and a source
+    on s) are kept while their rows fit in ``room`` doubles, each row computed once,
+    here, where X_j > 1.9 (a far row has X >= 2); ``cls[t, s]`` is then the first row
+    of the pair's class in its table. Any other pair (``cls`` -1) is a class of its
+    own, at X = (x - b_s) / h_s.
+    """
+    for ax in axes:
+        ax.cls = None   # every pair a class of its own
+    if not room:
+        return {}
+    groups = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps})
+    width, ps, keys = groups[-1][0], sorted({ax.p for ax in axes}), []
+    Y = np.array([np.pad(_reference_nodes((-1.0, 1.0), f, m).nodes, (0, width - m)) for m, f in groups])
+    cat = [sources(key) for key, _ in targets]
+    owner, cat = np.repeat(np.arange(len(cat)), [c.size for c in cat]), np.concatenate(cat)
+    for a, ax in enumerate(axes):
+        (lo, hi), K = ax.ends.T, len(ax.reps)
+        grid_of = {ns.nodes.tobytes(): k for k, ns in enumerate(ax.reps)}
+        kk = np.array([grid_of.get(g[a].tobytes(), K) for _, g in targets])   # per target
+        at = np.repeat(kk, np.diff(ax.off))
+        first = np.lexsort((at, ax.cid))
+        first = first[np.append(True, np.diff(ax.cid[first]) > 0)]   # per coordinate id
+        ax.tgt, ax.j = at[first], first - np.repeat(ax.off[:-1], np.diff(ax.off))[first]
+        tk = np.array([kk, ax.tgt[ax.cid[ax.off[:-1]]], ax.tgt[ax.cid[ax.off[1:] - 1]]])
+        uses = np.bincount((tk[:, owner] * K + ax.kid[cat]).ravel(), minlength=K * K + K)
+        held = np.zeros(K + 1, dtype=bool)
+        held[ax.tgt] = True
+        ax.cls = held[:, None] & (np.append(hi, -np.inf)[:, None] - hi >= hi - lo)   # the pairs
+        gid = np.array([groups.index((ns.m, ns.family)) for ns in ax.reps]) * len(ps)
+        keys.append(_pair_keys(ax, uses.reshape(-1, K), gid + ps.index(ax.p), len(groups) * len(ps)))
+    keys = [np.concatenate(k) for k in zip(*keys)]
+    if not keys[0].size:
+        return _far_classes(axes, targets, sources, 0, n)
+    uses, order = keys.pop(), np.lexsort(keys)
+    step = np.ones(order.size + 1, dtype=bool)   # where a class starts, and the end
+    step[1:-1] = False
+    for key in keys:
+        key = key[order]
+        step[1:-1] |= key[1:] != key[:-1]
+    size, head = np.diff(np.flatnonzero(step)), order[step[:-1]]   # pairs, and one of each class
+    r1, r2, key = (key[head] for key in keys)
+    tg, (sg, e) = key // (len(groups) * len(ps)) // len(ps), np.divmod(key % (len(groups) * len(ps)), len(ps))
+    rows, cols = np.array([m for m, _ in groups])[tg], np.array([m for m, _ in groups])[sg]
+    uses = np.add.reduceat(uses[order], np.flatnonzero(step[:-1]))
+    rank = np.argsort(-uses, kind="stable")   # the classes of most uses first
+    kept = np.zeros(size.size, dtype=bool)
+    kept[rank[(np.cumsum((rows * cols)[rank]) <= room) & (uses[rank] > 0)]] = True
+    start, tables = np.full(size.size, -1), {}
+    for g in np.unique(sg[kept]):
+        at = kept & (sg == g)
+        start[at] = np.cumsum(rows[at]) - rows[at]   # a class's first row in its table
+        (m, family), tables[groups[g]] = groups[g], np.full((rows[at].sum(), groups[g][0]), np.nan)
+        for pe in np.unique(e[at]):
+            c = np.flatnonzero(at & (e == pe))
+            X = r1[c, None] + r2[c, None] * Y[tg[c]]
+            X[np.arange(width) >= rows[c, None]] = 0   # past t's nodes
+            at = (start[c, None] + np.arange(width))[X > 1.9]
+            X, inv = np.unique(X[X > 1.9], return_inverse=True)   # each X once
+            tables[groups[g]][at] = quad._reference_rows(
+                _reference_nodes((-1.0, 1.0), family, m), ps[pe], n, 1, X)[inv]
+    ids = np.empty(order.size, dtype=np.min_scalar_type(-2 - start.max()))
+    ids[order] = np.repeat(start, size)
+    for ax, lo in zip(axes, np.cumsum([0] + [np.count_nonzero(ax.cls) for ax in axes])):
+        pairs, ax.cls = ax.cls, np.full(ax.cls.shape, -1, dtype=ids.dtype)
+        ax.cls[pairs] = ids[lo:lo + np.count_nonzero(pairs)]
+    return tables
+
+
+def _pair_keys(ax, uses, gid, groups: int) -> list:
+    """Per pair (t, s) of ``ax.cls``: r1, r2, the groups of t and s, and its uses."""
+    (lo, hi), (t, s) = ax.ends.T, np.nonzero(ax.cls)
+    h = 0.5 * (hi - lo)
+    return [(0.5 * (lo + hi)[t] - hi[s]) / h[s], h[t] / h[s], gid[t] * groups + gid[s], uses[t, s]]
+
+
+def _far_rows(ax, tables, n: int, ref, s, r, X) -> np.ndarray:
+    """The reference far rows of a chunk's pairs (interval ``ax.used[s]``, coordinate id
+    ``ax.near[r]``, reference coordinate X) on axis ``ax``: one take from the ``tables``
+    of the walk's kept classes, and a pair of its own computed at X."""
+    base = -1 if ax.cls is None else ax.cls[ax.tgt[ax.near[r]], ax.used[s]].astype(np.intp)
+    own = np.less(base, 0)   # a class of its own
+    if own.all():
+        return quad._reference_rows(ref, ax.p, n, 1, X)
+    G = tables[ref.m, ref.family][np.where(own, 0, base + ax.j[ax.near[r]])]
+    if own.any():
+        G[own] = quad._reference_rows(ref, ax.p, n, 1, X[own])
+    return G
+
+
+def _columns(S, own: bool = False):
+    """A function of a column index of the (n, n) boolean S that returns the row indices of
+    its True entries in order, then the column index itself if ``own``: one slice of an
+    array built from one ``np.nonzero`` of S's transpose."""
+    col, row = np.nonzero(S.T)
+    end = np.cumsum(np.bincount(col, minlength=len(S)))
+    if own:
+        row, end = np.insert(row, end, np.arange(len(S))), end + np.arange(1, len(S) + 1)
+    row, start = row.astype(np.int32), np.append(0, end)
+    return lambda ci: row[start[ci]:start[ci + 1]]
 
 
 def _gauss_count(nodesets) -> int:
@@ -393,7 +513,7 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     repeats = Counter(keys)
     # a cell's sources are its predecessors, then the cell itself
     cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
-                          lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci))
+                          _columns(shadow, own=True))
     inherited = _inherited(tables, nodal, order)
     for ci, srcs, moments in cells:
         pred_idx = srcs[:-1]
@@ -484,6 +604,8 @@ def residual(problem: VieProblem, solution, samples) -> float:
         grids = [list(pt[:, None]) for pt in samples]   # a 1-element grid per coordinate
     else:
         grids = [[np.atleast_1d(np.asarray(ax, dtype=float)) for ax in samples]]
+        for a in [a for a, ax in enumerate(grids[0]) if not ax.size][:1]:
+            raise ValueError(f"sample axis {a} is empty")
     values = solution.tables.values
     worst = []
     for i, _, moments in _cell_moments(problem.kernel, solution.nodesets, enumerate(grids),
@@ -509,7 +631,7 @@ def collocation_residual(problem: VieProblem, solution) -> float:
     checked = _node_grids(nodesets, [ci for ci, own in enumerate(owned) if own.any()])
     worst = [0.0]
     for ci, srcs, moments in _cell_moments(problem.kernel, nodesets, checked,
-                                           lambda ci: np.nonzero(shadow[:, ci])[0]):
+                                           _columns(shadow)):
         lhs = values[ci] - _history(moments, padded[srcs], values[ci].shape, _flat(problem.kernel))
         grids = np.meshgrid(*[ns.nodes for ns in nodesets[ci]], indexing="ij")
         rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)

@@ -304,7 +304,7 @@ def test_solver_values_match_padded_contraction(case, monkeypatch):
     fast = solve(problem, *disc)
     calls = [0]
 
-    def padded_stack(x, p, a, b, nodesets, n, rows=None):
+    def padded_stack(x, p, a, b, nodesets, n, rows=None, far=None):
         calls[0] += 1
         M = np.zeros((len(nodesets), np.size(x), max(ns.m for ns in nodesets)))
         for Ms, lo, hi, ns in zip(M, a, b, nodesets):
