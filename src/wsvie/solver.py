@@ -253,28 +253,19 @@ _CLASS_POINTS = 16
 
 
 def _far_classes(axes, targets, sources, room: int, n: int) -> dict:
-    """Number the far classes of a walk once, from its integer ids, and compute the rows
-    of those it keeps: returns their tables, one per source (m, family).
-
-    On axis a, coordinate id i is node ``j[i]`` of interval ``tgt[i]``, the lowest id
-    whose node array is a target's axis-a grid and holds it (K, none, for other
-    grids). A pair (t, source interval s) where t can reach past b_s + (b_s - a_s) is
-    keyed by r1 = (mid_t - b_s) / h_s, r2 = h_t / h_s, the (m, family) of t and of s,
-    and p_a; one sort over the pairs of all axes numbers the classes. Row j of a class
-    is the far row at X = r1 + r2 y_j, y_j node j of t's reference node set. The
-    classes that the targets use most (a use: a target with a node on t and a source
-    on s) are kept while their rows fit in ``room`` doubles, each row computed once,
-    here, where X_j > 1.9 (a far row has X >= 2); ``cls[t, s]`` is then the first row
-    of the pair's class in its table. Any other pair (``cls`` -1) is a class of its
-    own, at X = (x - b_s) / h_s.
-    """
+    """Number a walk's far classes (see ``_cell_moments``) and compute the rows of
+    those it keeps, within ``room`` doubles: their tables, per source (m, family).
+    Sets per axis ``tgt`` and ``j``, each coordinate id's interval (K: none) and node,
+    and ``cls``, per (interval, source interval) its class's first table row, -1 for a
+    pair of its own; ``cls`` is None when no pair is kept."""
     for ax in axes:
-        ax.cls = None   # every pair a class of its own
+        ax.cls = None
     if not room:
         return {}
-    groups = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps})
-    width, ps, keys = groups[-1][0], sorted({ax.p for ax in axes}), []
-    Y = np.array([np.pad(_reference_nodes((-1.0, 1.0), f, m).nodes, (0, width - m)) for m, f in groups])
+    groups, ps, keys = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps}), [], []
+    ms, ps = np.array([m for m, _ in groups]), sorted({ax.p for ax in axes})
+    Y = np.array([np.pad(_reference_nodes((-1.0, 1.0), f, m).nodes, (0, ms[-1] - m))
+                  for m, f in groups])
     cat = [sources(key) for key, _ in targets]
     owner, cat = np.repeat(np.arange(len(cat)), [c.size for c in cat]), np.concatenate(cat)
     for a, ax in enumerate(axes):
@@ -285,43 +276,40 @@ def _far_classes(axes, targets, sources, room: int, n: int) -> dict:
         first = np.lexsort((at, ax.cid))
         first = first[np.append(True, np.diff(ax.cid[first]) > 0)]   # per coordinate id
         ax.tgt, ax.j = at[first], first - np.repeat(ax.off[:-1], np.diff(ax.off))[first]
+        # a use: a target's interval, or its end nodes', with an interval of its sources
         tk = np.array([kk, ax.tgt[ax.cid[ax.off[:-1]]], ax.tgt[ax.cid[ax.off[1:] - 1]]])
         uses = np.bincount((tk[:, owner] * K + ax.kid[cat]).ravel(), minlength=K * K + K)
         held = np.zeros(K + 1, dtype=bool)
         held[ax.tgt] = True
         ax.cls = held[:, None] & (np.append(hi, -np.inf)[:, None] - hi >= hi - lo)   # the pairs
-        gid = np.array([groups.index((ns.m, ns.family)) for ns in ax.reps]) * len(ps)
-        keys.append(_pair_keys(ax, uses.reshape(-1, K), gid + ps.index(ax.p), len(groups) * len(ps)))
-    keys = [np.concatenate(k) for k in zip(*keys)]
+        t, s = np.nonzero(ax.cls)
+        gid, h = np.array([groups.index((ns.m, ns.family)) for ns in ax.reps]), 0.5 * (hi - lo)
+        keys.append([(0.5 * (lo + hi)[t] - hi[s]) / h[s], h[t] / h[s], gid[t],
+                     gid[s] * len(ps) + ps.index(ax.p), uses.reshape(-1, K)[t, s]])
+    keys = [np.concatenate(k) for k in zip(*keys)]   # r1, r2, group of t, of s and p, uses
     if not keys[0].size:
         return _far_classes(axes, targets, sources, 0, n)
     uses, order = keys.pop(), np.lexsort(keys)
-    step = np.ones(order.size + 1, dtype=bool)   # where a class starts, and the end
-    step[1:-1] = False
-    for key in keys:
-        key = key[order]
-        step[1:-1] |= key[1:] != key[:-1]
-    size, head = np.diff(np.flatnonzero(step)), order[step[:-1]]   # pairs, and one of each class
-    r1, r2, key = (key[head] for key in keys)
-    tg, (sg, e) = key // (len(groups) * len(ps)) // len(ps), np.divmod(key % (len(groups) * len(ps)), len(ps))
-    rows, cols = np.array([m for m, _ in groups])[tg], np.array([m for m, _ in groups])[sg]
-    uses = np.add.reduceat(uses[order], np.flatnonzero(step[:-1]))
+    new = np.ones(order.size + 1, dtype=bool)   # where a class starts, and the end
+    new[1:-1] = np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0)
+    size, head = np.diff(np.flatnonzero(new)), order[new[:-1]]   # its pairs, and one of them
+    r1, r2, tg, (sg, e) = *(k[head] for k in keys[:3]), np.divmod(keys[3][head], len(ps))
+    uses = np.add.reduceat(uses[order], np.flatnonzero(new[:-1]))
     rank = np.argsort(-uses, kind="stable")   # the classes of most uses first
     kept = np.zeros(size.size, dtype=bool)
-    kept[rank[(np.cumsum((rows * cols)[rank]) <= room) & (uses[rank] > 0)]] = True
+    kept[rank[(np.cumsum((ms[tg] * ms[sg])[rank]) <= room) & (uses[rank] > 0)]] = True
     start, tables = np.full(size.size, -1), {}
-    for g in np.unique(sg[kept]):
-        at = kept & (sg == g)
-        start[at] = np.cumsum(rows[at]) - rows[at]   # a class's first row in its table
-        (m, family), tables[groups[g]] = groups[g], np.full((rows[at].sum(), groups[g][0]), np.nan)
-        for pe in np.unique(e[at]):
-            c = np.flatnonzero(at & (e == pe))
-            X = r1[c, None] + r2[c, None] * Y[tg[c]]
-            X[np.arange(width) >= rows[c, None]] = 0   # past t's nodes
-            at = (start[c, None] + np.arange(width))[X > 1.9]
-            X, inv = np.unique(X[X > 1.9], return_inverse=True)   # each X once
-            tables[groups[g]][at] = quad._reference_rows(
-                _reference_nodes((-1.0, 1.0), family, m), ps[pe], n, 1, X)[inv]
+    for g in np.unique(sg[kept]):   # rows j where X_j > 1.9: a far row has X >= 2
+        c = np.flatnonzero(kept & (sg == g))
+        start[c] = np.cumsum(ms[tg[c]]) - ms[tg[c]]   # a class's first row in its table
+        tables[groups[g]] = np.full((ms[tg[c]].sum(), ms[g]), np.nan)
+        X = r1[c, None] + r2[c, None] * Y[tg[c]]
+        X[np.arange(ms[-1]) >= ms[tg[c], None]] = 0   # past t's nodes
+        for pe in np.unique(e[c]):
+            far = (X > 1.9) & (e[c, None] == pe)
+            Xu, inv = np.unique(X[far], return_inverse=True)   # each X once
+            tables[groups[g]][(start[c, None] + np.arange(ms[-1]))[far]] = quad._reference_rows(
+                _reference_nodes((-1.0, 1.0), groups[g][1], ms[g]), ps[pe], n, 1, Xu)[inv]
     ids = np.empty(order.size, dtype=np.min_scalar_type(-2 - start.max()))
     ids[order] = np.repeat(start, size)
     for ax, lo in zip(axes, np.cumsum([0] + [np.count_nonzero(ax.cls) for ax in axes])):
@@ -330,19 +318,12 @@ def _far_classes(axes, targets, sources, room: int, n: int) -> dict:
     return tables
 
 
-def _pair_keys(ax, uses, gid, groups: int) -> list:
-    """Per pair (t, s) of ``ax.cls``: r1, r2, the groups of t and s, and its uses."""
-    (lo, hi), (t, s) = ax.ends.T, np.nonzero(ax.cls)
-    h = 0.5 * (hi - lo)
-    return [(0.5 * (lo + hi)[t] - hi[s]) / h[s], h[t] / h[s], gid[t] * groups + gid[s], uses[t, s]]
-
-
 def _far_rows(ax, tables, n: int, ref, s, r, X) -> np.ndarray:
     """The reference far rows of a chunk's pairs (interval ``ax.used[s]``, coordinate id
-    ``ax.near[r]``, reference coordinate X) on axis ``ax``: one take from the ``tables``
-    of the walk's kept classes, and a pair of its own computed at X."""
+    ``ax.near[r]``, reference coordinate X): a take from the ``tables`` of the kept
+    classes, and a pair of its own computed at X."""
     base = -1 if ax.cls is None else ax.cls[ax.tgt[ax.near[r]], ax.used[s]].astype(np.intp)
-    own = np.less(base, 0)   # a class of its own
+    own = np.less(base, 0)
     if own.all():
         return quad._reference_rows(ref, ax.p, n, 1, X)
     G = tables[ref.m, ref.family][np.where(own, 0, base + ax.j[ax.near[r]])]
@@ -352,9 +333,8 @@ def _far_rows(ax, tables, n: int, ref, s, r, X) -> np.ndarray:
 
 
 def _columns(S, own: bool = False):
-    """A function of a column index of the (n, n) boolean S that returns the row indices of
-    its True entries in order, then the column index itself if ``own``: one slice of an
-    array built from one ``np.nonzero`` of S's transpose."""
+    """A function of a column of the (n, n) boolean S: the rows of its True entries, in
+    order, then the column if ``own``; slices of one ``np.nonzero`` of S's transpose."""
     col, row = np.nonzero(S.T)
     end = np.cumsum(np.bincount(col, minlength=len(S)))
     if own:

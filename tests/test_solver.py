@@ -889,6 +889,25 @@ class TestFarClasses:
         assert 0 < len(keys) <= 2160
         assert len(np.unique(keys, axis=0)) == len(keys)   # no row twice
 
+    def test_classes_of_two_exponents_in_any_order(self, b_params_2d, monkeypatch):
+        # B* N = 4 with p = 2.5 and -0.5 on the two axes: the classes of each
+        # exponent keep their own rows, and the values are those of the march
+        # without classes up to the X the classes move (measured 0.75 eps of
+        # the largest), in the canonical and in a shuffled causal order
+        import wsvie.solver as solver
+
+        cov, degree, fam = preset_2d(b_params_2d, 4)
+        prob = VieProblem(l=2, T=1.0, kernel=KernelSpec((2.5, -0.5)),
+                          rhs=lambda t1, t2: 1.0 + t1 * t2)
+        values = [solve_2d(prob, cov, degree, fam, order=order).values
+                  for order in (None, _shuffled_causal_order(cov, 3))]
+        monkeypatch.setattr(solver, "_CLASS_POINTS", 100)
+        ref = solve_2d(prob, cov, degree, fam).values
+        top = max(np.max(np.abs(v)) for v in ref)
+        for ci in range(cov.ncells):
+            assert np.array_equal(values[0][ci], values[1][ci])
+            assert np.max(np.abs(values[0][ci] - ref[ci])) <= np.finfo(float).eps * top
+
     @pytest.mark.parametrize("m", [5, 14, 23, 40])
     @pytest.mark.parametrize("p", [-0.5, 2.5])
     def test_class_rows_match_exact_reference(self, m, p):
