@@ -220,8 +220,8 @@ def _reference_rows(ref: NodeSet, p: float, n: int, panels: int, X) -> np.ndarra
 
 class _RowStore:
     """``_reference_rows`` behind a store of the rows it computed, keyed by its arguments:
-    missing rows are computed in one batch and kept while ``size`` stays within ``room``
-    doubles. The solver's far rows, numbered by class, count against the same room."""
+    missing rows are computed in one batch and kept while they fit in ``room`` doubles.
+    Far rows stay out: the solver takes them from its far classes."""
 
     def __init__(self, room: int):
         self.room, self.size, self.groups = room, 0, {}   # group -> sorted X, their rows
@@ -265,8 +265,7 @@ def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
         scale = (0.5 * (b[g] - a[g])) ** (p + 1.0)
         for panels, s, r, X in _reference_pairs(x, a[g], b[g], m):
             G = far(ref, g[s], r, X) if far and panels == 1 else rows(ref, p, n, panels, X)
-            G *= scale[s, None]   # G is a fresh array
-            M[g[s], r, :m] = G
+            M[g[s], r, :m] = scale[s, None] * G
     return M
 
 

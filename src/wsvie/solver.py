@@ -19,16 +19,18 @@ moment matrix, which depends only on D's range and node count on that axis.
 One generator, ``_cell_moments``, walks a sequence of target grids in chunks
 and builds per-axis moment tables per chunk, one per distinct source
 interval, evaluated at the sorted union of the chunk's grid coordinates:
-per axis, one ``stacked_kernel_moments`` call fills them, from one row store
-per walk (``quad._RowStore``). The targets are the cells' node grids in
-causal order for the march and the collocation residual check, sample grids
-for ``residual`` and the uniform grid for the oracle. A target's moment
-matrices are row gathers from these tables, padded like the spline's value
-table (``TensorSpline.tables``) to the largest node count per axis, so its
-history is one batched contraction per block of sources, summed in
-source-index order. A chunk's tables with the store, and each block of
-sources, hold about ``_TABLE_BUDGET`` doubles (1 MB), which bounds the extra
-memory of the march.
+per axis, one ``stacked_kernel_moments`` call fills them, its singular and
+near rows from one row store per walk (``quad._RowStore``), its far rows from
+the walk's far classes: rows shared by interval pairs of one geometry,
+computed once per walk. The targets are the cells' node grids in causal
+order for the march and the collocation residual check, sample grids for
+``residual`` and the uniform grid for the oracle. A target's moment matrices
+are row gathers from these tables, padded like the spline's value table
+(``TensorSpline.tables``) to the largest node count per axis, so its history
+is one batched contraction per block of sources, summed in source-index
+order. A chunk's tables with the store, the class rows and each block of
+sources each hold about ``_TABLE_BUDGET`` doubles (1 MB) at most, which
+bounds the extra memory of the march.
 
 A general h(t, tau) couples the axes. The generator then weights the same
 tables by product integration: h(t, .) x is interpolated at each source
@@ -153,20 +155,31 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
     * for h == 1, the ``kernel_moments`` of axis a: one array of shape
       (hi - lo, grid[a].size, M_a), each source's in its leading m columns
       and zero past them, M_a the largest node count of ``nodesets`` on the
-      axis. They are row gathers, padded to M_a, from tables built per chunk
-      of consecutive targets, one per distinct source interval (a, b) and
-      node set (m, family) of the chunk and axis, evaluated at the sorted
-      union of the chunk's grid coordinates: one ``stacked_kernel_moments``
-      call per axis fills them from a ``_RowStore`` of ``_TABLE_BUDGET / 2``
+      axis. They are row gathers from tables built per chunk of consecutive
+      targets, one per distinct source interval (a, b) and node set (m,
+      family) of the chunk and axis, at the sorted union of the chunk's grid
+      coordinates, by one ``stacked_kernel_moments`` call per axis. Its
+      singular and near rows come from a ``_RowStore`` of ``_TABLE_BUDGET / 2``
       doubles that lives as long as this generator. A chunk grows while its
-      tables and the store hold at most ``_TABLE_BUDGET`` doubles (a cell
-      count would not do, since the table width grows with m), and takes at
-      least one target.
-      It is planned on integer ids, of the distinct coordinates of all
-      targets (one ``np.unique`` per axis) and of the source intervals: a
-      target's and a chunk's ids are ``_bitsets``, and a target's table rows
-      a lookup of its coordinate ids. Sources are looked up 64 targets ahead.
-      Its tables go when the next chunk's are built; moments drawn later raise.
+      tables and the store hold at most ``_TABLE_BUDGET`` doubles, and takes
+      at least one target. It is planned on integer ids, of the distinct
+      coordinates of all targets (one ``np.unique`` per axis) and of the
+      source intervals: a target's and a chunk's ids are ``_bitsets``, and a
+      target's table rows a lookup of its coordinate ids. Sources are looked
+      up 64 targets ahead. Its tables go when the next chunk's are built;
+      moments drawn later raise.
+      Far rows come in classes (``_far_classes``) when the rules have at
+      least ``_CLASS_POINTS`` points. Coordinate node j of an interval t
+      (whose nodes are a target's grid) and a source interval s with
+      b_t - b_s >= b_s - a_s key their far row by r1 = (mid_t - b_s) / h_s,
+      r2 = h_t / h_s, the (m, family) of t and of s and p; equal keys are a
+      class, numbered once per walk by one sort, whose row j is the far row
+      at X = r1 + r2 y_j, y_j node j of t's reference node set. The classes
+      the targets use most are kept while their rows hold at most
+      ``_TABLE_BUDGET / 2`` doubles, beside the chunk's budget, each row
+      computed once when the walk starts; a chunk's far entries are a take
+      from them (``_far_rows``). Any other pair is a class of its own, at
+      X = (x - b_s) / h_s, the rows of ``kernel_moments``.
     * with a smooth factor, one array of shape (hi - lo, grid size,
       M_1 * ... * M_l): the product-integration weights of ``_product``, exact
       for the spline when h(t, .) is constant in tau; zero without a kernel.
@@ -253,16 +266,15 @@ _CLASS_POINTS = 16
 
 
 def _far_classes(axes, targets, sources, room: int, n: int) -> dict:
-    """Number a walk's far classes (see ``_cell_moments``) and compute the rows of
-    those it keeps, within ``room`` doubles: their tables, per source (m, family).
-    Sets per axis ``tgt`` and ``j``, each coordinate id's interval (K: none) and node,
-    and ``cls``, per (interval, source interval) its class's first table row, -1 for a
-    pair of its own; ``cls`` is None when no pair is kept."""
+    """Number a walk's far classes (see ``_cell_moments``); returns the tables of those
+    kept within ``room`` doubles, per source (m, family). Sets per axis each coordinate
+    id's interval ``tgt`` (K: none) and node ``j``, and ``cls``: per (interval, source
+    interval) its class's first table row, or -1; None if no class is kept."""
     for ax in axes:
         ax.cls = None
     if not room:
         return {}
-    groups, ps, keys = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps}), [], []
+    groups, keys = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps}), []
     ms, ps = np.array([m for m, _ in groups]), sorted({ax.p for ax in axes})
     Y = np.array([np.pad(_reference_nodes((-1.0, 1.0), f, m).nodes, (0, ms[-1] - m))
                   for m, f in groups])
@@ -333,8 +345,7 @@ def _far_rows(ax, tables, n: int, ref, s, r, X) -> np.ndarray:
 
 
 def _columns(S, own: bool = False):
-    """A function of a column of the (n, n) boolean S: the rows of its True entries, in
-    order, then the column if ``own``; slices of one ``np.nonzero`` of S's transpose."""
+    """Column j of the (n, n) boolean S -> its True rows, then j if ``own``: one nonzero."""
     col, row = np.nonzero(S.T)
     end = np.cumsum(np.bincount(col, minlength=len(S)))
     if own:
