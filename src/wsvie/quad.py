@@ -178,7 +178,7 @@ def _reference_pairs(x, a, b, m: int):
     (x - b) / h, h = (b - a) / 2, which keeps the digits of rows past b.
     """
     a, b = np.reshape(a, (-1, 1)).astype(float), np.reshape(b, (-1, 1)).astype(float)
-    active = x > a   # min(x, b) > a, as b > a
+    active = np.minimum(x, b) > a
     singular = active & (x <= b)
     far = active & (x - b >= (b - a))
     step = max(1, _TABLE_BUDGET // (8 * m))

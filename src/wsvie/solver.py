@@ -155,19 +155,20 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
     * for h == 1, the ``kernel_moments`` of axis a: one array of shape
       (hi - lo, grid[a].size, M_a), each source's in its leading m columns
       and zero past them, M_a the largest node count of ``nodesets`` on the
-      axis. They are row gathers from tables built per chunk of consecutive
-      targets, one per distinct source interval (a, b) and node set (m,
-      family) of the chunk and axis, at the sorted union of the chunk's grid
-      coordinates, by one ``stacked_kernel_moments`` call per axis. Its
-      singular and near rows come from a ``_RowStore`` of ``_TABLE_BUDGET / 2``
-      doubles that lives as long as this generator. A chunk grows while its
-      tables and the store hold at most ``_TABLE_BUDGET`` doubles, and takes
-      at least one target. It is planned on integer ids, of the distinct
-      coordinates of all targets (one ``np.unique`` per axis) and of the
-      source intervals: a target's and a chunk's ids are ``_bitsets``, and a
-      target's table rows a lookup of its coordinate ids. Sources are looked
-      up 64 targets ahead. Its tables go when the next chunk's are built;
-      moments drawn later raise.
+      axis. They are row gathers, padded to M_a, from tables built per chunk
+      of consecutive targets, one per distinct source interval (a, b) and
+      node set (m, family) of the chunk and axis, evaluated at the sorted
+      union of the chunk's grid coordinates: one ``stacked_kernel_moments``
+      call per axis fills them, its singular and near rows from a ``_RowStore``
+      of ``_TABLE_BUDGET / 2`` doubles that lives as long as this generator.
+      A chunk grows while its tables and the store hold at most
+      ``_TABLE_BUDGET`` doubles (a cell count would not do, since the table
+      width grows with m), and takes at least one target.
+      It is planned on integer ids, of the distinct coordinates of all
+      targets (one ``np.unique`` per axis) and of the source intervals: a
+      target's and a chunk's ids are ``_bitsets``, and a target's table rows
+      a lookup of its coordinate ids. Sources are looked up 64 targets ahead.
+      Its tables go when the next chunk's are built; moments drawn later raise.
       Far rows come in classes (``_far_classes``) when the rules have at
       least ``_CLASS_POINTS`` points. Coordinate node j of an interval t
       (whose nodes are a target's grid) and a source interval s with
@@ -212,8 +213,7 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             off=np.append(0, np.cumsum([g[a].size for _, g in targets]))))
     srcs, bits = [], []   # per target until yielded: its sources; per axis, its id bitsets
     store, tables, pos = _RowStore(_TABLE_BUDGET // 2), [], 0
-    classes = _far_classes(axes, targets, sources, store.room if quad_n >= _CLASS_POINTS else 0,
-                           quad_n)
+    classes = _far_classes(axes, targets, sources, store.room, quad_n)
     while pos < len(targets):
         end, chunk = pos, [(0, 0)] * len(axes)   # per axis: the chunk's coordinates, intervals
         while end < len(targets):
@@ -266,13 +266,14 @@ _CLASS_POINTS = 16
 
 
 def _far_classes(axes, targets, sources, room: int, n: int) -> dict:
-    """Number a walk's far classes (see ``_cell_moments``); returns the tables of those
-    kept within ``room`` doubles, per source (m, family). Sets per axis each coordinate
-    id's interval ``tgt`` (K: none) and node ``j``, and ``cls``: per (interval, source
-    interval) its class's first table row, or -1; None if no class is kept."""
+    """Number a walk's far classes for rules of ``n`` points (see ``_cell_moments``);
+    returns the tables of those kept within ``room`` doubles, per source (m, family).
+    Sets per axis each coordinate id's interval ``tgt`` (K: none) and node ``j``, and
+    ``cls``: per (interval, source interval) its class's first table row, or -1; None
+    if no class is kept."""
     for ax in axes:
         ax.cls = None
-    if not room:
+    if not room or n < _CLASS_POINTS:
         return {}
     groups, keys = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps}), []
     ms, ps = np.array([m for m, _ in groups]), sorted({ax.p for ax in axes})
