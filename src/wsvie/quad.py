@@ -264,8 +264,8 @@ def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
         ref = _reference_nodes((-1.0, 1.0), family, m)
         scale = (0.5 * (b[g] - a[g])) ** (p + 1.0)
         for panels, s, r, X in _reference_pairs(x, a[g], b[g], m):
-            G = far(ref, g[s], r, X) if far and panels == 1 else rows(ref, p, n, panels, X)
-            M[g[s], r, :m] = scale[s, None] * G
+            M[g[s], r, :m] = scale[s, None] * (far(ref, g[s], r, X) if far and panels == 1
+                                               else rows(ref, p, n, panels, X))
     return M
 
 

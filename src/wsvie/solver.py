@@ -347,12 +347,12 @@ def _far_rows(ax, tables, n: int, ref, s, r, X) -> np.ndarray:
 
 def _columns(S, own: bool = False):
     """Column j of the (n, n) boolean S -> its True rows, then j if ``own``: one nonzero."""
-    col, row = np.nonzero(S.T)
+    col, row = np.nonzero(np.ascontiguousarray(S.T))
     end = np.cumsum(np.bincount(col, minlength=len(S)))
     if own:
         row, end = np.insert(row, end, np.arange(len(S))), end + np.arange(1, len(S) + 1)
-    row, start = row.astype(np.int32), np.append(0, end)
-    return lambda ci: row[start[ci]:start[ci + 1]]
+    row, start = row.astype(np.min_scalar_type(len(S))), np.append(0, end)
+    return lambda ci: row[start[ci]:start[ci + 1]].astype(np.intp)
 
 
 def _gauss_count(nodesets) -> int:
