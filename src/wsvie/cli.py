@@ -21,9 +21,9 @@ Config schema (JSON), convergence/solve commands::
       "samples_per_axis": 201    # dense grid for eps2, at least 50
     }
 
-Integer fields must hold integers in range, or the command exits 1. The
-moment rules are fixed, so the removed keys ``singular_rule`` and ``quad_n``
-are accepted only as "legendre" and null.
+Integer fields must hold integers in range, or the command exits 1. Each
+moment row's rule is fixed by its node count, so the removed keys
+``singular_rule`` and ``quad_n`` are accepted only as "legendre" and null.
 
 widths:    {"mode": "counts", "style": "boundary", "l": 2, "v": 3.0, "N": [8, 16, 32]}
            {"mode": "bumps", "class_params": {...}, "l": 2, "N": [4, 8, 16]}
@@ -271,9 +271,9 @@ def _problem_and_params(config: dict):
         raise ConfigError("config: 'singular_rule' is no longer an option (the moment "
                           "rules are fixed); old configs may keep it as 'legendre'")
     if config.get("quad_n") is not None:
-        raise ConfigError("config: 'quad_n' is no longer an option (every moment rule takes "
-                          "the largest per-axis node count plus 4 Gauss points, at most "
-                          "64); old configs may keep it as null")
+        raise ConfigError("config: 'quad_n' is no longer an option (each moment row takes "
+                          "max(m + 4, 9) Gauss points, at most 64, m the node count of its "
+                          "interval); old configs may keep it as null")
     defn = _require(config, "problem")
     if isinstance(defn, dict):
         l = _integer(defn.get("l"), "inline problem field 'l'", 1, 2)

@@ -2,7 +2,8 @@
 
 The moment helpers integrate products (x - tau)^p * l_j(tau) over a clipped
 interval [a, min(b, x)], where l_j are the Lagrange fundamental polynomials of
-a NodeSet. Each row x takes one of three fixed rules, chosen by one private
+a NodeSet of m nodes. Each row x takes one of three fixed rules of n(m) =
+max(m + 4, 9) points per panel (``_rule_points``), chosen by one private
 generator, ``_reference_pairs``, from where x lies:
 
 * singular rows (a < x <= b) -- a Gauss-Jacobi rule with the weight
@@ -12,13 +13,13 @@ generator, ``_reference_pairs``, from where x lies:
   dyadically toward b.
 
 The rules are written in the reference coordinate sigma on [-1, 1]: a row is
-h^(p + 1), h = (b - a) / 2, times a reference row of (family, m, p, n,
-branch, X), X its reference coordinate, from one function, ``_reference_rows``.
+h^(p + 1), h = (b - a) / 2, times a reference row of (family, m, p, branch, X),
+X its reference coordinate, from one function, ``_reference_rows``.
 ``stacked_kernel_moments`` takes the moments of many intervals, of any node
 counts, at one coordinate array; its rows sum in one fixed order, so stacking
-changes no bit. A ``_RowStore`` keeps the singular and near rows of a walk; a
-caller may gather far rows from rows of its own (``far``), as the solver does
-from its far classes. ``kernel_moments`` is the one-interval case.
+changes no bit. A ``_RowStore`` keeps a walk's singular and near rows and far
+rule bases; a caller may gather far rows from rows of its own (``far``), as the
+solver does from its far classes. ``kernel_moments`` is the one-interval case.
 """
 
 from __future__ import annotations
@@ -168,26 +169,34 @@ def _graded_panels(n: int, panels: int) -> QuadRule:
 _reference_nodes = lru_cache(maxsize=None)(build_nodes)
 
 
-def _reference_pairs(x, a, b, m: int):
+def _rule_points(m: int) -> int:
+    """Gauss points per panel of the rules of a row of m nodes: max(m + 4, 9), at most 64."""
+    return min(max(m + 4, 9), 64)
+
+
+def _reference_pairs(x, a, b, nodesets):
     """Classify rows x against S intervals [a[s], b[s]]; yield each branch's pairs in blocks.
 
-    Yields ``(panels, s, r, X)`` for the singular (panels 0), far (1) and near
-    (``_NEAR_PANELS``) rows, per block of at most ``_TABLE_BUDGET / 8`` doubles
-    of m-column rows (or one pair): pair c is row r[c] of interval s[c] at the
-    reference coordinate X[c], (x - a) / (b - a) when singular, else
-    (x - b) / h, h = (b - a) / 2, which keeps the digits of rows past b.
+    Yields ``(ref, panels, s, r, X)`` for the singular (panels 0), far (1) and near
+    (``_NEAR_PANELS``) rows, per reference node set ``ref`` (family, m) of nodesets[s]
+    and block of at most ``_TABLE_BUDGET / 8`` doubles of m-column rows (or one pair):
+    pair c is row r[c] of interval s[c] at the reference coordinate X[c], (x - a) / (b - a)
+    when singular, else (x - b) / h, h = (b - a) / 2, which keeps the digits past b.
     """
     a, b = np.reshape(a, (-1, 1)).astype(float), np.reshape(b, (-1, 1)).astype(float)
     active = np.minimum(x, b) > a
     singular = active & (x <= b)
     far = active & (x - b >= (b - a))
-    step = max(1, _TABLE_BUDGET // (8 * m))
+    keys = [(ns.m, ns.family) for ns in nodesets]
+    groups = [(key, np.flatnonzero([k == key for k in keys])) for key in sorted(set(keys))]
     for rows, panels in ((singular, 0), (far, 1), (active & ~singular & ~far, _NEAR_PANELS)):
-        s, r = np.nonzero(rows)
         origin, unit = (a[:, 0], (b - a)[:, 0]) if panels == 0 else (b[:, 0], 0.5 * (b - a)[:, 0])
-        for lo in range(0, s.size, step):
-            sb, rb = s[lo:lo + step], r[lo:lo + step]
-            yield panels, sb, rb, (x[rb] - origin[sb]) / unit[sb]
+        for (m, family), ids in groups:
+            s, r = np.nonzero(rows[ids])
+            ref, step = _reference_nodes((-1.0, 1.0), family, m), max(1, _TABLE_BUDGET // (8 * m))
+            for lo in range(0, s.size, step):
+                sb, rb = ids[s[lo:lo + step]], r[lo:lo + step]
+                yield ref, panels, sb, rb, (x[rb] - origin[sb]) / unit[sb]
 
 
 def _reference_rule(X, p: float, n: int, panels: int):
@@ -201,10 +210,11 @@ def _reference_rule(X, p: float, n: int, panels: int):
     return (jac.nodes + 1.0) * X[:, None] - 1.0, X[:, None] ** (p + 1.0) * jac.weights
 
 
-def _reference_rows(ref: NodeSet, p: float, n: int, panels: int, X) -> np.ndarray:
-    """The moment rows (X.size, m) of the reference node set ``ref`` at X, branch ``panels``:
-    einsum sums each row in one order, whatever its block, near rows panel by panel."""
-    G, basis = np.empty((X.size, ref.m)), None
+def _reference_rows(ref: NodeSet, p: float, panels: int, X, n=None, basis=None) -> np.ndarray:
+    """The moment rows (X.size, m) of ``ref`` at X, branch ``panels``, n points per panel
+    (by default ``_rule_points(m)``; ``basis`` the basis at them, if given): einsum sums
+    each row in one order, whatever its block, near rows panel by panel."""
+    G, n = np.empty((X.size, ref.m)), _rule_points(ref.m) if n is None else n
     step = max(1, _TABLE_BUDGET // (8 * n * (panels or ref.m + 1)))
     for lo in range(0, X.size, step):
         sigma, W = _reference_rule(X[lo:lo + step], p, n, panels)
@@ -221,20 +231,20 @@ def _reference_rows(ref: NodeSet, p: float, n: int, panels: int, X) -> np.ndarra
 class _RowStore:
     """``_reference_rows`` behind a store of the rows it computed, keyed by its arguments:
     missing rows are computed in one batch and kept while they fit in ``room`` doubles.
-    Far rows stay out: the solver takes them from its far classes."""
+    Far rows stay out; ``far`` keeps the basis of their rule, beside the rows, in ``room``."""
 
     def __init__(self, room: int):
-        self.room, self.size, self.groups = room, 0, {}   # group -> sorted X, their rows
+        self.room, self.size, self.groups, self.bases = room, 0, {}, {}   # group -> sorted X, rows
 
-    def __call__(self, ref: NodeSet, p: float, n: int, panels: int, X) -> np.ndarray:
-        group = (ref.family, ref.m, p, n, panels)
+    def __call__(self, ref: NodeSet, p: float, panels: int, X) -> np.ndarray:
+        group = (ref.family, ref.m, p, panels)
         keys, rows = self.groups.get(group, (np.empty(0), np.empty((0, ref.m))))
         X, inverse = np.unique(X, return_inverse=True)
         at = np.searchsorted(keys, X)
         hit = keys[np.minimum(at, keys.size - 1)] == X if keys.size else np.zeros(X.size, bool)
         G, new = np.empty((X.size, ref.m)), np.flatnonzero(~hit)
         G[hit] = rows[at[hit]]
-        G[new] = _reference_rows(ref, p, n, panels, X[new])
+        G[new] = _reference_rows(ref, p, panels, X[new])
         new = new[:(self.room - self.size) // ref.m]
         if new.size:
             self.groups[group] = (np.insert(keys, at[new], X[new]),
@@ -242,38 +252,42 @@ class _RowStore:
             self.size += new.size * ref.m
         return G[inverse]
 
+    def far(self, ref: NodeSet, p: float, X) -> np.ndarray:
+        """The far rows of ``ref`` at X, not kept; their rule's basis once per (family, m)."""
+        n, basis = _rule_points(ref.m), self.bases.get((ref.family, ref.m))
+        if basis is None:
+            basis = lagrange_basis_matrix(ref, 1.0 - _graded_panels(n, 1).nodes)   # in sigma
+            if basis.size + sum(b.size for b in self.bases.values()) <= self.room:
+                self.bases[ref.family, ref.m] = basis
+        return _reference_rows(ref, p, 1, X, n, basis)
 
-def stacked_kernel_moments(x, p: float, a, b, nodesets, n: int,
-                           rows=_reference_rows, far=None) -> np.ndarray:
+
+def stacked_kernel_moments(x, p: float, a, b, nodesets, rows=_reference_rows,
+                           far=None) -> np.ndarray:
     """``kernel_moments`` of S intervals at once: an array of shape (S, x.size, M).
 
-    Interval s runs from a[s] to b[s] and carries the fundamental polynomials
-    of nodesets[s], built on it by ``build_nodes`` with its family and m
-    nodes: those of ``build_nodes((-1, 1), family, m)`` in sigma, and zero past
-    m < M. A row is h^(p + 1) times its reference row from ``rows`` (``_reference_rows``
-    or a ``_RowStore``), and equals that of ``kernel_moments`` on its interval, to the bit.
+    Interval s runs from a[s] to b[s] and carries the fundamental polynomials of
+    nodesets[s], built on it by ``build_nodes`` with its family and m nodes: those of
+    ``build_nodes((-1, 1), family, m)`` in sigma, and zero past m < M. A row is h^(p + 1)
+    times its reference row from ``rows`` (``_reference_rows`` or a ``_RowStore``), at the
+    rule of its own m, and equals that of ``kernel_moments`` on its interval, to the bit.
     ``far(ref, s, r, X)``, if given, returns the reference rows of the far pairs
     (interval s[c], row r[c], at X[c]) in place of ``rows``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    a, b, ms = np.asarray(a, float), np.asarray(b, float), np.array([ns.m for ns in nodesets], int)
-    M = np.zeros((len(nodesets), x.size, ms.max(initial=0)))
-    families = np.array([ns.family for ns in nodesets])
-    for m, family in sorted(set(zip(ms.tolist(), families.tolist()))):
-        g = np.flatnonzero((ms == m) & (families == family))
-        ref = _reference_nodes((-1.0, 1.0), family, m)
-        scale = (0.5 * (b[g] - a[g])) ** (p + 1.0)
-        for panels, s, r, X in _reference_pairs(x, a[g], b[g], m):
-            M[g[s], r, :m] = scale[s, None] * (far(ref, g[s], r, X) if far and panels == 1
-                                               else rows(ref, p, n, panels, X))
+    M = np.zeros((len(nodesets), x.size, max((ns.m for ns in nodesets), default=0)))
+    scale = (0.5 * (np.asarray(b, float) - np.asarray(a, float))) ** (p + 1.0)
+    for ref, panels, s, r, X in _reference_pairs(x, a, b, nodesets):
+        M[s, r, :ref.m] = scale[s, None] * (far(ref, s, r, X) if far and panels == 1
+                                            else rows(ref, p, panels, X))
     return M
 
 
-def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet, n: int) -> np.ndarray:
+def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet) -> np.ndarray:
     """Moments M[i, j] = int_a^{min(b, x_i)} (x_i - tau)^p l_j(tau) dtau.
 
     ``l_j`` are the fundamental polynomials of ``nodeset``, built on [a, b] by
     ``build_nodes``. The rules are those of ``_reference_pairs``: singular rows
-    are exact for the polynomial factor when n >= m / 2, rows with x_i <= a zero.
+    are exact for the polynomial factor, rows with x_i <= a zero.
     """
-    return stacked_kernel_moments(x, p, [a], [b], [nodeset], n)[0]
+    return stacked_kernel_moments(x, p, [a], [b], [nodeset])[0]

@@ -17,20 +17,20 @@ kernel is a product and the spline is a tensor polynomial: the history
 contribution of a processed cell D is X_D contracted on each axis with one
 moment matrix, which depends only on D's range and node count on that axis.
 One generator, ``_cell_moments``, walks a sequence of target grids in chunks
-and builds per-axis moment tables per chunk, one per distinct source
-interval, evaluated at the sorted union of the chunk's grid coordinates:
-per axis, one ``stacked_kernel_moments`` call fills them, its singular and
-near rows from one row store per walk (``quad._RowStore``), its far rows from
-the walk's far classes: rows shared by interval pairs of one geometry,
-computed once per walk. The targets are the cells' node grids in causal
-order for the march and the collocation residual check, sample grids for
-``residual`` and the uniform grid for the oracle. A target's moment matrices
-are row gathers from these tables, padded like the spline's value table
-(``TensorSpline.tables``) to the largest node count per axis, so its history
-is one batched contraction per block of sources, summed in source-index
-order. A chunk's tables with the store, the class rows and each block of
-sources each hold about ``_TABLE_BUDGET`` doubles (1 MB) at most, which
-bounds the extra memory of the march.
+and builds per-axis moment tables per chunk, one per distinct source interval,
+evaluated at the sorted union of the chunk's grid coordinates: per axis, one
+``stacked_kernel_moments`` call fills them, each row at the rule of its
+source's node count, its singular and near rows from one row store per walk
+(``quad._RowStore``), its far rows from the walk's far classes: rows shared by
+interval pairs of one geometry, computed once per walk. The targets are the
+cells' node grids in causal order for the march and the collocation residual
+check, sample grids for ``residual`` and the uniform grid for the oracle. A
+target's moment matrices are row gathers from these tables, padded like the
+spline's value table (``TensorSpline.tables``) to the largest node count per
+axis, so its history is one batched contraction per block of sources, summed
+in source-index order. A chunk's tables with the store, the class rows and
+each block of sources each hold about ``_TABLE_BUDGET`` doubles (1 MB) at
+most, which bounds the extra memory of the march.
 
 A general h(t, tau) couples the axes. The generator then weights the same
 tables by product integration: h(t, .) x is interpolated at each source
@@ -159,8 +159,10 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       of consecutive targets, one per distinct source interval (a, b) and
       node set (m, family) of the chunk and axis, evaluated at the sorted
       union of the chunk's grid coordinates: one ``stacked_kernel_moments``
-      call per axis fills them, its singular and near rows from a ``_RowStore``
-      of ``_TABLE_BUDGET / 2`` doubles that lives as long as this generator.
+      call per axis fills them, each row at the rule of its source's node
+      count (``quad._rule_points``), its singular and near rows and far rule
+      bases from a ``_RowStore`` of ``_TABLE_BUDGET / 2`` doubles that lives
+      as long as this generator.
       A chunk grows while its tables and the store hold at most
       ``_TABLE_BUDGET`` doubles (a cell count would not do, since the table
       width grows with m), and takes at least one target.
@@ -169,9 +171,9 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       target's and a chunk's ids are ``_bitsets``, and a target's table rows
       a lookup of its coordinate ids. Sources are looked up 64 targets ahead.
       Its tables go when the next chunk's are built; moments drawn later raise.
-      Far rows come in classes (``_far_classes``) when the rules have at
-      least ``_CLASS_POINTS`` points. Coordinate node j of an interval t
-      (whose nodes are a target's grid) and a source interval s with
+      Far rows come in classes (``_far_classes``) when the walk's largest
+      rule has at least ``_CLASS_POINTS`` points and some target grid is the
+      node array of an interval t. Node j of t and a source interval s with
       b_t - b_s >= b_s - a_s key their far row by r1 = (mid_t - b_s) / h_s,
       r2 = h_t / h_s, the (m, family) of t and of s and p; equal keys are a
       class, numbered once per walk by one sort, whose row j is the far row
@@ -184,11 +186,7 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
     * with a smooth factor, one array of shape (hi - lo, grid size,
       M_1 * ... * M_l): the product-integration weights of ``_product``, exact
       for the spline when h(t, .) is constant in tau; zero without a kernel.
-
-    Every rule takes ``_gauss_count(nodesets)`` points per panel
-    (Gauss-Jacobi points on a singular row).
     """
-    quad_n = _gauss_count(nodesets)
     widths = [max(ns.m for ns in sets) for sets in zip(*nodesets)]   # M_a
     targets = list(targets)
     if kern is None:   # zero weights, as one axis, and no tables
@@ -210,10 +208,10 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
         axes.append(SimpleNamespace(  # ``top`` by a bitset's bit length: its largest m
             p=p, kid=kid, reps=reps, ends=np.array([key[2:] for key in index]),
             top=np.array([0] + [key[0] for key in index]), x=x, cid=cid.ravel(),
-            off=np.append(0, np.cumsum([g[a].size for _, g in targets]))))
+            off=np.append(0, np.cumsum([g[a].size for _, g in targets])), cls=None))
     srcs, bits = [], []   # per target until yielded: its sources; per axis, its id bitsets
     store, tables, pos = _RowStore(_TABLE_BUDGET // 2), [], 0
-    classes = _far_classes(axes, targets, sources, store.room, quad_n)
+    classes = _far_classes(axes, targets, sources, store)
     while pos < len(targets):
         end, chunk = pos, [(0, 0)] * len(axes)   # per axis: the chunk's coordinates, intervals
         while end < len(targets):
@@ -236,8 +234,8 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             near[ax.cid[ax.off[pos]:ax.off[end]]] = used[ax.kid[cat]] = True
             ax.used, ax.near = np.flatnonzero(used), np.flatnonzero(near)
             tables.append(stacked_kernel_moments(   # no local keeps it
-                ax.x[near], ax.p, *ax.ends[used].T, ax.reps[used], quad_n, store,
-                partial(_far_rows, ax, classes, quad_n)))
+                ax.x[near], ax.p, *ax.ends[used].T, ax.reps[used], store,
+                partial(_far_rows, ax, classes, store)))
             rows.append(np.cumsum(near) - 1)   # a coordinate id's row in the chunk's tables
             sel.append(np.cumsum(used) - 1)
         for t in range(pos, end):
@@ -265,43 +263,44 @@ def _bitsets(off, ids, n: int) -> list:
 _CLASS_POINTS = 16
 
 
-def _far_classes(axes, targets, sources, room: int, n: int) -> dict:
-    """Number a walk's far classes for rules of ``n`` points (see ``_cell_moments``);
-    returns the tables of those kept within ``room`` doubles, per source (m, family).
+def _far_classes(axes, targets, sources, store) -> dict:
+    """Number a walk's far classes (see ``_cell_moments``); returns the tables of those kept
+    within ``store.room`` doubles, per source (m, family), their rows from ``store.far``.
     Sets per axis each coordinate id's interval ``tgt`` (K: none) and node ``j``, and
     ``cls``: per (interval, source interval) its class's first table row, or -1; None
     if no class is kept."""
-    for ax in axes:
-        ax.cls = None
-    if not room or n < _CLASS_POINTS:
+    if not store.room or quad._rule_points(max(ax.top[-1] for ax in axes)) < _CLASS_POINTS:
         return {}
-    groups, keys = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps}), []
+    keys, pairs, kks = [], [], []
+    for a, ax in enumerate(axes):
+        (lo, hi), K = ax.ends.T, len(ax.reps)
+        grid_of = {ns.nodes.tobytes(): k for k, ns in enumerate(ax.reps)}
+        kks.append(np.array([grid_of.get(g[a].tobytes(), K) for _, g in targets]))   # per target
+        at = np.repeat(kks[-1], np.diff(ax.off))
+        first = np.lexsort((at, ax.cid))
+        first = first[np.append(True, np.diff(ax.cid[first]) > 0)]   # per coordinate id
+        ax.tgt, ax.j = at[first], first - np.repeat(ax.off[:-1], np.diff(ax.off))[first]
+        held = np.zeros(K + 1, dtype=bool)
+        held[ax.tgt] = True
+        pairs.append(held[:, None] & (np.append(hi, -np.inf)[:, None] - hi >= hi - lo))
+    if not any(mask.any() for mask in pairs):   # no far pair of an interval that is a grid
+        return {}
+    groups = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps})
     ms, ps = np.array([m for m, _ in groups]), sorted({ax.p for ax in axes})
     Y = np.array([np.pad(_reference_nodes((-1.0, 1.0), f, m).nodes, (0, ms[-1] - m))
                   for m, f in groups])
     cat = [sources(key) for key, _ in targets]
     owner, cat = np.repeat(np.arange(len(cat)), [c.size for c in cat]), np.concatenate(cat)
-    for a, ax in enumerate(axes):
+    for kk, mask, ax in zip(kks, pairs, axes):
         (lo, hi), K = ax.ends.T, len(ax.reps)
-        grid_of = {ns.nodes.tobytes(): k for k, ns in enumerate(ax.reps)}
-        kk = np.array([grid_of.get(g[a].tobytes(), K) for _, g in targets])   # per target
-        at = np.repeat(kk, np.diff(ax.off))
-        first = np.lexsort((at, ax.cid))
-        first = first[np.append(True, np.diff(ax.cid[first]) > 0)]   # per coordinate id
-        ax.tgt, ax.j = at[first], first - np.repeat(ax.off[:-1], np.diff(ax.off))[first]
         # a use: a target's interval, or its end nodes', with an interval of its sources
         tk = np.array([kk, ax.tgt[ax.cid[ax.off[:-1]]], ax.tgt[ax.cid[ax.off[1:] - 1]]])
         uses = np.bincount((tk[:, owner] * K + ax.kid[cat]).ravel(), minlength=K * K + K)
-        held = np.zeros(K + 1, dtype=bool)
-        held[ax.tgt] = True
-        ax.cls = held[:, None] & (np.append(hi, -np.inf)[:, None] - hi >= hi - lo)   # the pairs
-        t, s = np.nonzero(ax.cls)
+        t, s = np.nonzero(mask)
         gid, h = np.array([groups.index((ns.m, ns.family)) for ns in ax.reps]), 0.5 * (hi - lo)
         keys.append([(0.5 * (lo + hi)[t] - hi[s]) / h[s], h[t] / h[s], gid[t],
                      gid[s] * len(ps) + ps.index(ax.p), uses.reshape(-1, K)[t, s]])
     keys = [np.concatenate(k) for k in zip(*keys)]   # r1, r2, group of t, of s and p, uses
-    if not keys[0].size:
-        return _far_classes(axes, targets, sources, 0, n)
     uses, order = keys.pop(), np.lexsort(keys)
     new = np.ones(order.size + 1, dtype=bool)   # where a class starts, and the end
     new[1:-1] = np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0)
@@ -310,7 +309,7 @@ def _far_classes(axes, targets, sources, room: int, n: int) -> dict:
     uses = np.add.reduceat(uses[order], np.flatnonzero(new[:-1]))
     rank = np.argsort(-uses, kind="stable")   # the classes of most uses first
     kept = np.zeros(size.size, dtype=bool)
-    kept[rank[(np.cumsum((ms[tg] * ms[sg])[rank]) <= room) & (uses[rank] > 0)]] = True
+    kept[rank[(np.cumsum((ms[tg] * ms[sg])[rank]) <= store.room) & (uses[rank] > 0)]] = True
     start, tables = np.full(size.size, -1), {}
     for g in np.unique(sg[kept]):   # rows j where X_j > 1.9: a far row has X >= 2
         c = np.flatnonzero(kept & (sg == g))
@@ -321,27 +320,27 @@ def _far_classes(axes, targets, sources, room: int, n: int) -> dict:
         for pe in np.unique(e[c]):
             far = (X > 1.9) & (e[c, None] == pe)
             Xu, inv = np.unique(X[far], return_inverse=True)   # each X once
-            tables[groups[g]][(start[c, None] + np.arange(ms[-1]))[far]] = quad._reference_rows(
-                _reference_nodes((-1.0, 1.0), groups[g][1], ms[g]), ps[pe], n, 1, Xu)[inv]
+            tables[groups[g]][(start[c, None] + np.arange(ms[-1]))[far]] = store.far(
+                _reference_nodes((-1.0, 1.0), groups[g][1], ms[g]), ps[pe], Xu)[inv]
     ids = np.empty(order.size, dtype=np.min_scalar_type(-2 - start.max()))
     ids[order] = np.repeat(start, size)
-    for ax, lo in zip(axes, np.cumsum([0] + [np.count_nonzero(ax.cls) for ax in axes])):
-        pairs, ax.cls = ax.cls, np.full(ax.cls.shape, -1, dtype=ids.dtype)
-        ax.cls[pairs] = ids[lo:lo + np.count_nonzero(pairs)]
+    for ax, mask, lo in zip(axes, pairs, np.cumsum([0] + [np.count_nonzero(m) for m in pairs])):
+        ax.cls = np.full(mask.shape, -1, dtype=ids.dtype)
+        ax.cls[mask] = ids[lo:lo + np.count_nonzero(mask)]
     return tables
 
 
-def _far_rows(ax, tables, n: int, ref, s, r, X) -> np.ndarray:
+def _far_rows(ax, tables, store, ref, s, r, X) -> np.ndarray:
     """The reference far rows of a chunk's pairs (interval ``ax.used[s]``, coordinate id
     ``ax.near[r]``, reference coordinate X): a take from the ``tables`` of the kept
-    classes, and a pair of its own computed at X."""
+    classes, and a pair of its own computed at X by the walk's ``store``."""
     base = -1 if ax.cls is None else ax.cls[ax.tgt[ax.near[r]], ax.used[s]].astype(np.intp)
     own = np.less(base, 0)
     if own.all():
-        return quad._reference_rows(ref, ax.p, n, 1, X)
+        return store.far(ref, ax.p, X)
     G = tables[ref.m, ref.family][np.where(own, 0, base + ax.j[ax.near[r]])]
     if own.any():
-        G[own] = quad._reference_rows(ref, ax.p, n, 1, X[own])
+        G[own] = store.far(ref, ax.p, X[own])
     return G
 
 
@@ -353,11 +352,6 @@ def _columns(S, own: bool = False):
         row, end = np.insert(row, end, np.arange(len(S))), end + np.arange(1, len(S) + 1)
     row, start = row.astype(np.min_scalar_type(len(S))), np.append(0, end)
     return lambda ci: row[start[ci]:start[ci + 1]].astype(np.intp)
-
-
-def _gauss_count(nodesets) -> int:
-    """Gauss points per panel of a solve's rules: its largest node count plus 4, at most 64."""
-    return min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
 
 
 def _gather(tables, rows, sel, widths, lo: int, hi: int) -> list:
@@ -488,12 +482,12 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     if (covering.l, covering.T) != (problem.l, problem.T):
         raise ValueError(f"the mesh spans [0, {covering.T}]^{covering.l}, "
                          f"the problem [0, {problem.T}]^{problem.l}")
-    kern, tables, inverses, quad_n = problem.kernel, spl.tables, {}, _gauss_count(nodesets)
+    kern, tables, inverses = problem.kernel, spl.tables, {}
 
     @lru_cache(maxsize=None)   # the reference self-moments, once per (family, m, p) and solve
     def reference(family, m, p):
         ref = _reference_nodes((-1.0, 1.0), family, m)
-        return kernel_moments(ref.nodes, p, -1.0, 1.0, ref, quad_n)
+        return kernel_moments(ref.nodes, p, -1.0, 1.0, ref)
     shadow = shadow_matrix(covering)
     rank = covering.causal_rank()
     done = np.zeros(covering.ncells, dtype=bool)
@@ -593,6 +587,8 @@ def residual(problem: VieProblem, solution, samples) -> float:
     if problem.l == 1:
         samples = (samples,)
     if isinstance(samples, np.ndarray) and samples.ndim == 2:
+        if not len(samples):
+            raise ValueError("the sample point array is empty")
         grids = [list(pt[:, None]) for pt in samples]   # a 1-element grid per coordinate
     else:
         grids = [[np.atleast_1d(np.asarray(ax, dtype=float)) for ax in samples]]

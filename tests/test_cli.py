@@ -212,7 +212,7 @@ class TestMainEntry:
         assert main(["convergence", "--config", str(cfg)]) == code
         if code:
             err = capsys.readouterr().err
-            assert "quad_n" in err and "largest per-axis node count plus 4" in err
+            assert "quad_n" in err and "max(m + 4, 9) Gauss points" in err
 
     @pytest.mark.parametrize("command,config,field", [
         ("convergence", {"N": ["a"]}, "N"),

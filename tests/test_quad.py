@@ -135,7 +135,7 @@ def _jacobi_rule_ids(p):
 def test_kernel_moments_against_brute_force(p):
     ns = build_nodes((0.2, 0.7), "legendre_closed", 5)
     xs = np.array([0.1, 0.2, 0.45, 0.7, 0.9, 2.0])
-    M = kernel_moments(xs, p, 0.2, 0.7, ns, 9)
+    M = kernel_moments(xs, p, 0.2, 0.7, ns)
     for i, x in enumerate(xs):
         u = min(x, 0.7)
         for j in range(5):
@@ -148,7 +148,7 @@ def test_kernel_moments_abel_exponent():
     ns = build_nodes((0.0, 1.0), "legendre_closed", 4)
     vander = np.vander(ns.nodes, 4, increasing=True)
     for p in (-0.5, 0.3, 2.5):
-        M = kernel_moments(np.array([1.0]), p, 0.0, 1.0, ns, 8)
+        M = kernel_moments(np.array([1.0]), p, 0.0, 1.0, ns)
         # int_0^1 (1-tau)^p tau^k dtau = B(p+1, k+1)
         poly_moments = M[0] @ vander  # moments of monomials via basis expansion
         for k in range(4):
@@ -157,7 +157,7 @@ def test_kernel_moments_abel_exponent():
 
 def test_axis_quadrature_rows_below_interval_are_zero():
     ns = build_nodes((0.2, 0.7), "legendre_closed", 5)
-    M = kernel_moments(np.array([0.05, 0.2]), 2.5, 0.2, 0.7, ns, 6)
+    M = kernel_moments(np.array([0.05, 0.2]), 2.5, 0.2, 0.7, ns)
     assert np.all(M[0] == 0.0)
     assert np.all(M[1] == 0.0)  # x == a: clipped range is empty
 
@@ -230,9 +230,8 @@ def test_kernel_moments_match_padded_contraction(p, m):
     a, b = 0.25, 0.65
     ns = build_nodes((a, b), "legendre_closed", m)
     xs = _rows_in_every_branch(a, b)
-    n = min(m + 4, 64)
-    M = kernel_moments(xs, p, a, b, ns, n)
-    ref = _padded_moments(xs, p, a, b, ns, n)
+    M = kernel_moments(xs, p, a, b, ns)
+    ref = _padded_moments(xs, p, a, b, ns, quad._rule_points(m))
     assert M.shape == ref.shape == (xs.size, m)
     assert np.all(M[:2] == 0.0)
     _assert_near_reference(M, ref, m, a, b)
@@ -256,23 +255,26 @@ def _interval_stack(ms):
 @pytest.mark.parametrize("p", [2.5, 0.3, -0.5])
 def test_stacked_moments_equal_one_interval_calls(p, ms, budget, monkeypatch):
     # every row of a stacked call is that of kernel_moments on its interval
-    # alone, to the bit, zero past the interval's node count, and near the
-    # x-space reference. The single-interval side runs at the default block
+    # alone, to the bit, whatever the other node counts of the call, zero past
+    # the interval's node count, and near the x-space reference at the rule of
+    # its own node count. The single-interval side runs at the default block
     # budget, the stacked call also with one row per block (budget 1), so the
     # split into blocks changes no bit. Some rule points fall on nodes of the
-    # same interval (exact unit basis rows), for n = m - 2 every far-row point
-    # of a Legendre family
+    # same interval (exact unit basis rows), for the rule n = m - 2 every
+    # far-row point of a Legendre family
     xs, nodesets = _interval_stack(ms)
     a, b = [ns.a for ns in nodesets], [ns.b for ns in nodesets]
-    for n in {min(max(ms) + 4, 64), max(min(ms) - 2, 1)}:
+    for rule in (quad._rule_points, lambda m: max(m - 2, 1)):
         with monkeypatch.context() as patch:
+            patch.setattr(quad, "_rule_points", rule)
+            one = [kernel_moments(xs, p, lo, hi, ns) for lo, hi, ns in zip(a, b, nodesets)]
             if budget is not None:
                 patch.setattr(quad, "_TABLE_BUDGET", budget)
-            M = quad.stacked_kernel_moments(xs, p, a, b, nodesets, n)
+            M = quad.stacked_kernel_moments(xs, p, a, b, nodesets)
         assert M.shape == (len(nodesets), xs.size, max(ms))
-        for Ms, lo, hi, ns in zip(M, a, b, nodesets):
-            one = kernel_moments(xs, p, lo, hi, ns, n)
-            _assert_near_reference(one, _padded_moments(xs, p, lo, hi, ns, n), ns.m, lo, hi)
+        for Ms, one, lo, hi, ns in zip(M, one, a, b, nodesets):
+            ref = _padded_moments(xs, p, lo, hi, ns, rule(ns.m))
+            _assert_near_reference(one, ref, ns.m, lo, hi)
             assert np.array_equal(Ms[:, :ns.m], one)
             assert np.all(Ms[:, ns.m:] == 0.0)
             assert np.all(one[xs <= lo] == 0.0)
@@ -304,11 +306,11 @@ def test_solver_values_match_padded_contraction(case, monkeypatch):
     fast = solve(problem, *disc)
     calls = [0]
 
-    def padded_stack(x, p, a, b, nodesets, n, rows=None, far=None):
+    def padded_stack(x, p, a, b, nodesets, rows=None, far=None):
         calls[0] += 1
         M = np.zeros((len(nodesets), np.size(x), max(ns.m for ns in nodesets)))
         for Ms, lo, hi, ns in zip(M, a, b, nodesets):
-            Ms[:, :ns.m] = _padded_moments(x, p, lo, hi, ns, n)
+            Ms[:, :ns.m] = _padded_moments(x, p, lo, hi, ns, quad._rule_points(ns.m))
         return M
 
     monkeypatch.setattr(solver, "stacked_kernel_moments", padded_stack)
@@ -327,7 +329,7 @@ def _row_sum_error(p, x, family="legendre_closed", m=5, boxes=((0.3, 0.8),)):
     # interval, all stacked in one call
     xs = np.asarray(x, dtype=float)
     nodesets = [build_nodes(box, family, m) for box in boxes]
-    M = quad.stacked_kernel_moments(xs, p, *zip(*boxes), nodesets, m + 4)
+    M = quad.stacked_kernel_moments(xs, p, *zip(*boxes), nodesets)
     errors = []
     for Ms, (a, b) in zip(M, boxes):
         inside, past = (a < xs) & (xs <= b), xs > b
@@ -366,25 +368,23 @@ def test_kernel_moment_rows_sum_just_past_interval(gap):
     assert _row_sum_error(-0.5, [b + gap * (b - a)])[0] <= 1e-13
 
 
-@pytest.mark.parametrize("family, m", [("legendre_closed", 5), ("chebyshev1_closed", 40)])
-def test_shared_rules_evaluate_the_basis_once_per_call(family, m, monkeypatch):
-    # far and near rows of every interval share their reference rule points,
-    # so a stacked call evaluates the basis once per shared rule, however many
-    # intervals it stacks
-    evaluated = []
+def test_far_rule_basis_once_per_walk(monkeypatch):
+    # the far rows of one node count share one rule, whose basis the walk's row
+    # store keeps: an abel-1d B* N = 32 solve (33 segments, 16 node counts from
+    # 2 to 40) evaluates it once per (family, m), not once per stacked call
+    # (97 times when each call evaluated its own)
+    import wsvie.solver as solver
+    from wsvie.funclass import derive_class_params
+
+    far = []
 
     def counted(nodeset, points):
-        evaluated.append(np.size(points))
+        if np.ndim(points) == 1 and np.size(points) == quad._rule_points(nodeset.m):
+            far.append((nodeset.family, nodeset.m))
         return lagrange_basis_matrix(nodeset, points)
 
     monkeypatch.setattr(quad, "lagrange_basis_matrix", counted)
-    x = np.array([0.6, 0.8, 0.95, 1.1, 2.0, 7.0])   # near and far rows of all
-    work = []
-    for S in (1, 20):
-        a = np.linspace(0.0, 0.05, S)
-        nodesets = [build_nodes((lo, lo + 0.5), family, m) for lo in a]
-        evaluated.clear()
-        M = quad.stacked_kernel_moments(x, -0.5, a, a + 0.5, nodesets, m + 4)
-        assert np.all(M.any(axis=2))
-        work.append(list(evaluated))
-    assert work[0] == work[1] == [m + 4, (m + 4) * quad._NEAR_PANELS]
+    disc = solver.preset_1d(derive_class_params(2, 0.5, "b_star"), 32)
+    sol = solver.solve_1d(_abel_problem(), *disc)
+    groups = {(ns.family, ns.m) for (ns,) in sol.nodesets}
+    assert len(groups) == 16 and sorted(far) == sorted(groups)

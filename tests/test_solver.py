@@ -454,13 +454,11 @@ def _per_pair_moments(kern, nodesets, targets, sources):
     to the leading columns of zero arrays padded to the largest node count
     of each axis. With a smooth factor h, a source's weights are the outer
     product of its rows times h at (grid point, source node), its nodes
-    padded with its last, flattened to one axis. The Gauss point count is
-    this test's own copy of the solver's rule, so a change to that rule
-    shows as a mismatch.
+    padded with its last, flattened to one axis. Each row takes the rule of
+    its source's node count, through ``kernel_moments``.
     """
     from wsvie.quad import kernel_moments
 
-    quad_n = min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
     widths = [max(ns.m for ns in sets) for sets in zip(*nodesets)]
 
     def moments(grid, srcs, lo, hi):
@@ -469,7 +467,7 @@ def _per_pair_moments(kern, nodesets, targets, sources):
             out.append(np.zeros((hi - lo, x.size, widths[a])))
             for W, di in zip(out[-1], srcs[lo:hi]):
                 ns = nodesets[di][a]
-                W[:, :ns.m] = kernel_moments(x, p, ns.a, ns.b, ns, quad_n)
+                W[:, :ns.m] = kernel_moments(x, p, ns.a, ns.b, ns)
         return out
 
     def product(grid, srcs, lo, hi):
@@ -529,6 +527,7 @@ def _table_case(case):
                           rhs=lambda t1, t2: (t1 * t2) ** 2.5 - 2.0 * c * c * (t1 * t2) ** 6)
         return prob, solve_2d, preset_2d(derive_class_params(2, 2.5, "q_star", l=2), 2)
     kind, gamma, N = {"power-2d-qstar-4": ("q_star", 2.5, 4),
+                      "power-2d-bstar-1": ("b_star", 0.5, 1),
                       "power-2d-bstar-3": ("b_star", 0.5, 3),
                       "power-2d-bstar-4": ("b_star", 0.5, 4),
                       "power-2d-qstar-8": ("q_star", 2.5, 8)}[case]
@@ -598,10 +597,8 @@ def _set_based_chunks(kern, nodesets, targets, sources):
     import wsvie.solver as solver
     from wsvie.quad import _reference_rows, _RowStore, stacked_kernel_moments
 
-    quad_n = min(max(ns.m for nsets in nodesets for ns in nsets) + 4, 64)
-
     def far(ref, s, r, X):
-        return _reference_rows(ref, p, quad_n, 1, X)
+        return _reference_rows(ref, p, 1, X)
     targets, kid, reps = list(targets), [], []
     for a in range(len(kern.exponents)):
         index: dict = {}
@@ -626,7 +623,7 @@ def _set_based_chunks(kern, nodesets, targets, sources):
         chunks.append([])
         for p, r, u, c in zip(kern.exponents, reps, used, coords):
             x, ns = np.array(sorted(c)), [r[i] for i in np.flatnonzero(u)]
-            stacked_kernel_moments(x, p, [n.a for n in ns], [n.b for n in ns], ns, quad_n, store,
+            stacked_kernel_moments(x, p, [n.a for n in ns], [n.b for n in ns], ns, store,
                                    far)   # far rows stay out of the store
             chunks[-1].append((x, sorted((n.a, n.b, n.m) for n in ns)))
         pos = end
@@ -656,6 +653,7 @@ class TestMomentTables:
         # their row maximum, histories by 0.64 eps and nodal values by 1.51 eps
         # of the largest
         import wsvie.solver as solver
+        from wsvie import quad
 
         if budget is not None:
             monkeypatch.setattr(solver, "_TABLE_BUDGET", budget)
@@ -678,7 +676,8 @@ class TestMomentTables:
         ref = solve(prob, *disc)
         assert used[0] > 0 and calls[0] == count  # the reference made no stacked call
         assert len(fast.values) == len(ref.values)
-        eps = np.finfo(float).eps * (solver._gauss_count(fast.nodesets) >= solver._CLASS_POINTS)
+        top_m = max(ns.m for nsets in fast.nodesets for ns in nsets)
+        eps = np.finfo(float).eps * (quad._rule_points(top_m) >= solver._CLASS_POINTS)
         top = max(np.max(np.abs(v)) for v in ref.values)
         for ci in range(len(ref.values)):
             assert np.all(np.abs(fast.values[ci] - ref.values[ci]) <= 2 * eps * top)
@@ -730,10 +729,10 @@ class TestMomentTables:
         expected = _set_based_chunks(*args)
         got, moments = [], solver.stacked_kernel_moments
 
-        def recorded(x, p, a, b, nodesets, n, rows, far):
+        def recorded(x, p, a, b, nodesets, rows, far):
             got.append((x, sorted(zip(np.asarray(a).tolist(), np.asarray(b).tolist(),
                                       [ns.m for ns in nodesets]))))
-            return moments(x, p, a, b, nodesets, n, rows, far)
+            return moments(x, p, a, b, nodesets, rows, far)
 
         monkeypatch.setattr(solver, "stacked_kernel_moments", recorded)
         assert len(list(solver._cell_moments(*args))) == len(args[2])
@@ -794,13 +793,13 @@ def _row_counts(monkeypatch):
     served, computed = {}, {}
     call, rows = quad._RowStore.__call__, quad._reference_rows
 
-    def counted_call(self, ref, p, n, panels, X):
+    def counted_call(self, ref, p, panels, X):
         served[panels] = served.get(panels, 0) + np.size(X)
-        return call(self, ref, p, n, panels, X)
+        return call(self, ref, p, panels, X)
 
-    def counted_rows(ref, p, n, panels, X):
-        computed.setdefault(panels, []).append((ref.family, ref.m, p, n, X.copy()))
-        return rows(ref, p, n, panels, X)
+    def counted_rows(ref, p, panels, X, n=None, basis=None):
+        computed.setdefault(panels, []).append((ref.family, ref.m, p, X.copy()))
+        return rows(ref, p, panels, X, n, basis)
 
     monkeypatch.setattr(quad._RowStore, "__call__", counted_call)
     monkeypatch.setattr(quad, "_reference_rows", counted_rows)
@@ -819,7 +818,7 @@ class TestRowStore:
         kept = sum(X.size for panels in (0, 13) for *_, X in computed[panels])
         assert kept <= 0.08 * (served[0] + served[13])   # 6.8% measured
         for panels in (0, 13):   # no key twice
-            keys = [(f, m, p, n, x) for f, m, p, n, X in computed[panels] for x in X.tolist()]
+            keys = [(f, m, p, x) for f, m, p, X in computed[panels] for x in X.tolist()]
             assert len(set(keys)) == len(keys)
 
     def test_store_lives_for_one_solve(self, monkeypatch):
@@ -848,13 +847,13 @@ def _exact_far_row(family, m, p, X, digits):
     with localcontext() as ctx:
         ctx.prec = digits
         nodes = [Decimal(float(v)) for v in _reference_nodes((-1.0, 1.0), family, m).nodes]
-        Y, P = Decimal(float(X)) + 1, Decimal(p)
-        # int_{Y-1}^{Y+1} u^(p+k) du for k < m: (Y +- 1)^p, p = -1/2 or 5/2, from sqrt
-        ends = [(Y + 1, (Y + 1).sqrt()), (Y - 1, (Y - 1).sqrt())]
-        power = [v * v * r if p > 0 else 1 / r for v, r in ends]
+        Y, P = Decimal(float(X)) + 1, Decimal(float(p))
+        # int_{Y-1}^{Y+1} u^(p+k) du for k < m, from (Y +- 1)^p
+        ends = [Y + 1, Y - 1]
+        power = [v ** P for v in ends]
         moments = []
         for k in range(m):
-            hi, lo = (w * v ** (k + 1) for w, (v, _) in zip(power, ends))
+            hi, lo = (w * v ** (k + 1) for w, v in zip(power, ends))
             moments.append((hi - lo) / (P + k + 1))
         row = []
         for j, sj in enumerate(nodes):
@@ -877,10 +876,10 @@ class TestFarClasses:
 
         computed, rows = [], quad._reference_rows
 
-        def counted(ref, p, n, panels, X):
+        def counted(ref, p, panels, X, n=None, basis=None):
             if panels == 1:
                 computed.append(np.column_stack([np.full(X.size, p), X]))
-            return rows(ref, p, n, panels, X)
+            return rows(ref, p, panels, X, n, basis)
 
         monkeypatch.setattr(quad, "_reference_rows", counted)
         prob, solve, disc = _table_case("power-2d-bstar-4")
@@ -921,11 +920,64 @@ class TestFarClasses:
 
         X = np.array([2.0, 2.0 + 2.0 ** -20, 10.0, 601.0])
         ref = quad._reference_nodes((-1.0, 1.0), "chebyshev1_closed", m)
-        rows = quad._reference_rows(ref, p, min(m + 4, 64), 1, X)
+        rows = quad._reference_rows(ref, p, 1, X)
         for x, row in zip(X, rows):
             exact = _exact_far_row("chebyshev1_closed", m, p, x, 40 + 6 * m)
             bound = 9000 if (m, p) == (5, -0.5) and x < 3 else m + 5
             assert np.max(np.abs(row - exact)) <= bound * np.finfo(float).eps * np.max(np.abs(exact))
+
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_small_node_counts_match_exact_reference(self, m):
+        # far rows of a stacked call of one small node count take the rule of
+        # that count, max(m + 4, 9) points: against the exact row they are off
+        # by at most 1.05e-12 of the row maximum (m = 4, p = -0.9; 6.4e-14 at
+        # m = 2). The rule of m + 4 points missed by up to 2.6e-9 (m = 2)
+        from wsvie import quad
+
+        X = np.array([2.0, 2.0 + 2.0 ** -20, 10.0])
+        ref = quad._reference_nodes((-1.0, 1.0), "chebyshev1_closed", m)
+        for p in (-0.9, -0.5, 0.3, 2.5):   # on [-1, 1], x = 1 + X: the reference rows
+            rows = quad.stacked_kernel_moments(1.0 + X, p, [-1.0], [1.0], [ref])[0]
+            for x, row in zip(X, rows):
+                exact = _exact_far_row("chebyshev1_closed", m, p, x, 40 + 6 * m)
+                assert np.max(np.abs(row - exact)) <= 2e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("case", ["abel-1d-bstar-8", "abel-1d-bstar-16", "power-2d-bstar-1"])
+    def test_rules_of_own_node_counts_move_values_by_rounding(self, case, monkeypatch):
+        # every row takes the rule of its own node count; with the rule of the
+        # solve's largest count for every row, as before, the values differ by
+        # rounding only: measured at most 5.1e-15 of max |x| on the abel-1d
+        # workload (seeds 1-3, N = 8-32) and 2.0e-16 at 2D B* N = 1, whose
+        # m = 3 rows take 9 points instead of 7
+        from wsvie import quad
+
+        prob, solve, disc = _table_case(case)
+        new = solve(prob, *disc)
+        top_m = max(ns.m for nsets in new.nodesets for ns in nsets)
+        monkeypatch.setattr(quad, "_rule_points", lambda m: min(top_m + 4, 64))
+        old = solve(prob, *disc)
+        new_x, old_x = (np.concatenate([v.ravel() for v in s.values]) for s in (new, old))
+        assert 0 < np.max(np.abs(new_x - old_x)) <= 1e-14 * np.max(np.abs(old_x))
+
+    def test_a_walk_without_node_grids_requests_sources_once(self, b_params_2d):
+        # residual's walk over sample grids of a B* N = 5 solution (18-point
+        # rules): no grid is an interval's node array, so no class is numbered
+        # and each target's sources are requested once, by the chunk plan
+        import wsvie.solver as solver
+        from wsvie.spline import _unfilled
+
+        cov, degree, fam = preset_2d(b_params_2d, 5)
+        assert solver.quad._rule_points(degree) >= solver._CLASS_POINTS
+        nodesets = _unfilled(cov, degree, fam).nodesets
+        ax = np.linspace(0.0, 1.0, 11)
+        grids = [(ax, ax), (ax[:4], ax[::-1] ** 2), (ax[5:6], ax[2:3])]
+        requested = []
+        walk = solver._cell_moments(get_problem("corner-power-2d").kernel, nodesets,
+                                    enumerate(grids),
+                                    lambda key: (requested.append(key), np.arange(cov.ncells))[1])
+        assert [key for key, _, _ in walk] == [0, 1, 2]
+        assert requested == [0, 1, 2]
 
 
 def _shuffled_causal_order(cov, seed):
@@ -1262,7 +1314,7 @@ class TestPerDimensionFormulas:
             V = np.zeros((n + 1, n + 1))
             for j in range(n):
                 ns = build_nodes((steps[j], steps[j + 1]), "legendre_closed", 2)
-                W = kernel_moments(steps, 2.5, ns.a, ns.b, ns, 6) * h(steps[:, None], ns.nodes)
+                W = kernel_moments(steps, 2.5, ns.a, ns.b, ns) * h(steps[:, None], ns.nodes)
                 V[:, j] += W[:, 0]
                 V[:, j + 1] += W[:, 1]
             old = _reference_oracle(prob, n, [V])
@@ -1420,8 +1472,8 @@ class TestShapeInverses:
         import wsvie.solver as solver
 
         calls, moments = [], solver.kernel_moments
-        monkeypatch.setattr(solver, "kernel_moments", lambda x, p, a, b, ns, n: (
-            calls.append((ns.family, ns.m, p)), moments(x, p, a, b, ns, n))[1])
+        monkeypatch.setattr(solver, "kernel_moments", lambda x, p, a, b, ns: (
+            calls.append((ns.family, ns.m, p)), moments(x, p, a, b, ns))[1])
         cov, degree, family = preset_2d(q25_params_2d, 8)
         prob = VieProblem(l=2, T=1.0, kernel=KernelSpec(exponents), rhs=lambda t1, t2: t1 * t2)
         sol = solve_2d(prob, cov, degree, family)
@@ -1489,6 +1541,13 @@ class TestResidual:
             samples = [np.array([0.5]), np.array([])]
         with pytest.raises(ValueError, match=f"sample axis {l - 1} is empty"):
             residual(prob, sol, samples)
+
+    def test_empty_point_array_rejected(self, q25_params_2d):
+        # no sample point is a caller's error, named as such
+        prob = get_problem("corner-power-2d")
+        sol = solve_2d(prob, *preset_2d(q25_params_2d, 2))
+        with pytest.raises(ValueError, match="sample point array is empty"):
+            residual(prob, sol, np.zeros((0, 2)))
 
     def test_zero_spline_zero_rhs(self, q_params):
         prob = VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(2.5,)),
