@@ -368,6 +368,31 @@ def test_kernel_moment_rows_sum_just_past_interval(gap):
     assert _row_sum_error(-0.5, [b + gap * (b - a)])[0] <= 1e-13
 
 
+@pytest.mark.parametrize("family, m", [("legendre_closed", 5), ("chebyshev1_closed", 40)])
+def test_shared_rules_evaluate_the_basis_once_per_call(family, m, monkeypatch):
+    # far and near rows of every interval of one node count share their reference
+    # rule points, so a stacked call evaluates the basis once per shared rule,
+    # however many intervals it stacks
+    evaluated = []
+
+    def counted(nodeset, points):
+        evaluated.append(np.size(points))
+        return lagrange_basis_matrix(nodeset, points)
+
+    monkeypatch.setattr(quad, "lagrange_basis_matrix", counted)
+    x = np.array([0.6, 0.8, 0.95, 1.1, 2.0, 7.0])   # near and far rows of all
+    n = quad._rule_points(m)
+    work = []
+    for S in (1, 20):
+        a = np.linspace(0.0, 0.05, S)
+        nodesets = [build_nodes((lo, lo + 0.5), family, m) for lo in a]
+        evaluated.clear()
+        M = quad.stacked_kernel_moments(x, -0.5, a, a + 0.5, nodesets)
+        assert np.all(M.any(axis=2))
+        work.append(list(evaluated))
+    assert work[0] == work[1] == [n, n * quad._NEAR_PANELS]
+
+
 def test_far_rule_basis_once_per_walk(monkeypatch):
     # the far rows of one node count share one rule, whose basis the walk's row
     # store keeps: an abel-1d B* N = 32 solve (33 segments, 16 node counts from
