@@ -25,59 +25,67 @@ FAMILIES = ("legendre_closed", "chebyshev1_closed", "chebyshev1_open")
 _CLOSED_FAMILIES = ("legendre_closed", "chebyshev1_closed")
 
 
-def _legendre_and_derivative(m: int, x: np.ndarray):
-    """Evaluate P_m and P_m' by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    if m == 1:
-        return p, np.ones_like(x)
-    for k in range(1, m):
-        p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        p_prev, p = p, p_next
-    # valid for |x| < 1, which holds at and near the roots
-    dp = m * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+def _legendre_and_derivative(m, x: np.ndarray):
+    """Evaluate P_m and P_m' by the three-term recurrence; m an int, or one degree per row of x."""
+    p_prev, p = np.ones_like(x), x.copy()
+    top, below = p.copy(), p_prev.copy()   # P_m and P_(m-1): so far, those of m = 1
+    for k in range(1, np.max(m)):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        np.copyto(top, p, where=m == k + 1)
+        np.copyto(below, p_prev, where=m == k + 1)
+    # valid for |x| < 1, which holds at and near the roots; exactly 1 for m = 1
+    return top, m * (x * top - below) / (x * x - 1.0)
 
 
-@lru_cache(maxsize=None)
+_LEGENDRE = {}   # degree m -> its roots and P_m' at them, read-only
+
+
+def legendre_table(degrees) -> dict:
+    """The dict m -> (roots, P_m' at them) of the Legendre degrees built so far. Those of
+    ``degrees`` not built yet are built in one batch, as ``legendre_roots`` says: rows of a
+    (degree, root) array, each padded with its last root, one recurrence per Newton step."""
+    new = sorted({int(m) for m in degrees} - _LEGENDRE.keys())
+    if min(new, default=1) < 1:
+        raise ValueError(f"m must be >= 1, got {new[0]}")
+    if new:
+        m = np.array(new)[:, None]
+        j = np.minimum(np.arange(1, new[-1] + 1), m)
+        x = -np.cos((2.0 * j - 1.0) * np.pi / (2.0 * m))  # ascending initial guesses
+        max_step = np.pi / (2.0 * m)  # damping: never jump past a neighbouring root
+        live = np.arange(len(new))   # the rows still moving
+        for _ in range(100):
+            p, dp = _legendre_and_derivative(m[live], x[live])
+            step = np.clip(p / dp, -max_step[live], max_step[live])
+            x[live] -= step
+            live = live[~(np.max(np.abs(step), axis=1) < 1e-14)]
+            if not live.size:
+                break
+        else:
+            raise RuntimeError(f"Legendre Newton iteration did not converge (m={m[live, 0]})")
+        # enforce exact symmetry about 0; a row's padding stays its last root
+        x = 0.5 * (x - np.take_along_axis(x, np.maximum(m - 1 - np.arange(new[-1]), 0), 1))
+        p, dp = _legendre_and_derivative(m, x)
+        bad = np.max(np.abs(p), axis=1) > 1e-13
+        if bad.any():
+            raise RuntimeError(f"Legendre root residual {np.max(np.abs(p)):.2e} exceeds 1e-13 "
+                               f"(m={', '.join(map(str, m[bad, 0]))})")
+        x.setflags(write=False)
+        dp.setflags(write=False)
+        _LEGENDRE.update((k, (row[:k], d[:k])) for k, row, d in zip(new, x, dp))
+    return _LEGENDRE
+
+
 def legendre_roots(m: int) -> np.ndarray:
-    """Roots of the degree-m Legendre polynomial, sorted ascending.
+    """Roots of the degree-m Legendre polynomial, m >= 1: m distinct values in (-1, 1),
+    ascending, symmetric about 0, cached (``legendre_table``) and read-only.
 
     Damped Newton iteration from Chebyshev initial guesses, stopped once
     every step is below 1e-14 (at most 100 steps); the residual |P_m(root)|
-    is required to drop below 1e-13 for every root. Results are cached and
-    returned as read-only arrays.
-
-    Parameters
-    ----------
-    m : int
-        Polynomial degree, m >= 1.
-
-    Returns
-    -------
-    ndarray of shape (m,)
-        Distinct roots in (-1, 1), symmetric about 0.
+    is required to drop below 1e-13 for every root, else a RuntimeError names
+    m. The package asks for m <= 64; among m <= 120 the check fails for m in
+    {86, 104, 107, 108, 109, 113, 119, 120}.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    j = np.arange(1, m + 1)
-    x = -np.cos((2.0 * j - 1.0) * np.pi / (2.0 * m))  # ascending initial guesses
-    max_step = np.pi / (2.0 * m)  # damping: never jump past a neighbouring root
-    for _ in range(100):
-        p, dp = _legendre_and_derivative(m, x)
-        step = p / dp
-        step = np.clip(step, -max_step, max_step)
-        x = x - step
-        if np.max(np.abs(step)) < 1e-14:
-            break
-    else:
-        raise RuntimeError(f"Newton iteration for Legendre roots did not converge (m={m})")
-    x = 0.5 * (x - x[::-1])  # enforce exact symmetry about 0
-    residual = np.max(np.abs(_legendre_and_derivative(m, x)[0]))
-    if residual > 1e-13:
-        raise RuntimeError(f"Legendre root residual {residual:.2e} exceeds 1e-13 (m={m})")
-    x.setflags(write=False)
-    return x
+    return legendre_table([m])[m][0]
 
 
 @lru_cache(maxsize=None)

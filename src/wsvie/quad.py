@@ -30,8 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .interp import (NodeSet, _legendre_and_derivative, build_nodes, lagrange_basis_matrix,
-                     legendre_roots)
+from .interp import NodeSet, build_nodes, lagrange_basis_matrix, legendre_table
 
 # composite Gauss-Legendre panels of a near row
 _NEAR_PANELS = 13
@@ -62,14 +61,12 @@ def gauss_legendre(n: int) -> QuadRule:
     """n-point Gauss-Legendre rule on [-1, 1].
 
     Weights follow the classical derivative formula 2 / ((1 - x^2) P_n'(x)^2)
-    at the Legendre roots. Exact for polynomials of degree <= 2n - 1.
+    at the Legendre roots (``legendre_table``). Exact for polynomials of degree <= 2n - 1.
     """
     if not 1 <= n <= 64:
         raise ValueError(f"n must be in [1, 64], got {n}")
-    x = legendre_roots(n)
-    _, dp = _legendre_and_derivative(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return QuadRule(n=n, nodes=x, weights=w)
+    x, dp = legendre_table([n])[n]
+    return QuadRule(n=n, nodes=x, weights=2.0 / ((1.0 - x * x) * dp * dp))
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -94,14 +91,12 @@ def gauss_jacobi(n: int, alpha: float) -> QuadRule:
     diag[0] = (b - a) / (a + b + 2.0)
     if n > 1:
         diag[1:] = (b * b - a * a) / denom[1:]
-    off = np.empty(max(n - 1, 0))
+    kk = np.arange(2.0, n)
+    off = np.sqrt(4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
+                  / ((2.0 * kk + a + b) ** 2 * ((2.0 * kk + a + b) ** 2 - 1.0)))
     if n > 1:
-        off[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b)
-                           / ((2.0 + a + b) ** 2 * (3.0 + a + b)))
-    for kk in range(2, n):
-        num = 4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
-        den = (2.0 * kk + a + b) ** 2 * ((2.0 * kk + a + b) ** 2 - 1.0)
-        off[kk - 1] = math.sqrt(num / den)
+        off = np.append(math.sqrt(4.0 * (1.0 + a) * (1.0 + b)
+                                  / ((2.0 + a + b) ** 2 * (3.0 + a + b))), off)
     jac = np.diag(diag)
     if n > 1:
         jac += np.diag(off, 1) + np.diag(off, -1)

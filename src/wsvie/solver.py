@@ -42,12 +42,13 @@ What a solve derives from its geometry alone is built once per solve, in
 vector steps: the node sets of all distinct (interval, node count) pairs
 (``spline._unfilled``), the right side at all nodes and the donors of all
 boundary nodes, in flat arrays sliced per cell (``_nodal``), the reference
-self-moments per (family, m, p) (``_shape_matrix``), and the chunk plan of
-``_cell_moments`` on integer ids. Donor basis rows come per block of cells.
-The cell loop keeps the history, inherited values, local solve (one inverse
-per cell shape) and residual check, per axis where the inverse is shared.
-Cells whose predecessors are complete could be solved concurrently; this
-implementation is the single-threaded reference.
+self-moments per (family, m, p) (``_shape_matrix``), the Gauss-Legendre rules
+of all its node counts (one Newton iteration, ``interp.legendre_table``) and
+the chunk plan of ``_cell_moments`` on integer ids. Donor basis rows come per
+block of cells. The cell loop keeps the history, inherited values, local solve
+(one inverse per cell shape) and residual check, per axis where the inverse is
+shared. Cells whose predecessors are complete could be solved concurrently;
+this implementation is the single-threaded reference.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .interp import build_nodes
+from .interp import build_nodes, legendre_table
 from .interp import geometric_degree_schedule, power_degree_schedule
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, corner_layer_covering,
                    geometric_covering, geometric_mesh, power_graded_mesh, shadow_matrix)
@@ -162,7 +163,7 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       call per axis fills them, each row at the rule of its source's node
       count (``quad._rule_points``), its singular and near rows and far rule
       bases from a ``_RowStore`` of ``_TABLE_BUDGET / 2`` doubles that lives
-      as long as this generator.
+      as long as this generator. The walk's rules are built when it starts.
       A chunk grows while its tables and the store hold at most
       ``_TABLE_BUDGET`` doubles (a cell count would not do, since the table
       width grows with m), and takes at least one target.
@@ -209,6 +210,7 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             p=p, kid=kid, reps=reps, ends=np.array([key[2:] for key in index]),
             top=np.array([0] + [key[0] for key in index]), x=x, cid=cid.ravel(),
             off=np.append(0, np.cumsum([g[a].size for _, g in targets])), cls=None))
+    legendre_table({quad._rule_points(ns.m) for ax in axes for ns in ax.reps})   # one batch
     srcs, bits = [], []   # per target until yielded: its sources; per axis, its id bitsets
     store, tables, pos = _RowStore(_TABLE_BUDGET // 2), [], 0
     classes = _far_classes(axes, targets, sources, store)

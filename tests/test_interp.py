@@ -25,6 +25,14 @@ class TestLegendreRoots:
         with pytest.raises(ValueError):
             legendre_roots(0)
 
+    def test_failed_residual_check_names_its_degree(self):
+        # the absolute 1e-13 residual check fails at m = 86 (the package asks for
+        # m <= 64); the failure is loud, names m, and leaves other degrees working
+        with pytest.raises(RuntimeError, match=r"\(m=86\)"):
+            legendre_roots(86)
+        roots = legendre_roots(85)
+        assert roots.size == 85 and np.max(np.abs(_legendre_and_derivative(85, roots)[0])) <= 1e-13
+
 
 class TestChebyshevRoots:
     def test_m1(self):

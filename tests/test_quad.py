@@ -1,9 +1,12 @@
 import math
+import random
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from wsvie import quad
+from wsvie import interp, quad
 from wsvie.interp import build_nodes, lagrange_basis_matrix
 from wsvie.quad import gauss_jacobi, gauss_legendre, integrate_box, kernel_moments, power_moment
 
@@ -31,7 +34,7 @@ def test_weights_sum_to_two(n):
     assert abs(gauss_legendre(n).weights.sum() - 2.0) <= 1e-13
 
 
-@pytest.mark.parametrize("n", range(1, 33))
+@pytest.mark.parametrize("n", range(1, 65))
 def test_monomial_exactness_up_to_2n_minus_1(n):
     rule = gauss_legendre(n)
     for p in range(2 * n):
@@ -41,6 +44,56 @@ def test_monomial_exactness_up_to_2n_minus_1(n):
             assert abs(approx) <= 1e-13
         else:
             assert abs(approx - exact) <= 1e-12 * abs(exact)
+
+
+def test_rules_built_in_one_batch_equal_rules_built_one_at_a_time(monkeypatch):
+    # the batched Newton iteration does each degree's own arithmetic in its row,
+    # so neither the other degrees of a batch nor their order changes a bit
+    degrees = list(range(1, 65))
+    random.Random(28).shuffle(degrees)
+    monkeypatch.setattr(interp, "_LEGENDRE", {})
+    batch = dict(interp.legendre_table(degrees))
+    monkeypatch.setattr(interp, "_LEGENDRE", {})
+    for n in range(1, 65):
+        roots, dp = interp.legendre_table([n])[n]   # built alone
+        assert np.array_equal(roots, batch[n][0]) and np.array_equal(dp, batch[n][1])
+        assert roots.size == n and not roots.flags.writeable and not dp.flags.writeable
+
+
+def test_padded_rows_raise_no_warning(monkeypatch):
+    # a row shorter than the batch's largest degree is padded with its last root,
+    # which moves as that root does: no division by a zero derivative, no overflow
+    monkeypatch.setattr(interp, "_LEGENDRE", {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        interp.legendre_table(range(1, 65))
+
+
+def test_cold_abel_ladder_builds_its_rules_in_few_recurrences(monkeypatch):
+    # each walk builds the Gauss-Legendre rules of all its node counts in one
+    # Newton iteration: a cold abel-1d ladder (N = 8, 16, 32, rules of 9 to 44
+    # points) ran the recurrence 14 times when this test was added, and 120
+    # times when every rule ran a Newton iteration of its own
+    import wsvie.solver as solver
+    from wsvie.funclass import derive_class_params
+
+    calls = []
+
+    def counted(m, x):
+        calls.append(np.max(m))
+        return recurrence(m, x)
+
+    recurrence = interp._legendre_and_derivative
+    monkeypatch.setattr(interp, "_legendre_and_derivative", counted)
+    monkeypatch.setattr(interp, "_LEGENDRE", {})
+    for name in ("gauss_legendre", "_graded_panels"):   # emptied rule caches
+        monkeypatch.setattr(quad, name, lru_cache(maxsize=None)(getattr(quad, name).__wrapped__))
+    params, counts = derive_class_params(2, 0.5, "b_star"), set()
+    for N in (8, 16, 32):
+        disc = solver.preset_1d(params, N)
+        solver.solve_1d(_abel_problem(), *disc)
+        counts |= {quad._rule_points(m) for m in disc[1]}
+    assert set(interp._LEGENDRE) == counts and len(counts) == 15 and 0 < len(calls) <= 20
 
 
 def test_n_out_of_range_rejected():
@@ -63,6 +116,19 @@ def test_gauss_jacobi_reproduces_beta_moments(k):
     tau = 0.5 * (gj.nodes + 1.0)
     val = 0.5 ** 3.5 * float((gj.weights * tau ** k).sum())
     assert val == pytest.approx(power_moment(2.5, k, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.3, 2.5])
+@pytest.mark.parametrize("n", [9, 24, 44, 64])
+def test_gauss_jacobi_exact_below_degree_2n(n, alpha):
+    # int_{-1}^{1} (1 - x)^alpha (1 + x)^k dx = 2^(alpha + k + 1) B(alpha + 1, k + 1)
+    # for k < 2n, at the rule sizes the solver uses; the worst relative error was
+    # 1.4e-13 when this test was added
+    rule, k = gauss_jacobi(n, alpha), np.arange(2 * n)
+    approx = (rule.weights[:, None] * (1.0 + rule.nodes[:, None]) ** k).sum(axis=0)
+    exact = [math.exp((alpha + j + 1) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                      + math.lgamma(j + 1.0) - math.lgamma(alpha + j + 2.0)) for j in k.tolist()]
+    assert np.max(np.abs(approx / exact - 1.0)) <= 1e-12
 
 
 def test_integrate_box_volume():
