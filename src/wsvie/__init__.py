@@ -18,9 +18,15 @@ from .solver import (KernelSpec, OracleSolution, VieProblem, collocation_residua
                      oracle_solve, preset_1d, preset_2d, residual, solve_1d, solve_2d)
 from .spline import (LocalSpline, TensorSpline, build_tensor_spline, max_node_error,
                      n_functionals, sup_error)
-from .widths import (BumpSpec, bump_eval, bump_membership_scale, bump_sup,
-                     covering_count, fit_loglog_slope, layer_cube_bump,
-                     width_upper_estimate)
+
+
+def __getattr__(name):   # ``widths``, which no solve uses, is imported on first use
+    if name != "widths" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    widths = import_module(".widths", __name__)
+    return widths if name == "widths" else getattr(widths, name)
+
 
 __version__ = "0.1.0"
 

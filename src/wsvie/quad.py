@@ -17,14 +17,15 @@ h^(p + 1), h = (b - a) / 2, times a reference row of (family, m, p, branch, X),
 X its reference coordinate, from one function, ``_reference_rows``.
 ``stacked_kernel_moments`` takes the moments of many intervals, of any node
 counts, at one coordinate array; its rows sum in one fixed order, so stacking
-changes no bit. A ``_RowStore`` keeps a walk's singular and near rows and far
-rule bases; a caller may gather far rows from rows of its own (``far``), as the
-solver does from its far classes. ``kernel_moments`` is the one-interval case.
+changes no bit. The ``_RowStore`` ``_STORE``, per thread, keeps singular and near
+rows and far rule bases for the whole process; a caller may gather far rows from
+rows of its own (``far``), as the solver does. ``kernel_moments`` is one interval.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -223,38 +224,60 @@ def _reference_rows(ref: NodeSet, p: float, panels: int, X, n=None, basis=None) 
     return G
 
 
-class _RowStore:
-    """``_reference_rows`` behind a store of the rows it computed, keyed by its arguments:
-    missing rows are computed in one batch and kept while they fit in ``room`` doubles.
-    Far rows stay out; ``far`` keeps the basis of their rule, beside the rows, in ``room``."""
+class _RowStore(threading.local):
+    """``_reference_rows`` behind the rows it computed, keyed by all that fixes a row (its
+    rule's points too); missing rows are computed in one batch. A walk claims the rows it reads
+    or computes, in X order, while they fit in ``room`` doubles: those an empty store keeps.
+    Unclaimed rows go when they crowd it, so no walk computes more than with an empty store.
+    Far rows stay out; ``far`` keeps the basis of their rule, beside the rows, in ``room``.
+    Its state is per thread: two threads never share rows."""
 
     def __init__(self, room: int):
-        self.room, self.size, self.groups, self.bases = room, 0, {}, {}   # group -> sorted X, rows
+        self.room, self.size, self.own, self.groups, self.bases = room, 0, 0, {}, {}
+
+    def walk(self, reads, room: int) -> _RowStore:
+        """Start a walk that reads rows of the (family, m, p) in ``reads``: drop the rest."""
+        keep = {(f, m, p, b, _rule_points(m)) for f, m, p in reads for b in (0, _NEAR_PANELS)}
+        self.bases = {g: self.bases[g] for g in self.bases.keys() & {k[:2] + k[4:] for k in keep}}
+        self.groups = {g: (X, G, np.zeros(X.size, bool))   # group -> sorted X, rows, claimed
+                       for g, (X, G, _) in self.groups.items() if g in keep}
+        self.room, self.own, self.size = room, 0, sum(G.size for _, G, _ in self.groups.values())
+        self.groups, self.size = (self.groups, self.size) if self.size <= room else ({}, 0)
+        return self
 
     def __call__(self, ref: NodeSet, p: float, panels: int, X) -> np.ndarray:
-        group = (ref.family, ref.m, p, panels)
-        keys, rows = self.groups.get(group, (np.empty(0), np.empty((0, ref.m))))
+        group = (ref.family, ref.m, p, panels, _rule_points(ref.m))
+        keys, rows, mine = self.groups.get(group, (np.empty(0), np.empty((0, ref.m)),
+                                                   np.empty(0, bool)))
         X, inverse = np.unique(X, return_inverse=True)
         at = np.searchsorted(keys, X)
         hit = keys[np.minimum(at, keys.size - 1)] == X if keys.size else np.zeros(X.size, bool)
         G, new = np.empty((X.size, ref.m)), np.flatnonzero(~hit)
         G[hit] = rows[at[hit]]
         G[new] = _reference_rows(ref, p, panels, X[new])
-        new = new[:(self.room - self.size) // ref.m]
+        take = np.flatnonzero(~hit | ~np.append(mine, False)[at])[:(self.room - self.own) // ref.m]
+        mine[at[take[hit[take]]]], new = True, take[~hit[take]]
         if new.size:
-            self.groups[group] = (np.insert(keys, at[new], X[new]),
-                                  np.insert(rows, at[new], G[new], axis=0))
-            self.size += new.size * ref.m
+            self.groups[group] = tuple(np.insert(v, at[new], w, axis=0) for v, w in
+                                       ((keys, X[new]), (rows, G[new]), (mine, True)))
+        self.size, self.own = self.size + new.size * ref.m, self.own + take.size * ref.m
+        if self.size > self.room:   # drop the unclaimed rows
+            self.groups = {g: (X[c], G[c], c[c]) for g, (X, G, c) in self.groups.items()}
+            self.size = self.own
         return G[inverse]
 
     def far(self, ref: NodeSet, p: float, X) -> np.ndarray:
-        """The far rows of ``ref`` at X, not kept; their rule's basis once per (family, m)."""
-        n, basis = _rule_points(ref.m), self.bases.get((ref.family, ref.m))
+        """The far rows of ``ref`` at X, not kept; their rule's basis once per (family, m, n)."""
+        basis = self.bases.get(key := (ref.family, ref.m, _rule_points(ref.m)))
         if basis is None:
-            basis = lagrange_basis_matrix(ref, 1.0 - _graded_panels(n, 1).nodes)   # in sigma
+            basis = lagrange_basis_matrix(ref, 1.0 - _graded_panels(key[2], 1).nodes)   # in sigma
             if basis.size + sum(b.size for b in self.bases.values()) <= self.room:
-                self.bases[ref.family, ref.m] = basis
-        return _reference_rows(ref, p, 1, X, n, basis)
+                self.bases[key] = basis
+        return _reference_rows(ref, p, 1, X, key[2], basis)
+
+
+# the store of the walks, kept for the whole process; each thread sees its own
+_STORE = _RowStore(0)
 
 
 def stacked_kernel_moments(x, p: float, a, b, nodesets, rows=_reference_rows,

@@ -20,17 +20,17 @@ One generator, ``_cell_moments``, walks a sequence of target grids in chunks
 and builds per-axis moment tables per chunk, one per distinct source interval,
 evaluated at the sorted union of the chunk's grid coordinates: per axis, one
 ``stacked_kernel_moments`` call fills them, each row at the rule of its
-source's node count, its singular and near rows from one row store per walk
-(``quad._RowStore``), its far rows from the walk's far classes: rows shared by
-interval pairs of one geometry, computed once per walk. The targets are the
+source's node count, its singular and near rows from the thread's row store
+(``quad._STORE``, kept for the process), its far rows from the walk's far classes:
+rows shared by interval pairs of one geometry, once per walk. The targets are the
 cells' node grids in causal order for the march and the collocation residual
 check, sample grids for ``residual`` and the uniform grid for the oracle. A
 target's moment matrices are row gathers from these tables, padded like the
 spline's value table (``TensorSpline.tables``) to the largest node count per
 axis, so its history is one batched contraction per block of sources, summed
-in source-index order. A chunk's tables with the store, the class rows and
-each block of sources each hold about ``_TABLE_BUDGET`` doubles (1 MB) at
-most, which bounds the extra memory of the march.
+in source-index order. A chunk's tables with the walk's rows in the store, the
+class rows and each block of sources each hold about ``_TABLE_BUDGET`` doubles
+(1 MB) at most, and the store half that, which bounds the extra memory of a walk.
 
 A general h(t, tau) couples the axes. The generator then weights the same
 tables by product integration: h(t, .) x is interpolated at each source
@@ -66,7 +66,7 @@ from .interp import geometric_degree_schedule, power_degree_schedule
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, corner_layer_covering,
                    geometric_covering, geometric_mesh, power_graded_mesh, shadow_matrix)
 from . import quad
-from .quad import _TABLE_BUDGET, _reference_nodes, _RowStore, kernel_moments, stacked_kernel_moments
+from .quad import _TABLE_BUDGET, _reference_nodes, kernel_moments, stacked_kernel_moments
 from .spline import LocalSpline, TensorSpline, _inherited, _nodal, _unfilled
 
 
@@ -162,11 +162,11 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       union of the chunk's grid coordinates: one ``stacked_kernel_moments``
       call per axis fills them, each row at the rule of its source's node
       count (``quad._rule_points``), its singular and near rows and far rule
-      bases from a ``_RowStore`` of ``_TABLE_BUDGET / 2`` doubles that lives
-      as long as this generator. The walk's rules are built when it starts.
-      A chunk grows while its tables and the store hold at most
-      ``_TABLE_BUDGET`` doubles (a cell count would not do, since the table
-      width grows with m), and takes at least one target.
+      bases from the thread's ``_RowStore`` of ``_TABLE_BUDGET / 2`` doubles,
+      which serves the rows of earlier walks. The walk's rules are built when it
+      starts. A chunk grows while its tables and the walk's own rows in the store
+      hold at most ``_TABLE_BUDGET`` doubles (a cell count would not do, since
+      the table width grows with m), and takes at least one target.
       It is planned on integer ids, of the distinct coordinates of all
       targets (one ``np.unique`` per axis) and of the source intervals: a
       target's and a chunk's ids are ``_bitsets``, and a target's table rows
@@ -212,7 +212,8 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             off=np.append(0, np.cumsum([g[a].size for _, g in targets])), cls=None))
     legendre_table({quad._rule_points(ns.m) for ax in axes for ns in ax.reps})   # one batch
     srcs, bits = [], []   # per target until yielded: its sources; per axis, its id bitsets
-    store, tables, pos = _RowStore(_TABLE_BUDGET // 2), [], 0
+    store, tables, pos = quad._STORE.walk(   # this thread's store, kept for the process
+        {(ns.family, ns.m, ax.p) for ax in axes for ns in ax.reps}, _TABLE_BUDGET // 2), [], 0
     classes = _far_classes(axes, targets, sources, store)
     while pos < len(targets):
         end, chunk = pos, [(0, 0)] * len(axes)   # per axis: the chunk's coordinates, intervals
@@ -226,7 +227,7 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             grown = [(c | bc, i | bi) for (c, i), (bc, bi) in zip(chunk, bits[end])]
             size = sum(c.bit_count() * ax.top[i.bit_length()] * i.bit_count()
                        for (c, i), ax in zip(grown, axes))
-            if end > pos and size > _TABLE_BUDGET - store.size:
+            if end > pos and size > _TABLE_BUDGET - store.own:
                 break
             chunk, end = grown, end + 1
         tables.clear()   # free the last chunk's tables first; a late gather of them raises

@@ -69,7 +69,7 @@ def test_padded_rows_raise_no_warning(monkeypatch):
         interp.legendre_table(range(1, 65))
 
 
-def test_cold_abel_ladder_builds_its_rules_in_few_recurrences(monkeypatch):
+def test_cold_abel_ladder_builds_its_rules_in_few_recurrences(monkeypatch, fresh_store):
     # each walk builds the Gauss-Legendre rules of all its node counts in one
     # Newton iteration: a cold abel-1d ladder (N = 8, 16, 32, rules of 9 to 44
     # points) ran the recurrence 14 times when this test was added, and 120
@@ -459,7 +459,7 @@ def test_shared_rules_evaluate_the_basis_once_per_call(family, m, monkeypatch):
     assert work[0] == work[1] == [n, n * quad._NEAR_PANELS]
 
 
-def test_far_rule_basis_once_per_walk(monkeypatch):
+def test_far_rule_basis_once_per_walk(monkeypatch, fresh_store):
     # the far rows of one node count share one rule, whose basis the walk's row
     # store keeps: an abel-1d B* N = 32 solve (33 segments, 16 node counts from
     # 2 to 40) evaluates it once per (family, m), not once per stacked call

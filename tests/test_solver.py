@@ -1,7 +1,9 @@
+import importlib
 import itertools
 import math
 from collections import Counter
 from functools import partial, reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -702,7 +704,7 @@ class TestMomentTables:
     @pytest.mark.parametrize("case, budget", [
         *[(case, budget) for case in ("power-2d-qstar-8", "power-2d-bstar-3", "abel-1d-bstar-16")
           for budget in (None, 1 << 13)], ("residual-2d-points", 1 << 12)])
-    def test_chunks_match_the_set_based_plan(self, case, budget, monkeypatch):
+    def test_chunks_match_the_set_based_plan(self, case, budget, monkeypatch, fresh_store):
         # the chunks planned on integer ids and bitsets are those of the greedy
         # rule on sets: the same table coordinates and source intervals, chunk
         # after chunk, with the row store filled alike
@@ -807,7 +809,7 @@ def _row_counts(monkeypatch):
 
 
 class TestRowStore:
-    def test_rows_are_computed_once_per_solve(self, monkeypatch):
+    def test_rows_are_computed_once_per_solve(self, monkeypatch, fresh_store):
         # B* N = 4: the singular and near rows repeat across the whole march
         # (the geometric covering is self-similar), so the store computes
         # 578 of the 8,495 it serves, each once; far rows come from the far
@@ -821,17 +823,147 @@ class TestRowStore:
             keys = [(f, m, p, x) for f, m, p, X in computed[panels] for x in X.tolist()]
             assert len(set(keys)) == len(keys)
 
-    def test_store_lives_for_one_solve(self, monkeypatch):
-        # a store kept across solves would serve the second solve from the
-        # first one's rows
+    def test_a_repeated_solve_computes_no_rows(self, monkeypatch, fresh_store):
+        # the store lives for the process: a second identical solve is served all
+        # its singular and near rows by the first one's, to the same values
         served, computed = _row_counts(monkeypatch)
         prob, solve, disc = _table_case("power-2d-bstar-3")
-        counts = []
-        for _ in range(2):
-            computed.clear()
-            solve(prob, *disc)
-            counts.append({panels: sum(X.size for *_, X in c) for panels, c in computed.items()})
-        assert counts[0] == counts[1] and counts[0][0] > 0
+        first = solve(prob, *disc)
+        assert _computed(computed) > 0
+        computed.clear()
+        second = solve(prob, *disc)
+        assert _computed(computed) == 0 and served[0] > 0
+        for a, b in zip(first.values, second.values, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_collocation_residual_after_a_solve_computes_no_rows(self, monkeypatch,
+                                                                 fresh_store):
+        # the residual check walks the march's node grids again: after an abel-1d
+        # B* N = 32 solve it computes none of the 325 singular and 171 near rows
+        # it computes with an empty store, for the same residual
+        from wsvie import quad
+
+        served, computed = _row_counts(monkeypatch)
+        prob, solve, disc = _table_case("abel-1d-bstar-32")
+        sol = solve(prob, *disc)
+        computed.clear()
+        res = collocation_residual(prob, sol)
+        assert _computed(computed) == 0 and served[0] > 0
+        monkeypatch.setattr(quad, "_STORE", quad._RowStore(0))
+        assert collocation_residual(prob, sol) == res and _computed(computed) > 0
+
+    @pytest.mark.parametrize("carried", ["random", "abel-1d-bstar-32", "power-2d-bstar-4"])
+    @pytest.mark.parametrize("case", ["abel-1d-bstar-16", "power-2d-bstar-3"])
+    def test_carried_rows_never_add_work(self, case, carried, monkeypatch, fresh_store):
+        # a store that arrives full of rows of earlier walks, in the groups the walk
+        # reads or not, makes it compute no more rows than an empty store, though
+        # the walk fills the room (2,048-double tables; 40 is the largest node count)
+        import wsvie.solver as solver
+        from wsvie import quad
+
+        monkeypatch.setattr(solver, "_TABLE_BUDGET", 1 << 11)
+        served, computed = _row_counts(monkeypatch)
+        prob, solve, disc = _table_case(case)
+        cold = solve(prob, *disc)
+        work, store = _computed(computed), quad._STORE
+        assert store.own == store.size > store.room - 40   # the walk filled the room
+        monkeypatch.setattr(quad, "_STORE", quad._RowStore(0))
+        if carried == "random":   # rows at X no walk reads, in every group it reads
+            reads = {(ns.family, ns.m, p) for nsets in cold.nodesets
+                     for ns, p in zip(nsets, prob.kernel.exponents)}
+            store = quad._STORE.walk(reads, 1 << 10)
+            rng = np.random.default_rng(29)
+            while store.size + 40 <= store.room:
+                for family, m, p in sorted(reads):
+                    ref = quad._reference_nodes((-1.0, 1.0), family, m)
+                    store(ref, p, 0, rng.random(3))
+                    store(ref, p, quad._NEAR_PANELS, 1.0 + rng.random(3))
+        else:
+            before, solve_before, disc_before = _table_case(carried)
+            solve_before(before, *disc_before)
+        assert quad._STORE.size > quad._STORE.room - 40   # arrives full
+        computed.clear()
+        warm = solve(prob, *disc)
+        assert _computed(computed) <= work
+        for a, b in zip(cold.values, warm.values, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["qstar-2d", "bstar-2d", "abel-1d"])
+    def test_warm_and_cold_rungs_are_bit_identical(self, name, seed, monkeypatch):
+        # every rung of a benchmark ladder, solved after the rungs below it (whose
+        # rows the store then serves) and with an empty store: the same values and
+        # owned masks, to the bit
+        import wsvie
+        from wsvie import quad
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        load = workloads.WORKLOADS[name]
+        prob, params = workloads.build_problem(wsvie, load, seed)
+        solve, preset = (solve_1d, preset_1d) if load.dim == 1 else (solve_2d, preset_2d)
+        discs = [preset(params, N) for N in load.ladder]
+        monkeypatch.setattr(quad, "_STORE", quad._RowStore(0))
+        warm = [solve(prob, *disc) for disc in discs]
+        for disc, sol in zip(discs, warm):
+            monkeypatch.setattr(quad, "_STORE", quad._RowStore(0))
+            cold = solve(prob, *disc)
+            for ci in range(len(cold.values)):
+                assert np.array_equal(sol.values[ci], cold.values[ci])
+                assert np.array_equal(sol.owned[ci], cold.owned[ci])
+
+    def test_threads_keep_stores_of_their_own(self, monkeypatch):
+        # abel-1d N = 16 and 8 and 2D B* N = 3, each solved twice in its own thread
+        # while the others run, switching often: the values of sequential solves,
+        # and every thread's store holds at most its room and exactly the rows it
+        # counts
+        import sys
+        import threading
+
+        from wsvie import quad
+
+        cases = [_table_case(case)
+                 for case in ("abel-1d-bstar-16", "power-2d-bstar-3", "abel-1d-bstar-8")]
+        sequential = [solve(prob, *disc) for prob, solve, disc in cases]
+        call, stores, wrong = quad._RowStore.__call__, set(), []
+
+        def checked(self, ref, p, panels, X):
+            G = call(self, ref, p, panels, X)
+            stores.add((threading.get_ident(), id(self.__dict__)))   # per-thread state
+            held = sum(rows.size for _, rows, _ in self.groups.values())
+            if not held == self.size <= self.room:
+                wrong.append((held, self.size, self.room))
+            return G
+
+        monkeypatch.setattr(quad._RowStore, "__call__", checked)
+        barrier, results = threading.Barrier(len(cases)), [None] * len(cases)
+
+        def run(i):
+            prob, solve, disc = cases[i]
+            barrier.wait()
+            results[i] = [solve(prob, *disc) for _ in range(2)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong and len(stores) == len({t for t, _ in stores}) == len(cases)
+        for ref, runs in zip(sequential, results, strict=True):
+            for sol in runs:
+                for a, b in zip(ref.values, sol.values, strict=True):
+                    assert np.array_equal(a, b)
+
+
+def _computed(computed) -> int:
+    """The singular and near rows that ``_row_counts`` saw computed."""
+    return sum(X.size for panels in (0, 13) for *_, X in computed.get(panels, []))
 
 
 def _exact_far_row(family, m, p, X, digits):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,3 +156,16 @@ class TestSlopeFit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0], [1.0])
+
+
+@pytest.mark.parametrize("code", [
+    "import sys, wsvie; assert 'wsvie.widths' not in sys.modules",
+    "import wsvie; [getattr(wsvie, name) for name in wsvie.__all__];"
+    " assert wsvie.widths.bump_sup is wsvie.bump_sup",
+    "from wsvie import *; assert covering_count and solve_2d and BumpSpec",
+    "import wsvie; assert not hasattr(wsvie, 'no_such_name')"])
+def test_package_imports_widths_on_first_use(code):
+    # no solve uses widths, so ``import wsvie`` leaves it out; each name of
+    # ``__all__`` and the module itself still resolve, in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code], env=env, check=True)
