@@ -121,17 +121,23 @@ class Covering:
         """Per point (n, l): the cells whose closure may hold it, shape (n, K), -1 padded.
 
         Closures allow the slack of ``closure_bounds``. The distinct cell
-        edges span an elementary grid, built on first use and cached, whose
-        boxes each lie in one cell; the boxes that a point's slack box meets
-        are its candidates.
+        edges span an elementary grid, built on first use in one vector pass
+        and cached, whose boxes each lie in one cell; the boxes that a point's
+        slack box meets are its candidates.
         """
         if not hasattr(self, "_grid"):
             edges = [np.unique(np.concatenate([self.lo_array[:, a], self.hi_array[:, a]]))
                      for a in range(self.l)]
-            label = np.full([e.size - 1 for e in edges], -1)
-            for ci, (lo, hi) in enumerate(zip(self.lo_array, self.hi_array)):
-                label[tuple(slice(np.searchsorted(e, a), np.searchsorted(e, b))
-                            for e, a, b in zip(edges, lo, hi))] = ci
+            ends = np.array([[np.searchsorted(e, c[:, a]) for a, e in enumerate(edges)]
+                             for c in (self.lo_array, self.hi_array)])   # first box, past last
+            # each cell adds its number + 1 at its first box and, signed, at the corners past it
+            label, cell = np.zeros([e.size for e in edges], dtype=int), np.arange(self.ncells) + 1
+            label[(0,) * self.l] = -1   # and the origin -1
+            for past in np.ndindex((2,) * self.l):
+                np.add.at(label, tuple(ends[past, range(self.l)]), (-1) ** sum(past) * cell)
+            for a in range(self.l):   # the prefix sums: a box's cell, or -1 outside every cell
+                np.cumsum(label, axis=a, out=label)
+            label = label[(slice(-1),) * self.l]
             object.__setattr__(self, "_grid", (edges, label))
         edges, label = self._grid
         lower, upper = closure_bounds(pts)

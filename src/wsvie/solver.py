@@ -44,17 +44,17 @@ vector steps: the node sets of all distinct (interval, node count) pairs
 boundary nodes, in flat arrays sliced per cell (``_nodal``), the reference
 self-moments per (family, m, p) (``_shape_matrix``), the Gauss-Legendre rules
 of all its node counts (one Newton iteration, ``interp.legendre_table``) and
-the chunk plan of ``_cell_moments`` on integer ids. Donor basis rows come per
-block of cells. The cell loop keeps the history, inherited values, local solve
-(one inverse per cell shape) and residual check, per axis where the inverse is
-shared. Cells whose predecessors are complete could be solved concurrently;
-this implementation is the single-threaded reference.
+the chunk plan of ``_cell_moments`` on integer ids, the check of the order against the
+shadow relation and the numbers of the cell shapes. Donor basis rows come per block of
+cells. The cell loop keeps the history (one gather per block, the cell's own weights
+with the last), inherited values, local solve (one inverse per cell shape) and residual
+check, per axis where the inverse is shared. Cells whose predecessors are complete
+could be solved concurrently; this implementation is the single-threaded reference.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from types import SimpleNamespace
@@ -398,31 +398,33 @@ def _contract(W, x) -> np.ndarray:
     return np.matmul(x, W[-1].swapaxes(-1, -2))
 
 
-def _history(moments, values, shape, flat: bool = False) -> np.ndarray:
+def _history(moments, values, shape, flat: bool = False, own: bool = False):
     """Sum over sources, in their order, of the integrals of their splines.
 
-    ``moments`` is one target's weights from ``_cell_moments``, ``values``
-    the padded nodal values (sources, M_1, ..., M_l) of its first sources
-    and ``shape`` the target grid's. Sources are taken in blocks of about
-    ``_TABLE_BUDGET`` doubles of weights: the grid size per source, times
-    M_1 * ... * M_l when they are ``flat`` (``_flat``; the values are flattened
-    alike). Each block is one batched ``_contract``, summed after the sum so
-    far, in source order: numpy reduces the sources of a grid of several
-    points one after another, but those of a one-point grid pairwise, so that
-    grid accumulates.
+    ``moments`` is one target's weights from ``_cell_moments``, ``values`` the padded
+    nodal values (sources, M_1, ..., M_l) of its first sources and ``shape`` the target
+    grid's. Sources are taken in blocks of about ``_TABLE_BUDGET`` doubles of weights:
+    the grid size per source, times M_1 * ... * M_l when they are ``flat`` (``_flat``;
+    the values are flattened alike). Each block is one batched ``_contract``, summed
+    after the sum so far, in source order: numpy reduces the sources of a grid of
+    several points one after another, but those of a one-point grid pairwise, so that
+    grid accumulates. With ``own`` the source after ``values`` is the target cell: its
+    weights come with the last block's gather, and (sum, its weights) is returned.
     """
-    out = np.zeros(shape)
-    width = math.prod(shape) * (math.prod(values.shape[1:]) if flat else 1)   # per source
-    step = max(1, _TABLE_BUDGET // width)
-    for lo in range(0, len(values), step):
-        W = moments(lo, min(lo + step, len(values)))
-        block = values[lo:lo + step].reshape((-1,) + tuple(w.shape[-1] for w in W))
-        # batch shape (sources, 1, ...): the 1 gives a 1D block's values a matrix row
-        one = (slice(None),) + (None,) * (len(W) - 1)
-        parts = _contract([w[one] for w in W], block[:, None])[:, 0]
-        parts[0] += out.reshape(parts[0].shape)
-        out = np.add.reduce(parts) if parts[0].size > 1 else np.add.accumulate(parts)[-1]
-    return out.reshape(shape)
+    out, width = np.zeros(shape), math.prod(shape) * (math.prod(values.shape[1:]) if flat else 1)
+    step = max(1, _TABLE_BUDGET // width)   # sources per block
+    for lo in range(0, max(len(values), own), step):   # with ``own``, at least one block
+        hi = min(lo + step, len(values))
+        W = moments(lo, hi + (own and hi == len(values)))   # the target's own weights last
+        if len(W[0]) > hi - lo:
+            W, mine = [w[:-1] for w in W], [w[-1].copy() for w in W]   # no view keeps W
+        if hi > lo:   # else the target is its only source
+            block = values[lo:hi].reshape((-1,) + tuple(w.shape[-1] for w in W))
+            one = (slice(None),) + (None,) * (len(W) - 1)   # batch (sources, 1): 1D rows
+            parts = _contract([w[one] for w in W], block[:, None])[:, 0]
+            parts[0] += out.reshape(parts[0].shape)
+            out = np.add.reduce(parts) if parts[0].size > 1 else np.add.accumulate(parts)[-1]
+    return (out.reshape(shape), mine) if own else out.reshape(shape)
 
 
 def _flat(kern: KernelSpec | None) -> bool:
@@ -476,10 +478,12 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     per axis from the cell's self weights, must stay below ``_RESIDUAL_BOUND``.
     Histories sum over predecessors in index order, so no value depends on the order.
 
-    Before the loop: the right side at all nodes and each node's donor
-    (``_nodal``); donor basis rows come per block of cells (``_inherited``). A
-    history gathers its sources' rows of the spline's padded value table; each
-    solution is written in place.
+    Before the loop: one vector test of the shadow matrix against the positions in
+    ``order`` (a cell before a predecessor raises, naming the first such cell), the right
+    side at all nodes and each node's donor (``_nodal``) and the keys, numbered; donor
+    basis rows come per block of cells (``_inherited``). A history gathers its sources'
+    rows of the padded value table and their weights per block, the cell's own with the
+    last (``_history``); each solution is written in place.
     """
     covering, nodesets, values, owned = spl.covering, spl.nodesets, spl.values, spl.owned
     if (covering.l, covering.T) != (problem.l, problem.T):
@@ -491,28 +495,26 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     def reference(family, m, p):
         ref = _reference_nodes((-1.0, 1.0), family, m)
         return kernel_moments(ref.nodes, p, -1.0, 1.0, ref)
-    shadow = shadow_matrix(covering)
-    rank = covering.causal_rank()
-    done = np.zeros(covering.ncells, dtype=bool)
+    shadow, rank, pos = shadow_matrix(covering), covering.causal_rank(), np.argsort(order)
+    late = (shadow & (pos[:, None] > pos)).any(axis=0)[order]   # a predecessor comes later
+    if late.any():
+        raise RuntimeError(f"order processes cell {order[np.argmax(late)]} before its predecessors")
     nodal = _nodal(spl, problem.rhs, lambda cand, owner: np.where(shadow[cand, owner], rank[cand],
                                                                   covering.ncells))
-    flat = _flat(kern)   # else h == 1
-    keys = [ci if flat else _shape_key(nodesets[ci], nodal.own[c])
+    flat, index = _flat(kern), {}   # else h == 1; keys are numbered in order of cells
+    keys = [index.setdefault(ci if flat else _shape_key(nodesets[ci], nodal.own[c]), len(index))
             for ci, c in enumerate(nodal.cells)]
-    repeats = Counter(keys)
+    repeats = np.bincount(keys).tolist()
     # a cell's sources are its predecessors, then the cell itself
     cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
                           _columns(shadow, own=True))
     inherited = _inherited(tables, nodal, order)
     for ci, srcs, moments in cells:
-        pred_idx = srcs[:-1]
-        if not done[pred_idx].all():
-            raise RuntimeError(f"order processes cell {ci} before its predecessors")
-        shape = values[ci].shape
+        shape, key, A = values[ci].shape, keys[ci], None
         f, own = nodal.f[nodal.cells[ci]], nodal.own[nodal.cells[ci]]
-        rhs = f + _history(moments, tables.values[pred_idx], shape, flat).ravel()
+        hist, W = _history(moments, tables.values[srcs[:-1]], shape, flat, own=True)
+        rhs = f + hist.ravel()
         rhs[~own] = next(inherited)
-        W, key, A = [w[0] for w in moments(len(pred_idx), len(srcs))], keys[ci], None
         if repeats[key] == 1:   # the cell inverts its own matrix
             dense = _dense(W).reshape(shape + tables.values.shape[1:])
             A = _local_matrix(dense[(Ellipsis,) + tuple(map(slice, shape))], own)
@@ -529,13 +531,12 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
         sol = inverses[key] @ rhs
         Ax = A @ sol if A is not None else np.where(own, sol - _contract(   # per axis
             [w[:, :m] for w, m in zip(W, shape)], sol.reshape(shape)).ravel(), sol)
-        res = float(np.max(np.abs(Ax - rhs)))
+        res = float(np.abs(Ax - rhs).max())
         if not res <= _RESIDUAL_BOUND:   # a NaN residual fails too
             raise RuntimeError(f"local solve residual {res:.2e} > {_RESIDUAL_BOUND:.0e} "
                                f"on cell {ci}")
         values[ci][...] = sol.reshape(shape)
         owned[ci][...] = own.reshape(shape)
-        done[ci] = True
     return spl
 
 
@@ -562,8 +563,11 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
     value; the others are the unknowns of the cell's local dense system,
     solved, as in 1D, with the inverse shared by its cell shape (see
     ``_march``), and its residual must stay below ``_RESIDUAL_BOUND``.
-    ``order`` may be any causal order (default: the canonical one, smaller
-    cells first); the result does not depend on it, to the bit.
+    ``order`` may be any causal order (default: the canonical one, smaller cells
+    first); the result does not depend on it, to the bit, but the time can: the kept
+    inverses hold 512 KB (one 196 x 196 at B* N = 5), so an order that interleaves cell
+    shapes inverts again at each switch (by shadow depth at B* N = 5: 182 inversions
+    for 9, 4x the time). A cell before a shadow predecessor raises ``RuntimeError`` first.
     """
     if problem.l != 2:
         raise ValueError("solve_2d requires a 2-dimensional problem")

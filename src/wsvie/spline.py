@@ -107,14 +107,14 @@ class TensorSpline:
                          for (low, _), hi in zip(bounds, cov.hi_array.T)])
         live = np.flatnonzero(np.all(stop > start, axis=0))
         out, covered = np.empty([x.size for x in xs]), np.zeros([x.size for x in xs], bool)
-        rows = [{} for _ in xs]
+        rows, turn = [{} for _ in xs], (*range(1, cov.l), 0)   # turn: axis 0 to the back
         for ci in live[np.argsort(-cov.causal_rank()[live])]:
             block, v = tuple(map(slice, start[:, ci], stop[:, ci])), self.values[ci]
             for ns, x, cut, seen in zip(self.nodesets[ci], xs, block, rows):
                 key = (ns.family, ns.a, ns.b, ns.m, cut.start, cut.stop)
                 if key not in seen:
                     seen[key] = lagrange_basis_matrix(ns, x[cut]).T
-                v = np.moveaxis(v, 0, -1) @ seen[key]
+                v = v.transpose(turn) @ seen[key]
             out[block], covered[block] = v, True
         if not covered.all():
             raise ValueError("evaluation point outside [0, T]^l")
@@ -268,9 +268,9 @@ def _inherited(tables: SimpleNamespace, nodal: SimpleNamespace, order):
     for cells, counts in zip(np.split(order, bounds), np.split(sizes, bounds)):
         rows = _donor_rows(tables, np.concatenate([nodal.donors[pick[ci]] for ci in cells]),
                            np.concatenate([nodal.pts[pick[ci]] for ci in cells]))
-        cut = np.cumsum(counts)[:-1]
-        for ci, *cell_rows in zip(cells, *(np.split(r, cut) for r in rows)):
-            yield _donated(tables, nodal.donors[pick[ci]], cell_rows)
+        cut = np.cumsum(counts).tolist()   # a cell's rows are a slice of the block's
+        for ci, lo, hi in zip(cells, [0] + cut, cut):
+            yield _donated(tables, nodal.donors[pick[ci]], [r[lo:hi] for r in rows])
 
 
 def build_tensor_spline(f, covering: Covering, degrees, order=None,

@@ -271,6 +271,57 @@ class TestSerialization:
         assert np.array_equal(back.causal_rank(), cov.causal_rank())
 
 
+def _painted_grid(cov):
+    """The elementary grid of ``Covering.candidates``, painted one cell at a time: the
+    distinct edges per axis and each box's cell, -1 where no cell lies."""
+    edges = [np.unique(np.concatenate([cov.lo_array[:, a], cov.hi_array[:, a]]))
+             for a in range(cov.l)]
+    label = np.full([e.size - 1 for e in edges], -1)
+    for ci, (lo, hi) in enumerate(zip(cov.lo_array, cov.hi_array)):
+        label[tuple(slice(np.searchsorted(e, a), np.searchsorted(e, b))
+                    for e, a, b in zip(edges, lo, hi))] = ci
+    return edges, label
+
+
+_GRID_COVERINGS = [
+    *[(f"{kind}-l1-N{N}", build) for N in (2, 3) for kind, build in (
+        ("power", partial(lambda N: power_graded_mesh(N, 1.0, 2.0).covering(), N)),
+        ("geometric", partial(lambda N: geometric_mesh(N, 1.0).covering(), N)))],
+    *[(f"{name}-l{l}-N{N}", partial(build, N, T, l, *v)) for l in (2, 3) for N in (2, 3)
+      for name, build, T, v in (("boundary", boundary_layer_covering, 1.0, (2.5,)),
+                                ("corner", corner_layer_covering, 0.7, (1.5,)),
+                                ("geometric", geometric_covering, 3.0, ()))],
+]
+
+
+class TestLookupGrid:
+    @pytest.mark.parametrize("build", [pytest.param(build, id=name)
+                                       for name, build in _GRID_COVERINGS])
+    def test_grid_labels_equal_per_cell_painting(self, build):
+        # candidates labels its elementary grid in one vector pass; a tiling
+        # labels every box, and a covering without one cell leaves that cell's
+        # boxes at -1 (the others keep their cells, renumbered past the gap),
+        # unless the cell was at an end of the two cells of a 1D mesh
+        cov = build()
+        cov.candidates(np.zeros((1, cov.l)))
+        edges, label = cov._grid
+        ref_edges, ref_label = _painted_grid(cov)
+        assert all(np.array_equal(e, r) for e, r in zip(edges, ref_edges, strict=True))
+        assert label.dtype == ref_label.dtype and np.array_equal(label, ref_label)
+        assert label.min() == 0
+        gap = cov.ncells // 2
+        keep = np.arange(cov.ncells) != gap
+        holed = mesh.Covering(l=cov.l, T=cov.T, N=cov.N, style=cov.style, v=cov.v,
+                              k=cov.k[keep], lo_array=cov.lo_array[keep],
+                              hi_array=cov.hi_array[keep])
+        holed.candidates(np.zeros((1, cov.l)))
+        edges, label = holed._grid
+        ref_edges, ref_label = _painted_grid(holed)
+        assert all(np.array_equal(e, r) for e, r in zip(edges, ref_edges, strict=True))
+        assert np.array_equal(label, ref_label)
+        assert (label == -1).any() or cov.ncells == 2
+
+
 class TestGeometry:
     @pytest.mark.parametrize("build", [
         partial(boundary_layer_covering, 3, 1.0, 2, 1.5),

@@ -338,6 +338,56 @@ class TestSolve2D:
         with pytest.raises((ValueError, RuntimeError)):
             solve_2d(prob, cov, degree, fam, order=list(range(cov.ncells))[::-1])
 
+    @pytest.mark.parametrize("kind, N, move", [("q_star", 2, "front"), ("q_star", 4, "swap"),
+                                               ("b_star", 3, "swap"), ("b_star", 4, "late")])
+    def test_non_causal_order_fails_before_any_local_solve(self, kind, N, move, monkeypatch):
+        # the order is checked against the shadow relation once, before the walk:
+        # no local matrix is inverted, and the error names the first cell of the
+        # order that comes before one of its predecessors
+        import wsvie.solver as solver
+        from wsvie.funclass import derive_class_params
+
+        cov, degree, fam = preset_2d(derive_class_params(2, 2.5 if kind == "q_star" else 0.5,
+                                                         kind, l=2), N)
+        shadow, order = shadow_matrix(cov), causal_order(cov)
+        dependent = [pos for pos, ci in enumerate(order) if shadow[:, ci].any()]
+        if move == "front":   # a cell with predecessors goes first
+            order.insert(0, order.pop(dependent[-1]))
+        elif move == "swap":   # a cell and the last of its predecessors trade places
+            pos = dependent[len(dependent) // 2]
+            last = max(order.index(d) for d in np.flatnonzero(shadow[:, order[pos]]))
+            order[pos], order[last] = order[last], order[pos]
+        else:   # one cell moves to the end: its successors come before it
+            order.append(order.pop(len(order) // 3))
+        done, first = set(), None
+        for ci in order:   # the first cell whose predecessors are not all done
+            if first is None and not set(np.flatnonzero(shadow[:, ci])) <= done:
+                first = ci
+            done.add(ci)
+        assert first is not None and first != order[0] or move == "front"
+        inverse, inverted = solver.np.linalg.inv, []
+        monkeypatch.setattr(solver.np.linalg, "inv", lambda A: (inverted.append(A.shape),
+                                                                inverse(A))[1])
+        with pytest.raises(RuntimeError, match=f"order processes cell {first} before"):
+            solve_2d(get_problem("corner-power-2d"), cov, degree, fam, order=order)
+        assert inverted == []
+
+    def test_one_table_gather_per_cell(self, monkeypatch):
+        # B* N = 4: 110 cells, each with one block of predecessors; a cell's own
+        # weights come with its history's gather, so the march gathers once per
+        # cell (219 when the own weights were a gather of their own), and the
+        # values do not move
+        import wsvie.solver as solver
+
+        gather, calls = solver._gather, []
+        prob, solve, disc = _table_case("power-2d-bstar-4")
+        plain = solve(prob, *disc)
+        monkeypatch.setattr(solver, "_gather", lambda *args: (calls.append(args[-2:]),
+                                                               gather(*args))[1])
+        counted = solve(prob, *disc)
+        assert disc[0].ncells == len(calls) == 110
+        assert all(np.array_equal(a, b) for a, b in zip(plain.values, counted.values))
+
 
 def _smooth_problem(l, p, q):
     """h = -(2 + t tau - tau / 2), in 2D -(2 + t_1 tau_2 - tau_1 / 2), with x = t^q (a
