@@ -130,8 +130,11 @@ class Covering:
                      for a in range(self.l)]
             ends = np.array([[np.searchsorted(e, c[:, a]) for a, e in enumerate(edges)]
                              for c in (self.lo_array, self.hi_array)])   # first box, past last
-            # each cell adds its number + 1 at its first box and, signed, at the corners past it
-            label, cell = np.zeros([e.size for e in edges], dtype=int), np.arange(self.ncells) + 1
+            # each cell adds its number + 1 at its first box and, signed, at the corners past it;
+            # a partial sum adds at most 2^(l - 1) of them, so the smallest type that holds that
+            dtype = np.min_scalar_type(-(2 ** (self.l - 1)) * (self.ncells + 1))
+            label = np.zeros([e.size for e in edges], dtype=dtype)
+            cell = np.arange(1, self.ncells + 1, dtype=dtype)
             label[(0,) * self.l] = -1   # and the origin -1
             for past in np.ndindex((2,) * self.l):
                 np.add.at(label, tuple(ends[past, range(self.l)]), (-1) ** sum(past) * cell)

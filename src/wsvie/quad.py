@@ -17,9 +17,9 @@ h^(p + 1), h = (b - a) / 2, times a reference row of (family, m, p, branch, X),
 X its reference coordinate, from one function, ``_reference_rows``.
 ``stacked_kernel_moments`` takes the moments of many intervals, of any node
 counts, at one coordinate array; its rows sum in one fixed order, so stacking
-changes no bit. The ``_RowStore`` ``_STORE``, per thread, keeps singular and near
-rows and far rule bases for the whole process; a caller may gather far rows from
-rows of its own (``far``), as the solver does. ``kernel_moments`` is one interval.
+changes no bit; it may compute only some (interval, row) pairs, as the solver's
+chunks do. The ``_RowStore`` ``_STORE``, per thread, keeps singular and near rows
+and far rule bases for the whole process. ``kernel_moments`` is one interval.
 """
 
 from __future__ import annotations
@@ -170,29 +170,40 @@ def _rule_points(m: int) -> int:
     return min(max(m + 4, 9), 64)
 
 
-def _reference_pairs(x, a, b, nodesets):
+def _reference_pairs(x, a, b, nodesets, pairs=None):
     """Classify rows x against S intervals [a[s], b[s]]; yield each branch's pairs in blocks.
 
-    Yields ``(ref, panels, s, r, X)`` for the singular (panels 0), far (1) and near
-    (``_NEAR_PANELS``) rows, per reference node set ``ref`` (family, m) of nodesets[s]
-    and block of at most ``_TABLE_BUDGET / 8`` doubles of m-column rows (or one pair):
-    pair c is row r[c] of interval s[c] at the reference coordinate X[c], (x - a) / (b - a)
-    when singular, else (x - b) / h, h = (b - a) / 2, which keeps the digits past b.
+    ``pairs`` = (s, r) lists the pairs to classify, row r[c] of interval s[c]; by default
+    every (interval, row), c = s * x.size + r. Yields ``(ref, panels, s, c, X)`` for the
+    active singular (panels 0), far (1) and near (``_NEAR_PANELS``) pairs, per reference
+    node set ``ref`` (family, m) of nodesets[s] and block of at most ``_TABLE_BUDGET / 8``
+    doubles of m-column rows (or one pair): pair c at the reference coordinate X[c],
+    (x - a) / (b - a) when singular, else (x - b) / h, h = (b - a) / 2, which keeps the
+    digits past b.
     """
-    a, b = np.reshape(a, (-1, 1)).astype(float), np.reshape(b, (-1, 1)).astype(float)
-    active = np.minimum(x, b) > a
-    singular = active & (x <= b)
-    far = active & (x - b >= (b - a))
+    a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
+    s, r = np.divmod(np.arange(a.size * x.size), x.size) if pairs is None else pairs
+    branch = np.empty(s.size, dtype=np.int8)   # singular, far, near, or before a: in slices
+    step = max(1, _TABLE_BUDGET // 32)
+    for at in range(0, s.size, step):
+        i = slice(at, at + step)
+        xs = x[r[i]]
+        lo, hi = a[s[i]], b[s[i]]
+        branch[i] = np.where(np.minimum(xs, hi) > lo, np.where(
+            xs <= hi, 0, np.where(xs - hi >= hi - lo, 1, 2)), 3)
     keys = [(ns.m, ns.family) for ns in nodesets]
-    groups = [(key, np.flatnonzero([k == key for k in keys])) for key in sorted(set(keys))]
-    for rows, panels in ((singular, 0), (far, 1), (active & ~singular & ~far, _NEAR_PANELS)):
-        origin, unit = (a[:, 0], (b - a)[:, 0]) if panels == 0 else (b[:, 0], 0.5 * (b - a)[:, 0])
-        for (m, family), ids in groups:
-            s, r = np.nonzero(rows[ids])
+    groups = sorted(set(keys))
+    gid = np.array([groups.index(k) for k in keys])[s] if len(groups) > 1 else None
+    for k, panels in enumerate((0, 1, _NEAR_PANELS)):
+        rows = branch == k
+        for g, (m, family) in enumerate(groups):
+            c = np.flatnonzero(rows if gid is None else rows & (gid == g))
             ref, step = _reference_nodes((-1.0, 1.0), family, m), max(1, _TABLE_BUDGET // (8 * m))
-            for lo in range(0, s.size, step):
-                sb, rb = ids[s[lo:lo + step]], r[lo:lo + step]
-                yield ref, panels, sb, rb, (x[rb] - origin[sb]) / unit[sb]
+            for start in range(0, c.size, step):
+                cb = c[start:start + step]
+                xs, lo, hi = x[r[cb]], a[s[cb]], b[s[cb]]
+                yield ref, panels, s[cb], cb, ((xs - lo) / (hi - lo) if panels == 0
+                                               else (xs - hi) / (0.5 * (hi - lo)))
 
 
 def _reference_rule(X, p: float, n: int, panels: int):
@@ -229,7 +240,7 @@ class _RowStore(threading.local):
     rule's points too); missing rows are computed in one batch. A walk claims the rows it reads
     or computes, in X order, while they fit in ``room`` doubles: those an empty store keeps.
     Unclaimed rows go when they crowd it, so no walk computes more than with an empty store.
-    Far rows stay out; ``far`` keeps the basis of their rule, beside the rows, in ``room``.
+    Far rows stay out (``far``); it keeps the basis of their rule, beside the rows, in ``room``.
     Its state is per thread: two threads never share rows."""
 
     def __init__(self, room: int):
@@ -246,6 +257,8 @@ class _RowStore(threading.local):
         return self
 
     def __call__(self, ref: NodeSet, p: float, panels: int, X) -> np.ndarray:
+        if panels == 1:   # far rows stay out
+            return self.far(ref, p, X)
         group = (ref.family, ref.m, p, panels, _rule_points(ref.m))
         keys, rows, mine = self.groups.get(group, (np.empty(0), np.empty((0, ref.m)),
                                                    np.empty(0, bool)))
@@ -281,7 +294,7 @@ _STORE = _RowStore(0)
 
 
 def stacked_kernel_moments(x, p: float, a, b, nodesets, rows=_reference_rows,
-                           far=None) -> np.ndarray:
+                           pairs=None, out=None) -> np.ndarray:
     """``kernel_moments`` of S intervals at once: an array of shape (S, x.size, M).
 
     Interval s runs from a[s] to b[s] and carries the fundamental polynomials of
@@ -289,16 +302,17 @@ def stacked_kernel_moments(x, p: float, a, b, nodesets, rows=_reference_rows,
     ``build_nodes((-1, 1), family, m)`` in sigma, and zero past m < M. A row is h^(p + 1)
     times its reference row from ``rows`` (``_reference_rows`` or a ``_RowStore``), at the
     rule of its own m, and equals that of ``kernel_moments`` on its interval, to the bit.
-    ``far(ref, s, r, X)``, if given, returns the reference rows of the far pairs
-    (interval s[c], row r[c], at X[c]) in place of ``rows``.
+    With ``pairs`` = (s, r) only the rows M[s, r] are computed, into the leading columns of
+    ``out`` if given, and returned, (pairs, M); the rows before their interval are left.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    M = np.zeros((len(nodesets), x.size, max((ns.m for ns in nodesets), default=0)))
-    scale = (0.5 * (np.asarray(b, float) - np.asarray(a, float))) ** (p + 1.0)
-    for ref, panels, s, r, X in _reference_pairs(x, a, b, nodesets):
-        M[s, r, :ref.m] = scale[s, None] * (far(ref, s, r, X) if far and panels == 1
-                                            else rows(ref, p, panels, X))
-    return M
+    width = max((ns.m for ns in nodesets), default=0)
+    if out is None:
+        out = np.zeros((len(nodesets) * x.size if pairs is None else len(pairs[0]), width))
+    scale = (0.5 * (np.asarray(b, float) - np.asarray(a, float))).ravel() ** (p + 1.0)
+    for ref, panels, s, c, X in _reference_pairs(x, a, b, nodesets, pairs):
+        out[c, :ref.m] = scale[s, None] * rows(ref, p, panels, X)
+    return out.reshape(len(nodesets), x.size, width) if pairs is None else out
 
 
 def kernel_moments(x, p: float, a: float, b: float, nodeset: NodeSet) -> np.ndarray:

@@ -16,21 +16,23 @@ With no smooth factor (h absent) both pieces factorize per axis, because the
 kernel is a product and the spline is a tensor polynomial: the history
 contribution of a processed cell D is X_D contracted on each axis with one
 moment matrix, which depends only on D's range and node count on that axis.
-One generator, ``_cell_moments``, walks a sequence of target grids in chunks
-and builds per-axis moment tables per chunk, one per distinct source interval,
-evaluated at the sorted union of the chunk's grid coordinates: per axis, one
-``stacked_kernel_moments`` call fills them, each row at the rule of its
-source's node count, its singular and near rows from the thread's row store
-(``quad._STORE``, kept for the process), its far rows from the walk's far classes:
-rows shared by interval pairs of one geometry, once per walk. The targets are the
+One generator, ``_cell_moments``, walks a sequence of target grids in chunks.
+Per axis a target's moments are one take from the walk's row arena: the rows of
+the walk's far classes (rows shared by interval pairs of one geometry, once per
+walk), read in place and scaled by their source's h^(p + 1), and the chunk's
+own rows, which ``stacked_kernel_moments`` computes for the pairs the chunk
+reads that no class serves, each row at the rule of its source's node count,
+its singular and near rows from the thread's row store (``quad._STORE``, kept
+for the process). A chunk's index table maps each pair of its source intervals
+and grid coordinates to an arena row. The targets are the
 cells' node grids in causal order for the march and the collocation residual
-check, sample grids for ``residual`` and the uniform grid for the oracle. A
-target's moment matrices are row gathers from these tables, padded like the
-spline's value table (``TensorSpline.tables``) to the largest node count per
-axis, so its history is one batched contraction per block of sources, summed
-in source-index order. A chunk's tables with the walk's rows in the store, the
-class rows and each block of sources each hold about ``_TABLE_BUDGET`` doubles
-(1 MB) at most, and the store half that, which bounds the extra memory of a walk.
+check, sample grids for ``residual`` and the uniform grid for the oracle. The
+moment matrices are padded like the spline's value table (``TensorSpline.tables``)
+to the largest node count per axis, so a target's history is one batched
+contraction per block of sources, summed in source-index order. A chunk's index
+entries and own rows with the walk's rows in the store, and each block of
+sources, hold about ``_TABLE_BUDGET`` doubles (1 MB) at most; the store and the
+kept class rows half that each. This bounds the extra memory of a walk.
 
 A general h(t, tau) couples the axes. The generator then weights the same
 tables by product integration: h(t, .) x is interpolated at each source
@@ -60,6 +62,7 @@ from functools import lru_cache, partial, reduce
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .interp import build_nodes, legendre_table
 from .interp import geometric_degree_schedule, power_degree_schedule
@@ -149,29 +152,39 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
 
     ``targets`` yields (key, grid) pairs, where grid holds one coordinate
     array per axis, and ``sources(key)`` gives the index array of the source
-    cells whose integrals, clipped at each grid point, the target needs.
+    cells whose integrals, clipped at each grid point, the target needs; it is
+    asked once per target, when the walk starts.
     Yields (key, srcs, moments) per target, in order; ``moments(lo, hi)``
     returns the weights of the sources srcs[lo:hi] at the grid, per axis:
 
     * for h == 1, the ``kernel_moments`` of axis a: one array of shape
       (hi - lo, grid[a].size, M_a), each source's in its leading m columns
       and zero past them, M_a the largest node count of ``nodesets`` on the
-      axis. They are row gathers, padded to M_a, from tables built per chunk
-      of consecutive targets, one per distinct source interval (a, b) and
-      node set (m, family) of the chunk and axis, evaluated at the sorted
-      union of the chunk's grid coordinates: one ``stacked_kernel_moments``
-      call per axis fills them, each row at the rule of its source's node
-      count (``quad._rule_points``), its singular and near rows and far rule
-      bases from the thread's ``_RowStore`` of ``_TABLE_BUDGET / 2`` doubles,
-      which serves the rows of earlier walks. The walk's rules are built when it
-      starts. A chunk grows while its tables and the walk's own rows in the store
-      hold at most ``_TABLE_BUDGET`` doubles (a cell count would not do, since
-      the table width grows with m), and takes at least one target.
-      It is planned on integer ids, of the distinct coordinates of all
-      targets (one ``np.unique`` per axis) and of the source intervals: a
-      target's and a chunk's ids are ``_bitsets``, and a target's table rows
-      a lookup of its coordinate ids. Sources are looked up 64 targets ahead.
-      Its tables go when the next chunk's are built; moments drawn later raise.
+      axis: one take per axis from the walk's row arena, through an index table
+      built per chunk of consecutive targets. The arena is flat: a row is as wide
+      as its source's m and read as a window of the largest M_a zeroed past m, or
+      taken whole when every row has that width, as in every 2D preset. A
+      chunk's table has one entry per pair of its source intervals (a, b, m,
+      family) and the sorted union of its grid coordinates.
+      The arena holds the rows of the walk's kept far classes, a zero row and
+      the chunk's own rows: the rows of the pairs it reads that no class serves,
+      singular, near and far, one ``stacked_kernel_moments`` call per axis, each
+      at the rule of its source's node count (``quad._rule_points``), its
+      singular and near rows and far rule bases from the thread's ``_RowStore``
+      of ``_TABLE_BUDGET / 2`` doubles, which serves the rows of earlier walks.
+      A class row is read in place and multiplied by its source's h^(p + 1),
+      the product that makes an own row; a pair before its interval, or one
+      that no target of the walk reads, points at the zero row. The walk's
+      rules are built when it starts. A chunk grows while its index entries
+      and own rows, with the walk's own rows in the store, hold at most
+      ``_TABLE_BUDGET`` doubles, and takes at least one target. It is planned
+      on integer ids, of the distinct coordinates of all targets (one
+      ``np.unique`` per axis) and of the source intervals: a target's and a
+      chunk's ids are ``_bitsets``, and each new coordinate or interval adds
+      the own pairs it makes with the chunk's (``_own_bitsets``). Sources are
+      asked for once per walk; a target's table rows are a lookup of its
+      coordinate ids. The last chunk's rows are replaced in place when the next
+      chunk's are built and its tables go; moments drawn later raise.
       Far rows come in classes (``_far_classes``) when the walk's largest
       rule has at least ``_CLASS_POINTS`` points and some target grid is the
       node array of an interval t. Node j of t and a source interval s with
@@ -180,16 +193,17 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       class, numbered once per walk by one sort, whose row j is the far row
       at X = r1 + r2 y_j, y_j node j of t's reference node set. The classes
       the targets use most are kept while their rows hold at most
-      ``_TABLE_BUDGET / 2`` doubles, beside the chunk's budget, each row
-      computed once when the walk starts; a chunk's far entries are a take
-      from them (``_far_rows``). Any other pair is a class of its own, at
-      X = (x - b_s) / h_s, the rows of ``kernel_moments``.
+      ``_TABLE_BUDGET / 2`` doubles, beside the chunk's budget, each
+      row computed once when the walk starts. Any other pair is a class of
+      its own, at X = (x - b_s) / h_s, the rows of ``kernel_moments``.
     * with a smooth factor, one array of shape (hi - lo, grid size,
       M_1 * ... * M_l): the product-integration weights of ``_product``, exact
       for the spline when h(t, .) is constant in tau; zero without a kernel.
     """
     widths = [max(ns.m for ns in sets) for sets in zip(*nodesets)]   # M_a
     targets = list(targets)
+    if not targets:
+        return
     if kern is None:   # zero weights, as one axis, and no tables
         for key, grid in targets:
             size = (math.prod(x.size for x in grid), math.prod(widths))
@@ -199,6 +213,10 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
     if h is not None:   # per axis, every cell's nodes, padded with its last (h stays finite)
         nodes = [np.array([np.pad(n[a].nodes, (0, M - n[a].m), mode="edge") for n in nodesets])
                  for a, M in enumerate(widths)]
+    srcs = [sources(key) for key, _ in targets]   # once per walk, then slices of one array
+    cut = np.append(0, np.cumsum([s.size for s in srcs]))
+    cat = np.concatenate(srcs + [np.empty(0, int)]).astype(np.min_scalar_type(len(nodesets)))
+    del srcs
     axes = []   # per axis: the integer ids that chunks are planned on
     for a, p in enumerate(kern.exponents):
         keys = [(n[a].m, n[a].family, n[a].a, n[a].b) for n in nodesets]   # a source interval
@@ -206,49 +224,83 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
         kid, reps = np.array([index[key] for key in keys]), np.empty(len(index), dtype=object)
         reps[kid] = [n[a] for n in nodesets]   # one NodeSet per id
         x, cid = np.unique(np.concatenate([g[a] for _, g in targets]), return_inverse=True)
-        axes.append(SimpleNamespace(  # ``top`` by a bitset's bit length: its largest m
-            p=p, kid=kid, reps=reps, ends=np.array([key[2:] for key in index]),
-            top=np.array([0] + [key[0] for key in index]), x=x, cid=cid.ravel(),
-            off=np.append(0, np.cumsum([g[a].size for _, g in targets])), cls=None))
+        ends = np.array([key[2:] for key in index])
+        axes.append(SimpleNamespace(
+            p=p, kid=kid, reps=reps, ends=ends, scale=(0.5 * (ends[:, 1] - ends[:, 0])) ** (p + 1),
+            ms=np.array([key[0] for key in index], dtype=np.int16),   # int16: j * m stays small
+            x=x, cid=cid.ravel(), off=np.append(0, np.cumsum([g[a].size for _, g in targets])),
+            cls=None))
     legendre_table({quad._rule_points(ns.m) for ax in axes for ns in ax.reps})   # one batch
-    srcs, bits = [], []   # per target until yielded: its sources; per axis, its id bitsets
-    store, tables, pos = quad._STORE.walk(   # this thread's store, kept for the process
-        {(ns.family, ns.m, ax.p) for ax in axes for ns in ax.reps}, _TABLE_BUDGET // 2), [], 0
-    classes = _far_classes(axes, targets, sources, store)
+    store = quad._STORE.walk(   # this thread's store, kept for the process
+        {(ns.family, ns.m, ax.p) for ax in axes for ns in ax.reps}, _TABLE_BUDGET // 2)
+    width = max(widths)   # of the arena's rows; an index counts rows if all have it
+    arena, C = _far_classes(axes, cat, cut, store, width)
+    unit = width if all(ns.m == width for ax in axes for ns in ax.reps) else 1
+    # an index entry, in doubles: a chunk of several targets holds at most this many rows
+    isz = np.min_scalar_type((C + _TABLE_BUDGET) // unit + 1).itemsize / 8
+    for ax in axes:
+        _own_bitsets(ax)
+    bits, tables, pos = [], [], 0   # per target until yielded: its id bitsets per axis
     while pos < len(targets):
-        end, chunk = pos, [(0, 0)] * len(axes)   # per axis: the chunk's coordinates, intervals
+        end, chunk = pos, [(0, 0, 0)] * len(axes)   # per axis: coordinates, intervals, own rows
         while end < len(targets):
-            if end == len(bits):   # the sources and bitsets of the next 64 targets
-                srcs += [sources(key) for key, _ in targets[end:end + 64]]
-                cut = np.append(0, np.cumsum([s.size for s in srcs[end:]]))
-                cat = np.concatenate(srcs[end:])
-                bits += zip(*[zip(_bitsets(ax.off[end:len(srcs) + 1], ax.cid, ax.x.size),
-                                  _bitsets(cut, ax.kid[cat], len(ax.reps))) for ax in axes])
-            grown = [(c | bc, i | bi) for (c, i), (bc, bi) in zip(chunk, bits[end])]
-            size = sum(c.bit_count() * ax.top[i.bit_length()] * i.bit_count()
-                       for (c, i), ax in zip(grown, axes))
+            if end == len(bits):   # the bitsets of the next 64 targets
+                nxt = min(end + 64, len(targets))
+                bits += zip(*[zip(_bitsets(ax.off[end:nxt + 1], ax.cid, ax.x.size),
+                                  _bitsets(cut[end:nxt + 1] - cut[end],
+                                           ax.kid[cat[cut[end]:cut[nxt]]], len(ax.reps)))
+                              for ax in axes])
+            grown, size = [], 0
+            for (c, i, n), (bc, bi), ax in zip(chunk, bits[end], axes):
+                # the own pairs of the new coordinates and of the new intervals
+                for ids, by, other in ((bc & ~c, ax.by_x, i | bi), (bi & ~i, ax.by_k, c)):
+                    while ids:
+                        low = ids & -ids
+                        ids ^= low
+                        n += (by[low.bit_length() - 1] & other).bit_count()
+                c, i = c | bc, i | bi
+                size += c.bit_count() * i.bit_count() * isz + n * width
+                grown.append((c, i, n))
             if end > pos and size > _TABLE_BUDGET - store.own:
                 break
             chunk, end = grown, end + 1
         tables.clear()   # free the last chunk's tables first; a late gather of them raises
-        tables, rows, sel, cat = [], [], [], np.concatenate(srcs[pos:end])
+        tables, rows, sel, kinds = [], [], [], []
+        first, srcs = cut[pos:end + 1] - cut[pos], cat[cut[pos]:cut[end]]
         for ax in axes:   # the ids of the chunk's coordinates and intervals, as masks
             near, used = np.zeros(ax.x.size, dtype=bool), np.zeros(len(ax.reps), dtype=bool)
-            near[ax.cid[ax.off[pos]:ax.off[end]]] = used[ax.kid[cat]] = True
-            ax.used, ax.near = np.flatnonzero(used), np.flatnonzero(near)
-            tables.append(stacked_kernel_moments(   # no local keeps it
-                ax.x[near], ax.p, *ax.ends[used].T, ax.reps[used], store,
-                partial(_far_rows, ax, classes, store)))
+            near[ax.cid[ax.off[pos]:ax.off[end]]] = used[ax.kid[srcs]] = True
+            U, R = np.flatnonzero(used), np.flatnonzero(near)
+            kinds.append((U, R, *_pair_kinds(ax, U, R)))
             rows.append(np.cumsum(near) - 1)   # a coordinate id's row in the chunk's tables
-            sel.append(np.cumsum(used) - 1)
+            sel.append((np.cumsum(used) - 1).astype(np.min_scalar_type(U.size))[ax.kid[srcs]])
+        free = C + width   # the chunk's own rows replace the last chunk's, in place
+        arena.resize(free + width * sum(np.count_nonzero(k[2]) for k in kinds), refcheck=False)
+        arena[free:] = 0.0
+        for ax, (U, R, own, served, cls) in zip(axes, kinds):
+            s, r = np.nonzero(own)
+            stacked_kernel_moments(ax.x[R], ax.p, *ax.ends[U].T, ax.reps[U], store, (s, r),
+                                   arena[free:free + s.size * width].reshape(-1, width))
+            # a served pair reads its class row, one not read the zero row at C; in rows of
+            # ``unit`` doubles when they are all as wide, else in doubles
+            index = np.full(own.shape, C // unit, dtype=np.min_scalar_type(len(arena) // unit))
+            if served is not None:
+                index[served] = (cls + ax.j[R] * ax.ms[U, None])[served] // unit
+            index[s, r] = np.arange(free, free + s.size * width, width) // unit
+            tables.append((arena, C, unit, index, ax.scale[U], ax.ms[U]))
+            free += s.size * width
+            del s, r
+        del kinds
         for t in range(pos, end):
+            lo, hi = first[t - pos], first[t - pos + 1]
             moments = partial(
                 _gather, tables, [r[ax.cid[ax.off[t]:ax.off[t + 1]]] for r, ax in zip(rows, axes)],
-                [s[ax.kid[srcs[t]]] for s, ax in zip(sel, axes)], widths)
+                [s[lo:hi] for s in sel], widths)
             if h is not None:
-                moments = partial(_product, h, moments, targets[t][1], [n[srcs[t]] for n in nodes])
-            yield targets[t][0], srcs[t], moments
-            srcs[t] = bits[t] = None
+                moments = partial(_product, h, moments, targets[t][1],
+                                  [n[srcs[lo:hi]] for n in nodes])
+            yield targets[t][0], srcs[lo:hi], moments
+            bits[t] = None
         pos = end
 
 
@@ -257,52 +309,87 @@ def _bitsets(off, ids, n: int) -> list:
     held = np.zeros((len(off) - 1, n), dtype=bool)
     flat = np.repeat(np.arange(0, held.size, n), np.diff(off)) + ids[off[0]:off[-1]]
     held.reshape(-1)[flat] = True
+    return _row_ints(held)
+
+
+def _row_ints(held) -> list:
+    """Per row of the boolean matrix ``held``, an int with bit j set where the row is."""
     packed = np.packbits(held, axis=1, bitorder="little")
     raw, w = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(raw[g * w:g * w + w], "little") for g in range(len(held))]
+
+
+def _node_intervals(ax) -> np.ndarray:
+    """Per target, the source interval whose node array its grid is (K: none): one
+    ``np.unique`` over the rows of the targets' coordinate ids and the intervals' node ids."""
+    K, sizes = len(ax.reps), np.diff(ax.off)
+    nodes = np.concatenate([ns.nodes for ns in ax.reps])
+    ms = np.array([ns.m for ns in ax.reps])
+    at = np.minimum(np.searchsorted(ax.x, nodes), ax.x.size - 1)
+    whole = np.logical_and.reduceat(ax.x[at] == nodes, np.append(0, np.cumsum(ms)[:-1]))
+    ids = np.full((sizes.size + K, max(sizes.max(), ms.max())), -1)
+    for n, off, k in ((sizes, ax.off[:-1], ax.cid), (ms, np.append(0, np.cumsum(ms)[:-1]), at)):
+        row = np.repeat(np.arange(n.size), n) + (0 if n is sizes else sizes.size)
+        ids[row, np.arange(k.size) - np.repeat(off, n)] = k
+    ids[sizes.size:][~whole] = -2   # an interval of nodes that no target has
+    _, inverse = np.unique(ids, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    last = np.full(inverse.max() + 1, -1)
+    np.maximum.at(last, inverse[sizes.size:], np.arange(K))   # the last of equal intervals
+    return np.where(last < 0, K, last)[inverse[:sizes.size]]
 
 
 # far rules of fewer Gauss points give rows about as cheap to compute as to look up
 _CLASS_POINTS = 16
 
 
-def _far_classes(axes, targets, sources, store) -> dict:
-    """Number a walk's far classes (see ``_cell_moments``); returns the tables of those kept
-    within ``store.room`` doubles, per source (m, family), their rows from ``store.far``.
-    Sets per axis each coordinate id's interval ``tgt`` (K: none) and node ``j``, and
-    ``cls``: per (interval, source interval) its class's first table row, or -1; None
-    if no class is kept."""
-    if not store.room or quad._rule_points(max(ax.top[-1] for ax in axes)) < _CLASS_POINTS:
-        return {}
-    keys, pairs, kks = [], [], []
-    for a, ax in enumerate(axes):
+def _far_classes(axes, cat, cut, store, width: int):
+    """Number a walk's far classes (see ``_cell_moments``); returns (arena, C): the walk's flat
+    row arena, whose first C doubles are the rows of the classes kept within ``store.room``
+    doubles, from ``store.far``, each as wide as its source's m (NaN in the rows a class never
+    serves), then a zero row of ``width``. The sources of target t are cat[cut[t]:cut[t + 1]].
+    Sets per axis each coordinate id's interval ``tgt`` (K: none) and node ``j``, ``cls``:
+    per (interval, source interval) its class's offset in the arena, or -1, and ``read``:
+    whether a target reads the source interval at a coordinate of that interval; ``cls``
+    stays None if no class is numbered."""
+    if not store.room or quad._rule_points(max(ns.m for ax in axes for ns in ax.reps)) < \
+            _CLASS_POINTS:
+        return np.zeros(width), 0
+    keys, pairs = [], []
+    for ax in axes:
         (lo, hi), K = ax.ends.T, len(ax.reps)
-        grid_of = {ns.nodes.tobytes(): k for k, ns in enumerate(ax.reps)}
-        kks.append(np.array([grid_of.get(g[a].tobytes(), K) for _, g in targets]))   # per target
-        at = np.repeat(kks[-1], np.diff(ax.off))
+        ax.kk = _node_intervals(ax)   # per target
+        at = np.repeat(ax.kk, np.diff(ax.off))
         first = np.lexsort((at, ax.cid))
         first = first[np.append(True, np.diff(ax.cid[first]) > 0)]   # per coordinate id
-        ax.tgt, ax.j = at[first], first - np.repeat(ax.off[:-1], np.diff(ax.off))[first]
+        ax.tgt = at[first]
+        ax.j = (first - np.repeat(ax.off[:-1], np.diff(ax.off))[first]).astype(np.int16)
         held = np.zeros(K + 1, dtype=bool)
         held[ax.tgt] = True
         pairs.append(held[:, None] & (np.append(hi, -np.inf)[:, None] - hi >= hi - lo))
     if not any(mask.any() for mask in pairs):   # no far pair of an interval that is a grid
-        return {}
+        return np.zeros(width), 0
     groups = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps})
     ms, ps = np.array([m for m, _ in groups]), sorted({ax.p for ax in axes})
     Y = np.array([np.pad(_reference_nodes((-1.0, 1.0), f, m).nodes, (0, ms[-1] - m))
                   for m, f in groups])
-    cat = [sources(key) for key, _ in targets]
-    owner, cat = np.repeat(np.arange(len(cat)), [c.size for c in cat]), np.concatenate(cat)
-    for kk, mask, ax in zip(kks, pairs, axes):
+    owner = np.repeat(np.arange(len(cut) - 1), np.diff(cut))
+    for mask, ax in zip(pairs, axes):
         (lo, hi), K = ax.ends.T, len(ax.reps)
         # a use: a target's interval, or its end nodes', with an interval of its sources
-        tk = np.array([kk, ax.tgt[ax.cid[ax.off[:-1]]], ax.tgt[ax.cid[ax.off[1:] - 1]]])
+        tk = np.array([ax.kk, ax.tgt[ax.cid[ax.off[:-1]]], ax.tgt[ax.cid[ax.off[1:] - 1]]])
         uses = np.bincount((tk[:, owner] * K + ax.kid[cat]).ravel(), minlength=K * K + K)
         t, s = np.nonzero(mask)
         gid, h = np.array([groups.index((ns.m, ns.family)) for ns in ax.reps]), 0.5 * (hi - lo)
         keys.append([(0.5 * (lo + hi)[t] - hi[s]) / h[s], h[t] / h[s], gid[t],
                      gid[s] * len(ps) + ps.index(ax.p), uses.reshape(-1, K)[t, s]])
+        # a read: each interval of a target's coordinates with each interval of its sources
+        tt, tk = np.divmod(np.unique(np.repeat(np.arange(len(ax.off) - 1), np.diff(ax.off))
+                                     * (K + 1) + ax.tgt[ax.cid]), K + 1)
+        n = np.diff(cut)[tt]
+        at = np.arange(n.sum()) + np.repeat(cut[tt] - np.cumsum(n) + n, n)
+        ax.read = np.zeros((K + 1, K), dtype=bool)
+        ax.read[np.repeat(tk, n), ax.kid[cat[at]]] = True
     keys = [np.concatenate(k) for k in zip(*keys)]   # r1, r2, group of t, of s and p, uses
     uses, order = keys.pop(), np.lexsort(keys)
     new = np.ones(order.size + 1, dtype=bool)   # where a class starts, and the end
@@ -313,38 +400,58 @@ def _far_classes(axes, targets, sources, store) -> dict:
     rank = np.argsort(-uses, kind="stable")   # the classes of most uses first
     kept = np.zeros(size.size, dtype=bool)
     kept[rank[(np.cumsum((ms[tg] * ms[sg])[rank]) <= store.room) & (uses[rank] > 0)]] = True
-    start, tables = np.full(size.size, -1), {}
+    C = int((ms[tg] * ms[sg])[kept].sum())   # doubles: each row as wide as its source's m
+    start, arena, top = np.full(size.size, -1), np.zeros(C + width), 0
     for g in np.unique(sg[kept]):   # rows j where X_j > 1.9: a far row has X >= 2
         c = np.flatnonzero(kept & (sg == g))
-        start[c] = np.cumsum(ms[tg[c]]) - ms[tg[c]]   # a class's first row in its table
-        tables[groups[g]] = np.full((ms[tg[c]].sum(), ms[g]), np.nan)
+        first = np.cumsum(ms[tg[c]]) - ms[tg[c]]   # a class's first row in the group's rows
+        start[c] = top + first * ms[g]   # its offset in the arena
+        rows = arena[top:top + ms[tg[c]].sum() * ms[g]].reshape(-1, ms[g])
+        rows[...] = np.nan   # rows never read
+        top += rows.size
         X = r1[c, None] + r2[c, None] * Y[tg[c]]
         X[np.arange(ms[-1]) >= ms[tg[c], None]] = 0   # past t's nodes
         for pe in np.unique(e[c]):
             far = (X > 1.9) & (e[c, None] == pe)
             Xu, inv = np.unique(X[far], return_inverse=True)   # each X once
-            tables[groups[g]][(start[c, None] + np.arange(ms[-1]))[far]] = store.far(
+            rows[(first[:, None] + np.arange(ms[-1]))[far]] = store.far(
                 _reference_nodes((-1.0, 1.0), groups[g][1], ms[g]), ps[pe], Xu)[inv]
     ids = np.empty(order.size, dtype=np.min_scalar_type(-2 - start.max()))
     ids[order] = np.repeat(start, size)
     for ax, mask, lo in zip(axes, pairs, np.cumsum([0] + [np.count_nonzero(m) for m in pairs])):
         ax.cls = np.full(mask.shape, -1, dtype=ids.dtype)
         ax.cls[mask] = ids[lo:lo + np.count_nonzero(mask)]
-    return tables
+    return arena, C
 
 
-def _far_rows(ax, tables, store, ref, s, r, X) -> np.ndarray:
-    """The reference far rows of a chunk's pairs (interval ``ax.used[s]``, coordinate id
-    ``ax.near[r]``, reference coordinate X): a take from the ``tables`` of the kept
-    classes, and a pair of its own computed at X by the walk's ``store``."""
-    base = -1 if ax.cls is None else ax.cls[ax.tgt[ax.near[r]], ax.used[s]].astype(np.intp)
-    own = np.less(base, 0)
-    if own.all():
-        return store.far(ref, ax.p, X)
-    G = tables[ref.m, ref.family][np.where(own, 0, base + ax.j[ax.near[r]])]
-    if own.any():
-        G[own] = store.far(ref, ax.p, X[own])
-    return G
+def _pair_kinds(ax, U, R):
+    """The pairs of source intervals U and coordinate ids R: (own, served, cls), (U, R) arrays.
+    ``served``: far pairs of a kept class (None without classes), ``cls`` their class's offset
+    in the arena; ``own``: the other pairs past their interval's start that a target of the walk
+    reads, whose rows a chunk computes. Pairs past a start or far are suffixes of R."""
+    x, (lo, hi), R_ = ax.x[R], ax.ends[U].T, np.arange(R.size)
+    own = R_ >= np.searchsorted(x, lo, side="right")[:, None]   # x > a
+    if ax.cls is None:
+        return own, None, None
+    k = np.searchsorted(x, hi + (hi - lo))   # then the first x with x - b >= b - a exactly
+
+    def far(k):
+        return x[np.minimum(k, x.size - 1)] - hi >= hi - lo
+    while (move := (k > 0) & far(k - 1)).any():
+        k -= move
+    while (move := (k < x.size) & ~far(k)).any():
+        k += move
+    cls = ax.cls.take(U, axis=1).T.take(ax.tgt[R], axis=1)
+    served = (R_ >= k[:, None]) & (cls >= 0)
+    own &= ~served & ax.read.take(U, axis=1).T.take(ax.tgt[R], axis=1)
+    return own, served, cls
+
+
+def _own_bitsets(ax) -> None:
+    """Set ``ax.by_k``, per source interval the bitset of the coordinate ids whose pair with it
+    is own (``_pair_kinds``), and ``ax.by_x``, per coordinate id that of the intervals."""
+    own = _pair_kinds(ax, np.arange(len(ax.reps)), np.arange(ax.x.size))[0]
+    ax.by_k, ax.by_x = _row_ints(own), _row_ints(own.T)
 
 
 def _columns(S, own: bool = False):
@@ -358,10 +465,21 @@ def _columns(S, own: bool = False):
 
 
 def _gather(tables, rows, sel, widths, lo: int, hi: int) -> list:
-    """Per-axis moments of sources sel[a][lo:hi] at the target ``rows``, padded to ``widths``."""
-    out = [tab[s[lo:hi, None], r] for tab, r, s in zip(tables, rows, sel, strict=True)]
-    return [w if w.shape[-1] == M else np.pad(w, [(0, 0), (0, 0), (0, M - w.shape[-1])])
-            for w, M in zip(out, widths)]
+    """Per-axis moments of sources sel[a][lo:hi] at the target ``rows``, padded to ``widths``:
+    one take from the row arena per axis, its class rows times their source's h^(p + 1).
+    Rows of one width are taken whole; rows of several are windows zeroed past their m."""
+    out = []
+    for (arena, C, unit, index, scale, ms), r, s, M in zip(tables, rows, sel, widths, strict=True):
+        idx, s = index[s[lo:hi, None], r], s[lo:hi]
+        if unit > 1:
+            W = arena.reshape(-1, unit).take(idx, axis=0)
+        else:
+            W = sliding_window_view(arena, max(widths))[idx]
+            np.copyto(W, 0.0, where=np.arange(W.shape[-1]) >= ms[s, None, None])
+        if C:   # the class rows come first, in reference scale
+            W *= np.where(idx < C // unit, scale[s, None], 1.0)[..., None]
+        out.append(W[..., :M])
+    return out
 
 
 def _product(h, moments, grid, nodes, lo: int, hi: int) -> list:

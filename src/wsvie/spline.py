@@ -92,7 +92,12 @@ class TensorSpline:
 
         Each point takes the value of the cell ``cell_of`` picks: cells write their
         sub-grids in descending causal rank. A sub-grid is ``values[ci]`` times per-axis
-        basis rows, one matmul per axis, the rows built once per axis and interval.
+        basis rows, one matmul per axis. The rows of every distinct (interval, sub-grid)
+        come from ``lagrange_basis_matrix`` calls over the padded node table (``_padded``),
+        as ``_donor_rows`` does, one per axis and block of about ``_TABLE_BUDGET / 8``
+        doubles of rows (a block of one interval takes its own node set): bit-identical
+        to one call per interval where no padding enters, as when an axis has one node
+        count.
         """
         cov = self.covering
         axes = [np.asarray(x, dtype=float) for x in axes]
@@ -106,15 +111,34 @@ class TensorSpline:
         stop = np.array([np.searchsorted(low, hi, side="right")
                          for (low, _), hi in zip(bounds, cov.hi_array.T)])
         live = np.flatnonzero(np.all(stop > start, axis=0))
+        live = live[np.argsort(-cov.causal_rank()[live])]
+        rows = []   # per axis: (interval, sub-grid) -> the basis rows, transposed
+        for a, (ax, x) in enumerate(zip(self.tables.axes, xs)):
+            keys = {}   # the first live cell of each distinct key
+            for ci in live:
+                ns = self.nodesets[ci][a]
+                keys.setdefault((ns.family, ns.a, ns.b, ns.m, start[a, ci], stop[a, ci]), ci)
+            keys, cells = list(keys), np.array(list(keys.values()), dtype=int)
+            n = stop[a, cells] - start[a, cells]
+            cut, rows = np.append(0, np.cumsum(n)), rows + [{}]
+            # keys in blocks of about an eighth of _TABLE_BUDGET doubles of basis rows
+            block = cut[:-1] // max(1, _TABLE_BUDGET // (8 * ax.nodes.shape[1]))
+            for b in np.unique(block):
+                at = np.flatnonzero(block == b)
+                off = cut[at] - cut[at[0]]   # each key's first row in the block's basis
+                owner = np.repeat(cells[at], n[at])
+                pts = x[np.arange(owner.size) + np.repeat(start[a, cells[at]] - off, n[at])]
+                basis = lagrange_basis_matrix(   # a block of one key takes its own node set
+                    self.nodesets[owner[0]][a] if at.size == 1 else
+                    SimpleNamespace(nodes=ax.nodes[owner], weights=ax.weights[owner]), pts)
+                rows[-1].update((keys[k], basis[lo:lo + n[k], :keys[k][3]].copy().T)
+                                for k, lo in zip(at, off))   # no view keeps the block
         out, covered = np.empty([x.size for x in xs]), np.zeros([x.size for x in xs], bool)
-        rows, turn = [{} for _ in xs], (*range(1, cov.l), 0)   # turn: axis 0 to the back
-        for ci in live[np.argsort(-cov.causal_rank()[live])]:
+        turn = (*range(1, cov.l), 0)   # axis 0 to the back
+        for ci in live:
             block, v = tuple(map(slice, start[:, ci], stop[:, ci])), self.values[ci]
-            for ns, x, cut, seen in zip(self.nodesets[ci], xs, block, rows):
-                key = (ns.family, ns.a, ns.b, ns.m, cut.start, cut.stop)
-                if key not in seen:
-                    seen[key] = lagrange_basis_matrix(ns, x[cut]).T
-                v = v.transpose(turn) @ seen[key]
+            for ns, cut, seen in zip(self.nodesets[ci], block, rows):
+                v = v.transpose(turn) @ seen[ns.family, ns.a, ns.b, ns.m, cut.start, cut.stop]
             out[block], covered[block] = v, True
         if not covered.all():
             raise ValueError("evaluation point outside [0, T]^l")

@@ -307,7 +307,8 @@ class TestLookupGrid:
         edges, label = cov._grid
         ref_edges, ref_label = _painted_grid(cov)
         assert all(np.array_equal(e, r) for e, r in zip(edges, ref_edges, strict=True))
-        assert label.dtype == ref_label.dtype and np.array_equal(label, ref_label)
+        assert np.array_equal(label, ref_label)
+        assert label.dtype == np.min_scalar_type(-(2 ** (cov.l - 1)) * (cov.ncells + 1))
         assert label.min() == 0
         gap = cov.ncells // 2
         keep = np.arange(cov.ncells) != gap
@@ -320,6 +321,26 @@ class TestLookupGrid:
         assert all(np.array_equal(e, r) for e, r in zip(edges, ref_edges, strict=True))
         assert np.array_equal(label, ref_label)
         assert (label == -1).any() or cov.ncells == 2
+
+
+    @pytest.mark.parametrize("build", [partial(boundary_layer_covering, 8, 1.0, 2, 2.5),
+                                       partial(geometric_covering, 5, 1.0, 2)],
+                             ids=["qstar-N8", "bstar-N5"])
+    def test_small_labels_equal_int64_labels(self, build):
+        # the grid stores its labels in the smallest signed type that holds its
+        # partial sums (int16 here, a quarter of int64), to the same values and
+        # the same candidates as int64 labels
+        cov = build()
+        pts = np.random.default_rng(3).random((200, 2))
+        cand = cov.candidates(pts)
+        edges, label = cov._grid
+        assert label.dtype == np.int16
+        wide = mesh.Covering(l=cov.l, T=cov.T, N=cov.N, style=cov.style, v=cov.v, k=cov.k,
+                             lo_array=cov.lo_array, hi_array=cov.hi_array)
+        wide.candidates(pts[:1])
+        object.__setattr__(wide, "_grid", (edges, _painted_grid(cov)[1]))   # int64 labels
+        assert np.array_equal(label, wide._grid[1])
+        assert np.array_equal(cand, wide.candidates(pts))
 
 
 class TestGeometry:

@@ -372,12 +372,16 @@ def test_solver_values_match_padded_contraction(case, monkeypatch):
     fast = solve(problem, *disc)
     calls = [0]
 
-    def padded_stack(x, p, a, b, nodesets, rows=None, far=None):
+    def padded_stack(x, p, a, b, nodesets, rows=None, pairs=None, out=None):
+        # the solver asks for the moments of the pairs (s, r) it keeps, into ``out``
         calls[0] += 1
         M = np.zeros((len(nodesets), np.size(x), max(ns.m for ns in nodesets)))
         for Ms, lo, hi, ns in zip(M, a, b, nodesets):
             Ms[:, :ns.m] = _padded_moments(x, p, lo, hi, ns, quad._rule_points(ns.m))
-        return M
+        if pairs is None:
+            return M
+        out[:, :M.shape[2]] = M[pairs]
+        return out
 
     monkeypatch.setattr(solver, "stacked_kernel_moments", padded_stack)
     ref = solve(problem, *disc)
