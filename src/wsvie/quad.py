@@ -240,7 +240,8 @@ class _RowStore(threading.local):
     rule's points too); missing rows are computed in one batch. A walk claims the rows it reads
     or computes, in X order, while they fit in ``room`` doubles: those an empty store keeps.
     Unclaimed rows go when they crowd it, so no walk computes more than with an empty store.
-    Far rows stay out (``far``); it keeps the basis of their rule, beside the rows, in ``room``.
+    Far rows stay out (``far``): a walk's classes keep theirs in its row arena, outside the room,
+    which holds the basis of their rule beside the singular and near rows.
     Its state is per thread: two threads never share rows."""
 
     def __init__(self, room: int):

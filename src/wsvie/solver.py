@@ -31,8 +31,8 @@ moment matrices are padded like the spline's value table (``TensorSpline.tables`
 to the largest node count per axis, so a target's history is one batched
 contraction per block of sources, summed in source-index order. A chunk's index
 entries and own rows with the walk's rows in the store, and each block of
-sources, hold about ``_TABLE_BUDGET`` doubles (1 MB) at most; the store and the
-kept class rows half that each. This bounds the extra memory of a walk.
+sources, hold about ``_TABLE_BUDGET`` doubles (1 MB) at most, the store half that.
+The class rows come beside them and grow with the far geometries of the covering.
 
 A general h(t, tau) couples the axes. The generator then weights the same
 tables by product integration: h(t, .) x is interpolated at each source
@@ -191,11 +191,11 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
       b_t - b_s >= b_s - a_s key their far row by r1 = (mid_t - b_s) / h_s,
       r2 = h_t / h_s, the (m, family) of t and of s and p; equal keys are a
       class, numbered once per walk by one sort, whose row j is the far row
-      at X = r1 + r2 y_j, y_j node j of t's reference node set. The classes
-      the targets use most are kept while their rows hold at most
-      ``_TABLE_BUDGET / 2`` doubles, beside the chunk's budget, each
-      row computed once when the walk starts. Any other pair is a class of
-      its own, at X = (x - b_s) / h_s, the rows of ``kernel_moments``.
+      at X = r1 + r2 y_j, y_j node j of t's reference node set. Every class
+      that a target reads is kept, beside the chunk's budget, each row
+      computed once when the walk starts. Any other far pair (at a coordinate
+      of no interval, or in a walk without classes) is a class of its own, at
+      X = (x - b_s) / h_s, the rows of ``kernel_moments``.
     * with a smooth factor, one array of shape (hi - lo, grid size,
       M_1 * ... * M_l): the product-integration weights of ``_product``, exact
       for the spline when h(t, .) is constant in tau; zero without a kernel.
@@ -345,21 +345,19 @@ _CLASS_POINTS = 16
 
 def _far_classes(axes, cat, cut, store, width: int):
     """Number a walk's far classes (see ``_cell_moments``); returns (arena, C): the walk's flat
-    row arena, whose first C doubles are the rows of the classes kept within ``store.room``
-    doubles, from ``store.far``, each as wide as its source's m (NaN in the rows a class never
-    serves), then a zero row of ``width``. The sources of target t are cat[cut[t]:cut[t + 1]].
+    row arena, whose first C doubles are the rows of every class that a target reads, from
+    ``store.far``, each as wide as its source's m (NaN in the rows a class never serves),
+    then a zero row of ``width``. The sources of target t are cat[cut[t]:cut[t + 1]].
     Sets per axis each coordinate id's interval ``tgt`` (K: none) and node ``j``, ``cls``:
     per (interval, source interval) its class's offset in the arena, or -1, and ``read``:
     whether a target reads the source interval at a coordinate of that interval; ``cls``
     stays None if no class is numbered."""
-    if not store.room or quad._rule_points(max(ns.m for ax in axes for ns in ax.reps)) < \
-            _CLASS_POINTS:
+    if quad._rule_points(max(ns.m for ax in axes for ns in ax.reps)) < _CLASS_POINTS:
         return np.zeros(width), 0
     keys, pairs = [], []
     for ax in axes:
         (lo, hi), K = ax.ends.T, len(ax.reps)
-        ax.kk = _node_intervals(ax)   # per target
-        at = np.repeat(ax.kk, np.diff(ax.off))
+        at = np.repeat(_node_intervals(ax), np.diff(ax.off))   # per target
         first = np.lexsort((at, ax.cid))
         first = first[np.append(True, np.diff(ax.cid[first]) > 0)]   # per coordinate id
         ax.tgt = at[first]
@@ -373,16 +371,8 @@ def _far_classes(axes, cat, cut, store, width: int):
     ms, ps = np.array([m for m, _ in groups]), sorted({ax.p for ax in axes})
     Y = np.array([np.pad(_reference_nodes((-1.0, 1.0), f, m).nodes, (0, ms[-1] - m))
                   for m, f in groups])
-    owner = np.repeat(np.arange(len(cut) - 1), np.diff(cut))
     for mask, ax in zip(pairs, axes):
         (lo, hi), K = ax.ends.T, len(ax.reps)
-        # a use: a target's interval, or its end nodes', with an interval of its sources
-        tk = np.array([ax.kk, ax.tgt[ax.cid[ax.off[:-1]]], ax.tgt[ax.cid[ax.off[1:] - 1]]])
-        uses = np.bincount((tk[:, owner] * K + ax.kid[cat]).ravel(), minlength=K * K + K)
-        t, s = np.nonzero(mask)
-        gid, h = np.array([groups.index((ns.m, ns.family)) for ns in ax.reps]), 0.5 * (hi - lo)
-        keys.append([(0.5 * (lo + hi)[t] - hi[s]) / h[s], h[t] / h[s], gid[t],
-                     gid[s] * len(ps) + ps.index(ax.p), uses.reshape(-1, K)[t, s]])
         # a read: each interval of a target's coordinates with each interval of its sources
         tt, tk = np.divmod(np.unique(np.repeat(np.arange(len(ax.off) - 1), np.diff(ax.off))
                                      * (K + 1) + ax.tgt[ax.cid]), K + 1)
@@ -390,16 +380,17 @@ def _far_classes(axes, cat, cut, store, width: int):
         at = np.arange(n.sum()) + np.repeat(cut[tt] - np.cumsum(n) + n, n)
         ax.read = np.zeros((K + 1, K), dtype=bool)
         ax.read[np.repeat(tk, n), ax.kid[cat[at]]] = True
-    keys = [np.concatenate(k) for k in zip(*keys)]   # r1, r2, group of t, of s and p, uses
-    uses, order = keys.pop(), np.lexsort(keys)
+        t, s = np.nonzero(mask)
+        gid, h = np.array([groups.index((ns.m, ns.family)) for ns in ax.reps]), 0.5 * (hi - lo)
+        keys.append([(0.5 * (lo + hi)[t] - hi[s]) / h[s], h[t] / h[s], gid[t],
+                     gid[s] * len(ps) + ps.index(ax.p), ax.read[t, s]])
+    keys = [np.concatenate(k) for k in zip(*keys)]   # r1, r2, group of t, of s and p, read
+    read, order = keys.pop(), np.lexsort(keys)
     new = np.ones(order.size + 1, dtype=bool)   # where a class starts, and the end
     new[1:-1] = np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0)
     size, head = np.diff(np.flatnonzero(new)), order[new[:-1]]   # its pairs, and one of them
     r1, r2, tg, (sg, e) = *(k[head] for k in keys[:3]), np.divmod(keys[3][head], len(ps))
-    uses = np.add.reduceat(uses[order], np.flatnonzero(new[:-1]))
-    rank = np.argsort(-uses, kind="stable")   # the classes of most uses first
-    kept = np.zeros(size.size, dtype=bool)
-    kept[rank[(np.cumsum((ms[tg] * ms[sg])[rank]) <= store.room) & (uses[rank] > 0)]] = True
+    kept = np.logical_or.reduceat(read[order], np.flatnonzero(new[:-1]))   # a target reads it
     C = int((ms[tg] * ms[sg])[kept].sum())   # doubles: each row as wide as its source's m
     start, arena, top = np.full(size.size, -1), np.zeros(C + width), 0
     for g in np.unique(sg[kept]):   # rows j where X_j > 1.9: a far row has X >= 2
@@ -591,9 +582,9 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     all other nodal values are unknowns of the local dense system, solved with
     the inverse of its key (for h == 1 its ``_shape_key``, else the cell): from
     ``_shape_matrix`` if cells share the key, else the cell's own dense matrix.
-    Inverses are kept while they hold ``_TABLE_BUDGET / 2`` doubles (and at least
-    one). The residual against the cell's own matrix, which a shared key applies
-    per axis from the cell's self weights, must stay below ``_RESIDUAL_BOUND``.
+    An inverse is kept until the last cell of its key in ``order``. The residual against
+    the cell's own matrix, which a shared key applies per axis from the cell's self
+    weights, must stay below ``_RESIDUAL_BOUND``.
     Histories sum over predecessors in index order, so no value depends on the order.
 
     Before the loop: one vector test of the shadow matrix against the positions in
@@ -622,7 +613,7 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
     flat, index = _flat(kern), {}   # else h == 1; keys are numbered in order of cells
     keys = [index.setdefault(ci if flat else _shape_key(nodesets[ci], nodal.own[c]), len(index))
             for ci, c in enumerate(nodal.cells)]
-    repeats = np.bincount(keys).tolist()
+    repeats, last = np.bincount(keys).tolist(), {keys[ci]: ci for ci in order}   # its last cell
     # a cell's sources are its predecessors, then the cell itself
     cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
                           _columns(shadow, own=True))
@@ -638,15 +629,12 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
             A = _local_matrix(dense[(Ellipsis,) + tuple(map(slice, shape))], own)
         if key not in inverses:
             try:
-                inv = np.linalg.inv(A if A is not None
-                                    else _shape_matrix(kern, nodesets[ci], own, reference))
+                inverses[key] = np.linalg.inv(
+                    A if A is not None else _shape_matrix(kern, nodesets[ci], own, reference))
             except np.linalg.LinAlgError as exc:
                 raise RuntimeError(f"singular local system on cell {ci} "
                                    f"(layer {covering.k[ci]})") from exc
-            if inv.size + sum(v.size for v in inverses.values()) > _TABLE_BUDGET // 2:
-                inverses = {}   # keep at least the new one
-            inverses[key] = inv
-        sol = inverses[key] @ rhs
+        sol = (inverses.pop(key) if last[key] == ci else inverses[key]) @ rhs
         Ax = A @ sol if A is not None else np.where(own, sol - _contract(   # per axis
             [w[:, :m] for w, m in zip(W, shape)], sol.reshape(shape)).ravel(), sol)
         res = float(np.abs(Ax - rhs).max())
@@ -682,10 +670,10 @@ def solve_2d(problem: VieProblem, covering: Covering, degree,
     solved, as in 1D, with the inverse shared by its cell shape (see
     ``_march``), and its residual must stay below ``_RESIDUAL_BOUND``.
     ``order`` may be any causal order (default: the canonical one, smaller cells
-    first); the result does not depend on it, to the bit, but the time can: the kept
-    inverses hold 512 KB (one 196 x 196 at B* N = 5), so an order that interleaves cell
-    shapes inverts again at each switch (by shadow depth at B* N = 5: 182 inversions
-    for 9, 4x the time). A cell before a shadow predecessor raises ``RuntimeError`` first.
+    first); the result does not depend on it, to the bit, nor does the number of
+    inversions, one per key: an inverse is kept until its key's last cell, so the live
+    inverses of an order that interleaves cell shapes are those of the keys it has begun
+    and not finished. A cell before a shadow predecessor raises ``RuntimeError`` first.
     """
     if problem.l != 2:
         raise ValueError("solve_2d requires a 2-dimensional problem")

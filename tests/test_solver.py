@@ -234,6 +234,21 @@ class TestSolve2D:
         sol = solve_2d(prob, cov, degree, fam)
         assert max_node_error(sol, prob.exact, owned_only=True) <= 1e-6
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [-0.9, -0.5, 0.3, 2.5])
+    def test_constant_solution_reproduced(self, p, N, b_params_2d):
+        # x = 1 lies in every spline space, so only the moments limit the node
+        # error, for p < 0 too; N = 4 and 5 read their far rows from kept classes
+        # (measured at most 1.5e-13 over these cases)
+        from wsvie.quad import power_moment
+
+        c0 = power_moment(p, 0.0, 1.0)
+        prob = VieProblem(l=2, T=1.0, kernel=KernelSpec(exponents=(p, p)),
+                          rhs=lambda t1, t2: 1.0 - c0 * c0 * (t1 * t2) ** (p + 1),
+                          exact=lambda t1, t2: np.ones(np.broadcast(t1, t2).shape))
+        sol = solve_2d(prob, *preset_2d(b_params_2d, N))
+        assert max_node_error(sol, prob.exact) <= 1e-12
+
     def test_corner_power_qstar_small(self, q25_params_2d):
         prob = get_problem("corner-power-2d")
         cov, degree, fam = preset_2d(q25_params_2d, 2)
@@ -583,6 +598,7 @@ def _table_case(case):
                       "power-2d-bstar-1": ("b_star", 0.5, 1),
                       "power-2d-bstar-3": ("b_star", 0.5, 3),
                       "power-2d-bstar-4": ("b_star", 0.5, 4),
+                      "power-2d-bstar-5": ("b_star", 0.5, 5),
                       "power-2d-qstar-8": ("q_star", 2.5, 8)}[case]
     return (get_problem("corner-power-2d"), solve_2d,
             preset_2d(derive_class_params(2, gamma, kind, l=2), N))
@@ -815,11 +831,13 @@ class TestMomentTables:
 
     @pytest.mark.parametrize("case, before_mb", [("abel-1d-bstar-32", 4.53),
                                                  ("power-2d-bstar-4", 3.07),
-                                                 ("power-2d-qstar-8", 4.26)])
+                                                 ("power-2d-qstar-8", 4.26),
+                                                 ("power-2d-bstar-5", 7.62)])
     def test_peak_memory_of_a_solve(self, case, before_mb):
         # peak traced allocation of one solve; the bounds are 1.25x the peaks
         # from when the tables took one moment call per source interval (for
-        # Q* N = 8: from before the march looked up all donors at once).
+        # Q* N = 8: from before the march looked up all donors at once; for
+        # B* N = 5: from when the walk first kept every class it reads).
         # Stacked calls that contract whole branches at once, not blocks of
         # rules, peaked at 6.4 and 13.6 MB here; a donor map over all nodes
         # rather than the cells' boundary nodes, at 12.5 MB for B* N = 5
@@ -1090,6 +1108,40 @@ class TestFarClasses:
         keys = np.concatenate(computed)
         assert 0 < len(keys) <= 2160
         assert len(np.unique(keys, axis=0)) == len(keys)   # no row twice
+
+    @pytest.mark.parametrize("case, chunks", [("abel-1d-bstar-32", 1), ("power-2d-bstar-5", 2)])
+    def test_every_class_a_walk_reads_is_kept(self, case, chunks, monkeypatch):
+        # no far pair that a class serves is computed as an own row: the class rows
+        # grow with the covering (13,796 at abel-1d N = 32, 4,943 at B* N = 5). With
+        # the classes cut to a room of 512 KB these walks computed 7,914 and 1,867
+        # own far rows, and abel-1d N = 32 walked 4 chunks
+        served, computed = _row_counts(monkeypatch)
+        calls = _counting(monkeypatch)
+        prob, solve, disc = _table_case(case)
+        solve(prob, *disc)
+        assert served.get(1, 0) == 0   # an own far row is served through the store
+        assert sum(X.size for *_, X in computed[1]) > 0   # the class rows
+        assert calls[0] == chunks * prob.l   # one stacked call per chunk and axis
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_class_rows_move_abel_values_by_rounding(self, seed, monkeypatch):
+        # a class row is computed at X = r1 + r2 y_j, an own row at (x - b) / h: on
+        # the abel-1d ladder the values with classes and with every far row its
+        # own differ by at most 3.9e-16 of max |x| (seeds 1-3)
+        import wsvie
+        import wsvie.solver as solver
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        load = workloads.WORKLOADS["abel-1d"]
+        prob, params = workloads.build_problem(wsvie, load, seed)
+        for N in load.ladder:
+            disc = preset_1d(params, N)
+            kept = np.concatenate([v.ravel() for v in solve_1d(prob, *disc).values])
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_CLASS_POINTS", 100)
+                own = np.concatenate([v.ravel() for v in solve_1d(prob, *disc).values])
+            assert np.max(np.abs(kept - own)) <= 1e-15 * np.max(np.abs(own))
 
     def test_classes_of_two_exponents_in_any_order(self, b_params_2d, monkeypatch):
         # B* N = 4 with p = 2.5 and -0.5 on the two axes: the classes of each
@@ -1588,10 +1640,9 @@ class TestResidualBound:
 class TestShapeInverses:
     # with h == 1 a cell's local matrix depends only on its _shape_key
     def test_one_inverse_per_key(self, monkeypatch):
-        # B* N = 4: 110 cells of 7 keys; the width-first causal order keeps
-        # each key's cells together, so the bounded store inverts each once.
-        # The 5 keys of several cells take the reference matrix, the 2 keys
-        # of one cell that cell's own
+        # B* N = 4: 110 cells of 7 keys, each inverted once: an inverse is kept
+        # until its key's last cell. The 5 keys of several cells take the
+        # reference matrix, the 2 keys of one cell that cell's own
         import wsvie.solver as solver
 
         inverse, shape_matrix, inverted, shared = solver.np.linalg.inv, solver._shape_matrix, [], []
@@ -1604,6 +1655,30 @@ class TestShapeInverses:
         solve(prob, *disc)
         assert len(inverted) == 7
         assert len(shared) == len(set(shared)) == 5
+
+    def test_an_order_by_shadow_depth_inverts_once_per_key(self, b_params_2d, monkeypatch):
+        # B* N = 5 level by level (by shadow depth, then causal rank) interleaves
+        # its cell shapes. With inverses kept in 512 KB, one 196 x 196 at m = 14,
+        # it inverted 182 times instead of 9; now both orders invert each of the
+        # 8 keys once, to bitwise-equal values
+        import wsvie.solver as solver
+
+        cov, degree, fam = preset_2d(b_params_2d, 5)
+        S, rank = shadow_matrix(cov), cov.causal_rank()
+        depth = np.zeros(cov.ncells, dtype=int)
+        for j in np.argsort(rank):
+            depth[j] = max(depth[S[:, j]], default=-1) + 1
+        inverse, inverted = solver.np.linalg.inv, []
+        monkeypatch.setattr(solver.np.linalg, "inv", lambda A: (inverted.append(A.shape),
+                                                                inverse(A))[1])
+        prob, solves = get_problem("corner-power-2d"), []
+        for order in (None, np.lexsort((rank, depth))):
+            inverted.clear()
+            solves.append((solve_2d(prob, cov, degree, fam, order=order), len(inverted)))
+        (canonical, n_canonical), (by_depth, n_depth) = solves
+        assert n_depth <= n_canonical == 8
+        for a, b in zip(canonical.values, by_depth.values, strict=True):
+            assert np.array_equal(a, b)
 
     def test_per_axis_work_per_cell(self, monkeypatch):
         # B* N = 4: the march builds a dense local matrix only for its 2
