@@ -217,11 +217,11 @@ def _reference_rule(X, p: float, n: int, panels: int):
     return (jac.nodes + 1.0) * X[:, None] - 1.0, X[:, None] ** (p + 1.0) * jac.weights
 
 
-def _reference_rows(ref: NodeSet, p: float, panels: int, X, n=None, basis=None) -> np.ndarray:
-    """The moment rows (X.size, m) of ``ref`` at X, branch ``panels``, n points per panel
-    (by default ``_rule_points(m)``; ``basis`` the basis at them, if given): einsum sums
-    each row in one order, whatever its block, near rows panel by panel."""
-    G, n = np.empty((X.size, ref.m)), _rule_points(ref.m) if n is None else n
+def _reference_rows(ref: NodeSet, p: float, panels: int, X, basis=None) -> np.ndarray:
+    """The moment rows (X.size, m) of ``ref`` at X, branch ``panels``, ``_rule_points(m)``
+    points per panel (``basis`` the basis at them, if given): einsum sums each row in one
+    order, whatever its block, near rows panel by panel."""
+    G, n = np.empty((X.size, ref.m)), _rule_points(ref.m)
     step = max(1, _TABLE_BUDGET // (8 * n * (panels or ref.m + 1)))
     for lo in range(0, X.size, step):
         sigma, W = _reference_rule(X[lo:lo + step], p, n, panels)
@@ -287,7 +287,7 @@ class _RowStore(threading.local):
             basis = lagrange_basis_matrix(ref, 1.0 - _graded_panels(key[2], 1).nodes)   # in sigma
             if basis.size + sum(b.size for b in self.bases.values()) <= self.room:
                 self.bases[key] = basis
-        return _reference_rows(ref, p, 1, X, key[2], basis)
+        return _reference_rows(ref, p, 1, X, basis)
 
 
 # the store of the walks, kept for the whole process; each thread sees its own

@@ -16,7 +16,10 @@ With no smooth factor (h absent) both pieces factorize per axis, because the
 kernel is a product and the spline is a tensor polynomial: the history
 contribution of a processed cell D is X_D contracted on each axis with one
 moment matrix, which depends only on D's range and node count on that axis.
-One generator, ``_cell_moments``, walks a sequence of target grids in chunks.
+One generator, ``_cell_moments``, walks a sequence of targets in chunks: cells,
+whose node grids and intervals it reads from the spline, or sample grids, which lie
+on no interval. Each spline numbers the distinct intervals of each axis once
+(``spline._padded``), and every walk plans on those ids.
 Per axis a target's moments are one take from the walk's row arena: the rows of
 the walk's far classes (rows shared by interval pairs of one geometry, once per
 walk), read in place and scaled by their source's h^(p + 1), and the chunk's
@@ -24,9 +27,9 @@ own rows, which ``stacked_kernel_moments`` computes for the pairs the chunk
 reads that no class serves, each row at the rule of its source's node count,
 its singular and near rows from the thread's row store (``quad._STORE``, kept
 for the process). A chunk's index table maps each pair of its source intervals
-and grid coordinates to an arena row. The targets are the
-cells' node grids in causal order for the march and the collocation residual
-check, sample grids for ``residual`` and the uniform grid for the oracle. The
+and grid coordinates to an arena row. The targets are cells in causal order for
+the march and the collocation residual check, sample grids for ``residual`` and
+the uniform grid for the oracle, whose grid steps are a one-axis spline. The
 moment matrices are padded like the spline's value table (``TensorSpline.tables``)
 to the largest node count per axis, so a target's history is one batched
 contraction per block of sources, summed in source-index order. A chunk's index
@@ -64,8 +67,7 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .interp import build_nodes, legendre_table
-from .interp import geometric_degree_schedule, power_degree_schedule
+from .interp import geometric_degree_schedule, legendre_table, power_degree_schedule
 from .mesh import (Covering, GradedMesh, boundary_layer_covering, corner_layer_covering,
                    geometric_covering, geometric_mesh, power_graded_mesh, shadow_matrix)
 from . import quad
@@ -147,88 +149,65 @@ def preset_2d(params, N: int):
 # the integral over source cells
 # ---------------------------------------------------------------------------
 
-def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
-    """Weights of the kernel integrals over source cells at target grids.
+def _cell_moments(kern: KernelSpec | None, spline: TensorSpline, targets, sources):
+    """Weights of the kernel integrals over the cells of ``spline`` at target grids.
 
-    ``targets`` yields (key, grid) pairs, where grid holds one coordinate
-    array per axis, and ``sources(key)`` gives the index array of the source
-    cells whose integrals, clipped at each grid point, the target needs; it is
-    asked once per target, when the walk starts.
-    Yields (key, srcs, moments) per target, in order; ``moments(lo, hi)``
-    returns the weights of the sources srcs[lo:hi] at the grid, per axis:
+    ``targets`` lists cells of the spline and sample grids. A cell's grid is its node
+    arrays, on its interval of each axis in the spline's interval table (``_padded``); a
+    sample grid, one coordinate array per axis, lies on no interval. ``sources(target)``
+    gives the index array of the source cells whose integrals, clipped at each grid point,
+    the target needs; it is asked once per target, when the walk starts. Yields (target,
+    srcs, moments) per target, in order; ``moments(lo, hi)`` returns the weights of the
+    sources srcs[lo:hi] at the grid:
 
-    * for h == 1, the ``kernel_moments`` of axis a: one array of shape
-      (hi - lo, grid[a].size, M_a), each source's in its leading m columns
-      and zero past them, M_a the largest node count of ``nodesets`` on the
-      axis: one take per axis from the walk's row arena, through an index table
-      built per chunk of consecutive targets. The arena is flat: a row is as wide
-      as its source's m and read as a window of the largest M_a zeroed past m, or
-      taken whole when every row has that width, as in every 2D preset. A
-      chunk's table has one entry per pair of its source intervals (a, b, m,
-      family) and the sorted union of its grid coordinates.
-      The arena holds the rows of the walk's kept far classes, a zero row and
-      the chunk's own rows: the rows of the pairs it reads that no class serves,
-      singular, near and far, one ``stacked_kernel_moments`` call per axis, each
-      at the rule of its source's node count (``quad._rule_points``), its
-      singular and near rows and far rule bases from the thread's ``_RowStore``
-      of ``_TABLE_BUDGET / 2`` doubles, which serves the rows of earlier walks.
-      A class row is read in place and multiplied by its source's h^(p + 1),
-      the product that makes an own row; a pair before its interval, or one
-      that no target of the walk reads, points at the zero row. The walk's
-      rules are built when it starts. A chunk grows while its index entries
-      and own rows, with the walk's own rows in the store, hold at most
-      ``_TABLE_BUDGET`` doubles, and takes at least one target. It is planned
-      on integer ids, of the distinct coordinates of all targets (one
-      ``np.unique`` per axis) and of the source intervals: a target's and a
-      chunk's ids are ``_bitsets``, and each new coordinate or interval adds
-      the own pairs it makes with the chunk's (``_own_bitsets``). Sources are
-      asked for once per walk; a target's table rows are a lookup of its
-      coordinate ids. The last chunk's rows are replaced in place when the next
-      chunk's are built and its tables go; moments drawn later raise.
-      Far rows come in classes (``_far_classes``) when the walk's largest
-      rule has at least ``_CLASS_POINTS`` points and some target grid is the
-      node array of an interval t. Node j of t and a source interval s with
-      b_t - b_s >= b_s - a_s key their far row by r1 = (mid_t - b_s) / h_s,
-      r2 = h_t / h_s, the (m, family) of t and of s and p; equal keys are a
-      class, numbered once per walk by one sort, whose row j is the far row
-      at X = r1 + r2 y_j, y_j node j of t's reference node set. Every class
-      that a target reads is kept, beside the chunk's budget, each row
-      computed once when the walk starts. Any other far pair (at a coordinate
-      of no interval, or in a walk without classes) is a class of its own, at
-      X = (x - b_s) / h_s, the rows of ``kernel_moments``.
-    * with a smooth factor, one array of shape (hi - lo, grid size,
-      M_1 * ... * M_l): the product-integration weights of ``_product``, exact
-      for the spline when h(t, .) is constant in tau; zero without a kernel.
+    * for h == 1, per axis a the ``kernel_moments`` of the sources in one array of shape
+      (hi - lo, grid[a].size, M_a), each source's in its leading m columns and zero past
+      them, M_a the spline's largest node count on the axis. Each row takes the rule of its
+      source's node count (``quad._rule_points``) and is computed once per walk: the far
+      rows of the walk's far classes (``_far_classes``), which only cell targets read, when
+      the walk starts, and every other row a target reads by the chunk of consecutive
+      targets that holds it, one ``stacked_kernel_moments`` call per chunk and axis, the
+      singular and near rows from the thread's row store (``quad._STORE``). A chunk's rows
+      and tables go when the next chunk's are built: its moments drawn later raise.
+    * with a smooth factor, one array of shape (hi - lo, grid size, M_1 * ... * M_l): the
+      product-integration weights of ``_product``, exact for the spline when h(t, .) is
+      constant in tau; zero without a kernel.
+
+    Memory: a chunk grows while its index entries and own rows, with the walk's rows in the
+    store, hold at most ``_TABLE_BUDGET`` doubles, and takes at least one target; the store
+    holds at most half that. The class rows come beside them, each kept for the walk.
     """
-    widths = [max(ns.m for ns in sets) for sets in zip(*nodesets)]   # M_a
+    nodesets, tabs = spline.nodesets, spline.tables.axes
+    widths = [tab.nodes.shape[1] for tab in tabs]   # M_a
     targets = list(targets)
     if not targets:
         return
+    cells = np.array([t if isinstance(t, (int, np.integer)) else -1 for t in targets])   # -1: grid
+    grids = [t if ci < 0 else [ns.nodes for ns in nodesets[ci]] for t, ci in zip(targets, cells)]
     if kern is None:   # zero weights, as one axis, and no tables
-        for key, grid in targets:
+        for t, grid in zip(targets, grids):
             size = (math.prod(x.size for x in grid), math.prod(widths))
-            yield key, sources(key), lambda lo, hi, size=size: [np.zeros((hi - lo,) + size)]
+            yield t, sources(t), lambda lo, hi, size=size: [np.zeros((hi - lo,) + size)]
         return
     h = kern.smooth_factor
     if h is not None:   # per axis, every cell's nodes, padded with its last (h stays finite)
         nodes = [np.array([np.pad(n[a].nodes, (0, M - n[a].m), mode="edge") for n in nodesets])
                  for a, M in enumerate(widths)]
-    srcs = [sources(key) for key, _ in targets]   # once per walk, then slices of one array
+    srcs = [sources(t) for t in targets]   # once per walk, then slices of one array
     cut = np.append(0, np.cumsum([s.size for s in srcs]))
     cat = np.concatenate(srcs + [np.empty(0, int)]).astype(np.min_scalar_type(len(nodesets)))
     del srcs
     axes = []   # per axis: the integer ids that chunks are planned on
-    for a, p in enumerate(kern.exponents):
-        keys = [(n[a].m, n[a].family, n[a].a, n[a].b) for n in nodesets]   # a source interval
-        index = {key: i for i, key in enumerate(sorted(set(keys)))}   # ids in order of m
-        kid, reps = np.array([index[key] for key in keys]), np.empty(len(index), dtype=object)
-        reps[kid] = [n[a] for n in nodesets]   # one NodeSet per id
-        x, cid = np.unique(np.concatenate([g[a] for _, g in targets]), return_inverse=True)
-        ends = np.array([key[2:] for key in index])
+    for a, (p, tab) in enumerate(zip(kern.exponents, tabs)):
+        reps = np.array([nodesets[ci][a] for ci in tab.first], dtype=object)   # per interval id
+        ends = np.array([(ns.a, ns.b) for ns in reps])
+        x, cid = np.unique(np.concatenate([g[a] for g in grids]), return_inverse=True)
         axes.append(SimpleNamespace(
-            p=p, kid=kid, reps=reps, ends=ends, scale=(0.5 * (ends[:, 1] - ends[:, 0])) ** (p + 1),
-            ms=np.array([key[0] for key in index], dtype=np.int16),   # int16: j * m stays small
-            x=x, cid=cid.ravel(), off=np.append(0, np.cumsum([g[a].size for _, g in targets])),
+            p=p, kid=tab.interval, reps=reps, ends=ends,
+            scale=(0.5 * (ends[:, 1] - ends[:, 0])) ** (p + 1),
+            ms=np.array([ns.m for ns in reps], dtype=np.int16),   # int16: j * m stays small
+            x=x, cid=cid.ravel(), off=np.append(0, np.cumsum([g[a].size for g in grids])),
+            at=np.where(cells < 0, reps.size, tab.interval[cells]),   # per target; K: none
             cls=None))
     legendre_table({quad._rule_points(ns.m) for ax in axes for ns in ax.reps})   # one batch
     store = quad._STORE.walk(   # this thread's store, kept for the process
@@ -238,6 +217,8 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
     unit = width if all(ns.m == width for ax in axes for ns in ax.reps) else 1
     # an index entry, in doubles: a chunk of several targets holds at most this many rows
     isz = np.min_scalar_type((C + _TABLE_BUDGET) // unit + 1).itemsize / 8
+    # chunks are planned on ids: a target's and a chunk's coordinates and intervals are
+    # bitsets (``_bitsets``), and each new id adds the own pairs it makes (``_own_bitsets``)
     for ax in axes:
         _own_bitsets(ax)
     bits, tables, pos = [], [], 0   # per target until yielded: its id bitsets per axis
@@ -281,8 +262,9 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
             s, r = np.nonzero(own)
             stacked_kernel_moments(ax.x[R], ax.p, *ax.ends[U].T, ax.reps[U], store, (s, r),
                                    arena[free:free + s.size * width].reshape(-1, width))
-            # a served pair reads its class row, one not read the zero row at C; in rows of
-            # ``unit`` doubles when they are all as wide, else in doubles
+            # an entry per pair of the chunk's intervals and coordinates: a served pair reads
+            # its class row, one not read the zero row at C; in rows of ``unit`` doubles when
+            # they are all as wide, else in doubles
             index = np.full(own.shape, C // unit, dtype=np.min_scalar_type(len(arena) // unit))
             if served is not None:
                 index[served] = (cls + ax.j[R] * ax.ms[U, None])[served] // unit
@@ -297,9 +279,8 @@ def _cell_moments(kern: KernelSpec | None, nodesets, targets, sources):
                 _gather, tables, [r[ax.cid[ax.off[t]:ax.off[t + 1]]] for r, ax in zip(rows, axes)],
                 [s[lo:hi] for s in sel], widths)
             if h is not None:
-                moments = partial(_product, h, moments, targets[t][1],
-                                  [n[srcs[lo:hi]] for n in nodes])
-            yield targets[t][0], srcs[lo:hi], moments
+                moments = partial(_product, h, moments, grids[t], [n[srcs[lo:hi]] for n in nodes])
+            yield targets[t], srcs[lo:hi], moments
             bits[t] = None
         pos = end
 
@@ -319,45 +300,32 @@ def _row_ints(held) -> list:
     return [int.from_bytes(raw[g * w:g * w + w], "little") for g in range(len(held))]
 
 
-def _node_intervals(ax) -> np.ndarray:
-    """Per target, the source interval whose node array its grid is (K: none): one
-    ``np.unique`` over the rows of the targets' coordinate ids and the intervals' node ids."""
-    K, sizes = len(ax.reps), np.diff(ax.off)
-    nodes = np.concatenate([ns.nodes for ns in ax.reps])
-    ms = np.array([ns.m for ns in ax.reps])
-    at = np.minimum(np.searchsorted(ax.x, nodes), ax.x.size - 1)
-    whole = np.logical_and.reduceat(ax.x[at] == nodes, np.append(0, np.cumsum(ms)[:-1]))
-    ids = np.full((sizes.size + K, max(sizes.max(), ms.max())), -1)
-    for n, off, k in ((sizes, ax.off[:-1], ax.cid), (ms, np.append(0, np.cumsum(ms)[:-1]), at)):
-        row = np.repeat(np.arange(n.size), n) + (0 if n is sizes else sizes.size)
-        ids[row, np.arange(k.size) - np.repeat(off, n)] = k
-    ids[sizes.size:][~whole] = -2   # an interval of nodes that no target has
-    _, inverse = np.unique(ids, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    last = np.full(inverse.max() + 1, -1)
-    np.maximum.at(last, inverse[sizes.size:], np.arange(K))   # the last of equal intervals
-    return np.where(last < 0, K, last)[inverse[:sizes.size]]
-
-
 # far rules of fewer Gauss points give rows about as cheap to compute as to look up
 _CLASS_POINTS = 16
 
 
 def _far_classes(axes, cat, cut, store, width: int):
-    """Number a walk's far classes (see ``_cell_moments``); returns (arena, C): the walk's flat
-    row arena, whose first C doubles are the rows of every class that a target reads, from
-    ``store.far``, each as wide as its source's m (NaN in the rows a class never serves),
-    then a zero row of ``width``. The sources of target t are cat[cut[t]:cut[t + 1]].
-    Sets per axis each coordinate id's interval ``tgt`` (K: none) and node ``j``, ``cls``:
-    per (interval, source interval) its class's offset in the arena, or -1, and ``read``:
-    whether a target reads the source interval at a coordinate of that interval; ``cls``
-    stays None if no class is numbered."""
+    """Number a walk's far classes, when its largest rule has at least ``_CLASS_POINTS``
+    points. Node j of a cell target's interval t and a source interval s with
+    b_t - b_s >= b_s - a_s key their far row by r1 = (mid_t - b_s) / h_s, r2 = h_t / h_s,
+    the (m, family) of t and of s and p; equal keys are a class, numbered by one sort, whose
+    row j is the far row at X = r1 + r2 y_j, y_j node j of t's reference node set. Any other
+    far pair (of a sample grid, or in a walk without classes) is a class of its own, at
+    X = (x - b_s) / h_s, the rows of ``kernel_moments``.
+
+    Returns (arena, C): the walk's flat row arena, whose first C doubles are the rows of
+    every class that a target reads, from ``store.far``, each as wide as its source's m
+    (NaN in the rows a class never serves), then a zero row of ``width``. The sources of
+    target t are cat[cut[t]:cut[t + 1]]. Sets per axis each coordinate id's interval
+    ``tgt`` (K: none) and node ``j``, ``cls``: per (interval, source interval) its class's
+    offset in the arena, or -1, and ``read``: whether a target reads the source interval at
+    a coordinate of that interval; ``cls`` stays None if no class is numbered."""
     if quad._rule_points(max(ns.m for ax in axes for ns in ax.reps)) < _CLASS_POINTS:
         return np.zeros(width), 0
     keys, pairs = [], []
     for ax in axes:
         (lo, hi), K = ax.ends.T, len(ax.reps)
-        at = np.repeat(_node_intervals(ax), np.diff(ax.off))   # per target
+        at = np.repeat(ax.at, np.diff(ax.off))   # per coordinate of each target
         first = np.lexsort((at, ax.cid))
         first = first[np.append(True, np.diff(ax.cid[first]) > 0)]   # per coordinate id
         ax.tgt = at[first]
@@ -365,7 +333,7 @@ def _far_classes(axes, cat, cut, store, width: int):
         held = np.zeros(K + 1, dtype=bool)
         held[ax.tgt] = True
         pairs.append(held[:, None] & (np.append(hi, -np.inf)[:, None] - hi >= hi - lo))
-    if not any(mask.any() for mask in pairs):   # no far pair of an interval that is a grid
+    if not any(mask.any() for mask in pairs):   # no far pair of a cell target's interval
         return np.zeros(width), 0
     groups = sorted({(ns.m, ns.family) for ax in axes for ns in ax.reps})
     ms, ps = np.array([m for m, _ in groups]), sorted({ax.p for ax in axes})
@@ -541,11 +509,6 @@ def _flat(kern: KernelSpec | None) -> bool:
     return kern is None or kern.smooth_factor is not None
 
 
-def _node_grids(nodesets, cells):
-    """(cell, node coordinates per axis) for each of ``cells``: march targets."""
-    return ((ci, [ns.nodes for ns in nodesets[ci]]) for ci in cells)
-
-
 # ---------------------------------------------------------------------------
 # the causal march
 # ---------------------------------------------------------------------------
@@ -615,8 +578,7 @@ def _march(problem: VieProblem, spl: TensorSpline, order) -> TensorSpline:
             for ci, c in enumerate(nodal.cells)]
     repeats, last = np.bincount(keys).tolist(), {keys[ci]: ci for ci in order}   # its last cell
     # a cell's sources are its predecessors, then the cell itself
-    cells = _cell_moments(kern, nodesets, _node_grids(nodesets, order),
-                          _columns(shadow, own=True))
+    cells = _cell_moments(kern, spl, order, _columns(shadow, own=True))
     inherited = _inherited(tables, nodal, order)
     for ci, srcs, moments in cells:
         shape, key, A = values[ci].shape, keys[ci], None
@@ -709,11 +671,11 @@ def residual(problem: VieProblem, solution, samples) -> float:
             raise ValueError(f"sample axis {a} is empty")
     values = solution.tables.values
     worst = []
-    for i, _, moments in _cell_moments(problem.kernel, solution.nodesets, enumerate(grids),
-                                       lambda _: np.arange(len(values))):
-        mesh = np.meshgrid(*grids[i], indexing="ij")
+    for grid, _, moments in _cell_moments(problem.kernel, solution, grids,
+                                          lambda _: np.arange(len(values))):
+        mesh = np.meshgrid(*grid, indexing="ij")
         hist = _history(moments, values, mesh[0].shape, _flat(problem.kernel))
-        r = solution.eval_grid(grids[i]) - hist - np.asarray(problem.rhs(*mesh), dtype=float)
+        r = solution.eval_grid(grid) - hist - np.asarray(problem.rhs(*mesh), dtype=float)
         worst.append(np.max(np.abs(r)))
     return float(np.max(worst))   # NaN propagates
 
@@ -729,10 +691,9 @@ def collocation_residual(problem: VieProblem, solution) -> float:
     padded = solution.tables.values
     # a cell integrates over its shadow predecessors and its own clipped range
     shadow = shadow_matrix(solution.covering) | np.eye(len(values), dtype=bool)
-    checked = _node_grids(nodesets, [ci for ci, own in enumerate(owned) if own.any()])
+    checked = [ci for ci, own in enumerate(owned) if own.any()]
     worst = [0.0]
-    for ci, srcs, moments in _cell_moments(problem.kernel, nodesets, checked,
-                                           _columns(shadow)):
+    for ci, srcs, moments in _cell_moments(problem.kernel, solution, checked, _columns(shadow)):
         lhs = values[ci] - _history(moments, padded[srcs], values[ci].shape, _flat(problem.kernel))
         grids = np.meshgrid(*[ns.nodes for ns in nodesets[ci]], indexing="ij")
         rhs = np.asarray(problem.rhs(*[g.ravel() for g in grids]), dtype=float)
@@ -759,13 +720,13 @@ class OracleSolution:
 def _linear_weight_matrix(t: np.ndarray, kern: KernelSpec) -> np.ndarray:
     """Nodal weights V with (V x)[i] ~= int_0^{t_i} kernel * (linear interp of x).
 
-    ``kern`` is a one-axis kernel; each grid step is a two-node source cell
-    whose weights at the grid ``t`` go to the columns of its two nodes.
+    ``kern`` is a one-axis kernel; each grid step is a two-node cell of a one-axis
+    spline, whose weights at the grid ``t`` go to the columns of its two nodes.
     """
-    steps = [(build_nodes((t[j], t[j + 1]), "legendre_closed", 2),) for j in range(t.size - 1)]
-    [(_, _, moments)] = _cell_moments(kern, steps, [(0, (t,))],
-                                      lambda _: np.arange(len(steps)))
-    M = moments(0, len(steps))[0]
+    steps = _unfilled(GradedMesh(t[-1], t.size - 1, "power", 1.0, t).covering(), 2,
+                      "legendre_closed")
+    [(_, _, moments)] = _cell_moments(kern, steps, [(t,)], lambda _: np.arange(t.size - 1))
+    M = moments(0, t.size - 1)[0]
     V = np.zeros((t.size, t.size))
     V[:, :-1] += M[:, :, 0].T
     V[:, 1:] += M[:, :, 1].T

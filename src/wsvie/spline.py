@@ -28,10 +28,11 @@ MIN_SAMPLES = 50
 class TensorSpline:
     """Per-cell tensor-product interpolant over a covering.
 
-    The constructor builds the padded ``tables`` once (``_padded``, values 0 when
-    absent). ``values`` and ``owned`` become tuples: each ``values[ci]`` is a view of
-    its cell's corner there, written in place, and rebinding one raises. An absent
-    ``owned`` becomes such views of a copy of ``lead``: every node owned.
+    The constructor builds the padded ``tables`` and each axis's interval ids once
+    (``_padded``, values 0 when absent). ``values`` and ``owned`` become tuples: each
+    ``values[ci]`` is a view of its cell's corner there, written in place, and rebinding
+    one raises. An absent ``owned`` becomes such views of a copy of ``lead``: every node
+    owned.
     """
 
     covering: Covering
@@ -112,15 +113,18 @@ class TensorSpline:
                          for (low, _), hi in zip(bounds, cov.hi_array.T)])
         live = np.flatnonzero(np.all(stop > start, axis=0))
         live = live[np.argsort(-cov.causal_rank()[live])]
-        rows = []   # per axis: (interval, sub-grid) -> the basis rows, transposed
+        rows, keyed = [], []   # per axis: each key's basis rows, transposed; each live cell's key
         for a, (ax, x) in enumerate(zip(self.tables.axes, xs)):
-            keys = {}   # the first live cell of each distinct key
-            for ci in live:
-                ns = self.nodesets[ci][a]
-                keys.setdefault((ns.family, ns.a, ns.b, ns.m, start[a, ci], stop[a, ci]), ci)
-            keys, cells = list(keys), np.array(list(keys.values()), dtype=int)
+            # a key: a distinct (interval id, sub-grid), numbered in order of first appearance
+            _, first, inverse = np.unique(np.column_stack(
+                [ax.interval[live], start[a, live], stop[a, live]]), axis=0,
+                return_index=True, return_inverse=True)
+            rank = np.argsort(first)
+            cells = live[first[rank]]
+            keyed.append(np.argsort(rank)[inverse.ravel()])
+            rows.append([None] * cells.size)
             n = stop[a, cells] - start[a, cells]
-            cut, rows = np.append(0, np.cumsum(n)), rows + [{}]
+            cut = np.append(0, np.cumsum(n))
             # keys in blocks of about an eighth of _TABLE_BUDGET doubles of basis rows
             block = cut[:-1] // max(1, _TABLE_BUDGET // (8 * ax.nodes.shape[1]))
             for b in np.unique(block):
@@ -131,14 +135,14 @@ class TensorSpline:
                 basis = lagrange_basis_matrix(   # a block of one key takes its own node set
                     self.nodesets[owner[0]][a] if at.size == 1 else
                     SimpleNamespace(nodes=ax.nodes[owner], weights=ax.weights[owner]), pts)
-                rows[-1].update((keys[k], basis[lo:lo + n[k], :keys[k][3]].copy().T)
-                                for k, lo in zip(at, off))   # no view keeps the block
+                for k, lo in zip(at, off):   # no view keeps the block
+                    rows[-1][k] = basis[lo:lo + n[k], :self.nodesets[cells[k]][a].m].copy().T
         out, covered = np.empty([x.size for x in xs]), np.zeros([x.size for x in xs], bool)
         turn = (*range(1, cov.l), 0)   # axis 0 to the back
-        for ci in live:
+        for i, ci in enumerate(live):
             block, v = tuple(map(slice, start[:, ci], stop[:, ci])), self.values[ci]
-            for ns, cut, seen in zip(self.nodesets[ci], block, rows):
-                v = v.transpose(turn) @ seen[ns.family, ns.a, ns.b, ns.m, cut.start, cut.stop]
+            for basis, keys in zip(rows, keyed):
+                v = v.transpose(turn) @ basis[keys[i]]
             out[block], covered[block] = v, True
         if not covered.all():
             raise ValueError("evaluation point outside [0, T]^l")
@@ -193,6 +197,8 @@ def _padded(nodesets, values=()) -> SimpleNamespace:
     (ncells, M_a), M_a its largest node count, padded with nodes at +inf of
     weight 0, whose barycentric terms vanish; ``spread`` puts the nodes on axis
     a + 1. ``values`` fill the leading corners ``lead`` of zeros (ncells, M_1, ..., M_l).
+    The distinct intervals of axis a, each (m, family, a, b) of a cell, are numbered in
+    that order: ``interval`` gives each cell's id and ``first`` each id's first cell.
     """
     l, axes, lead = len(nodesets[0]), [], True
     for a, sets in enumerate(zip(*nodesets)):
@@ -201,7 +207,11 @@ def _padded(nodesets, values=()) -> SimpleNamespace:
         nodes[row] = np.concatenate([ns.nodes for ns in sets])
         weights[row] = np.concatenate([ns.weights for ns in sets])
         spread = (len(sets),) + (1,) * a + (-1,) + (1,) * (l - 1 - a)
-        axes.append(SimpleNamespace(nodes=nodes, weights=weights, spread=nodes.reshape(spread)))
+        families = {f: i for i, f in enumerate(sorted({ns.family for ns in sets}))}
+        _, first, interval = np.unique([(ns.m, families[ns.family], ns.a, ns.b) for ns in sets],
+                                       axis=0, return_index=True, return_inverse=True)
+        axes.append(SimpleNamespace(nodes=nodes, weights=weights, spread=nodes.reshape(spread),
+                                    interval=interval.ravel(), first=first))
         lead = lead & row.reshape(spread)
     padded = np.zeros(lead.shape)
     padded[lead] = np.concatenate([np.ravel(v) for v in values]) if len(values) else 0.0

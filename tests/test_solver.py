@@ -227,6 +227,40 @@ def test_oracle_rows_match_forward_substitution(name, n):
     assert np.max(np.abs(oracle_solve(prob, n).values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+class TestOpenNodes:
+    @pytest.mark.parametrize("mesh", ["qstar-1d", "qstar-2d", "bstar-2d"])
+    @pytest.mark.parametrize("p", [-0.9, -0.5, 0.3, 2.5])
+    def test_constant_solution_reproduced(self, p, mesh):
+        # x = 1 with chebyshev1_open nodes, which avoid the cell edges: no
+        # target node sits just past a source edge (ROADMAP item 1, cause A),
+        # so closed nodes' misses at Q* N = 3 and 6 do not occur (measured at
+        # most 1.6e-13 over these cases). 1D Q* N = 2-16, 2D Q* (r = 1,
+        # gamma = 1/2) N = 2, 3, 4 and 6, 2D B* N = 2-4
+        from wsvie.funclass import derive_class_params
+        from wsvie.quad import power_moment
+
+        c0 = power_moment(p, 0.0, 1.0)
+        if mesh == "qstar-1d":
+            prob = VieProblem(l=1, T=1.0, kernel=KernelSpec(exponents=(p,)),
+                              rhs=lambda t: 1.0 - c0 * t ** (p + 1),
+                              exact=lambda t: np.ones(np.shape(t)))
+            params = derive_class_params(2, 0.5, "q_star")
+            discs = [preset_1d(params, N) for N in range(2, 17)]
+        else:
+            prob = VieProblem(l=2, T=1.0, kernel=KernelSpec(exponents=(p, p)),
+                              rhs=lambda t1, t2: 1.0 - c0 * c0 * (t1 * t2) ** (p + 1),
+                              exact=lambda t1, t2: np.ones(np.broadcast(t1, t2).shape))
+            params, ladder = ((derive_class_params(1, 0.5, "q_star", l=2), (2, 3, 4, 6))
+                              if mesh == "qstar-2d" else
+                              (derive_class_params(2, 0.5, "b_star", l=2), (2, 3, 4)))
+            discs = [preset_2d(params, N) for N in ladder]
+        solve = solve_1d if prob.l == 1 else solve_2d
+        for mesh_or_covering, degrees, _ in discs:
+            sol = solve(prob, mesh_or_covering, degrees, "chebyshev1_open")
+            assert all(own.all() for own in sol.owned)
+            assert max_node_error(sol, prob.exact) <= 1e-12
+
+
 class TestSolve2D:
     def test_corner_power_bstar_n3(self, b_params_2d):
         prob = get_problem("corner-power-2d")
@@ -515,9 +549,17 @@ def _assert_order_invariant(cov, degree, fam):
         assert np.array_equal(s1.owned[ci], s2.owned[ci])
 
 
-def _per_pair_moments(kern, nodesets, targets, sources):
+def _grid(spline, target):
+    """A walk target's grid: a cell's node arrays, or the sample grid it is."""
+    if isinstance(target, (int, np.integer)):
+        return [ns.nodes for ns in spline.nodesets[target]]
+    return target
+
+
+def _per_pair_moments(kern, spline, targets, sources):
     """Reference for ``solver._cell_moments``: one call per (target, source, axis).
 
+    A target is a cell of ``spline``, at its node arrays, or a sample grid.
     Each source's moments are computed at the target grid itself and copied
     to the leading columns of zero arrays padded to the largest node count
     of each axis. With a smooth factor h, a source's weights are the outer
@@ -527,6 +569,7 @@ def _per_pair_moments(kern, nodesets, targets, sources):
     """
     from wsvie.quad import kernel_moments
 
+    nodesets = spline.nodesets
     widths = [max(ns.m for ns in sets) for sets in zip(*nodesets)]
 
     def moments(grid, srcs, lo, hi):
@@ -549,8 +592,8 @@ def _per_pair_moments(kern, nodesets, targets, sources):
                        .reshape(math.prod(x.size for x in grid), -1))
         return [np.array(out)]
 
-    for key, grid in targets:
-        srcs = sources(key)
+    for key in targets:
+        srcs, grid = sources(key), _grid(spline, key)
         if kern is None:
             yield key, srcs, lambda lo, hi, g=grid: [np.zeros(
                 (hi - lo, math.prod(x.size for x in g), math.prod(widths)))]
@@ -622,10 +665,17 @@ def _check_case(case):
             solver._linear_weight_matrix(t, KernelSpec(exponents=(p,)))
             for p in prob.kernel.exponents]
     prob = get_problem("corner-power-2d")
-    sol = solve_2d(prob, *preset_2d(derive_class_params(2, 0.5, "b_star", l=2), 2))
+    N = 4 if case == "residual-2d-node-grid" else 2
+    sol = solve_2d(prob, *preset_2d(derive_class_params(2, 0.5, "b_star", l=2), N))
     if case == "residual-2d-grid":
         ax = np.linspace(0.0, 1.0, 13)
         samples = (ax, ax[::-1] ** 2)
+        grids = [samples]
+    elif case == "residual-2d-node-grid":
+        # the node arrays of the cell [1/4, 1/2] x [1/2, 3/4]: a sample grid reads no
+        # far class, though the march read class rows at this cell's nodes
+        cell = np.flatnonzero(np.all(sol.covering.lo_array == (0.25, 0.5), axis=1))[0]
+        samples = tuple(ns.nodes.copy() for ns in sol.nodesets[cell])
         grids = [samples]
     else:
         # points on faces, at corners and inside cells; each is its own grid
@@ -635,11 +685,9 @@ def _check_case(case):
     cells, values = np.arange(len(sol.values)), sol.tables.values
 
     def run():
-        targets = solver._cell_moments(prob.kernel, sol.nodesets, enumerate(grids),
-                                       lambda _: cells)
+        targets = solver._cell_moments(prob.kernel, sol, grids, lambda _: cells)
         return [residual(prob, sol, samples)] + [
-            solver._history(M, values, tuple(x.size for x in grids[i]))
-            for i, _, M in targets]
+            solver._history(M, values, tuple(x.size for x in grid)) for grid, _, M in targets]
 
     return run
 
@@ -658,7 +706,7 @@ def _counting(monkeypatch):
     return calls
 
 
-def _set_based_chunks(kern, nodesets, targets, sources, walk):
+def _set_based_chunks(kern, spline, targets, sources, walk):
     """Reference for the chunks of ``solver._cell_moments`` (h == 1): its planner from
     before integer ids, on Python sets of coordinates and per-target copies of the used
     intervals. A chunk grows while its index entries, ``walk.isz`` doubles each, and the
@@ -673,7 +721,8 @@ def _set_based_chunks(kern, nodesets, targets, sources, walk):
     store, chunks, pos = _RowStore(solver._TABLE_BUDGET // 2), [], 0
     while pos < len(targets):
         used, coords = [set() for _ in axes], [set() for _ in axes]
-        for end, (key, grid) in enumerate(targets[pos:], pos):
+        for end, key in enumerate(targets[pos:], pos):
+            grid = _grid(spline, key)
             grown = [u | set(ax.kid[sources(key)].tolist()) for u, ax in zip(used, axes)]
             wider = [c | set(x.tolist()) for c, x in zip(coords, grid)]
             size = sum(len(u) * len(c) * walk.isz + walk.width * np.count_nonzero(
@@ -710,7 +759,8 @@ class TestMomentTables:
         pytest.param("h2-1d-qstar-6", None, id="h2-1d-qstar-6"),
         pytest.param("h2-2d-qstar-2", None, id="h2-2d-qstar-2"),
         *[pytest.param(case, budget, id=f"{case}-{budget or 'default'}")
-          for case in ("residual-2d-grid", "residual-2d-points", "oracle-1d", "oracle-2d")
+          for case in ("residual-2d-grid", "residual-2d-points", "residual-2d-node-grid",
+                       "oracle-1d", "oracle-2d")
           for budget in (None, 100)]])
     def test_values_match_per_pair_sums(self, case, budget, monkeypatch):
         # bit-identical: every moment row and the order of every history sum
@@ -759,8 +809,7 @@ class TestMomentTables:
         # axis, or flattened with a smooth factor) and sums directly
         shadow = shadow_matrix(fast.covering) | np.eye(len(fast.values), dtype=bool)
         order, padded = np.argsort(fast.covering.causal_rank()), fast.tables
-        args = (prob.kernel, fast.nodesets, list(solver._node_grids(fast.nodesets, order)),
-                lambda ci: np.nonzero(shadow[:, ci])[0])
+        args = (prob.kernel, fast, list(order), lambda ci: np.nonzero(shadow[:, ci])[0])
         for (ci, srcs, M), (_, _, R) in zip(tables(*args), _per_pair_moments(*args)):
             for fast_w, ref_w in zip(M(0, len(srcs)), R(0, len(srcs)), strict=True):
                 row = np.max(np.abs(ref_w), axis=-1, keepdims=True)
@@ -789,15 +838,13 @@ class TestMomentTables:
             prob = get_problem("corner-power-2d")
             spl = _unfilled(*preset_2d(derive_class_params(2, 0.5, "b_star", l=2), 2))
             pts = np.random.default_rng(5).random((40, 2))
-            args = (prob.kernel, spl.nodesets, [(i, (pt[:1], pt[1:])) for i, pt in enumerate(pts)],
+            args = (prob.kernel, spl, [(pt[:1], pt[1:]) for pt in pts],
                     lambda _: np.arange(spl.covering.ncells))
         else:
             prob, _, disc = _table_case(case)
             cov = disc[0].covering() if prob.l == 1 else disc[0]
-            nodesets = _unfilled(cov, *disc[1:]).nodesets
             shadow = shadow_matrix(cov)
-            args = (prob.kernel, nodesets,
-                    list(solver._node_grids(nodesets, np.argsort(cov.causal_rank()))),
+            args = (prob.kernel, _unfilled(cov, *disc[1:]), list(np.argsort(cov.causal_rank())),
                     lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci))
         got, moments, walk = [], solver.stacked_kernel_moments, SimpleNamespace(axes=[], own=[])
         far_classes, own_bitsets = solver._far_classes, solver._own_bitsets
@@ -868,9 +915,8 @@ class TestMomentTables:
         from wsvie.spline import _unfilled
 
         cov, degree, fam = preset_2d(b_params_2d, 5)
-        nodesets = _unfilled(cov, degree, fam).nodesets
-        targets = list(solver._cell_moments(get_problem("corner-power-2d").kernel, nodesets,
-                                            solver._node_grids(nodesets, range(cov.ncells)),
+        targets = list(solver._cell_moments(get_problem("corner-power-2d").kernel,
+                                            _unfilled(cov, degree, fam), range(cov.ncells),
                                             lambda ci: np.arange(ci + 1)))
         assert len(targets[-1][2](0, 1)) == 2
         with pytest.raises(ValueError):
@@ -888,9 +934,9 @@ def _row_counts(monkeypatch):
         served[panels] = served.get(panels, 0) + np.size(X)
         return call(self, ref, p, panels, X)
 
-    def counted_rows(ref, p, panels, X, n=None, basis=None):
+    def counted_rows(ref, p, panels, X, basis=None):
         computed.setdefault(panels, []).append((ref.family, ref.m, p, X.copy()))
-        return rows(ref, p, panels, X, n, basis)
+        return rows(ref, p, panels, X, basis)
 
     monkeypatch.setattr(quad._RowStore, "__call__", counted_call)
     monkeypatch.setattr(quad, "_reference_rows", counted_rows)
@@ -1097,10 +1143,10 @@ class TestFarClasses:
 
         computed, rows = [], quad._reference_rows
 
-        def counted(ref, p, panels, X, n=None, basis=None):
+        def counted(ref, p, panels, X, basis=None):
             if panels == 1:
                 computed.append(np.column_stack([np.full(X.size, p), X]))
-            return rows(ref, p, panels, X, n, basis)
+            return rows(ref, p, panels, X, basis)
 
         monkeypatch.setattr(quad, "_reference_rows", counted)
         prob, solve, disc = _table_case("power-2d-bstar-4")
@@ -1217,21 +1263,20 @@ class TestFarClasses:
 
     def test_a_walk_without_node_grids_requests_sources_once(self, b_params_2d):
         # residual's walk over sample grids of a B* N = 5 solution (18-point
-        # rules): no grid is an interval's node array, so no class is numbered
+        # rules): a sample grid lies on no interval, so no class is numbered
         # and each target's sources are requested once, by the chunk plan
         import wsvie.solver as solver
         from wsvie.spline import _unfilled
 
         cov, degree, fam = preset_2d(b_params_2d, 5)
         assert solver.quad._rule_points(degree) >= solver._CLASS_POINTS
-        nodesets = _unfilled(cov, degree, fam).nodesets
         ax = np.linspace(0.0, 1.0, 11)
         grids = [(ax, ax), (ax[:4], ax[::-1] ** 2), (ax[5:6], ax[2:3])]
-        requested = []
-        walk = solver._cell_moments(get_problem("corner-power-2d").kernel, nodesets,
-                                    enumerate(grids),
-                                    lambda key: (requested.append(key), np.arange(cov.ncells))[1])
-        assert [key for key, _, _ in walk] == [0, 1, 2]
+        key, requested = {id(g): i for i, g in enumerate(grids)}.get, []
+        walk = solver._cell_moments(
+            get_problem("corner-power-2d").kernel, _unfilled(cov, degree, fam), grids,
+            lambda g: (requested.append(key(id(g))), np.arange(cov.ncells))[1])
+        assert [key(id(g)) for g, _, _ in walk] == [0, 1, 2]
         assert requested == [0, 1, 2]
 
 
@@ -1346,8 +1391,7 @@ def _reference_march(problem, cov, degrees, family, order, tol, log):
     widths = tuple(max(ns.m for ns in sets) for sets in zip(*spl.nodesets))
     done = np.zeros(cov.ncells, dtype=bool)
     for ci, srcs, moments in solver._cell_moments(
-            problem.kernel, spl.nodesets, solver._node_grids(spl.nodesets, order),
-            lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci)):
+            problem.kernel, spl, order, lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci)):
         pred = srcs[:-1]
         assert done[pred].all()
         shape = tuple(ns.m for ns in spl.nodesets[ci])
@@ -1520,9 +1564,8 @@ class TestPerDimensionFormulas:
         prob, solve, disc, _ = _march_case(case)
         sol = solve(prob, *disc)
         shadow, padded = shadow_matrix(sol.covering), sol.tables.values
-        for ci, srcs, M in solver._cell_moments(
-                prob.kernel, sol.nodesets, solver._node_grids(sol.nodesets, range(len(sol.values))),
-                lambda ci: np.nonzero(shadow[:, ci])[0]):
+        for ci, srcs, M in solver._cell_moments(prob.kernel, sol, range(len(sol.values)),
+                                                lambda ci: np.nonzero(shadow[:, ci])[0]):
             vals, shape = padded[srcs], sol.values[ci].shape
             new, old = solver._history(M, vals, shape), _reference_history(M, vals, shape)
             if case.startswith("abel-1d"):   # to the rounding scale of the sum

@@ -564,3 +564,63 @@ class TestNodeConstruction:
             for got, ref in zip(spl.tables.axes, padded.axes, strict=True):
                 assert np.array_equal(got.nodes, ref.nodes)
                 assert np.array_equal(got.weights, ref.weights)
+
+
+class TestIntervalTable:
+    @pytest.mark.parametrize("degrees", ["one-m", "mixed-m"])
+    def test_ids_of_each_axis_interval_and_node_count(self, degrees):
+        # per axis a cell's id is that of its (m, family, a, b), numbered in that
+        # order, and ``first`` holds each id's first cell: two cells on one
+        # interval share an id, unless per-cell node counts differ there
+        from wsvie.mesh import geometric_covering
+        from wsvie.spline import _unfilled
+
+        cov = geometric_covering(4, 1.0, 2)
+        counts = 5 if degrees == "one-m" else [(3, 5, 7)[ci % 3] for ci in range(cov.ncells)]
+        spl = _unfilled(cov, counts, "chebyshev1_closed")
+        for a, tab in enumerate(spl.tables.axes):
+            keys = [(nsets[a].m, nsets[a].family, nsets[a].a, nsets[a].b) for nsets in spl.nodesets]
+            number = {key: i for i, key in enumerate(sorted(set(keys)))}
+            assert tab.interval.tolist() == [number[key] for key in keys]
+            assert tab.first.tolist() == [keys.index(key) for key in number]
+            ms = np.array([key[0] for key in keys])
+            on_one = ((cov.lo_array[:, None, a] == cov.lo_array[:, a])
+                      & (cov.hi_array[:, None, a] == cov.hi_array[:, a]))
+            shared = tab.interval[:, None] == tab.interval
+            assert np.array_equal(shared, on_one & (ms[:, None] == ms))
+            assert (on_one & ~np.eye(cov.ncells, dtype=bool)).any()
+            assert (on_one & ~shared).any() == (degrees == "mixed-m")
+
+    def test_a_rebuilt_spline_has_the_same_ids_and_walk(self):
+        # tensor_spline_from_dict builds one NodeSet per cell and axis, none
+        # shared: the same ids as the solver's spline, and on B* N = 4, whose
+        # walk reads far classes, the same weights and collocation residual
+        import hashlib
+
+        import wsvie.solver as solver
+        from wsvie.cli import get_problem
+        from wsvie.funclass import derive_class_params
+        from wsvie.mesh import shadow_matrix
+
+        prob = get_problem("corner-power-2d")
+        sol = solver.solve_2d(prob, *solver.preset_2d(
+            derive_class_params(2, 0.5, "b_star", l=2), 4))
+        cov = sol.covering
+        assert solver.quad._rule_points(sol.nodesets[0][0].m) >= solver._CLASS_POINTS
+        rebuilt = tensor_spline_from_dict(sol.to_dict())
+        for own, ref in zip(rebuilt.owned, sol.owned, strict=True):
+            own[...] = ref
+        assert len({id(ns) for nsets in rebuilt.nodesets for ns in nsets}) == 2 * cov.ncells
+        for got, ref in zip(rebuilt.tables.axes, sol.tables.axes, strict=True):
+            assert np.array_equal(got.interval, ref.interval)
+            assert np.array_equal(got.first, ref.first)
+        shadow = shadow_matrix(cov)
+
+        def walk(spl):   # per cell of the march, a digest of all its weights
+            return [hashlib.sha1(b"".join(w.tobytes() for w in M(0, len(srcs)))).hexdigest()
+                    for _, srcs, M in solver._cell_moments(
+                        prob.kernel, spl, np.argsort(cov.causal_rank()),
+                        lambda ci: np.append(np.nonzero(shadow[:, ci])[0], ci))]
+
+        assert walk(rebuilt) == walk(sol)
+        assert solver.collocation_residual(prob, rebuilt) == solver.collocation_residual(prob, sol)
